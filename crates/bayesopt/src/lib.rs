@@ -23,7 +23,9 @@
 //! * [`tpe`], [`hyperband`], [`random_search`] — the strategy zoo:
 //!   Tree-structured Parzen Estimator, successive-halving/Hyperband over
 //!   measurement budget, and the random-search calibration floor, all
-//!   sharing the same deterministic propose/observe contract.
+//!   sharing the same deterministic propose/observe contract,
+//! * [`proposer`] — [`Proposer`], the one enum callers drive all four
+//!   optimizers through.
 //!
 //! ```
 //! use mtm_bayesopt::{BayesOpt, BoConfig, space::{ParamSpace, Param}};
@@ -48,6 +50,7 @@ pub mod error;
 pub mod history;
 pub mod hyperband;
 pub mod optimizer;
+pub mod proposer;
 pub mod random_search;
 pub mod space;
 pub mod tpe;
@@ -60,6 +63,7 @@ pub use optimizer::{
     score_batch, BayesOpt, BoConfig, BoConfigBuilder, Candidate, KernelChoice, Observation,
     SurrogateMode,
 };
+pub use proposer::Proposer;
 pub use random_search::RandomSearch;
 pub use space::{Param, ParamSpace, Value};
 pub use tpe::{Tpe, TpeConfig};

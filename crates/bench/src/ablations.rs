@@ -18,10 +18,13 @@ use mtm_bayesopt::optimizer::Marginalize;
 use mtm_bayesopt::{Acquisition, BoConfig, KernelChoice};
 use mtm_core::objective::synthetic_base;
 use mtm_core::report::Table;
-use mtm_core::{run_experiment, Objective, ParamSet, RunOptions, Strategy};
+use mtm_core::{Objective, ParamSet, RunOptions, Strategy};
 use mtm_gp::FitOptions;
+use mtm_runner::RunnerError;
 use mtm_stormsim::ClusterSpec;
 use mtm_topogen::{make_condition, Condition, SizeClass};
+
+use crate::run_in_memory;
 
 /// The cell the ablations run on: medium topology, 25% contention —
 /// where the paper found BO most valuable.
@@ -61,19 +64,20 @@ fn bo_config(seed: u64) -> BoConfig {
     built(bo_builder(seed))
 }
 
-/// Run one BO experiment with a configured optimizer.
-fn run_bo(objective: &Objective, opts: &RunOptions, make: impl Fn(u64) -> BoConfig) -> f64 {
-    let topo = objective.topology().clone();
-    run_experiment(
-        |seed| Strategy::bo_with(&topo, ParamSet::Hints, make(seed)),
-        objective,
-        opts,
-    )
-    .mean()
+/// Run one BO experiment with a configured optimizer; its mean
+/// confirmed throughput.
+fn run_bo(
+    objective: &Objective,
+    opts: &RunOptions,
+    make: impl Fn(u64) -> BoConfig + Sync,
+) -> Result<f64, RunnerError> {
+    let topo = objective.topology();
+    let strategy = |seed| Strategy::bo_with(topo, ParamSet::Hints, make(seed));
+    Ok(run_in_memory("ablation/bo", &strategy, objective, opts)?.mean())
 }
 
 /// Ablation 1: measurement averaging (§VI's proposed improvement).
-pub fn measurement_averaging(steps: usize) -> Table {
+pub fn measurement_averaging(steps: usize) -> Result<Table, RunnerError> {
     let objective = cell_objective(ClusterSpec::paper_cluster());
     let mut t = Table::new(
         "Ablation: averaged measurements per optimization step (§VI)",
@@ -87,14 +91,14 @@ pub fn measurement_averaging(steps: usize) -> Table {
             measure_reps: reps,
             ..Default::default()
         };
-        let mean = run_bo(&objective, &opts, bo_config);
+        let mean = run_bo(&objective, &opts, bo_config)?;
         t.push(&format!("bo, {reps} run(s)/step"), vec![mean]);
     }
-    t
+    Ok(t)
 }
 
 /// Ablation 2: acquisition functions.
-pub fn acquisitions(steps: usize) -> Table {
+pub fn acquisitions(steps: usize) -> Result<Table, RunnerError> {
     let objective = cell_objective(ClusterSpec::paper_cluster());
     let opts = RunOptions {
         max_steps: steps,
@@ -110,14 +114,14 @@ pub fn acquisitions(steps: usize) -> Table {
     ] {
         let mean = run_bo(&objective, &opts, |seed| {
             built(bo_builder(seed).acquisition(acq))
-        });
+        })?;
         t.push(label, vec![mean]);
     }
-    t
+    Ok(t)
 }
 
 /// Ablation 3: surrogate kernels.
-pub fn kernels(steps: usize) -> Table {
+pub fn kernels(steps: usize) -> Result<Table, RunnerError> {
     let objective = cell_objective(ClusterSpec::paper_cluster());
     let opts = RunOptions {
         max_steps: steps,
@@ -132,14 +136,14 @@ pub fn kernels(steps: usize) -> Table {
     ] {
         let mean = run_bo(&objective, &opts, |seed| {
             built(bo_builder(seed).kernel(kernel))
-        });
+        })?;
         t.push(label, vec![mean]);
     }
-    t
+    Ok(t)
 }
 
 /// Ablation 4: hyperparameter marginalization (integrated EI).
-pub fn marginalization(steps: usize) -> Table {
+pub fn marginalization(steps: usize) -> Result<Table, RunnerError> {
     let objective = cell_objective(ClusterSpec::paper_cluster());
     let opts = RunOptions {
         max_steps: steps,
@@ -163,17 +167,17 @@ pub fn marginalization(steps: usize) -> Table {
     ] {
         let mean = run_bo(&objective, &opts, |seed| {
             built(bo_builder(seed).marginalize(marg))
-        });
+        })?;
         t.push(label, vec![mean]);
     }
-    t
+    Ok(t)
 }
 
 /// Ablation 5: the contention exponent — the paper's literal linear
 /// formula vs this reproduction's super-linear default. Reports the
 /// pla-vs-bo gap under each, which is the behaviour the exponent exists
 /// to reproduce.
-pub fn contention_exponent(steps: usize) -> Table {
+pub fn contention_exponent(steps: usize) -> Result<Table, RunnerError> {
     let mut t = Table::new(
         "Ablation: contention exponent (pla vs bo on the contended cell)",
         &["pla_tps", "bo_tps", "bo_gain"],
@@ -191,11 +195,11 @@ pub fn contention_exponent(steps: usize) -> Table {
             passes: 2,
             ..Default::default()
         };
-        let pla = run_experiment(|_s| Strategy::pla(), &objective, &opts).mean();
-        let bo = run_bo(&objective, &opts, bo_config);
+        let pla = run_in_memory("ablation/pla", &|_s| Strategy::pla(), &objective, &opts)?.mean();
+        let bo = run_bo(&objective, &opts, bo_config)?;
         t.push(label, vec![pla, bo, bo / pla.max(1e-9)]);
     }
-    t
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -212,6 +216,7 @@ mod tests {
             marginalization(5),
             contention_exponent(6),
         ] {
+            let table = table.unwrap();
             assert!(!table.rows.is_empty(), "{}", table.title);
             assert!(
                 table.rows.iter().any(|r| r.values[0] > 0.0),

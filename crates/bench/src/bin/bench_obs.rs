@@ -1,7 +1,7 @@
 //! Wall-clock record for the observability layer's zero-cost claim.
 //!
 //! The `NullRecorder` path IS the production path: `BayesOpt::propose`
-//! and `simulate_flow` both monomorphize over `Recorder` with
+//! and `simulate_flow_with` both monomorphize over `Recorder` with
 //! `R::ENABLED = false`, so every event construction is dead code the
 //! compiler removes. That claim is structural (and the determinism
 //! probe asserts it bitwise); what this bench records is that it also
@@ -19,7 +19,7 @@
 //!
 //! Workloads: a single `BayesOpt::propose` at a 60-observation history
 //! (the surrogate hot path `bench_gp` tracks) and a full
-//! `simulate_flow` run on the Sundog topology. Writes the
+//! `simulate_flow_with` run on the Sundog topology. Writes the
 //! machine-readable `BENCH_obs.json` at the repo root and prints it to
 //! stdout.
 //!

@@ -88,26 +88,13 @@ struct Trajectory {
     effort_reps: usize,
 }
 
-fn make_strategy(label: &str, objective: &Objective, seed: u64) -> Strategy {
-    let topo = objective.topology();
-    match label {
-        "pla" => Strategy::pla(),
-        "ipla" => Strategy::ipla(topo),
-        "bo" => Strategy::bo(topo, ParamSet::Hints, seed),
-        "random" => Strategy::random(topo, ParamSet::Hints, seed),
-        "tpe" => Strategy::tpe(topo, ParamSet::Hints, seed),
-        "hyperband" => Strategy::hyperband(topo, ParamSet::Hints, seed),
-        _ => Strategy::ibo(topo, seed),
-    }
-}
-
 /// Run one cell's optimization loop under the effort budget — the §V
 /// protocol with per-step rep allocation, measured through the same
 /// `step_run_id` noise draws the experiment runner uses.
-fn run_cell(objective: &Objective, label: &str) -> Trajectory {
+fn run_cell(objective: &Objective, label: &str) -> Result<Trajectory, String> {
     let topo = objective.topology().clone();
     let base = objective.base_config().clone();
-    let mut strategy = make_strategy(label, objective, BENCH_SEED);
+    let mut strategy = Strategy::by_name(label, &topo, ParamSet::Hints, BENCH_SEED)?;
     let mut points = Vec::new();
     let mut ys = Vec::new();
     let mut best = f64::NEG_INFINITY;
@@ -134,11 +121,11 @@ fn run_cell(objective: &Objective, label: &str) -> Trajectory {
             break; // the paper's zero-throughput early stop, simplified
         }
     }
-    Trajectory {
+    Ok(Trajectory {
         points,
         final_best: best.max(0.0),
         effort_reps: spent,
-    }
+    })
 }
 
 fn run() -> Result<(), String> {
@@ -148,10 +135,10 @@ fn run() -> Result<(), String> {
         let base = synthetic_base(&topo);
         let objective = Objective::new(topo, ClusterSpec::paper_cluster()).with_base(base);
 
-        let runs: Vec<(&'static str, Trajectory)> = STRATEGIES
+        let runs = STRATEGIES
             .iter()
-            .map(|label| (*label, run_cell(&objective, label)))
-            .collect();
+            .map(|label| Ok((*label, run_cell(&objective, label)?)))
+            .collect::<Result<Vec<_>, String>>()?;
         // The shared yardstick: the best final objective any strategy
         // reached on this size.
         let size_best = runs

@@ -1,11 +1,11 @@
 //! Regenerate Fig. 8 (Sundog throughput and convergence).
 use mtm_bench::{figures::fig8, results_dir, Scale};
-fn main() {
+fn main() -> Result<(), mtm_runner::RunnerError> {
     let scale = Scale::from_env();
     let r = fig8::run(
         &scale.run_options(0x51D0),
         &scale.run_options_extended(0x51D0),
-    );
+    )?;
     let a = fig8::throughput_table(&r);
     print!("{}", a.render());
     println!(
@@ -18,4 +18,5 @@ fn main() {
     b.write_csv(&results_dir().join("fig8b.csv"))
         .expect("write CSV");
     eprintln!("wrote fig8a.csv / fig8b.csv to {}", results_dir().display());
+    Ok(())
 }

@@ -1,7 +1,7 @@
 //! Regenerate every table and figure in sequence.
 use mtm_bench::{figures, grid, results_dir, Scale};
 
-fn main() {
+fn main() -> Result<(), mtm_runner::RunnerError> {
     let scale = Scale::from_env();
     eprintln!("running all tables/figures at scale '{}'", scale.label());
 
@@ -49,7 +49,7 @@ fn main() {
     let r8 = figures::fig8::run(
         &scale.run_options(0x51D0),
         &scale.run_options_extended(0x51D0),
-    );
+    )?;
     let f8a = figures::fig8::throughput_table(&r8);
     print!("{}", f8a.render());
     println!("{}", figures::fig8::significance_report(&r8));
@@ -60,4 +60,5 @@ fn main() {
         .expect("csv");
 
     eprintln!("all outputs under {}", results_dir().display());
+    Ok(())
 }

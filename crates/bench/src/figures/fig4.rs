@@ -118,7 +118,7 @@ pub fn shape_report(grid: &Grid) -> String {
 #[cfg(test)]
 mod tests {
     use crate::grid;
-    use crate::scale::Scale;
+    use crate::Scale;
 
     #[test]
     fn fig4_table_has_all_cells() {

@@ -65,7 +65,7 @@ pub fn shape_report(grid: &Grid) -> String {
 #[cfg(test)]
 mod tests {
     use crate::grid;
-    use crate::scale::Scale;
+    use crate::Scale;
 
     #[test]
     fn fig5_rows_and_ranges() {

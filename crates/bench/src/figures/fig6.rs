@@ -85,7 +85,7 @@ pub fn shape_report(tables: &[Table]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::grid;
-    use crate::scale::Scale;
+    use crate::Scale;
 
     #[test]
     fn fig6_smoothes_trajectories() {

@@ -95,7 +95,7 @@ pub fn shape_report(grid: &Grid) -> String {
 #[cfg(test)]
 mod tests {
     use crate::grid;
-    use crate::scale::Scale;
+    use crate::Scale;
 
     #[test]
     fn fig7_times_are_sane() {

@@ -10,11 +10,14 @@
 //! * two-sided Welch t-tests compare the configurations at p = 0.05.
 
 use mtm_core::report::{bar_stats, Table};
-use mtm_core::{run_experiment, ExperimentResult, Objective, ParamSet, RunOptions, Strategy};
+use mtm_core::{ExperimentResult, Objective, ParamSet, RunOptions, Strategy};
+use mtm_runner::RunnerError;
 use mtm_stats::welch_t_test;
 use mtm_stormsim::{ClusterSpec, StormConfig};
 use mtm_topogen::{sundog::SUNDOG_NODES, sundog_topology};
 use serde::{Deserialize, Serialize};
+
+use crate::run_in_memory;
 
 /// All Fig. 8 experiment outcomes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -48,11 +51,15 @@ pub fn sundog_objective() -> Objective {
 }
 
 /// Run every Fig. 8 experiment.
-pub fn run(opts60: &RunOptions, opts180: &RunOptions) -> SundogResults {
+pub fn run(opts60: &RunOptions, opts180: &RunOptions) -> Result<SundogResults, RunnerError> {
     let objective = sundog_objective();
-    let topo = objective.topology().clone();
+    let topo = objective.topology();
+    let bo = |exp_id: &str, set: ParamSet, opts: &RunOptions| {
+        let make = |seed| Strategy::bo(topo, set.clone(), seed);
+        run_in_memory(exp_id, &make, &objective, opts)
+    };
 
-    let pla_h = run_experiment(|_s| Strategy::pla(), &objective, opts60);
+    let pla_h = run_in_memory("fig8/pla_h", &|_s| Strategy::pla(), &objective, opts60)?;
 
     // The paper pins the bs-bp-cc hints to pla's best value, which on
     // their cluster was 11. On the simulated cluster pla's optimum lands
@@ -61,43 +68,20 @@ pub fn run(opts60: &RunOptions, opts180: &RunOptions) -> SundogResults {
     // derived value alongside it in the significance report.
     let derived_hint = pla_h.winner().best_config.parallelism_hints[0].max(1);
     let fixed_hint = 11u32.max(derived_hint);
-    let _ = derived_hint;
 
-    let bo_h = run_experiment(
-        |seed| Strategy::bo(&topo, ParamSet::Hints, seed),
-        &objective,
-        opts60,
-    );
-    let bo180_h = run_experiment(
-        |seed| Strategy::bo(&topo, ParamSet::Hints, seed),
-        &objective,
-        opts180,
-    );
-    let bo_h_bs_bp = run_experiment(
-        |seed| Strategy::bo(&topo, ParamSet::HintsBatch, seed),
-        &objective,
-        opts60,
-    );
-    let bo180_h_bs_bp = run_experiment(
-        |seed| Strategy::bo(&topo, ParamSet::HintsBatch, seed),
-        &objective,
-        opts180,
-    );
-    let bo_bs_bp_cc = run_experiment(
-        |seed| Strategy::bo(&topo, ParamSet::BatchConcurrency { fixed_hint }, seed),
-        &objective,
-        opts60,
-    );
-
-    SundogResults {
+    Ok(SundogResults {
         pla_h,
-        bo_h,
-        bo180_h,
-        bo_h_bs_bp,
-        bo180_h_bs_bp,
-        bo_bs_bp_cc,
+        bo_h: bo("fig8/bo_h", ParamSet::Hints, opts60)?,
+        bo180_h: bo("fig8/bo180_h", ParamSet::Hints, opts180)?,
+        bo_h_bs_bp: bo("fig8/bo_h_bs_bp", ParamSet::HintsBatch, opts60)?,
+        bo180_h_bs_bp: bo("fig8/bo180_h_bs_bp", ParamSet::HintsBatch, opts180)?,
+        bo_bs_bp_cc: bo(
+            "fig8/bo_bs_bp_cc",
+            ParamSet::BatchConcurrency { fixed_hint },
+            opts60,
+        )?,
         fixed_hint,
-    }
+    })
 }
 
 /// Fig. 8a: the throughput bars.
@@ -221,7 +205,7 @@ mod tests {
             max_steps: 12,
             ..opts60.clone()
         };
-        let r = run(&opts60, &opts180);
+        let r = run(&opts60, &opts180).unwrap();
         let t = throughput_table(&r);
         assert_eq!(t.rows.len(), 6);
         assert!(t.rows.iter().all(|row| row.values[0] >= 0.0));

@@ -17,7 +17,7 @@ pub use mtm_runner::grid::{Cell, Grid, STRATEGIES};
 use mtm_runner::engine::RunnerOptions;
 use mtm_runner::pool;
 
-use crate::scale::Scale;
+use crate::Scale;
 
 /// Runner options for harness-driven grid runs: thread count from
 /// `MTM_THREADS` (default: all cores), reference semantics otherwise.

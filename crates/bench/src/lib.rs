@@ -33,11 +33,26 @@
 pub mod ablations;
 pub mod figures;
 pub mod grid;
-pub mod scale;
 
-pub use scale::Scale;
+pub use mtm_runner::Scale;
 
 use std::path::PathBuf;
+
+use mtm_core::{ExperimentResult, Objective, RunOptions, Strategy};
+use mtm_runner::{run_experiment_journaled, RunnerError, RunnerOptions};
+
+/// Run the §V protocol for `make`'s strategy in memory: the runner engine
+/// with no journal, serially.
+pub fn run_in_memory(
+    exp_id: &str,
+    make: &(dyn Fn(u64) -> Strategy + Sync),
+    objective: &Objective,
+    opts: &RunOptions,
+) -> Result<ExperimentResult, RunnerError> {
+    let ropts = RunnerOptions::serial();
+    run_experiment_journaled(exp_id, make, objective, opts, &ropts, None, false)
+        .map(|outcome| outcome.result)
+}
 
 /// Directory all harness outputs go to (`results/` under the workspace
 /// root, or `$MTM_RESULTS_DIR`).

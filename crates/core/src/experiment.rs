@@ -10,11 +10,12 @@
 //! A full **experiment** runs two passes with different seeds ("we
 //! repeated the procedure and graphed the better of the two optimization
 //! passes"), keeps the better, then re-runs its best configuration 30
-//! times for the reported average/min/max.
+//! times for the reported average/min/max. `mtm-runner`'s engine is the
+//! one implementation of that protocol; this module owns the pass loop
+//! and the records it shares.
 
 use std::time::Instant;
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use mtm_obs::event::finite_or_zero;
@@ -282,7 +283,13 @@ impl ExperimentResult {
 /// Run one optimization pass of `strategy` against `objective`,
 /// measuring every trial directly.
 pub fn run_pass(strategy: &mut Strategy, objective: &Objective, opts: &RunOptions) -> PassResult {
-    run_pass_with(strategy, objective, opts, &mut DirectMeasure)
+    run_pass_traced(
+        strategy,
+        objective,
+        opts,
+        &mut DirectMeasure,
+        &mut NullRecorder,
+    )
 }
 
 /// Run one optimization pass, obtaining every measurement through
@@ -290,17 +297,9 @@ pub fn run_pass(strategy: &mut Strategy, objective: &Objective, opts: &RunOption
 /// early stop, best tracking and repetition averaging live here, while
 /// `measure` decides whether a trial is simulated, replayed from a
 /// journal, or served from a memo cache.
-pub fn run_pass_with(
-    strategy: &mut Strategy,
-    objective: &Objective,
-    opts: &RunOptions,
-    measure: &mut dyn Measure,
-) -> PassResult {
-    run_pass_traced(strategy, objective, opts, measure, &mut NullRecorder)
-}
-
-/// [`run_pass_with`] with instrumentation: per-proposal surrogate events
-/// (via [`Strategy::propose_traced`]) and one [`Event::Trial`] per
+///
+/// Instrumentation goes to `rec`: per-proposal surrogate events (via
+/// [`Strategy::propose_traced`]) and one [`Event::Trial`] per
 /// measurement, carrying the deterministic run id that links the trace
 /// line to the runner journal. The pass result is bitwise identical with
 /// any recorder.
@@ -403,54 +402,15 @@ pub fn run_pass_traced<R: Recorder>(
     }
 }
 
-/// Seed of pass `p` within an experiment based at `base` — shared with
-/// `mtm-runner` so both execution paths build identical strategies.
+/// Seed of pass `p` within an experiment based at `base`: each pass
+/// builds a fresh strategy from it.
 pub fn pass_seed(base: u64, p: usize) -> u64 {
     base.wrapping_add(1 + p as u64)
 }
 
-/// Run the full two-pass + confirmation protocol. `make_strategy` builds
-/// a fresh strategy per pass (passes must not share surrogate state).
-pub fn run_experiment(
-    make_strategy: impl Fn(u64) -> Strategy,
-    objective: &Objective,
-    opts: &RunOptions,
-) -> ExperimentResult {
-    let passes: Vec<PassResult> = (0..opts.passes.max(1))
-        .map(|p| {
-            let seed = pass_seed(opts.seed, p);
-            let mut strategy = make_strategy(seed);
-            let pass_opts = RunOptions {
-                seed,
-                ..opts.clone()
-            };
-            run_pass(&mut strategy, objective, &pass_opts)
-        })
-        .collect();
-
-    let best_pass = select_best_pass(&passes);
-
-    // 30 confirmation runs of the winning configuration, in parallel —
-    // these are independent measurements (rayon per the repo's
-    // hpc-parallel guidance).
-    let best_config = passes[best_pass].best_config.clone();
-    let confirmation: Vec<f64> = (0..opts.confirm_reps as u64)
-        .into_par_iter()
-        .map(|rep| objective.measure(&best_config, confirm_run_id(opts.seed, rep)))
-        .collect();
-
-    ExperimentResult {
-        strategy: passes[best_pass].strategy.clone(),
-        passes,
-        best_pass,
-        confirmation,
-    }
-}
-
 /// Index of the winning pass: highest best throughput, last wins ties —
-/// the protocol's tie-break, shared with `mtm-runner` so journaled and
-/// direct execution pick identically. Finite throughputs order the same
-/// under `total_cmp` as under partial comparison.
+/// the protocol's tie-break. Finite throughputs order the same under
+/// `total_cmp` as under partial comparison.
 pub fn select_best_pass(passes: &[PassResult]) -> usize {
     passes
         .iter()
@@ -511,21 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn experiment_keeps_better_pass_and_confirms() {
-        let obj = small_objective();
-        let result = run_experiment(|_seed| Strategy::pla(), &obj, &quick_opts());
-        assert_eq!(result.passes.len(), 2);
-        assert_eq!(result.confirmation.len(), 4);
-        assert!(result.mean() > 0.0);
-        let (min, max) = result.min_max();
-        assert!(min <= result.mean() && result.mean() <= max);
-        let winner_best = result.winner().best_throughput;
-        for p in &result.passes {
-            assert!(p.best_throughput <= winner_best);
-        }
-    }
-
-    #[test]
     fn zero_stop_terminates_linear_strategies() {
         // A topology where every configuration fails: zero throughput
         // every step; pla must stop after `zero_stop` runs.
@@ -553,13 +498,5 @@ mod tests {
         );
         assert_eq!(pass.steps.len(), 3, "stopped after three zero runs");
         assert_eq!(pass.best_throughput, 0.0);
-    }
-
-    #[test]
-    fn convergence_steps_aggregate_passes() {
-        let obj = small_objective();
-        let result = run_experiment(|_s| Strategy::pla(), &obj, &quick_opts());
-        let (min, avg, max) = result.convergence_steps();
-        assert!(min <= avg as usize + 1 && avg <= max as f64);
     }
 }

@@ -13,11 +13,14 @@
 //! * [`strategy`] — the four optimizers of Fig. 4: `pla` (parallel linear
 //!   ascent), `ipla` (informed pla), `bo` (Bayesian Optimization over the
 //!   full hint vector) and `ibo` (BO over a single informed multiplier),
+//!   plus the zoo (`tpe`, `hyperband`, `random`); [`Strategy::by_name`]
+//!   is the one label table,
 //! * [`objective`] — the measurement loop: configure → run two simulated
 //!   minutes on the cluster model → read noisy throughput,
-//! * [`experiment`] — the §V protocol: 60 (or 180) optimization steps,
+//! * [`experiment`] — the §V pass loop: 60 (or 180) optimization steps,
 //!   early stop for the linear strategies after three consecutive zero
-//!   runs, two passes keeping the better, then 30 confirmation runs of the
+//!   runs. `mtm-runner`'s engine runs the whole protocol on top of it:
+//!   two passes keeping the better, then 30 confirmation runs of the
 //!   best configuration,
 //! * [`report`] — tabular/CSV rendering of results.
 //!
@@ -46,9 +49,9 @@ pub mod strategy;
 pub mod weights;
 
 pub use experiment::{
-    confirm_run_id, pass_seed, run_experiment, run_pass, run_pass_traced, run_pass_with,
-    select_best_pass, step_run_id, DirectMeasure, ExperimentResult, Measure, PassResult,
-    RunOptions, StepRecord, TrialCtx, TrialKind,
+    confirm_run_id, pass_seed, run_pass, run_pass_traced, select_best_pass, step_run_id,
+    DirectMeasure, ExperimentResult, Measure, PassResult, RunOptions, StepRecord, TrialCtx,
+    TrialKind,
 };
 pub use objective::{Objective, ObjectiveKind};
 pub use paramsets::ParamSet;
@@ -57,7 +60,7 @@ pub use weights::base_parallelism_weights;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::experiment::{run_experiment, run_pass, RunOptions};
+    pub use crate::experiment::{run_pass, RunOptions};
     pub use crate::objective::Objective;
     pub use crate::paramsets::ParamSet;
     pub use crate::strategy::Strategy;

@@ -3,7 +3,8 @@
 //! behind the same propose/observe seam.
 
 use mtm_bayesopt::{
-    BayesOpt, BoConfig, Candidate, Hyperband, HyperbandConfig, RandomSearch, Tpe, TpeConfig,
+    BayesOpt, BoConfig, Candidate, Hyperband, HyperbandConfig, Proposer, RandomSearch, Tpe,
+    TpeConfig,
 };
 use mtm_gp::FitOptions;
 use mtm_obs::{Event, NullRecorder, Recorder};
@@ -14,10 +15,11 @@ use crate::weights::{hints_from_weights, normalized_weights};
 
 /// A configuration-proposing strategy.
 ///
-/// All four are driven by the same loop: `propose` a configuration for
-/// step `t`, measure it, `observe` the result.
-// Variant sizes differ by design: the BO variant carries the surrogate
-// state; strategies are created once per pass, never stored in bulk.
+/// Every strategy is driven by the same loop: `propose` a configuration
+/// for step `t`, measure it, `observe` the result.
+// Variant sizes differ by design: the search variant carries the
+// optimizer state; strategies are created once per pass, never stored
+// in bulk.
 #[allow(clippy::large_enum_variant)]
 pub enum Strategy {
     /// Parallel linear ascent: the same hint on every node, increased by
@@ -30,41 +32,11 @@ pub enum Strategy {
         /// Per-node base weights.
         weights: Vec<f64>,
     },
-    /// Bayesian Optimization over a parameter set.
-    Bo {
+    /// A search optimizer (BO, TPE, Hyperband or random search) over a
+    /// parameter set.
+    Search {
         /// The underlying optimizer.
-        opt: BayesOpt,
-        /// The tuned surface.
-        set: ParamSet,
-        /// The candidate awaiting its observation.
-        pending: Option<Candidate>,
-    },
-    /// Tree-structured Parzen Estimator over a parameter set
-    /// (Bergstra et al. 2011).
-    Tpe {
-        /// The underlying density-ratio optimizer.
-        opt: Tpe,
-        /// The tuned surface.
-        set: ParamSet,
-        /// The candidate awaiting its observation.
-        pending: Option<Candidate>,
-    },
-    /// Successive halving / Hyperband over measurement budget
-    /// (Li et al. 2018): rung survivors are re-measured with more
-    /// averaged repetitions — see [`Strategy::measure_reps`].
-    Hyperband {
-        /// The underlying bracket scheduler.
-        opt: Hyperband,
-        /// The tuned surface.
-        set: ParamSet,
-        /// The candidate awaiting its observation.
-        pending: Option<Candidate>,
-    },
-    /// Uniform random search — the calibration floor
-    /// (Bergstra & Bengio 2012).
-    Random {
-        /// The underlying sampler.
-        opt: RandomSearch,
+        opt: Proposer,
         /// The tuned surface.
         set: ParamSet,
         /// The candidate awaiting its observation.
@@ -73,6 +45,29 @@ pub enum Strategy {
 }
 
 impl Strategy {
+    /// The strategy a figure label names: `pla`, `ipla`, `bo`, `ibo`,
+    /// `random`, `tpe` or `hyperband`, with the search strategies over
+    /// `set` (`ibo` tunes its own multiplier). `bo180` builds `bo`: the
+    /// 180-step budget lives in the run options. Unknown labels are an
+    /// error.
+    pub fn by_name(
+        label: &str,
+        topo: &Topology,
+        set: ParamSet,
+        seed: u64,
+    ) -> Result<Strategy, String> {
+        Ok(match label {
+            "pla" => Strategy::pla(),
+            "ipla" => Strategy::ipla(topo),
+            "bo" | "bo180" => Strategy::bo(topo, set, seed),
+            "ibo" => Strategy::ibo(topo, seed),
+            "random" => Strategy::random(topo, set, seed),
+            "tpe" => Strategy::tpe(topo, set, seed),
+            "hyperband" => Strategy::hyperband(topo, set, seed),
+            other => return Err(format!("unknown strategy '{other}'")),
+        })
+    }
+
     /// The plain `pla` baseline.
     pub fn pla() -> Strategy {
         Strategy::Pla
@@ -113,23 +108,14 @@ impl Strategy {
                 debug_assert!(false, "strategy BoConfig rejected: {e}");
                 BoConfig::default()
             });
-        Strategy::Bo {
-            opt: BayesOpt::new(space, config),
-            set,
-            pending: None,
-        }
+        Strategy::search(Proposer::Bo(BayesOpt::new(space, config)), set)
     }
 
     /// Bayesian Optimization with a caller-supplied optimizer
     /// configuration (used by the ablation benches to swap acquisition
     /// functions, kernels, or hyperparameter marginalization).
     pub fn bo_with(topo: &Topology, set: ParamSet, config: BoConfig) -> Strategy {
-        let space = set.space(topo);
-        Strategy::Bo {
-            opt: BayesOpt::new(space, config),
-            set,
-            pending: None,
-        }
+        Strategy::search(Proposer::Bo(BayesOpt::new(set.space(topo), config)), set)
     }
 
     /// Informed Bayesian Optimization: BO over a single multiplier for
@@ -139,17 +125,16 @@ impl Strategy {
         Strategy::bo(topo, ParamSet::InformedMultiplier { weights }, seed)
     }
 
-    /// Tree-structured Parzen Estimator over `set`.
+    /// Tree-structured Parzen Estimator over `set`
+    /// (Bergstra et al. 2011).
     pub fn tpe(topo: &Topology, set: ParamSet, seed: u64) -> Strategy {
-        Strategy::Tpe {
-            opt: Tpe::new(set.space(topo), TpeConfig::with_seed(seed)),
-            set,
-            pending: None,
-        }
+        let opt = Tpe::new(set.space(topo), TpeConfig::with_seed(seed));
+        Strategy::search(Proposer::Tpe(opt), set)
     }
 
-    /// Successive halving / Hyperband over `set`, allocating
-    /// measurement repetitions by rung. The schedule leans exploratory
+    /// Successive halving / Hyperband over `set` (Li et al. 2018),
+    /// allocating measurement repetitions by rung — see
+    /// [`Strategy::measure_reps`]. The schedule leans exploratory
     /// (`r_max = 3`, not the textbook 9): measurement noise is only a
     /// few percent here, so deep re-measurement buys little and fresh
     /// configurations buy a lot — the ContTune-style conservative
@@ -161,17 +146,19 @@ impl Strategy {
             r_min: 1,
             r_max: 3,
         };
-        Strategy::Hyperband {
-            opt: Hyperband::new(set.space(topo), config),
-            set,
-            pending: None,
-        }
+        let opt = Hyperband::new(set.space(topo), config);
+        Strategy::search(Proposer::Hyperband(opt), set)
     }
 
-    /// The random-search floor over `set`.
+    /// The random-search floor over `set` (Bergstra & Bengio 2012).
     pub fn random(topo: &Topology, set: ParamSet, seed: u64) -> Strategy {
-        Strategy::Random {
-            opt: RandomSearch::new(set.space(topo), seed),
+        let opt = RandomSearch::new(set.space(topo), seed);
+        Strategy::search(Proposer::Random(opt), set)
+    }
+
+    fn search(opt: Proposer, set: ParamSet) -> Strategy {
+        Strategy::Search {
+            opt,
             set,
             pending: None,
         }
@@ -182,13 +169,12 @@ impl Strategy {
         match self {
             Strategy::Pla => "pla",
             Strategy::Ipla { .. } => "ipla",
-            Strategy::Bo { set, .. } => match set {
-                ParamSet::InformedMultiplier { .. } => "ibo",
-                _ => "bo",
-            },
-            Strategy::Tpe { .. } => "tpe",
-            Strategy::Hyperband { .. } => "hyperband",
-            Strategy::Random { .. } => "random",
+            Strategy::Search {
+                opt: Proposer::Bo(_),
+                set: ParamSet::InformedMultiplier { .. },
+                ..
+            } => "ibo",
+            Strategy::Search { opt, .. } => opt.name(),
         }
     }
 
@@ -205,7 +191,7 @@ impl Strategy {
     /// allocation-free (polled from the trial loop every step).
     pub fn measure_reps(&self) -> Option<usize> {
         match self {
-            Strategy::Hyperband { opt, .. } => Some(opt.pending_reps().max(1)),
+            Strategy::Search { opt, .. } => opt.pending_reps().map(|reps| reps.max(1)),
             _ => None,
         }
     }
@@ -221,11 +207,10 @@ impl Strategy {
         self.propose_traced(topo, base, step, &mut NullRecorder)
     }
 
-    /// [`propose`](Self::propose) with instrumentation: BO strategies
-    /// trace their surrogate decisions through
-    /// [`BayesOpt::propose_recorded`]; the linear schedules emit a
-    /// `path: "linear"` marker. The proposal is bitwise identical with
-    /// any recorder.
+    /// [`propose`](Self::propose) with instrumentation: search strategies
+    /// trace their decisions through [`Proposer::propose_recorded`]; the
+    /// linear schedules emit a `path: "linear"` marker. The proposal is
+    /// bitwise identical with any recorder.
     // mtm-cold: one proposal per optimization step; the chunked
     // acquisition scorer inside carries its own `acq-score` hot root.
     pub fn propose_traced<R: Recorder>(
@@ -260,33 +245,15 @@ impl Strategy {
                 }
                 Some(c)
             }
-            Strategy::Bo { opt, set, pending } => {
-                assert_no_pending(pending);
+            Strategy::Search { opt, set, pending } => {
+                assert!(
+                    pending.is_none(),
+                    "observe() must be called between proposals"
+                );
                 // A surrogate failure (degenerate data the jitter ladder
                 // cannot rescue) ends the schedule instead of panicking;
                 // the experiment loop records the steps taken so far.
                 let cand = opt.propose_recorded(rec).ok()?;
-                let config = set.to_config(topo, base, &cand.values);
-                *pending = Some(cand);
-                Some(config)
-            }
-            Strategy::Tpe { opt, set, pending } => {
-                assert_no_pending(pending);
-                let cand = opt.propose_recorded(rec);
-                let config = set.to_config(topo, base, &cand.values);
-                *pending = Some(cand);
-                Some(config)
-            }
-            Strategy::Hyperband { opt, set, pending } => {
-                assert_no_pending(pending);
-                let cand = opt.propose_recorded(rec);
-                let config = set.to_config(topo, base, &cand.values);
-                *pending = Some(cand);
-                Some(config)
-            }
-            Strategy::Random { opt, set, pending } => {
-                assert_no_pending(pending);
-                let cand = opt.propose_recorded(rec);
                 let config = set.to_config(topo, base, &cand.values);
                 *pending = Some(cand);
                 Some(config)
@@ -296,55 +263,21 @@ impl Strategy {
 
     /// Feed back the measured throughput for the last proposal.
     ///
-    /// Observations without a pending proposal, and non-finite
-    /// throughputs, are dropped (with a debug assertion) rather than
-    /// panicking — the simulator only produces finite rates.
+    /// Observations without a pending proposal, and observations the
+    /// optimizer rejects (BO and TPE refuse non-finite throughputs), are
+    /// dropped (with a debug assertion) rather than panicking — the
+    /// simulator only produces finite rates.
     pub fn observe(&mut self, throughput: f64) {
-        match self {
-            Strategy::Pla | Strategy::Ipla { .. } => {}
-            Strategy::Bo { opt, pending, .. } => {
-                let Some(cand) = pending.take() else {
-                    debug_assert!(false, "propose() must precede observe()");
-                    return;
-                };
-                if let Err(e) = opt.observe(cand, throughput) {
-                    debug_assert!(false, "rejected observation: {e}");
-                }
-            }
-            Strategy::Tpe { opt, pending, .. } => {
-                let Some(cand) = pending.take() else {
-                    debug_assert!(false, "propose() must precede observe()");
-                    return;
-                };
-                if let Err(e) = opt.observe(cand, throughput) {
-                    debug_assert!(false, "rejected observation: {e}");
-                }
-            }
-            Strategy::Hyperband { opt, pending, .. } => {
-                let taken = pending.take();
-                debug_assert!(taken.is_some(), "propose() must precede observe()");
-                if taken.is_some() {
-                    opt.observe(throughput);
-                }
-            }
-            Strategy::Random { opt, pending, .. } => {
-                let taken = pending.take();
-                debug_assert!(taken.is_some(), "propose() must precede observe()");
-                if taken.is_some() {
-                    opt.observe(throughput);
-                }
+        if let Strategy::Search { opt, pending, .. } = self {
+            let Some(cand) = pending.take() else {
+                debug_assert!(false, "propose() must precede observe()");
+                return;
+            };
+            if let Err(e) = opt.observe(cand, throughput) {
+                debug_assert!(false, "rejected observation: {e}");
             }
         }
     }
-}
-
-/// The zoo-wide proposal precondition: a strategy that carries a pending
-/// candidate must see its observation before proposing again.
-fn assert_no_pending(pending: &Option<Candidate>) {
-    assert!(
-        pending.is_none(),
-        "observe() must be called between proposals"
-    );
 }
 
 /// The trace line for a linear-schedule proposal: the next configuration

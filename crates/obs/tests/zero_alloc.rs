@@ -7,29 +7,46 @@
 //! and a full batch of records must leave the allocation counter
 //! untouched. Lives in its own integration-test binary so the counting
 //! allocator cannot skew any other suite.
+//!
+//! The counter is per thread: libtest runs the tests below on parallel
+//! threads, and a shared counter would see one test's warm-up inside the
+//! other's measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mtm_obs::event::Event;
 use mtm_obs::recorder::{MemRecorder, Recorder, MEM_RECORDER_CAPACITY};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates or re-enters.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Heap allocations made so far on the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: delegates every operation to `System` unchanged; the counter
-// is a relaxed atomic with no other side effects.
+// is a thread-local cell with no other side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -58,11 +75,11 @@ fn warm_arena_records_without_allocating() {
     }
     rec.clear();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for i in 0..n {
         rec.record(sample_event(i));
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
 
     assert_eq!(rec.len(), n);
     assert_eq!(
@@ -83,13 +100,13 @@ fn clear_and_rerecord_stays_allocation_free_across_runs() {
     }
     rec.clear();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _run in 0..100 {
         rec.clear();
         for i in 0..32 {
             rec.record(sample_event(i));
         }
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "clear/record cycles must not allocate");
 }

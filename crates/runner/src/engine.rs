@@ -25,6 +25,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use mtm_core::{
@@ -46,18 +47,26 @@ use crate::journal::{
 use crate::pool;
 
 /// Execution options orthogonal to the protocol's [`RunOptions`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RunnerOptions {
     /// Worker threads for independent units (passes, confirmation reps;
     /// grid cells at the layer above). `0` or `1` runs serially. Not part
     /// of the journal fingerprint: thread count never changes results.
     pub threads: usize,
     /// Deduplicate repeated configurations within a pass via the memo
-    /// cache. Off by default — the paper re-measures every step, and the
-    /// default path stays bitwise-equal to `mtm_core::run_experiment`.
+    /// cache. Off by default — the paper re-measures every step, and
+    /// memoized runs serve repeats instead of re-measuring them.
     pub memoize: bool,
     /// Fault injection and retry policy.
     pub faults: FaultPlan,
+    /// Session abort flag — how `mtm-serve` cancels a long-lived session.
+    /// When it flips to `true` the run stops at the next trial boundary
+    /// and returns [`RunnerError::Canceled`]; journaled trials up to that
+    /// point stay valid, no `PassDone`/`Done` record is written for
+    /// interrupted phases, and a later resume completes the experiment
+    /// bitwise-identically to an uninterrupted run. `None` is batch
+    /// execution. Not part of the journal fingerprint, like `threads`.
+    pub abort: Option<Arc<AtomicBool>>,
 }
 
 impl Default for RunnerOptions {
@@ -66,6 +75,7 @@ impl Default for RunnerOptions {
             threads: 1,
             memoize: false,
             faults: FaultPlan::default(),
+            abort: None,
         }
     }
 }
@@ -228,8 +238,7 @@ impl<'a> JournaledMeasure<'a> {
         journal: &'a Journal,
         pass: usize,
         replay: BTreeMap<(usize, usize), TrialRecord>,
-        ropts: &RunnerOptions,
-        abort: Option<&'a AtomicBool>,
+        ropts: &'a RunnerOptions,
     ) -> Self {
         // Pre-populate the memo with replayed values: an uninterrupted
         // memoized run would hold exactly these entries by the time it
@@ -246,7 +255,7 @@ impl<'a> JournaledMeasure<'a> {
             memoize: ropts.memoize,
             faults: ropts.faults,
             stats: TrialStats::default(),
-            abort,
+            abort: ropts.abort.as_deref(),
             io_error: None,
         }
     }
@@ -380,40 +389,10 @@ pub fn run_experiment_traced<R: Recorder>(
     resume: bool,
     rec: &mut R,
 ) -> Result<Outcome, RunnerError> {
-    run_experiment_session(
-        exp_id,
-        make_strategy,
-        objective,
-        opts,
-        ropts,
-        segment,
-        resume,
-        None,
-        rec,
-    )
-}
-
-/// [`run_experiment_traced`] with a **session abort flag** — the entry
-/// point `mtm-serve` drives long-lived sessions through. When `abort`
-/// flips to `true` the run stops at the next trial boundary and returns
-/// [`RunnerError::Canceled`]; journaled trials up to that point stay
-/// valid, no `PassDone`/`Done` record is written for interrupted phases,
-/// and a later resume completes the experiment bitwise-identically to an
-/// uninterrupted run. `abort: None` is exactly batch execution.
-#[allow(clippy::too_many_arguments)] // mirrors run_experiment_traced + abort
-pub fn run_experiment_session<R: Recorder>(
-    exp_id: &str,
-    make_strategy: &(dyn Fn(u64) -> Strategy + Sync),
-    objective: &Objective,
-    opts: &RunOptions,
-    ropts: &RunnerOptions,
-    segment: Option<&Path>,
-    resume: bool,
-    abort: Option<&AtomicBool>,
-    rec: &mut R,
-) -> Result<Outcome, RunnerError> {
     let fp = fingerprint(exp_id, opts, ropts);
     let wallclock = rec.wallclock();
+    let abort = ropts.abort.as_deref();
+    let aborted = || abort.is_some_and(|flag| flag.load(Ordering::Relaxed));
 
     // Load and validate any existing segment.
     let mut existing: Option<SegmentData> = None;
@@ -512,7 +491,7 @@ pub fn run_experiment_session<R: Recorder>(
             .filter(|((pp, _, _), _)| *pp == p)
             .map(|(&(_, step, rep), rec)| ((step, rep), rec.clone()))
             .collect();
-        let mut measure = JournaledMeasure::new(&journal, p, replay, ropts, abort);
+        let mut measure = JournaledMeasure::new(&journal, p, replay, ropts);
         let pass_opts = RunOptions {
             seed,
             ..opts.clone()
@@ -530,7 +509,7 @@ pub fn run_experiment_session<R: Recorder>(
         // An aborted pass must NOT be marked done: its journaled trials
         // stay valid, and a later resume replays them and finishes the
         // remaining steps bitwise-identically.
-        if abort.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+        if aborted() {
             return Err(RunnerError::Canceled);
         }
         journal.append(&Record::PassDone(PassDone {
@@ -565,7 +544,7 @@ pub fn run_experiment_session<R: Recorder>(
     // Confirmation runs: independent units keyed by repetition index.
     // Journaled confirms only replay while they confirm the same winner.
     let confirm_outcomes = pool::run_indexed(opts.confirm_reps, ropts.threads, |rep| {
-        if abort.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+        if aborted() {
             return Err(RunnerError::Canceled);
         }
         if let Some(journaled) = existing.confirms.get(&rep) {
@@ -625,7 +604,7 @@ pub fn run_experiment_session<R: Recorder>(
         best_pass,
         confirmation,
     };
-    if abort.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+    if aborted() {
         return Err(RunnerError::Canceled);
     }
     journal.append(&Record::Done(result.clone()))?;
@@ -646,7 +625,6 @@ pub fn run_experiment_session<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtm_core::run_experiment;
     use mtm_stormsim::ClusterSpec;
     use mtm_topogen::{make_condition, Condition, SizeClass};
 
@@ -679,27 +657,36 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_direct_execution_bitwise() {
-        let obj = objective();
-        let make = bo_factory();
-        let direct = run_experiment(&make, &obj, &opts());
-        let engine = run_experiment_journaled(
-            "test/equiv",
+    fn experiment_keeps_better_pass_and_confirms() {
+        let run_opts = RunOptions {
+            max_steps: 10,
+            confirm_reps: 4,
+            ..opts()
+        };
+        let make = |_seed: u64| Strategy::pla();
+        let run = run_experiment_journaled(
+            "test/protocol",
             &make,
-            &obj,
-            &opts(),
+            &objective(),
+            &run_opts,
             &RunnerOptions::serial(),
             None,
             false,
         )
         .unwrap();
-        assert_eq!(
-            canonical_result_json(&direct),
-            canonical_result_json(&engine.result),
-            "engine must reproduce mtm_core::run_experiment exactly"
-        );
-        assert_eq!(engine.stats.replayed, 0);
-        assert!(engine.stats.measured > 0);
+        assert_eq!(run.stats.replayed, 0);
+        let result = run.result;
+        assert_eq!(result.passes.len(), 2);
+        assert_eq!(result.confirmation.len(), 4);
+        assert!(result.mean() > 0.0);
+        let (min, max) = result.min_max();
+        assert!(min <= result.mean() && result.mean() <= max);
+        let winner_best = result.winner().best_throughput;
+        for p in &result.passes {
+            assert!(p.best_throughput <= winner_best);
+        }
+        let (min, avg, max) = result.convergence_steps();
+        assert!(min <= avg as usize + 1 && avg <= max as f64);
     }
 
     #[test]
@@ -817,8 +804,13 @@ mod tests {
             base,
             fingerprint("x", &o, &RunnerOptions { memoize: true, ..r })
         );
-        // Threads are explicitly NOT fingerprinted.
+        // Threads and the abort flag are explicitly NOT fingerprinted.
         assert_eq!(base, fingerprint("x", &o, &RunnerOptions::parallel(8)));
+        let abortable = RunnerOptions {
+            abort: Some(Arc::new(AtomicBool::new(false))),
+            ..RunnerOptions::serial()
+        };
+        assert_eq!(base, fingerprint("x", &o, &abortable));
     }
 
     #[test]
@@ -1006,7 +998,6 @@ mod tests {
 
     #[test]
     fn cancel_then_resume_is_bitwise_identical_to_uninterrupted() {
-        use mtm_obs::NullRecorder;
         let dir = std::env::temp_dir().join("mtm-runner-cancel-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let seg = dir.join(format!("cancel-{}.jsonl", std::process::id()));
@@ -1028,33 +1019,30 @@ mod tests {
 
         // A strategy factory that flips the abort flag when pass 1 starts:
         // pass 0 completes and is journaled, pass 1 cancels at its first
-        // trial boundary. Deterministic — no timing involved. The flag
-        // lives in a static so the closure stays `Fn + Sync` without
-        // capturing a non-`'static` reference.
-        fn abort_flag() -> &'static AtomicBool {
-            static FLAG: AtomicBool = AtomicBool::new(false);
-            &FLAG
-        }
+        // trial boundary. Deterministic — no timing involved.
+        let flag = Arc::new(AtomicBool::new(false));
+        let abortable = RunnerOptions {
+            abort: Some(Arc::clone(&flag)),
+            ..RunnerOptions::serial()
+        };
         let pass1_seed = pass_seed(opts().seed, 1);
         let inner = bo_factory();
+        let trip = Arc::clone(&flag);
         let make_canceling = move |seed: u64| {
             if seed == pass1_seed {
-                abort_flag().store(true, Ordering::Relaxed);
+                trip.store(true, Ordering::Relaxed);
             }
             inner(seed)
         };
-        abort_flag().store(false, Ordering::Relaxed);
 
-        let err = run_experiment_session(
+        let err = run_experiment_journaled(
             "test/cancel",
             &make_canceling,
             &obj,
             &opts(),
-            &RunnerOptions::serial(),
+            &abortable,
             Some(&seg),
             false,
-            Some(abort_flag()),
-            &mut NullRecorder,
         )
         .unwrap_err();
         assert_eq!(err, RunnerError::Canceled);
@@ -1067,18 +1055,16 @@ mod tests {
 
         // Resume with the abort flag cleared: replays pass 0, runs pass 1
         // fresh, and lands bitwise on the uninterrupted result.
-        abort_flag().store(false, Ordering::Relaxed);
+        flag.store(false, Ordering::Relaxed);
         let make = bo_factory();
-        let resumed = run_experiment_session(
+        let resumed = run_experiment_journaled(
             "test/cancel",
             &make,
             &obj,
             &opts(),
-            &RunnerOptions::serial(),
+            &abortable,
             Some(&seg),
             true,
-            Some(abort_flag()),
-            &mut NullRecorder,
         )
         .unwrap();
         assert!(resumed.resumed);

@@ -135,6 +135,28 @@ pub fn segment_path(root: &Path, scale: Scale, coord: &CellCoord) -> PathBuf {
     ))
 }
 
+/// The objective of a grid cell: the `size`/`condition` topology
+/// generated from `seed`, on the paper's cluster, from the synthetic
+/// base configuration. Served sessions build theirs the same way.
+pub fn cell_objective(size: SizeClass, condition: &Condition, seed: u64) -> Objective {
+    let topo = make_condition(size, condition, seed);
+    let base = synthetic_base(&topo);
+    Objective::new(topo, ClusterSpec::paper_cluster()).with_base(base)
+}
+
+/// The per-pass factory of a cell's strategy: [`Strategy::by_name`] over
+/// the hint surface, fresh for each pass seed. Callers pass a known
+/// label (grid labels come from [`STRATEGIES`], served ones are
+/// validated at admission); an unknown one falls back to `pla` only so
+/// the factory stays total.
+pub fn cell_strategy(label: &str, objective: &Objective) -> impl Fn(u64) -> Strategy + Sync {
+    let label = label.to_string();
+    let topo = objective.topology().clone();
+    move |seed| {
+        Strategy::by_name(&label, &topo, ParamSet::Hints, seed).unwrap_or_else(|_| Strategy::pla())
+    }
+}
+
 /// Run one cell (journaled when `segment` is given).
 fn run_cell(
     coord: &CellCoord,
@@ -143,40 +165,13 @@ fn run_cell(
     segment: Option<&Path>,
     resume: bool,
 ) -> Result<(Cell, TrialStats), RunnerError> {
-    let topo = make_condition(coord.size, &coord.condition, GRID_SEED);
-    let base = synthetic_base(&topo);
-    let objective = Objective::new(topo, ClusterSpec::paper_cluster()).with_base(base);
-    let opts = if coord.strategy == "bo180" {
-        scale.run_options_extended(GRID_SEED)
-    } else {
-        scale.run_options(GRID_SEED)
-    };
-    let strategy_label = coord.strategy;
-    let topo_ref = objective.topology().clone();
-    let make_strategy = move |seed: u64| -> Strategy {
-        match strategy_label {
-            "pla" => Strategy::pla(),
-            "ipla" => Strategy::ipla(&topo_ref),
-            "bo" | "bo180" => Strategy::bo(&topo_ref, ParamSet::Hints, seed),
-            "random" => Strategy::random(&topo_ref, ParamSet::Hints, seed),
-            "tpe" => Strategy::tpe(&topo_ref, ParamSet::Hints, seed),
-            "hyperband" => Strategy::hyperband(&topo_ref, ParamSet::Hints, seed),
-            // `ibo` — and the unreachable fallback, kept total so the
-            // engine never panics on a foreign label.
-            _ => Strategy::ibo(&topo_ref, seed),
-        }
-    };
-    if !STRATEGIES.contains(&coord.strategy) {
-        return Err(RunnerError::Invalid(format!(
-            "unknown strategy '{}'",
-            coord.strategy
-        )));
-    }
+    let objective = cell_objective(coord.size, &coord.condition, GRID_SEED);
+    let make_strategy = cell_strategy(coord.strategy, &objective);
     let outcome = run_experiment_journaled(
         &cell_id(scale, coord),
         &make_strategy,
         &objective,
-        &opts,
+        &scale.run_options_for(coord.strategy, GRID_SEED),
         ropts,
         segment,
         resume,
@@ -244,7 +239,7 @@ fn run_inner(
     // it — one saturation layer, no nested thread explosion.
     let cell_ropts = RunnerOptions {
         threads: 1,
-        ..*ropts
+        ..ropts.clone()
     };
     let outcomes = crate::pool::run_indexed(coords.len(), ropts.threads, |i| {
         let coord = &coords[i];
@@ -319,11 +314,7 @@ pub fn status(
     for coord in cells() {
         let id = cell_id(scale, &coord);
         let path = segment_path(journal_root, scale, &coord);
-        let opts = if coord.strategy == "bo180" {
-            scale.run_options_extended(GRID_SEED)
-        } else {
-            scale.run_options(GRID_SEED)
-        };
+        let opts = scale.run_options_for(coord.strategy, GRID_SEED);
         let fp = crate::engine::fingerprint(&id, &opts, ropts);
         let state = match load_segment(&path)? {
             None => CellState::Missing,
@@ -410,6 +401,20 @@ mod tests {
             )
             .unwrap();
         assert_eq!(c.strategy, "pla");
+    }
+
+    #[test]
+    fn every_grid_label_resolves_and_round_trips() {
+        let objective = cell_objective(SizeClass::Small, &Condition::grid()[0], GRID_SEED);
+        let topo = objective.topology();
+        for label in STRATEGIES {
+            let s = Strategy::by_name(label, topo, ParamSet::Hints, 1)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let expected = if label == "bo180" { "bo" } else { label };
+            assert_eq!(s.name(), expected);
+            assert_eq!(cell_strategy(label, &objective)(1).name(), expected);
+        }
+        assert!(Strategy::by_name("warp", topo, ParamSet::Hints, 1).is_err());
     }
 
     #[test]

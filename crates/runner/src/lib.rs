@@ -45,8 +45,8 @@ pub mod scale;
 pub mod segment;
 
 pub use engine::{
-    canonical_result_json, fingerprint, run_experiment_journaled, run_experiment_session,
-    run_experiment_traced, Outcome, RunnerOptions, TrialStats,
+    canonical_result_json, fingerprint, run_experiment_journaled, run_experiment_traced, Outcome,
+    RunnerOptions, TrialStats,
 };
 pub use error::RunnerError;
 pub use fault::FaultPlan;

@@ -102,6 +102,16 @@ impl Scale {
             ..self.run_options(seed)
         }
     }
+
+    /// Run options for the strategy `label` at this scale: `bo180` takes
+    /// the extended pass, every other label the standard one.
+    pub fn run_options_for(&self, label: &str, seed: u64) -> RunOptions {
+        if label == "bo180" {
+            self.run_options_extended(seed)
+        } else {
+            self.run_options(seed)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -125,6 +135,8 @@ mod tests {
         assert_eq!(o.seed, 9);
         let e = Scale::Fast.run_options_extended(9);
         assert_eq!(e.max_steps, 90);
+        assert_eq!(Scale::Fast.run_options_for("bo180", 9).max_steps, 90);
+        assert_eq!(Scale::Fast.run_options_for("bo", 9).max_steps, 30);
     }
 
     #[test]

@@ -22,10 +22,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use mtm_obs::{load_trace, JsonlRecorder, NullRecorder};
+use mtm_obs::{load_trace, JsonlRecorder};
 use mtm_runner::engine::RunnerOptions;
 use mtm_runner::journal::load_segment;
-use mtm_runner::{canonical_result_json, run_experiment_session, RunnerError};
+use mtm_runner::{
+    canonical_result_json, run_experiment_journaled, run_experiment_traced, RunnerError,
+};
 
 use crate::proto::{Response, SessionState, SessionView};
 use crate::spec::SessionSpec;
@@ -556,7 +558,7 @@ impl Dispatcher {
                 }
             };
 
-            let outcome = self.run_session(&session, &spec, &abort);
+            let outcome = self.run_session(&session, &spec, abort);
 
             // Decide the terminal transition under the lock; journal it
             // after release. Only the owning worker writes a session's
@@ -622,14 +624,17 @@ impl Dispatcher {
         &self,
         session: &str,
         spec: &SessionSpec,
-        abort: &AtomicBool,
+        abort: Arc<AtomicBool>,
     ) -> Result<String, RunnerError> {
         let segment = self.store.segment_path(session);
         let trace_path = self.store.trace_path(session);
         let objective = spec.objective();
         let make = spec.strategy_factory();
         let opts = spec.run_options();
-        let ropts = RunnerOptions::serial();
+        let ropts = RunnerOptions {
+            abort: Some(abort),
+            ..RunnerOptions::serial()
+        };
         let exp_id = spec.exp_id(session);
         let outcome = if self.trace {
             // Per-session trace, spliced across restarts: reopen after the
@@ -640,7 +645,7 @@ impl Dispatcher {
                 Err(e) => Err(e),
             }
             .map_err(|e| RunnerError::Io(format!("trace {session}: {e}")))?;
-            let outcome = run_experiment_session(
+            let outcome = run_experiment_traced(
                 &exp_id,
                 &make,
                 &objective,
@@ -648,14 +653,13 @@ impl Dispatcher {
                 &ropts,
                 Some(&segment),
                 true,
-                Some(abort),
                 &mut rec,
             )?;
             rec.finish()
                 .map_err(|e| RunnerError::Io(format!("trace {session}: {e}")))?;
             outcome
         } else {
-            run_experiment_session(
+            run_experiment_journaled(
                 &exp_id,
                 &make,
                 &objective,
@@ -663,8 +667,6 @@ impl Dispatcher {
                 &ropts,
                 Some(&segment),
                 true,
-                Some(abort),
-                &mut NullRecorder,
             )?
         };
         Ok(canonical_result_json(&outcome.result))

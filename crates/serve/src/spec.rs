@@ -10,11 +10,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use mtm_core::objective::synthetic_base;
 use mtm_core::{Objective, ParamSet, RunOptions, Strategy};
-use mtm_runner::{Scale, STRATEGIES};
-use mtm_stormsim::ClusterSpec;
-use mtm_topogen::{make_condition, Condition, SizeClass};
+use mtm_runner::grid::{cell_objective, cell_strategy};
+use mtm_runner::Scale;
+use mtm_stormsim::topology::TopologyBuilder;
+use mtm_topogen::{Condition, SizeClass};
 
 /// Everything that determines one session's results. Two sessions with
 /// equal specs produce byte-equal canonical results, whoever runs them.
@@ -65,10 +65,12 @@ impl SessionSpec {
                 self.tenant
             ));
         }
-        if !STRATEGIES.contains(&self.strategy.as_str()) {
-            return Err(format!("unknown strategy '{}'", self.strategy));
-        }
-        Ok(())
+        // The label check needs a topology, not this spec's: a one-spout
+        // graph keeps admission from generating the session's topology.
+        let mut probe = TopologyBuilder::new("probe");
+        probe.spout("s", 1.0);
+        let probe = probe.build().map_err(|e| e.to_string())?;
+        Strategy::by_name(&self.strategy, &probe, ParamSet::Hints, self.seed).map(drop)
     }
 
     /// Experiment id recorded in the session's journal header.
@@ -81,38 +83,19 @@ impl SessionSpec {
         )
     }
 
-    /// The measurement objective — byte-for-byte the construction
-    /// `mtm_runner::grid::run_cell` uses, with the spec's own seed.
+    /// The measurement objective: a grid cell's, with the spec's own seed.
     pub fn objective(&self) -> Objective {
-        let topo = make_condition(self.size, &self.condition, self.seed);
-        let base = synthetic_base(&topo);
-        Objective::new(topo, ClusterSpec::paper_cluster()).with_base(base)
+        cell_objective(self.size, &self.condition, self.seed)
     }
 
     /// Run options at the spec's scale (`bo180` takes the extended pass).
     pub fn run_options(&self) -> RunOptions {
-        if self.strategy == "bo180" {
-            self.scale.run_options_extended(self.seed)
-        } else {
-            self.scale.run_options(self.seed)
-        }
+        self.scale.run_options_for(&self.strategy, self.seed)
     }
 
     /// Per-pass strategy factory, keyed on the pass seed like the grid's.
     pub fn strategy_factory(&self) -> impl Fn(u64) -> Strategy + Sync {
-        let label = self.strategy.clone();
-        let topo = self.objective().topology().clone();
-        move |seed: u64| match label.as_str() {
-            "pla" => Strategy::pla(),
-            "ipla" => Strategy::ipla(&topo),
-            "bo" | "bo180" => Strategy::bo(&topo, ParamSet::Hints, seed),
-            "random" => Strategy::random(&topo, ParamSet::Hints, seed),
-            "tpe" => Strategy::tpe(&topo, ParamSet::Hints, seed),
-            "hyperband" => Strategy::hyperband(&topo, ParamSet::Hints, seed),
-            // `ibo` — and the unreachable fallback, kept total so a
-            // foreign label (already rejected at admission) cannot panic.
-            _ => Strategy::ibo(&topo, seed),
-        }
+        cell_strategy(&self.strategy, &self.objective())
     }
 }
 
@@ -140,12 +123,13 @@ mod tests {
     }
 
     #[test]
-    fn zoo_strategies_are_admitted_and_dispatched() {
-        for label in ["random", "tpe", "hyperband"] {
+    fn every_grid_label_is_admitted_and_dispatched() {
+        for label in mtm_runner::STRATEGIES {
             let spec = SessionSpec::smoke("acme", label, 7);
             spec.validate().unwrap();
             let make = spec.strategy_factory();
-            assert_eq!(make(1).name(), label);
+            let expected = if label == "bo180" { "bo" } else { label };
+            assert_eq!(make(1).name(), expected);
         }
     }
 

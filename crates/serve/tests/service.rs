@@ -10,10 +10,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use mtm_obs::NullRecorder;
 use mtm_runner::engine::RunnerOptions;
 use mtm_runner::journal::load_segment;
-use mtm_runner::{canonical_result_json, run_experiment_session};
+use mtm_runner::{canonical_result_json, run_experiment_journaled};
 use mtm_serve::daemon::{Daemon, DaemonConfig, Endpoint};
 use mtm_serve::dispatch::{DispatchConfig, Quotas};
 use mtm_serve::proto::{Request, Response, SessionState};
@@ -48,7 +47,7 @@ fn daemon_at(root: &Path, workers: usize) -> Daemon {
 /// must match bitwise. In-memory, serial, no journal.
 fn batch_reference(spec: &SessionSpec, session: &str) -> String {
     let make = spec.strategy_factory();
-    let outcome = run_experiment_session(
+    let outcome = run_experiment_journaled(
         &spec.exp_id(session),
         &make,
         &spec.objective(),
@@ -56,8 +55,6 @@ fn batch_reference(spec: &SessionSpec, session: &str) -> String {
         &RunnerOptions::serial(),
         None,
         false,
-        None,
-        &mut NullRecorder,
     )
     .unwrap();
     canonical_result_json(&outcome.result)

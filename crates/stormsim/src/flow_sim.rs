@@ -1,6 +1,6 @@
 //! The fast flow-level performance model.
 //!
-//! `simulate_flow` evaluates a configured topology analytically: every
+//! `simulate_flow_with` evaluates a configured topology analytically: every
 //! constraint of the cluster model is linear in the aggregate spout rate
 //! `R`, so the steady-state throughput is the minimum over constraint
 //! bounds, followed by the (nonlinear but closed-form) batch-pipeline,
@@ -27,7 +27,7 @@
 //!    configurations failed on the paper's cluster.
 
 use mtm_obs::event::finite_or_zero;
-use mtm_obs::{Event, NullRecorder, Recorder};
+use mtm_obs::{Event, Recorder};
 
 use crate::cluster::ClusterSpec;
 use crate::config::StormConfig;
@@ -37,32 +37,19 @@ use crate::placement::{place_even, Placement};
 use crate::topology::{Grouping, Topology};
 
 /// Evaluate `config` on `topo` over a measurement window of `window_s`
-/// virtual seconds. Deterministic; apply
-/// [`crate::noise::MeasurementNoise`] on top for realistic measurements.
-///
-/// Deprecated in favour of [`crate::simulator::FlowSimulator`], which
+/// virtual seconds — the reference implementation
+/// [`crate::simulator::FlowSimulator`] is pinned bitwise against.
+/// Deterministic; apply [`crate::noise::MeasurementNoise`] on top for
+/// realistic measurements. Callers should prefer the simulator, which
 /// amortizes the topology-level analysis across configurations and
-/// reports invalid inputs as [`crate::simulator::SimError`] instead of
-/// panicking (this shim still asserts on a non-positive window). Kept
-/// for one release; results are bitwise-identical to the trait path.
-#[deprecated(
-    since = "0.2.0",
-    note = "use stormsim::FlowSimulator and the Simulator trait"
-)]
-pub fn simulate_flow(
-    topo: &Topology,
-    config: &StormConfig,
-    cluster: &ClusterSpec,
-    window_s: f64,
-) -> SimResult {
-    simulate_flow_with(topo, config, cluster, window_s, &mut NullRecorder)
-}
-
-/// [`simulate_flow`] with instrumentation: every constraint bound the
-/// model considers, per-operator steady-state counters, and start/end
-/// markers go to `rec`. With [`NullRecorder`] (what `simulate_flow`
-/// passes) the instrumentation compiles away; the returned result is
-/// bitwise identical either way — recording is a passive observer.
+/// reports invalid inputs as [`crate::simulator::SimError`] (this
+/// function asserts on a non-positive window).
+///
+/// Every constraint bound the model considers, per-operator steady-state
+/// counters, and start/end markers go to `rec`. With
+/// [`mtm_obs::NullRecorder`] the instrumentation compiles away; the
+/// returned result is bitwise identical either way — recording is a
+/// passive observer.
 pub fn simulate_flow_with<R: Recorder>(
     topo: &Topology,
     config: &StormConfig,
@@ -561,11 +548,9 @@ impl SolveCtx<'_> {
 
 #[cfg(test)]
 mod tests {
-    // These tests deliberately pin the legacy free-function shim; the
-    // equivalence suite proves the trait path returns the same bits.
-    #![allow(deprecated)]
     use super::*;
     use crate::topology::TopologyBuilder;
+    use mtm_obs::NullRecorder;
 
     fn chain(costs: &[f64]) -> Topology {
         let mut tb = TopologyBuilder::new("chain");
@@ -579,7 +564,11 @@ mod tests {
     }
 
     fn eval(topo: &Topology, config: &StormConfig) -> SimResult {
-        simulate_flow(topo, config, &ClusterSpec::paper_cluster(), 120.0)
+        eval_on(topo, config, &ClusterSpec::paper_cluster())
+    }
+
+    fn eval_on(topo: &Topology, config: &StormConfig, cluster: &ClusterSpec) -> SimResult {
+        simulate_flow_with(topo, config, cluster, 120.0, &mut NullRecorder)
     }
 
     #[test]
@@ -642,7 +631,7 @@ mod tests {
 
         // ...and on a CPU-tight cluster the wasted cycles actively hurt.
         let tight = ClusterSpec::tiny();
-        let low_tight = simulate_flow(
+        let low_tight = eval_on(
             &topo,
             &{
                 let mut c = StormConfig::baseline(2);
@@ -650,9 +639,8 @@ mod tests {
                 c
             },
             &tight,
-            120.0,
         );
-        let high_tight = simulate_flow(
+        let high_tight = eval_on(
             &topo,
             &{
                 let mut c = StormConfig::baseline(2);
@@ -660,7 +648,6 @@ mod tests {
                 c
             },
             &tight,
-            120.0,
         );
         assert!(
             high_tight.throughput_tps < low_tight.throughput_tps,

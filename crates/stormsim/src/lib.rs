@@ -44,14 +44,10 @@ pub mod tuple_sim;
 
 pub use cluster::ClusterSpec;
 pub use config::{ConfigError, StormConfig};
-#[allow(deprecated)] // the shims stay exported for one release
-pub use flow_sim::simulate_flow;
 pub use flow_sim::simulate_flow_with;
 pub use metrics::SimResult;
 pub use simulator::{FlowSimulator, SimBatch, SimError, Simulator, TupleSimulator};
 pub use topology::{Grouping, NodeId, NodeKind, RoutePolicy, Topology, TopologyBuilder};
-#[allow(deprecated)] // the shims stay exported for one release
-pub use tuple_sim::simulate_tuples;
 pub use tuple_sim::{simulate_tuples_with, TupleSimOptions};
 
 // Runtime invariant guards, available to callers when the

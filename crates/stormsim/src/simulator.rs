@@ -1,15 +1,15 @@
 //! The unified simulator API: [`Simulator`], [`FlowSimulator`],
 //! [`TupleSimulator`], and batched evaluation via [`SimBatch`].
 //!
-//! The free functions `simulate_flow`/`simulate_tuples` evaluate one
-//! configuration at a time and redo the topology-level analysis (flow
+//! The reference functions `simulate_flow_with`/`simulate_tuples_with`
+//! evaluate one configuration at a time and redo the topology-level analysis (flow
 //! propagation, placement layout) on every call. A [`FlowSimulator`]
 //! instead analyzes the topology once at construction and then scores
 //! any number of candidate configurations against that shared layout —
 //! the shape the Bayesian optimizer's acquisition sweep wants, where one
 //! step proposes N candidates over a fixed topology.
 //!
-//! Results are bitwise-identical to the free functions: the batch path
+//! Results are bitwise-identical to the reference functions: the batch path
 //! fills reusable scratch buffers in exactly the float-operation order
 //! of the per-call path (see `SolveCtx` in [`crate::flow_sim`]) and
 //! replays the even scheduler's round-robin placement order without
@@ -143,8 +143,8 @@ impl SimBatch {
 ///
 /// Construction runs the topology-level analysis (steady-state flow
 /// propagation) once; every `evaluate`/`evaluate_batch` call reuses it.
-/// Replaces the deprecated [`crate::flow_sim::simulate_flow`] free
-/// function with bitwise-identical results.
+/// Bitwise-identical to the reference
+/// [`crate::flow_sim::simulate_flow_with`].
 #[derive(Debug, Clone)]
 pub struct FlowSimulator {
     topo: Topology,
@@ -327,8 +327,8 @@ impl Simulator for FlowSimulator {
 }
 
 /// The per-tuple discrete-event simulator behind the [`Simulator`]
-/// trait. Replaces the deprecated [`crate::tuple_sim::simulate_tuples`]
-/// free function with bitwise-identical results; invalid configurations
+/// trait. Bitwise-identical to the reference
+/// [`crate::tuple_sim::simulate_tuples_with`]; invalid configurations
 /// come back as [`SimError`] instead of a silent zero-throughput
 /// failure.
 #[derive(Debug, Clone)]
@@ -377,13 +377,11 @@ impl Simulator for TupleSimulator {
 
 #[cfg(test)]
 mod tests {
-    // The equivalence assertions here compare against the deprecated
-    // shims on purpose: they are the reference semantics for one release.
-    #![allow(deprecated)]
+    // The equivalence assertions here compare against the reference
+    // functions on purpose: they are the semantics the trait must keep.
     use super::*;
-    use crate::flow_sim::simulate_flow;
+    use crate::flow_sim::simulate_flow_with;
     use crate::topology::TopologyBuilder;
-    use crate::tuple_sim::simulate_tuples;
 
     fn diamond() -> Topology {
         let mut tb = TopologyBuilder::new("diamond");
@@ -402,7 +400,7 @@ mod tests {
         let sim = FlowSimulator::new(topo.clone(), cluster.clone(), 120.0).unwrap();
         for hint in [1u32, 3, 17, 200] {
             let c = StormConfig::uniform_hints(4, hint);
-            let old = simulate_flow(&topo, &c, &cluster, 120.0);
+            let old = simulate_flow_with(&topo, &c, &cluster, 120.0, &mut NullRecorder);
             let new = sim.evaluate(&c).unwrap();
             assert_eq!(old.throughput_tps.to_bits(), new.throughput_tps.to_bits());
             assert_eq!(old, new);
@@ -478,7 +476,7 @@ mod tests {
             batch_parallelism: 2,
             ..StormConfig::uniform_hints(4, 2)
         };
-        let old = simulate_tuples(&topo, &c, &cluster, &opts);
+        let old = simulate_tuples_with(&topo, &c, &cluster, &opts, &mut NullRecorder);
         let new = sim.evaluate(&c).unwrap();
         assert_eq!(old.throughput_tps.to_bits(), new.throughput_tps.to_bits());
         assert_eq!(old.committed_batches, new.committed_batches);

@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use mtm_obs::{Event, NullRecorder, Recorder};
+use mtm_obs::{Event, Recorder};
 
 use crate::cluster::ClusterSpec;
 use crate::config::StormConfig;
@@ -87,29 +87,15 @@ struct BatchState {
     emitted_all: bool,
 }
 
-/// Run the tuple-level simulation of `config` on `topo`.
+/// Run the tuple-level simulation of `config` on `topo` — the reference
+/// implementation [`crate::simulator::TupleSimulator`] is pinned bitwise
+/// against. Callers should prefer the simulator, which reports invalid
+/// inputs as [`crate::simulator::SimError`] instead of silently
+/// returning a failed result.
 ///
-/// Deprecated in favour of [`crate::simulator::TupleSimulator`], which
-/// reports invalid inputs as [`crate::simulator::SimError`] instead of
-/// silently returning a failed result. Kept for one release; results
-/// are bitwise-identical to the trait path.
-#[deprecated(
-    since = "0.2.0",
-    note = "use stormsim::TupleSimulator and the Simulator trait"
-)]
-pub fn simulate_tuples(
-    topo: &Topology,
-    config: &StormConfig,
-    cluster: &ClusterSpec,
-    opts: &TupleSimOptions,
-) -> SimResult {
-    simulate_tuples_with(topo, config, cluster, opts, &mut NullRecorder)
-}
-
-/// [`simulate_tuples`] with instrumentation: per-operator processed
-/// counters and queue high-water marks, event-engine statistics, and
-/// start/end markers go to `rec`. With [`NullRecorder`] (what
-/// `simulate_tuples` passes) the high-water-mark bookkeeping is skipped
+/// Per-operator processed counters and queue high-water marks,
+/// event-engine statistics, and start/end markers go to `rec`. With
+/// [`mtm_obs::NullRecorder`] the high-water-mark bookkeeping is skipped
 /// entirely; the returned result is bitwise identical either way —
 /// recording is a passive observer.
 pub fn simulate_tuples_with<R: Recorder>(
@@ -598,11 +584,18 @@ impl<'a> Sim<'a> {
 
 #[cfg(test)]
 mod tests {
-    // These tests deliberately pin the legacy free-function shim; the
-    // equivalence suite proves the trait path returns the same bits.
-    #![allow(deprecated)]
     use super::*;
     use crate::topology::TopologyBuilder;
+    use mtm_obs::NullRecorder;
+
+    fn simulate(
+        topo: &Topology,
+        config: &StormConfig,
+        cluster: &ClusterSpec,
+        opts: &TupleSimOptions,
+    ) -> SimResult {
+        simulate_tuples_with(topo, config, cluster, opts, &mut NullRecorder)
+    }
 
     fn small_chain() -> Topology {
         let mut tb = TopologyBuilder::new("chain");
@@ -632,7 +625,7 @@ mod tests {
     #[test]
     fn commits_batches_and_reports_throughput() {
         let topo = small_chain();
-        let r = simulate_tuples(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
+        let r = simulate(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
         assert!(r.committed_batches > 0, "batches must commit: {r:?}");
         assert!(
             (r.throughput_tps - r.committed_batches as f64 * 200.0 / r.duration_s).abs() < 1e-9
@@ -642,7 +635,7 @@ mod tests {
     #[test]
     fn recording_is_inert_and_reports_operator_stats() {
         let topo = small_chain();
-        let plain = simulate_tuples(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
+        let plain = simulate(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
         let mut rec = mtm_obs::MemRecorder::new();
         let recorded = simulate_tuples_with(
             &topo,
@@ -689,8 +682,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let topo = small_chain();
-        let a = simulate_tuples(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
-        let b = simulate_tuples(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
+        let a = simulate(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
+        let b = simulate(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
         assert_eq!(a.committed_batches, b.committed_batches);
         assert_eq!(a.throughput_tps, b.throughput_tps);
     }
@@ -706,7 +699,7 @@ mod tests {
         let thr = |hint: u32| {
             let mut c = small_config();
             c.parallelism_hints = vec![1, hint];
-            simulate_tuples(&topo, &c, &cluster, &fast_opts()).throughput_tps
+            simulate(&topo, &c, &cluster, &fast_opts()).throughput_tps
         };
         let one = thr(1);
         let four = thr(4);
@@ -722,8 +715,8 @@ mod tests {
         tb.connect(s, a).connect(a, b);
         tb.selectivity(a, 3.0);
         let topo = tb.build().unwrap();
-        let r = simulate_tuples(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
-        let amp = simulate_tuples(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
+        let r = simulate(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
+        let amp = simulate(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
         // The sink sees 3x the tuples the fan sees; the run must still
         // commit and throughput stays finite.
         assert!(r.committed_batches > 0 && amp.throughput_tps.is_finite());
@@ -732,7 +725,7 @@ mod tests {
     #[test]
     fn network_bytes_are_counted_for_remote_hops() {
         let topo = small_chain();
-        let r = simulate_tuples(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
+        let r = simulate(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
         assert!(
             r.avg_worker_net_mbps > 0.0,
             "cross-worker edges must move bytes"
@@ -749,7 +742,7 @@ mod tests {
             max_events: 200_000,
             network_delay_s: 0.0,
         };
-        let r = simulate_tuples(&topo, &c, &ClusterSpec::tiny(), &opts);
+        let r = simulate(&topo, &c, &ClusterSpec::tiny(), &opts);
         assert_eq!(r.committed_batches, 0);
     }
 
@@ -760,7 +753,7 @@ mod tests {
         let thr = |bp: u32| {
             let mut c = small_config();
             c.batch_parallelism = bp;
-            simulate_tuples(&topo, &c, &cluster, &fast_opts()).throughput_tps
+            simulate(&topo, &c, &cluster, &fast_opts()).throughput_tps
         };
         let serial = thr(1);
         let pipelined = thr(6);

@@ -27,7 +27,7 @@ use proptest::prelude::*;
 /// Trait-path stand-in with the old free-function shape: every
 /// metamorphic relation compares *pairs* of one-shot runs, so a fresh
 /// simulator binding per call keeps the call sites readable.
-fn simulate_flow(
+fn eval_flow(
     topo: &Topology,
     config: &StormConfig,
     cluster: &ClusterSpec,
@@ -109,8 +109,8 @@ proptest! {
         let layers: Vec<Vec<f64>> = vec![vec![cost]; depth];
         let topo = layered_topo(cost, &layers, &[]);
         let config = config_for(&topo, &[hint]);
-        let small = simulate_flow(&topo, &config, &cluster(machines), WINDOW_S);
-        let big = simulate_flow(&topo, &config, &cluster(machines + 1), WINDOW_S);
+        let small = eval_flow(&topo, &config, &cluster(machines), WINDOW_S);
+        let big = eval_flow(&topo, &config, &cluster(machines + 1), WINDOW_S);
         prop_assert!(
             big.throughput_tps >= small.throughput_tps,
             "machines {} -> {}: throughput fell {} -> {}",
@@ -144,8 +144,8 @@ proptest! {
         for v in 1..=n_twins {
             config.parallelism_hints[v] = hints[1 % hints.len()];
         }
-        let forward = simulate_flow(&topo_a, &config, &cluster(machines), WINDOW_S);
-        let rotated = simulate_flow(&topo_b, &config, &cluster(machines), WINDOW_S);
+        let forward = eval_flow(&topo_a, &config, &cluster(machines), WINDOW_S);
+        let rotated = eval_flow(&topo_b, &config, &cluster(machines), WINDOW_S);
         prop_assert_eq!(
             forward.throughput_tps.to_bits(),
             rotated.throughput_tps.to_bits(),
@@ -180,8 +180,8 @@ proptest! {
         let scaled_topo = layered_topo(spout_c * k as f64, &scaled_layers, &[]);
         let mut config = config_for(&base_topo, &hints);
         config.batch_size = 1000;
-        let base = simulate_flow(&base_topo, &config, &cluster(machines), WINDOW_S);
-        let scaled = simulate_flow(&scaled_topo, &config, &cluster(machines), WINDOW_S);
+        let base = eval_flow(&base_topo, &config, &cluster(machines), WINDOW_S);
+        let scaled = eval_flow(&scaled_topo, &config, &cluster(machines), WINDOW_S);
         // Valid CPU-bound configurations always make progress.
         prop_assert!(base.throughput_tps > 0.0);
         // Deep in latency-cliff territory the relation intentionally does
@@ -224,7 +224,7 @@ proptest! {
         }
         let topo = layered_topo(spout_c, &layers, &[]);
         let config = config_for(&topo, &hints);
-        let r = simulate_flow(&topo, &config, &cluster(machines), WINDOW_S);
+        let r = eval_flow(&topo, &config, &cluster(machines), WINDOW_S);
         let failed = r.bottleneck == Bottleneck::Failed;
         prop_assert_eq!(
             failed,

@@ -7,7 +7,7 @@ use mtm_stormsim::{ClusterSpec, FlowSimulator, Simulator, StormConfig};
 
 /// Trait-path stand-in with the old free-function shape; these are
 /// one-shot directional probes, so a fresh binding per call is fine.
-fn simulate_flow(
+fn eval_flow(
     topo: &Topology,
     config: &StormConfig,
     cluster: &ClusterSpec,
@@ -31,7 +31,7 @@ fn chain(costs: &[f64]) -> Topology {
 }
 
 fn eval(topo: &Topology, config: &StormConfig, cluster: &ClusterSpec) -> f64 {
-    simulate_flow(topo, config, cluster, 120.0).throughput_tps
+    eval_flow(topo, config, cluster, 120.0).throughput_tps
 }
 
 #[test]
@@ -122,7 +122,7 @@ fn network_constrains_fat_tuples() {
         c.batch_size = 10_000;
         c
     };
-    let r = simulate_flow(&topo, &config, &ClusterSpec::paper_cluster(), 120.0);
+    let r = eval_flow(&topo, &config, &ClusterSpec::paper_cluster(), 120.0);
     assert_eq!(
         r.bottleneck.label(),
         "network",
@@ -172,7 +172,7 @@ fn bottleneck_attribution_points_at_the_hot_node() {
     let mut config = StormConfig::uniform_hints(4, 8);
     config.parallelism_hints[2] = 1;
     config.batch_size = 100; // small batches so latency stays sane
-    let r = simulate_flow(&topo, &config, &ClusterSpec::paper_cluster(), 120.0);
+    let r = eval_flow(&topo, &config, &ClusterSpec::paper_cluster(), 120.0);
     assert_eq!(
         r.bottleneck.label(),
         "node:2",
@@ -187,8 +187,8 @@ fn larger_window_smooths_latency_truncation() {
     let mut config = StormConfig::uniform_hints(2, 4);
     config.batch_size = 5_000;
     let cluster = ClusterSpec::paper_cluster();
-    let short = simulate_flow(&topo, &config, &cluster, 30.0).throughput_tps;
-    let long = simulate_flow(&topo, &config, &cluster, 600.0).throughput_tps;
+    let short = eval_flow(&topo, &config, &cluster, 30.0).throughput_tps;
+    let long = eval_flow(&topo, &config, &cluster, 600.0).throughput_tps;
     assert!(
         long >= short,
         "longer windows amortize batch warm-up: {short} vs {long}"

@@ -8,7 +8,7 @@ use mtm_stormsim::{ClusterSpec, Simulator, StormConfig, TupleSimOptions, TupleSi
 
 /// Trait-path stand-in with the old free-function shape; each invariant
 /// drives a one-shot discrete-event run, so binding per call is fine.
-fn simulate_tuples(
+fn eval_tuples(
     topo: &Topology,
     config: &StormConfig,
     cluster: &ClusterSpec,
@@ -57,7 +57,7 @@ proptest! {
         let mut config = StormConfig::uniform_hints(topo.n_nodes(), hint);
         config.batch_size = bs;
         config.batch_parallelism = bp;
-        let r = simulate_tuples(&topo, &config, &ClusterSpec::tiny(), &opts(15.0));
+        let r = eval_tuples(&topo, &config, &ClusterSpec::tiny(), &opts(15.0));
         // Throughput is exactly committed batches x batch size / window.
         let expect = r.committed_batches as f64 * bs as f64 / r.duration_s;
         prop_assert!((r.throughput_tps - expect).abs() < 1e-9);
@@ -72,8 +72,8 @@ proptest! {
         let topo = small_topology(true);
         let mut config = StormConfig::uniform_hints(4, hint);
         config.batch_size = bs;
-        let a = simulate_tuples(&topo, &config, &ClusterSpec::tiny(), &opts(10.0));
-        let b = simulate_tuples(&topo, &config, &ClusterSpec::tiny(), &opts(10.0));
+        let a = eval_tuples(&topo, &config, &ClusterSpec::tiny(), &opts(10.0));
+        let b = eval_tuples(&topo, &config, &ClusterSpec::tiny(), &opts(10.0));
         prop_assert_eq!(a.committed_batches, b.committed_batches);
         prop_assert_eq!(a.throughput_tps, b.throughput_tps);
         prop_assert_eq!(a.avg_worker_net_mbps, b.avg_worker_net_mbps);
@@ -88,8 +88,8 @@ proptest! {
             c.batch_parallelism = 3;
             c
         };
-        let short = simulate_tuples(&topo, &config, &ClusterSpec::tiny(), &opts(8.0));
-        let long = simulate_tuples(&topo, &config, &ClusterSpec::tiny(), &opts(16.0));
+        let short = eval_tuples(&topo, &config, &ClusterSpec::tiny(), &opts(8.0));
+        let long = eval_tuples(&topo, &config, &ClusterSpec::tiny(), &opts(16.0));
         prop_assert!(long.committed_batches >= short.committed_batches);
     }
 }
@@ -109,9 +109,9 @@ fn global_grouping_routes_everything_to_one_task() {
     config.batch_size = 200;
     let cluster = ClusterSpec::tiny();
 
-    let global = simulate_tuples(&build(Grouping::Global), &config, &cluster, &opts(15.0));
-    let shuffle = simulate_tuples(&build(Grouping::Shuffle), &config, &cluster, &opts(15.0));
-    let keyed_one = simulate_tuples(
+    let global = eval_tuples(&build(Grouping::Global), &config, &cluster, &opts(15.0));
+    let shuffle = eval_tuples(&build(Grouping::Shuffle), &config, &cluster, &opts(15.0));
+    let keyed_one = eval_tuples(
         &build(Grouping::Fields { key_cardinality: 1 }),
         &config,
         &cluster,
@@ -147,8 +147,8 @@ fn fields_grouping_respects_key_cardinality() {
     let mut config = StormConfig::uniform_hints(2, 6);
     config.batch_size = 200;
     let cluster = ClusterSpec::tiny();
-    let narrow = simulate_tuples(&build(1), &config, &cluster, &opts(15.0));
-    let wide = simulate_tuples(&build(1000), &config, &cluster, &opts(15.0));
+    let narrow = eval_tuples(&build(1), &config, &cluster, &opts(15.0));
+    let wide = eval_tuples(&build(1000), &config, &cluster, &opts(15.0));
     assert!(
         wide.throughput_tps > narrow.throughput_tps * 1.3,
         "wide keys must parallelize better: {} vs {}",
@@ -168,7 +168,7 @@ fn event_cap_aborts_runaway_configurations() {
         max_events: 10_000,
         network_delay_s: 0.0,
     };
-    let r = simulate_tuples(&topo, &config, &ClusterSpec::tiny(), &tight);
+    let r = eval_tuples(&topo, &config, &ClusterSpec::tiny(), &tight);
     assert_eq!(
         r.throughput_tps, 0.0,
         "aborted runs report zero, not garbage"

@@ -7,8 +7,20 @@
 
 use mtm::prelude::*;
 use mtm::stormsim::topology::TopologyBuilder;
+use mtm_runner::{run_experiment_journaled, RunnerError, RunnerOptions};
 
-fn main() {
+/// Run the §V protocol for `make`'s strategy in memory (no journal).
+fn tune(
+    make: &(dyn Fn(u64) -> Strategy + Sync),
+    objective: &Objective,
+    opts: &RunOptions,
+) -> Result<ExperimentResult, RunnerError> {
+    let ropts = RunnerOptions::serial();
+    run_experiment_journaled("quickstart", make, objective, opts, &ropts, None, false)
+        .map(|outcome| outcome.result)
+}
+
+fn main() -> Result<(), RunnerError> {
     // 1. Describe a stream-processing topology: a log-ingestion pipeline
     //    with a cheap parser, an expensive enrichment stage, and a sink
     //    that writes to a contended external store.
@@ -32,14 +44,14 @@ fn main() {
         confirm_reps: 10,
         ..Default::default()
     };
-    let pla = mtm::core::run_experiment(|_s| Strategy::pla(), &objective, &opts);
+    let pla = tune(&|_s| Strategy::pla(), &objective, &opts)?;
 
     // 4. Bayesian Optimization over per-operator hints + max-tasks.
-    let bo = mtm::core::run_experiment(
-        |seed| Strategy::bo(objective.topology(), ParamSet::Hints, seed),
+    let bo = tune(
+        &|seed| Strategy::bo(objective.topology(), ParamSet::Hints, seed),
         &objective,
         &opts,
-    );
+    )?;
 
     println!("log-pipeline on 80x4 cores, 30 optimization steps each:\n");
     for (name, result) in [("pla", &pla), ("bo", &bo)] {
@@ -66,4 +78,5 @@ fn main() {
     } else {
         println!("\nThe linear baseline won this one — on homogeneous topologies the\npaper saw the same (Fig. 4, top-left).");
     }
+    Ok(())
 }

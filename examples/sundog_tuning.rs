@@ -9,8 +9,9 @@
 use mtm::prelude::*;
 use mtm::stats::welch_t_test;
 use mtm::topogen::sundog_topology;
+use mtm_runner::{run_experiment_journaled, RunnerError, RunnerOptions};
 
-fn main() {
+fn main() -> Result<(), RunnerError> {
     // Sundog with its development-time defaults (batch size 50k,
     // batch parallelism 5 — "the values used when Sundog was developed
     // and manually tuned").
@@ -26,33 +27,23 @@ fn main() {
         ..Default::default()
     };
 
+    // BO over one surface, in memory (no journal).
+    let tune = |label: &str, set: ParamSet| {
+        let make = |seed| Strategy::bo(objective.topology(), set.clone(), seed);
+        let ropts = RunnerOptions::serial();
+        run_experiment_journaled(label, &make, &objective, &opts, &ropts, None, false)
+            .map(|outcome| outcome.result)
+    };
+
     // Surface 1: parallelism hints only.
-    let h_only = mtm::core::run_experiment(
-        |seed| Strategy::bo(objective.topology(), ParamSet::Hints, seed),
-        &objective,
-        &opts,
-    );
+    let h_only = tune("h", ParamSet::Hints)?;
 
     // Surface 2: hints + batch size + batch parallelism.
-    let h_bs_bp = mtm::core::run_experiment(
-        |seed| Strategy::bo(objective.topology(), ParamSet::HintsBatch, seed),
-        &objective,
-        &opts,
-    );
+    let h_bs_bp = tune("h bs bp", ParamSet::HintsBatch)?;
 
     // Surface 3: batch + concurrency parameters, hints pinned to 11
     // (the paper pinned pla's best).
-    let bs_bp_cc = mtm::core::run_experiment(
-        |seed| {
-            Strategy::bo(
-                objective.topology(),
-                ParamSet::BatchConcurrency { fixed_hint: 11 },
-                seed,
-            )
-        },
-        &objective,
-        &opts,
-    );
+    let bs_bp_cc = tune("bs bp cc", ParamSet::BatchConcurrency { fixed_hint: 11 })?;
 
     println!("Sundog, 40 BO steps per surface:\n");
     for (label, r) in [
@@ -83,4 +74,5 @@ fn main() {
             }
         );
     }
+    Ok(())
 }

@@ -9,8 +9,9 @@
 use mtm::core::objective::synthetic_base;
 use mtm::prelude::*;
 use mtm::topogen::{condition_name, make_condition, Condition, SizeClass, TopologyStats};
+use mtm_runner::{run_experiment_journaled, RunnerError, RunnerOptions};
 
-fn main() {
+fn main() -> Result<(), RunnerError> {
     let condition = Condition {
         time_imbalance: 0.0,
         contention: 0.25,
@@ -37,16 +38,13 @@ fn main() {
 
     println!("strategy   mean tuples/s   min..max          steps-to-best");
     for name in ["pla", "ipla", "bo", "ibo"] {
-        let result = mtm::core::run_experiment(
-            |seed| match name {
-                "pla" => Strategy::pla(),
-                "ipla" => Strategy::ipla(objective.topology()),
-                "bo" => Strategy::bo(objective.topology(), ParamSet::Hints, seed),
-                _ => Strategy::ibo(objective.topology(), seed),
-            },
-            &objective,
-            &opts,
-        );
+        let make = |seed| {
+            Strategy::by_name(name, objective.topology(), ParamSet::Hints, seed)
+                .expect("a paper strategy label")
+        };
+        let ropts = RunnerOptions::serial();
+        let result =
+            run_experiment_journaled(name, &make, &objective, &opts, &ropts, None, false)?.result;
         let (min, max) = result.min_max();
         let (cmin, cavg, cmax) = result.convergence_steps();
         println!(
@@ -61,4 +59,5 @@ fn main() {
          performance substantially' (Fig. 4, top-right) — the linear sweep \
          wastes cycles multiplying the contentious bolts' cost."
     );
+    Ok(())
 }

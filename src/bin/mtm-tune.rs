@@ -4,8 +4,10 @@
 //! mtm-tune <topology.json> [options]
 //!
 //! options:
-//!   --strategy pla|ipla|bo|ibo   optimizer (default bo)
-//!   --surface h|h-bs-bp          tuned parameters for bo (default h)
+//!   --strategy NAME              pla|ipla|bo|ibo|bo180|random|tpe|hyperband
+//!                                (default bo; bo180 is bo, the budget is --steps)
+//!   --surface h|h-bs-bp          tuned parameters for the search strategies
+//!                                (default h)
 //!   --steps N                    optimization steps (default 60)
 //!   --passes N                   optimization passes (default 2)
 //!   --machines N                 cluster machines (default 80)
@@ -21,6 +23,7 @@ use std::process::ExitCode;
 
 use mtm::prelude::*;
 use mtm::spec::TopologySpec;
+use mtm_runner::{run_experiment_journaled, RunnerOptions};
 
 struct Args {
     spec_path: String,
@@ -99,8 +102,9 @@ fn parse_args() -> Result<Args, String> {
 
 fn usage() {
     eprintln!(
-        "usage: mtm-tune <topology.json> [--strategy pla|ipla|bo|ibo] [--surface h|h-bs-bp]\n\
-         \x20              [--steps N] [--passes N] [--machines N] [--seed N] [--window S] [--reps N]"
+        "usage: mtm-tune <topology.json> [--strategy pla|ipla|bo|ibo|bo180|random|tpe|hyperband]\n\
+         \x20              [--surface h|h-bs-bp] [--steps N] [--passes N] [--machines N] [--seed N]\n\
+         \x20              [--window S] [--reps N]"
     );
 }
 
@@ -159,17 +163,33 @@ fn main() -> ExitCode {
         seed: args.seed,
         ..Default::default()
     };
-    let strategy_name = args.strategy.clone();
-    let result = mtm::core::run_experiment(
-        |seed| match strategy_name.as_str() {
-            "pla" => Strategy::pla(),
-            "ipla" => Strategy::ipla(objective.topology()),
-            "ibo" => Strategy::ibo(objective.topology(), seed),
-            _ => Strategy::bo(objective.topology(), surface.clone(), seed),
-        },
+    let topo = objective.topology();
+    if let Err(e) = Strategy::by_name(&args.strategy, topo, surface.clone(), args.seed) {
+        eprintln!("error: {e}");
+        usage();
+        return ExitCode::FAILURE;
+    }
+    let make = |seed| {
+        Strategy::by_name(&args.strategy, topo, surface.clone(), seed)
+            .unwrap_or_else(|_| Strategy::pla())
+    };
+    let exp_id = format!("mtm-tune/{}", args.strategy);
+    let outcome = run_experiment_journaled(
+        &exp_id,
+        &make,
         &objective,
         &opts,
+        &RunnerOptions::serial(),
+        None,
+        false,
     );
+    let result = match outcome {
+        Ok(outcome) => outcome.result,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let (min, max) = result.min_max();
     let winner = result.winner();

@@ -1,16 +1,17 @@
 //! The batched evaluation contract, cross-crate: on every preset
 //! topology and on generated graphs up to 10k vertices, the unified
 //! [`Simulator`] trait path and the batched [`SimBatch`] path must be
-//! *bitwise* identical to the legacy free-function path and to N
+//! *bitwise* identical to the reference `simulate_flow_with` and to N
 //! sequential evaluations. Not "close" — identical: the optimizer's
 //! determinism story (journal replay, the determinism probe) rests on
 //! every path through the simulator producing the same bits.
 
-#![allow(deprecated)] // half of each property IS the deprecated shim
-
 use proptest::prelude::*;
 
-use mtm_stormsim::{simulate_flow, ClusterSpec, FlowSimulator, SimBatch, Simulator, StormConfig};
+use mtm_obs::NullRecorder;
+use mtm_stormsim::{
+    simulate_flow_with, ClusterSpec, FlowSimulator, SimBatch, Simulator, StormConfig,
+};
 use mtm_topogen::{generate_layer_by_layer, make_condition, Condition, GgenParams, SizeClass};
 
 /// Every preset cell of the paper's experiment grid.
@@ -32,11 +33,11 @@ fn trait_path_matches_free_function_on_every_preset() {
         let sim = FlowSimulator::new(topo.clone(), cluster.clone(), 120.0).unwrap();
         for hint in [1u32, 3, 9, 27] {
             let config = StormConfig::uniform_hints(topo.n_nodes(), hint);
-            let old = simulate_flow(&topo, &config, &cluster, 120.0);
+            let old = simulate_flow_with(&topo, &config, &cluster, 120.0, &mut NullRecorder);
             let new = sim.evaluate(&config).unwrap();
             assert_eq!(
                 old, new,
-                "{size:?}/{cond:?} hint {hint}: trait path diverged from the shim"
+                "{size:?}/{cond:?} hint {hint}: trait path diverged from the reference"
             );
         }
     }

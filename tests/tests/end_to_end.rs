@@ -1,12 +1,22 @@
 //! End-to-end tuning flows: optimizer ↔ simulator ↔ experiment protocol.
 
 use mtm_core::objective::synthetic_base;
-use mtm_core::{run_experiment, run_pass, Objective, ParamSet, RunOptions, Strategy};
+use mtm_core::{run_pass, ExperimentResult, Objective, ParamSet, RunOptions, Strategy};
+use mtm_runner::{run_experiment_journaled, RunnerOptions};
 use mtm_stormsim::noise::MeasurementNoise;
 use mtm_stormsim::ClusterSpec;
 use mtm_topogen::{make_condition, sundog_topology, Condition, SizeClass};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// BO over `set`, through the runner engine in memory.
+fn run_bo(objective: &Objective, set: ParamSet, opts: &RunOptions) -> ExperimentResult {
+    let make = |seed| Strategy::bo(objective.topology(), set.clone(), seed);
+    let ropts = RunnerOptions::serial();
+    run_experiment_journaled("e2e", &make, objective, opts, &ropts, None, false)
+        .unwrap()
+        .result
+}
 
 fn contended_objective() -> Objective {
     let topo = make_condition(
@@ -65,11 +75,7 @@ fn full_experiment_protocol_produces_consistent_records() {
         seed: 5,
         ..Default::default()
     };
-    let result = run_experiment(
-        |seed| Strategy::bo(objective.topology(), ParamSet::Hints, seed),
-        &objective,
-        &opts,
-    );
+    let result = run_bo(&objective, ParamSet::Hints, &opts);
 
     assert_eq!(result.passes.len(), 2);
     assert_eq!(result.confirmation.len(), 6);
@@ -102,16 +108,8 @@ fn experiments_are_reproducible_given_the_seed() {
         seed: 77,
         ..Default::default()
     };
-    let a = run_experiment(
-        |seed| Strategy::bo(objective.topology(), ParamSet::Hints, seed),
-        &objective,
-        &opts,
-    );
-    let b = run_experiment(
-        |seed| Strategy::bo(objective.topology(), ParamSet::Hints, seed),
-        &objective,
-        &opts,
-    );
+    let a = run_bo(&objective, ParamSet::Hints, &opts);
+    let b = run_bo(&objective, ParamSet::Hints, &opts);
     let traj_a: Vec<f64> = a.winner().steps.iter().map(|s| s.throughput).collect();
     let traj_b: Vec<f64> = b.winner().steps.iter().map(|s| s.throughput).collect();
     assert_eq!(traj_a, traj_b, "same seed, same trajectory");
@@ -137,16 +135,8 @@ fn sundog_batch_surface_beats_hints_only_surface() {
         ..Default::default()
     };
 
-    let h_only = run_experiment(
-        |seed| Strategy::bo(objective.topology(), ParamSet::Hints, seed),
-        &objective,
-        &opts,
-    );
-    let with_batch = run_experiment(
-        |seed| Strategy::bo(objective.topology(), ParamSet::HintsBatch, seed),
-        &objective,
-        &opts,
-    );
+    let h_only = run_bo(&objective, ParamSet::Hints, &opts);
+    let with_batch = run_bo(&objective, ParamSet::HintsBatch, &opts);
     assert!(
         with_batch.mean() > h_only.mean() * 1.3,
         "opening the batch parameters must pay off substantially: {:.0} vs {:.0}",

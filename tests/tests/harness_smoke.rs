@@ -59,7 +59,7 @@ fn synthetic_grid_figures_flow_from_one_grid() {
 fn fig8_smoke() {
     let opts60 = Scale::Smoke.run_options(1);
     let opts180 = Scale::Smoke.run_options_extended(1);
-    let r = figures::fig8::run(&opts60, &opts180);
+    let r = figures::fig8::run(&opts60, &opts180).unwrap();
     let a = figures::fig8::throughput_table(&r);
     assert_eq!(a.rows.len(), 6);
     let report = figures::fig8::significance_report(&r);

@@ -12,9 +12,9 @@
 //! * [`optimizer`] — the propose/observe loop: maintain a persistent GP
 //!   surrogate over the observations (incremental `O(n²)` factor updates,
 //!   scheduled hyperparameter refits), maximize the acquisition over
-//!   candidates with chunked deterministic parallel scoring and a
-//!   coordinate-descent polish, optionally marginalizing the acquisition
-//!   over slice-sampled hyperparameters exactly as Spearmint does,
+//!   candidates with chunked batch scoring and a coordinate-descent
+//!   polish, optionally marginalizing the acquisition over slice-sampled
+//!   hyperparameters exactly as Spearmint does,
 //! * [`error`] — the [`BoError`] end of the `LinalgError → GpError →
 //!   BoError` chain; proposal and observation failures are values, not
 //!   panics,

@@ -18,7 +18,7 @@
 //! Cholesky update, target re-standardization is two `O(n²)` triangular
 //! solves, and only the scheduled hyperparameter refits pay the `O(n³)`
 //! factorization — so a non-refit `propose()` is `O(n²)` plus the
-//! (parallel) candidate scoring, instead of the full-refit `O(n³)` the
+//! candidate scoring, instead of the full-refit `O(n³)` the
 //! original per-call fit paid.
 //!
 //! Determinism contract: every `propose` derives its randomness from
@@ -42,7 +42,6 @@ use mtm_obs::event::finite_or_zero;
 use mtm_obs::{Event, NullRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::acquisition::Acquisition;
@@ -54,11 +53,9 @@ use crate::space::{ParamSpace, Value};
 /// hyperparameter optimization).
 const BASE_NOISE: f64 = 1e-2;
 
-/// Chunk width shared by the serial and parallel scoring paths. Each
-/// chunk's scores land in a disjoint slice of the output buffer and the
-/// within-chunk evaluation order is fixed, so the two paths are
-/// bitwise-identical and the argmax stays a separate, serial,
-/// index-ordered scan.
+/// Chunk width of candidate scoring: each chunk is predicted into one
+/// reused scratch buffer and its scores land in a disjoint slice of the
+/// output buffer. The argmax is a separate, index-ordered scan.
 const SCORE_CHUNK: usize = 64;
 
 /// Which kernel family the surrogate uses.
@@ -412,13 +409,11 @@ impl Surrogate for SurrogateBox {
     }
 }
 
-/// Score `pool` under `sur`, *accumulating* into `scores`. The work is
-/// decomposed into [`SCORE_CHUNK`]-wide chunks whose outputs are
-/// disjoint slices; with `parallel` the chunks go through rayon,
-/// without it through the plain sequential iterator — same chunking,
-/// same within-chunk order, bitwise-identical results. (Per-element
-/// parallel reductions like `par_iter().sum()` would not be: float
-/// addition is not associative.)
+/// Score `pool` under `sur`, *accumulating* into `scores`, one
+/// [`SCORE_CHUNK`]-wide chunk at a time. Each chunk predicts into one
+/// reused scratch buffer instead of collecting a fresh
+/// `Vec<Prediction>`; its capacity plateaus at `SCORE_CHUNK` after the
+/// first chunk.
 // mtm-hot: acq-score
 fn accumulate_scores<S: Surrogate + ?Sized>(
     sur: &S,
@@ -426,44 +421,23 @@ fn accumulate_scores<S: Surrogate + ?Sized>(
     pool: &[Vec<f64>],
     z_best: f64,
     scores: &mut [f64],
-    parallel: bool,
 ) {
     debug_assert_eq!(pool.len(), scores.len());
-    // Each chunk predicts into a reused scratch buffer instead of
-    // collecting a fresh `Vec<Prediction>`: the serial path threads one
-    // buffer through every chunk, the parallel path gives each rayon
-    // worker its own via `for_each_init`. Scratch capacity plateaus at
-    // `SCORE_CHUNK` after the first chunk.
-    let score_chunk =
-        |scratch: &mut Vec<mtm_gp::Prediction>, out: &mut [f64], cands: &[Vec<f64>]| {
-            sur.predict_many_into(cands, scratch);
-            for (s, p) in out.iter_mut().zip(scratch.iter()) {
-                *s += acq.score(p.mean, p.std(), z_best);
-            }
-        };
-    if parallel {
-        scores
-            .par_chunks_mut(SCORE_CHUNK)
-            .zip(pool.par_chunks(SCORE_CHUNK))
-            .for_each_init(
-                || Vec::with_capacity(SCORE_CHUNK),
-                |scratch, (out, cands)| score_chunk(scratch, out, cands),
-            );
-    } else {
-        let mut scratch = Vec::with_capacity(SCORE_CHUNK);
-        scores
-            .chunks_mut(SCORE_CHUNK)
-            .zip(pool.chunks(SCORE_CHUNK))
-            .for_each(|(out, cands)| score_chunk(&mut scratch, out, cands));
+    let mut scratch = Vec::with_capacity(SCORE_CHUNK);
+    for (out, cands) in scores.chunks_mut(SCORE_CHUNK).zip(pool.chunks(SCORE_CHUNK)) {
+        sur.predict_many_into(cands, &mut scratch);
+        for (s, p) in out.iter_mut().zip(scratch.iter()) {
+            *s += acq.score(p.mean, p.std(), z_best);
+        }
     }
 }
 
 /// Score a pool of candidate points under an already-fit surrogate in
 /// one pass — the acquisition-side mirror of the simulator's
 /// `evaluate_batch`. `out` is cleared and refilled with one score per
-/// candidate, chunk-parallel through the same [`SCORE_CHUNK`]
-/// decomposition the proposal loop uses, so the result is
-/// bitwise-identical to scoring every candidate on its own.
+/// candidate through the same [`SCORE_CHUNK`] decomposition the proposal
+/// loop uses, so the result is bitwise-identical to scoring every
+/// candidate on its own.
 pub fn score_batch<S: Surrogate + ?Sized>(
     sur: &S,
     acq: &Acquisition,
@@ -473,7 +447,7 @@ pub fn score_batch<S: Surrogate + ?Sized>(
 ) {
     out.clear();
     out.resize(pool.len(), 0.0);
-    accumulate_scores(sur, acq, pool, best, out, pool.len() > SCORE_CHUNK);
+    accumulate_scores(sur, acq, pool, best, out);
 }
 
 /// The Bayesian optimizer.
@@ -914,7 +888,7 @@ impl BayesOpt {
                 ));
             };
             if hyper_samples.is_empty() {
-                accumulate_scores(&*sur, &acq, &candidates, z_best, &mut scores, true);
+                accumulate_scores(&*sur, &acq, &candidates, z_best, &mut scores);
                 Ok(())
             } else {
                 let mut res = Ok(());
@@ -923,7 +897,7 @@ impl BayesOpt {
                         res = Err(BoError::from(e));
                         break;
                     }
-                    accumulate_scores(&*sur, &acq, &candidates, z_best, &mut scores, true);
+                    accumulate_scores(&*sur, &acq, &candidates, z_best, &mut scores);
                 }
                 // Polish below runs under the first sample.
                 if res.is_ok() {
@@ -944,8 +918,7 @@ impl BayesOpt {
             return Err(e);
         }
 
-        // Serial, index-ordered argmax (first maximum wins) — kept out
-        // of the parallel region on purpose.
+        // Index-ordered argmax (first maximum wins).
         let (mut best_idx, mut best_score) = (0usize, f64::NEG_INFINITY);
         for (i, &s) in scores.iter().enumerate() {
             if s > best_score {
@@ -1428,7 +1401,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_scoring_are_bitwise_identical() {
+    fn batch_scoring_matches_per_candidate_scoring() {
         use mtm_gp::kernel::Matern52Ard;
         let d = 3;
         let xs: Vec<Vec<f64>> = (0..24)
@@ -1452,17 +1425,9 @@ mod tests {
             })
             .collect();
         let acq = Acquisition::default();
-        let mut serial = vec![0.0; pool.len()];
-        let mut parallel = vec![0.0; pool.len()];
-        accumulate_scores(&gp, &acq, &pool, 0.7, &mut serial, false);
-        accumulate_scores(&gp, &acq, &pool, 0.7, &mut parallel, true);
-        for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "score {i} differs: {a} vs {b}");
-        }
-
-        // The public batch entry point: one pass over the pool must be
-        // bitwise-identical to scoring every candidate on its own —
-        // the acquisition-side mirror of `Simulator::evaluate_batch`.
+        // One pass over the pool must be bitwise-identical to scoring
+        // every candidate on its own — the acquisition-side mirror of
+        // `Simulator::evaluate_batch`.
         let mut batched = Vec::new();
         score_batch(&gp, &acq, &pool, 0.7, &mut batched);
         assert_eq!(batched.len(), pool.len());

@@ -1,5 +1,6 @@
 //! Run the design-choice ablation studies.
-use mtm_bench::{ablations, results_dir, Scale};
+use mtm_bench::{ablations, Scale};
+use mtm_runner::results_dir;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = Scale::from_env();

@@ -22,6 +22,7 @@ use serde::Serialize;
 
 use mtm_bayesopt::{space::Param, BayesOpt, BoConfig, ParamSpace};
 use mtm_gp::FitOptions;
+use mtm_stats::quantile::median;
 
 /// Tuned dimensionality: matches the paper's "10 hints" cell of Fig. 7.
 const DIM: usize = 10;
@@ -84,11 +85,6 @@ fn primed_optimizer(n_obs: usize) -> Result<BayesOpt, String> {
     Ok(bo)
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs.get(xs.len() / 2).copied().unwrap_or(f64::NAN)
-}
-
 fn time_proposals(bo: &BayesOpt, invalidate_each: bool) -> Result<f64, String> {
     let mut times = Vec::with_capacity(REPS);
     // One untimed warm-up (page-in, code paths compiled hot).
@@ -109,7 +105,7 @@ fn time_proposals(bo: &BayesOpt, invalidate_each: bool) -> Result<f64, String> {
         times.push(t0.elapsed().as_secs_f64());
         std::hint::black_box(c);
     }
-    Ok(median(times))
+    Ok(median(&times).unwrap_or(f64::NAN))
 }
 
 fn run() -> Result<(), String> {

@@ -33,6 +33,7 @@ use mtm_bayesopt::{space::Param, BayesOpt, BoConfig, ParamSpace};
 use mtm_gp::FitOptions;
 use mtm_obs::MemRecorder;
 use mtm_obs::NullRecorder;
+use mtm_stats::quantile::median;
 use mtm_stormsim::{simulate_flow_with, ClusterSpec, StormConfig};
 use mtm_topogen::sundog_topology;
 
@@ -93,11 +94,6 @@ struct BenchRecord {
     cells: Vec<Cell>,
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs.get(xs.len() / 2).copied().unwrap_or(f64::NAN)
-}
-
 /// Drive a fresh optimizer to [`HISTORY`] observations of a
 /// deterministic objective (same priming as `bench_gp`).
 fn primed_optimizer() -> Result<BayesOpt, String> {
@@ -134,11 +130,11 @@ fn cell(
     mem: Vec<f64>,
     mem_events: usize,
 ) -> Cell {
-    let null_a_s = median(null_a);
-    let null_b_s = median(null_b);
+    let null_a_s = median(&null_a).unwrap_or(f64::NAN);
+    let null_b_s = median(&null_b).unwrap_or(f64::NAN);
     let floor = null_a_s.min(null_b_s).max(1e-12);
     let aa_delta_pct = (null_a_s - null_b_s).abs() / floor * 100.0;
-    let mem_s = median(mem);
+    let mem_s = median(&mem).unwrap_or(f64::NAN);
     let mem_overhead_pct = (mem_s - floor) / floor * 100.0;
     Cell {
         workload,

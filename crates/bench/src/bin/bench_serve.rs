@@ -30,6 +30,7 @@ use serde::Serialize;
 use mtm_serve::{
     Client, Daemon, DaemonConfig, DispatchConfig, Endpoint, Quotas, SessionSpec, SessionState,
 };
+use mtm_stats::quantile::median;
 
 /// Sessions per arm (override with `--sessions`). The acceptance bar is
 /// "thousands of concurrent sessions", so the default exercises 1000.
@@ -68,11 +69,6 @@ struct BenchRecord {
     polls: usize,
     within_noise: bool,
     p99_within_cap: bool,
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs.get(xs.len() / 2).copied().unwrap_or(f64::NAN)
 }
 
 fn percentile_99(mut xs: Vec<f64>) -> f64 {
@@ -169,8 +165,8 @@ fn run() -> Result<(), String> {
         arm_b.push(rate);
         poll_secs.extend(polls);
     }
-    let a_sessions_per_s = median(arm_a);
-    let b_sessions_per_s = median(arm_b);
+    let a_sessions_per_s = median(&arm_a).unwrap_or(f64::NAN);
+    let b_sessions_per_s = median(&arm_b).unwrap_or(f64::NAN);
     let floor = a_sessions_per_s.min(b_sessions_per_s).max(1e-9);
     let aa_delta_pct = (a_sessions_per_s - b_sessions_per_s).abs() / floor * 100.0;
     let polls = poll_secs.len();

@@ -18,6 +18,7 @@
 
 use serde::Serialize;
 
+use mtm_stats::quantile::median;
 use mtm_stormsim::{ClusterSpec, FlowSimulator, SimBatch, Simulator, StormConfig};
 use mtm_topogen::{generate_layer_by_layer, GgenParams};
 
@@ -91,11 +92,6 @@ struct BenchRecord {
     reps: usize,
     min_speedup_at_10k: f64,
     cells: Vec<Cell>,
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs.get(xs.len() / 2).copied().unwrap_or(f64::NAN)
 }
 
 /// Assemble one record cell from already-taken medians. Kept free of
@@ -178,7 +174,12 @@ fn bench_cell(w: &Workload) -> Result<Cell, String> {
         std::hint::black_box(batch.results().len());
         bat.push(t0.elapsed().as_secs_f64());
     }
-    Ok(cell(w, median(seq), median(bat), bitwise_identical))
+    Ok(cell(
+        w,
+        median(&seq).unwrap_or(f64::NAN),
+        median(&bat).unwrap_or(f64::NAN),
+        bitwise_identical,
+    ))
 }
 
 fn run() -> Result<(), String> {

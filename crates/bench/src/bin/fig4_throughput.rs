@@ -1,15 +1,20 @@
 //! Regenerate Fig. 4 (strategy throughput grid).
-use mtm_bench::{grid, Scale};
+use mtm_bench::Scale;
+use mtm_runner::{grid, journal_root, pool, results_dir, RunnerOptions};
 fn main() {
     let scale = Scale::from_env();
-    let g = grid::run_or_load(scale);
+    let g = grid::run_or_load(
+        scale,
+        &RunnerOptions::parallel(pool::default_threads()),
+        &journal_root(),
+    );
     let table = mtm_bench::figures::fig4::run(&g);
     print!("{}", table.render());
     println!(
         "\n## shape checks vs the paper\n{}",
         mtm_bench::figures::fig4::shape_report(&g)
     );
-    let path = mtm_bench::results_dir().join("fig4.csv");
+    let path = results_dir().join("fig4.csv");
     table.write_csv(&path).expect("write CSV");
     eprintln!("wrote {}", path.display());
 }

@@ -1,15 +1,20 @@
 //! Regenerate Fig. 5 (convergence speed).
-use mtm_bench::{grid, Scale};
+use mtm_bench::Scale;
+use mtm_runner::{grid, journal_root, pool, results_dir, RunnerOptions};
 fn main() {
     let scale = Scale::from_env();
-    let g = grid::run_or_load(scale);
+    let g = grid::run_or_load(
+        scale,
+        &RunnerOptions::parallel(pool::default_threads()),
+        &journal_root(),
+    );
     let table = mtm_bench::figures::fig5::run(&g);
     print!("{}", table.render());
     println!(
         "\n## shape checks vs the paper\n{}",
         mtm_bench::figures::fig5::shape_report(&g)
     );
-    let path = mtm_bench::results_dir().join("fig5.csv");
+    let path = results_dir().join("fig5.csv");
     table.write_csv(&path).expect("write CSV");
     eprintln!("wrote {}", path.display());
 }

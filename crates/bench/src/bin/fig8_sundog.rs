@@ -1,5 +1,6 @@
 //! Regenerate Fig. 8 (Sundog throughput and convergence).
-use mtm_bench::{figures::fig8, results_dir, Scale};
+use mtm_bench::{figures::fig8, Scale};
+use mtm_runner::results_dir;
 fn main() -> Result<(), mtm_runner::RunnerError> {
     let scale = Scale::from_env();
     let r = fig8::run(

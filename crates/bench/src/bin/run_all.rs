@@ -1,5 +1,6 @@
 //! Regenerate every table and figure in sequence.
-use mtm_bench::{figures, grid, results_dir, Scale};
+use mtm_bench::{figures, Scale};
+use mtm_runner::{grid, journal_root, pool, results_dir, RunnerOptions};
 
 fn main() -> Result<(), mtm_runner::RunnerError> {
     let scale = Scale::from_env();
@@ -22,7 +23,11 @@ fn main() -> Result<(), mtm_runner::RunnerError> {
     t3.write_csv(&results_dir().join("fig3.csv")).expect("csv");
     println!();
 
-    let g = grid::run_or_load(scale);
+    let g = grid::run_or_load(
+        scale,
+        &RunnerOptions::parallel(pool::default_threads()),
+        &journal_root(),
+    );
 
     let f4 = figures::fig4::run(&g);
     print!("{}", f4.render());

@@ -3,7 +3,7 @@
 use mtm_core::report::{bar_stats, Table};
 use mtm_topogen::{condition_name, Condition, SizeClass};
 
-use crate::grid::{Grid, STRATEGIES};
+use mtm_runner::grid::{Grid, STRATEGIES};
 
 /// Build the Fig. 4 table (one row per grid cell: mean/min/max of the 30
 /// confirmation runs of the best configuration).
@@ -117,12 +117,15 @@ pub fn shape_report(grid: &Grid) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::grid;
     use crate::Scale;
+    use mtm_runner::{grid, pool, RunnerOptions};
 
     #[test]
     fn fig4_table_has_all_cells() {
-        let g = grid::run(Scale::Smoke);
+        let g = grid::run(
+            Scale::Smoke,
+            &RunnerOptions::parallel(pool::default_threads()),
+        );
         let t = super::run(&g);
         // 4 conditions × 3 sizes × 8 strategies (the paper's five plus
         // the tpe/hyperband/random zoo).

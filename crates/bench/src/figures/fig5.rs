@@ -4,7 +4,7 @@
 use mtm_core::report::Table;
 use mtm_topogen::{condition_name, Condition, SizeClass};
 
-use crate::grid::Grid;
+use mtm_runner::grid::Grid;
 
 /// Strategies Fig. 5 plots (bo180 is excluded, as in the paper).
 pub const FIG5_STRATEGIES: [&str; 4] = ["pla", "bo", "ipla", "ibo"];
@@ -64,12 +64,15 @@ pub fn shape_report(grid: &Grid) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::grid;
     use crate::Scale;
+    use mtm_runner::{grid, pool, RunnerOptions};
 
     #[test]
     fn fig5_rows_and_ranges() {
-        let g = grid::run(Scale::Smoke);
+        let g = grid::run(
+            Scale::Smoke,
+            &RunnerOptions::parallel(pool::default_threads()),
+        );
         let t = super::run(&g);
         assert_eq!(t.rows.len(), 4 * 3 * 4);
         for row in &t.rows {

@@ -5,7 +5,7 @@ use mtm_core::report::Table;
 use mtm_stats::Loess;
 use mtm_topogen::{condition_name, Condition, SizeClass};
 
-use crate::grid::Grid;
+use mtm_runner::grid::Grid;
 
 /// Build one table per condition: columns step/small/medium/large of the
 /// smoothed bo180 trajectory (the winning pass).
@@ -84,12 +84,15 @@ pub fn shape_report(tables: &[Table]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::grid;
     use crate::Scale;
+    use mtm_runner::{grid, pool, RunnerOptions};
 
     #[test]
     fn fig6_smoothes_trajectories() {
-        let g = grid::run(Scale::Smoke);
+        let g = grid::run(
+            Scale::Smoke,
+            &RunnerOptions::parallel(pool::default_threads()),
+        );
         let tables = super::run(&g);
         assert_eq!(tables.len(), 4);
         for t in &tables {

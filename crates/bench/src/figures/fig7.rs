@@ -12,7 +12,7 @@ use mtm_core::report::Table;
 use mtm_stats::linreg::power_law_fit;
 use mtm_topogen::{condition_name, Condition, SizeClass};
 
-use crate::grid::Grid;
+use mtm_runner::grid::Grid;
 
 /// Strategies Fig. 7 plots.
 pub const FIG7_STRATEGIES: [&str; 4] = ["pla", "bo", "ipla", "ibo"];
@@ -94,12 +94,15 @@ pub fn shape_report(grid: &Grid) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::grid;
     use crate::Scale;
+    use mtm_runner::{grid, pool, RunnerOptions};
 
     #[test]
     fn fig7_times_are_sane() {
-        let g = grid::run(Scale::Smoke);
+        let g = grid::run(
+            Scale::Smoke,
+            &RunnerOptions::parallel(pool::default_threads()),
+        );
         let t = super::run(&g);
         assert_eq!(t.rows.len(), 4 * 3 * 4);
         for row in &t.rows {

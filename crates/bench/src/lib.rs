@@ -23,20 +23,17 @@
 //! or `smoke` (seconds; used by the integration tests). Results print as
 //! aligned tables and are also written as CSV under `results/`.
 //!
-//! The synthetic grid (Figs. 4–7 share it) is expensive, so [`grid`]
-//! executes through `mtm-runner`: each cell is journaled under
-//! `results/journal/grid_<scale>/`, completed cells load instantly,
-//! interrupted ones resume, and `MTM_THREADS` bounds the worker pool.
-//! Use `cargo run -p mtm-runner -- status` to inspect, or delete the
-//! segment directory to force a re-run.
+//! The synthetic grid (Figs. 4–7 share it) is expensive, so it runs
+//! through `mtm_runner::grid` on all cores: each cell is journaled under
+//! `results/journal/grid_<scale>/`, completed cells load instantly and
+//! interrupted ones resume. `cargo run -p mtm-runner -- run --threads N`
+//! fills the same journal with a bounded pool; `status` inspects it, and
+//! deleting the segment directory forces a re-run.
 
 pub mod ablations;
 pub mod figures;
-pub mod grid;
 
 pub use mtm_runner::Scale;
-
-use std::path::PathBuf;
 
 use mtm_core::{ExperimentResult, Objective, RunOptions, Strategy};
 use mtm_runner::{run_experiment_journaled, RunnerError, RunnerOptions};
@@ -52,16 +49,4 @@ pub fn run_in_memory(
     let ropts = RunnerOptions::serial();
     run_experiment_journaled(exp_id, make, objective, opts, &ropts, None, false)
         .map(|outcome| outcome.result)
-}
-
-/// Directory all harness outputs go to (`results/` under the workspace
-/// root, or `$MTM_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("MTM_RESULTS_DIR") {
-        return PathBuf::from(dir);
-    }
-    // The bench crate lives at <root>/crates/bench.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results")
 }

@@ -3,15 +3,9 @@
 //! The kernels here are written for cache-friendly row-major access (the
 //! `i-k-j` loop order for matmul keeps the innermost loop streaming over
 //! contiguous rows of both the right-hand side and the accumulator, letting
-//! LLVM vectorize it) and switch to rayon data-parallelism over output rows
-//! once the work is large enough to amortize the fork/join overhead.
-
-use rayon::prelude::*;
+//! LLVM vectorize it).
 
 use crate::{LinalgError, Mat, Result};
-
-/// Above this many multiply-adds the matmul fans out across rayon workers.
-const PAR_FLOP_THRESHOLD: usize = 64 * 64 * 64;
 
 /// General matrix multiply: `C = A * B`.
 pub fn matmul(a: &Mat, b: &Mat) -> Result<Mat> {
@@ -24,35 +18,17 @@ pub fn matmul(a: &Mat, b: &Mat) -> Result<Mat> {
     }
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut c = Mat::zeros(m, n);
-    if m * k * n >= PAR_FLOP_THRESHOLD {
-        // Parallel over output rows: each row of C depends on one row of A
-        // and all of B, so rows are independent work items.
-        let b_data = b.as_slice();
-        c.as_mut_slice()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, c_row)| {
-                let a_row = a.row(i);
-                for (kk, &a_ik) in a_row.iter().enumerate() {
-                    let b_row = &b_data[kk * n..(kk + 1) * n];
-                    for (c_ij, &b_kj) in c_row.iter_mut().zip(b_row) {
-                        *c_ij += a_ik * b_kj;
-                    }
-                }
-            });
-    } else {
-        for i in 0..m {
-            for kk in 0..k {
-                let a_ik = a[(i, kk)];
-                // lint:allow(float_cmp) exact sparse-skip of zero entries
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = b.row(kk);
-                let c_row = c.row_mut(i);
-                for (c_ij, &b_kj) in c_row.iter_mut().zip(b_row) {
-                    *c_ij += a_ik * b_kj;
-                }
+    for i in 0..m {
+        for kk in 0..k {
+            let a_ik = a[(i, kk)];
+            // lint:allow(float_cmp) exact sparse-skip of zero entries
+            if a_ik == 0.0 {
+                continue;
+            }
+            let b_row = b.row(kk);
+            let c_row = c.row_mut(i);
+            for (c_ij, &b_kj) in c_row.iter_mut().zip(b_row) {
+                *c_ij += a_ik * b_kj;
             }
         }
     }
@@ -70,16 +46,11 @@ pub fn matmul_nt(a: &Mat, b: &Mat) -> Result<Mat> {
     }
     let (m, n) = (a.rows(), b.rows());
     let mut c = Mat::zeros(m, n);
-    let run = |(i, c_row): (usize, &mut [f64])| {
+    for (i, c_row) in c.as_mut_slice().chunks_mut(n).enumerate() {
         let a_row = a.row(i);
         for (j, c_ij) in c_row.iter_mut().enumerate() {
             *c_ij = dot(a_row, b.row(j));
         }
-    };
-    if m * n * a.cols() >= PAR_FLOP_THRESHOLD {
-        c.as_mut_slice().par_chunks_mut(n).enumerate().for_each(run);
-    } else {
-        c.as_mut_slice().chunks_mut(n).enumerate().for_each(run);
     }
     Ok(c)
 }
@@ -176,8 +147,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_large_takes_parallel_path() {
-        // 70^3 > threshold, so this exercises the rayon branch.
+    fn matmul_large_matches_naive() {
         let a = Mat::from_fn(70, 70, |i, j| ((i * 31 + j * 7) % 13) as f64 - 6.0);
         let b = Mat::from_fn(70, 70, |i, j| ((i * 17 + j * 3) % 11) as f64 - 5.0);
         let c = matmul(&a, &b).unwrap();

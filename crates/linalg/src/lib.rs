@@ -11,7 +11,7 @@
 //! * [`Cholesky`] — an SPD factorization with jitter escalation, triangular
 //!   solves, log-determinant and rank-one updates,
 //! * [`blas`] — matrix multiply / symmetric rank-k update / matrix-vector
-//!   kernels, parallelized with rayon above a size threshold,
+//!   kernels,
 //! * [`triangular`] — forward and backward substitution.
 //!
 //! Everything is deterministic and allocation-conscious: hot paths reuse

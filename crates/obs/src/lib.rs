@@ -11,7 +11,11 @@
 //!   paths skip even the bookkeeping); [`MemRecorder`] buffers events in
 //!   memory (used by the runner to keep parallel traces byte-identical
 //!   to serial ones); [`JsonlRecorder`] appends schema-versioned JSONL
-//!   with the same torn-tail discipline as the runner journal.
+//!   through a [`segment`].
+//! * [`segment`] — the torn-tail JSONL log every layer writes: one
+//!   flushed line per append, and readers trust only the longest valid
+//!   prefix. Runner journals and `mtm-serve`'s store are built on it
+//!   too.
 //! * [`Event`] — the trace schema: per-operator counters and queue
 //!   high-water marks from the simulators, per-constraint bottleneck
 //!   attribution from the flow model, per-propose surrogate decisions
@@ -34,6 +38,7 @@
 pub mod event;
 pub mod intern;
 pub mod recorder;
+pub mod segment;
 pub mod summary;
 
 pub use event::{Event, Header, Record, TRACE_VERSION};

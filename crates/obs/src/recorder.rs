@@ -4,16 +4,15 @@
 //! `false`, so instrumentation guarded by `R::ENABLED` compiles to
 //! nothing. [`MemRecorder`] buffers events for later splicing (the
 //! runner uses one per parallel unit so trace bytes stay order-stable).
-//! [`JsonlRecorder`] appends one JSON line per record and flushes it,
-//! mirroring the runner journal's crash discipline; [`load_trace`] reads
-//! back the longest valid prefix, so a torn tail is indistinguishable
-//! from a clean stop.
+//! [`JsonlRecorder`] writes the trace as a [`segment`],
+//! the same torn-tail JSONL log the runner journal uses; [`load_trace`]
+//! reads back its longest valid prefix, so a torn tail is
+//! indistinguishable from a clean stop.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, Write};
 use std::path::Path;
 
 use crate::event::{Event, Header, Record, TRACE_VERSION};
+use crate::segment::{self, SegmentWriter};
 
 /// An observability error (I/O or serialization).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,11 +185,12 @@ impl Recorder for MemRecorder {
     }
 }
 
-/// Append-only JSONL trace writer: one record per line, flushed as
-/// written, so a crash loses at most the in-flight line.
+/// Append-only JSONL trace writer over a [`SegmentWriter`]: one record
+/// per line, flushed as written, so a crash loses at most the in-flight
+/// line.
 #[derive(Debug)]
 pub struct JsonlRecorder {
-    file: File,
+    writer: SegmentWriter,
     wallclock: bool,
     error: Option<ObsError>,
 }
@@ -200,18 +200,8 @@ impl JsonlRecorder {
     /// `source` is a logical label, never a path — trace bytes must not
     /// depend on where they are written.
     pub fn create(path: &Path, source: &str, seed: u64) -> Result<JsonlRecorder, ObsError> {
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)
-                .map_err(|e| ObsError(format!("mkdir {}: {e}", parent.display())))?;
-        }
-        let file =
-            File::create(path).map_err(|e| ObsError(format!("create {}: {e}", path.display())))?;
-        let mut rec = JsonlRecorder {
-            file,
-            wallclock: false,
-            error: None,
-        };
-        rec.append(&Record::Header(Header {
+        let rec = JsonlRecorder::open(path, 0)?;
+        rec.writer.append(&Record::Header(Header {
             version: TRACE_VERSION,
             source: source.to_string(),
             seed,
@@ -219,23 +209,24 @@ impl JsonlRecorder {
         Ok(rec)
     }
 
-    /// Reopen `path` for appending after truncating it to `valid_len`
-    /// (the loader's longest-valid-prefix length) — the same torn-tail
-    /// recovery the runner journal performs.
-    pub fn append_after(path: &Path, valid_len: u64) -> Result<JsonlRecorder, ObsError> {
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(path)
-            .map_err(|e| ObsError(format!("open {}: {e}", path.display())))?;
-        file.set_len(valid_len)
-            .map_err(|e| ObsError(format!("truncate {}: {e}", path.display())))?;
-        let mut file = file;
-        file.seek(std::io::SeekFrom::End(0))
-            .map_err(|e| ObsError(format!("seek {}: {e}", path.display())))?;
+    /// Continue the trace at `path` after its longest valid prefix,
+    /// dropping any torn tail. A missing file, or one whose prefix has
+    /// no header (a kill between creating the file and flushing the
+    /// header), is [`create`](JsonlRecorder::create)d afresh.
+    pub fn resume(path: &Path, source: &str, seed: u64) -> Result<JsonlRecorder, ObsError> {
+        match load_trace(path)? {
+            Some(TraceData {
+                header: Some(_),
+                valid_len,
+                ..
+            }) => JsonlRecorder::open(path, valid_len),
+            _ => JsonlRecorder::create(path, source, seed),
+        }
+    }
+
+    fn open(path: &Path, valid_len: u64) -> Result<JsonlRecorder, ObsError> {
         Ok(JsonlRecorder {
-            file,
+            writer: SegmentWriter::open_append(path, valid_len)?,
             wallclock: false,
             error: None,
         })
@@ -246,18 +237,6 @@ impl JsonlRecorder {
     pub fn with_wallclock(mut self, on: bool) -> JsonlRecorder {
         self.wallclock = on;
         self
-    }
-
-    // mtm-allow: alloc -- a jsonl trace writer serializes and flushes by
-    // design; attaching one is an explicit opt-in to per-event I/O.
-    fn append(&mut self, record: &Record) -> Result<(), ObsError> {
-        let json = serde_json::to_string(record)
-            .map_err(|e| ObsError(format!("serialize record: {e}")))?;
-        self.file
-            .write_all(json.as_bytes())
-            .and_then(|()| self.file.write_all(b"\n"))
-            .and_then(|()| self.file.flush())
-            .map_err(|e| ObsError(format!("append: {e}")))
     }
 
     /// Surface the first buffered I/O error, if any. Call after a
@@ -277,7 +256,7 @@ impl Recorder for JsonlRecorder {
     fn record(&mut self, event: Event) {
         if self.error.is_none() {
             // mtm-allow: alloc -- journaling recorder buffers and writes by design; MemRecorder is the zero-alloc path
-            if let Err(e) = self.append(&Record::Event(event)) {
+            if let Err(e) = self.writer.append(&Record::Event(event)) {
                 self.error = Some(e);
             }
         }
@@ -315,42 +294,19 @@ impl TraceData {
 
 /// Load a trace. `Ok(None)` when the file does not exist; torn or
 /// foreign trailing bytes are excluded from `valid_len` rather than
-/// reported as errors — identical discipline to the runner journal.
+/// reported as errors — the [`segment`] discipline.
 // mtm-allow: alloc -- replay/inspection path, runs between measured
 // trials, never inside one
 pub fn load_trace(path: &Path) -> Result<Option<TraceData>, ObsError> {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(ObsError(format!("read {}: {e}", path.display()))),
+    let Some((lines, valid_len)) = segment::load_prefix::<Record>(path)? else {
+        return Ok(None);
     };
-    Ok(Some(parse_trace(&text)))
-}
-
-/// Parse trace text into its longest valid record prefix.
-// mtm-allow: alloc -- builds the in-memory trace it exists to return;
-// replay/inspection path only
-pub fn parse_trace(text: &str) -> TraceData {
-    let mut data = TraceData::default();
-    let mut offset = 0usize;
-    for line in text.split_inclusive('\n') {
-        let complete = line.ends_with('\n');
-        let body = line.trim_end();
-        if body.is_empty() {
-            if complete {
-                offset += line.len();
-                continue;
-            }
-            break;
-        }
-        let Ok(record) = serde_json::from_str::<Record>(body) else {
-            break; // torn write or foreign bytes: stop at the valid prefix
-        };
-        if !complete {
-            break; // a record without its newline may still be mid-write
-        }
-        offset += line.len();
-        match record {
+    let mut data = TraceData {
+        valid_len,
+        ..TraceData::default()
+    };
+    for line in lines {
+        match line.record {
             Record::Header(h) => {
                 if data.header.is_none() {
                     data.header = Some(h);
@@ -359,13 +315,13 @@ pub fn parse_trace(text: &str) -> TraceData {
             Record::Event(ev) => data.events.push(ev),
         }
     }
-    data.valid_len = offset as u64;
-    data
+    Ok(Some(data))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn tmpfile(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("mtm-obs-recorder-tests");
@@ -447,31 +403,77 @@ mod tests {
         assert_eq!(data.events, vec![note("one"), note("two")]);
 
         // Canonical re-serialization reproduces the file bytes exactly.
-        let bytes = fs::read_to_string(&path).unwrap();
-        assert_eq!(data.to_jsonl(), bytes);
+        assert_eq!(data.to_jsonl().as_bytes(), fs::read(&path).unwrap());
+    }
+
+    /// Write `kept` then `torn`, cut the file to `cut(bytes)` bytes, and
+    /// check that the valid prefix loads and a resumed append lands
+    /// right after it.
+    fn tear_and_resume(name: &str, torn: &str, cut: impl Fn(&[u8]) -> usize) {
+        let path = tmpfile(name);
+        let _ = fs::remove_file(&path);
+        let mut rec = JsonlRecorder::create(&path, "test/torn", 1).unwrap();
+        rec.record(note("kept"));
+        rec.record(note(torn));
+        rec.finish().unwrap();
+
+        let bytes = fs::read(&path).unwrap();
+        let end = cut(&bytes);
+        fs::write(&path, &bytes[..end]).unwrap();
+
+        let data = load_trace(&path).unwrap().unwrap();
+        assert_eq!(data.events, vec![note("kept")], "torn record excluded");
+        assert!(data.valid_len < end as u64);
+
+        let mut rec = JsonlRecorder::resume(&path, "test/torn", 1).unwrap();
+        rec.record(note("appended"));
+        rec.finish().unwrap();
+        let resumed = load_trace(&path).unwrap().unwrap();
+        assert_eq!(resumed.header, data.header);
+        assert_eq!(resumed.events, vec![note("kept"), note("appended")]);
+        // One header, no torn bytes left between the prefix and the append.
+        assert_eq!(resumed.to_jsonl().as_bytes(), fs::read(&path).unwrap());
     }
 
     #[test]
     fn torn_tail_is_dropped_and_reappendable() {
-        let path = tmpfile("torn.jsonl");
-        let _ = fs::remove_file(&path);
-        let mut rec = JsonlRecorder::create(&path, "test/torn", 1).unwrap();
-        rec.record(note("kept"));
-        rec.record(note("torn-away"));
-        rec.finish().unwrap();
+        // Cut mid-record, the way a kill -9 would.
+        tear_and_resume("torn.jsonl", "torn-away", |b| b.len() - 7);
+        // Cut mid-way through a multi-byte character: still a torn tail,
+        // not an error.
+        tear_and_resume("torn-utf8.jsonl", "café", |b| {
+            b.iter().rposition(|&x| x == 0xC3).unwrap() + 1
+        });
+    }
 
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-
-        let data = load_trace(&path).unwrap().unwrap();
-        assert_eq!(data.events, vec![note("kept")], "torn record excluded");
-        assert!(data.valid_len < (bytes.len() - 7) as u64);
-
-        let mut rec = JsonlRecorder::append_after(&path, data.valid_len).unwrap();
-        rec.record(note("appended"));
-        rec.finish().unwrap();
-        let data = load_trace(&path).unwrap().unwrap();
-        assert_eq!(data.events, vec![note("kept"), note("appended")]);
+    #[test]
+    fn resume_creates_missing_and_headerless_traces() {
+        // A kill between creating the file and flushing its header leaves
+        // an empty trace; resuming it, like resuming a missing one, must
+        // start the trace over with the header as its first line.
+        let path = tmpfile("headerless.jsonl");
+        for existing in [None, Some(&b""[..])] {
+            let _ = fs::remove_file(&path);
+            if let Some(bytes) = existing {
+                fs::write(&path, bytes).unwrap();
+            }
+            let mut rec = JsonlRecorder::resume(&path, "test/headerless", 3).unwrap();
+            rec.record(note("first"));
+            rec.finish().unwrap();
+            let (lines, _) = segment::load_prefix::<Record>(&path).unwrap().unwrap();
+            let records: Vec<Record> = lines.into_iter().map(|l| l.record).collect();
+            assert_eq!(
+                records,
+                vec![
+                    Record::Header(Header {
+                        version: TRACE_VERSION,
+                        source: "test/headerless".into(),
+                        seed: 3,
+                    }),
+                    Record::Event(note("first")),
+                ]
+            );
+        }
     }
 
     #[test]

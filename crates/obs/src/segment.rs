@@ -1,11 +1,11 @@
-//! Reusable journal-segment machinery.
+//! The torn-tail JSONL segment: the one log primitive under runner
+//! journals, `mtm-serve`'s session store and obs traces.
 //!
-//! Extracted from [`crate::journal`] so other subsystems (notably
-//! `mtm-serve`'s per-session store) can reuse the torn-tail discipline
-//! instead of copy-pasting it: a segment is a JSONL file appended one
-//! flushed line at a time, and a reader trusts exactly the **longest
-//! valid prefix** — everything up to the first incomplete, non-UTF-8 or
-//! unparsable line.
+//! A segment is a JSONL file appended one flushed line at a time, and a
+//! reader trusts exactly the **longest valid prefix** — everything up to
+//! the first incomplete, non-UTF-8 or unparsable line. It lives at the
+//! bottom of the stack so every log in the workspace shares one writer,
+//! one loader and one crash discipline.
 //!
 //! Three pieces live here:
 //!
@@ -32,7 +32,7 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::RunnerError;
+use crate::recorder::ObsError;
 
 /// One complete, parseable line of a segment's valid prefix.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,32 +79,24 @@ pub fn scan_prefix<T: Deserialize>(bytes: &[u8]) -> (Vec<ScannedLine<T>>, u64) {
     (out, offset as u64)
 }
 
-/// Read a segment file as raw bytes. `Ok(None)` when it does not exist.
-/// Reading bytes (not UTF-8 text) is deliberate: the file may be mid-
-/// append by a live writer, and a partially flushed multi-byte character
-/// must read as a torn tail, not an error.
-pub fn read_bytes(path: &Path) -> Result<Option<Vec<u8>>, RunnerError> {
-    match fs::read(path) {
-        Ok(bytes) => Ok(Some(bytes)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(RunnerError::Io(format!("read {}: {e}", path.display()))),
-    }
-}
-
 /// A scanned prefix: the decoded records and the byte length of the
 /// longest valid prefix they cover.
 pub type ScannedPrefix<T> = (Vec<ScannedLine<T>>, u64);
 
 /// Load the longest valid prefix of the segment at `path` as records of
 /// type `T`. `Ok(None)` when the file does not exist. Never requires the
-/// writer to be stopped.
-pub fn load_prefix<T: Deserialize>(path: &Path) -> Result<Option<ScannedPrefix<T>>, RunnerError> {
-    match read_bytes(path)? {
-        None => Ok(None),
-        Some(bytes) => Ok(Some(scan_prefix(&bytes))),
+/// writer to be stopped: the file is read as raw bytes, not UTF-8 text,
+/// so a partially flushed multi-byte character reads as a torn tail, not
+/// an error.
+pub fn load_prefix<T: Deserialize>(path: &Path) -> Result<Option<ScannedPrefix<T>>, ObsError> {
+    match fs::read(path) {
+        Ok(bytes) => Ok(Some(scan_prefix(&bytes))),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(ObsError(format!("read {}: {e}", path.display()))),
     }
 }
 
+#[derive(Debug)]
 enum Sink {
     File(Mutex<File>),
     Null,
@@ -114,6 +106,7 @@ enum Sink {
 /// [`append`](SegmentWriter::append) serializes one record, writes one
 /// full line and flushes, so at most the in-flight record is lost on a
 /// crash.
+#[derive(Debug)]
 pub struct SegmentWriter {
     sink: Sink,
 }
@@ -127,24 +120,23 @@ impl SegmentWriter {
     /// Open `path` for appending after truncating it to `valid_len`
     /// (drops any torn trailing bytes a crash left behind). Creates the
     /// file and its parent directory as needed.
-    pub fn open_append(path: &Path, valid_len: u64) -> Result<SegmentWriter, RunnerError> {
+    pub fn open_append(path: &Path, valid_len: u64) -> Result<SegmentWriter, ObsError> {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)
-                .map_err(|e| RunnerError::Io(format!("mkdir {}: {e}", parent.display())))?;
+                .map_err(|e| ObsError(format!("mkdir {}: {e}", parent.display())))?;
         }
         // Never truncate on open: the explicit `set_len(valid_len)` below
         // is the only truncation — it keeps the journaled valid prefix.
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
             .truncate(false)
             .write(true)
             .open(path)
-            .map_err(|e| RunnerError::Io(format!("open {}: {e}", path.display())))?;
+            .map_err(|e| ObsError(format!("open {}: {e}", path.display())))?;
         file.set_len(valid_len)
-            .map_err(|e| RunnerError::Io(format!("truncate {}: {e}", path.display())))?;
-        let mut file = file;
+            .map_err(|e| ObsError(format!("truncate {}: {e}", path.display())))?;
         file.seek(std::io::SeekFrom::End(0))
-            .map_err(|e| RunnerError::Io(format!("seek {}: {e}", path.display())))?;
+            .map_err(|e| ObsError(format!("seek {}: {e}", path.display())))?;
         Ok(SegmentWriter {
             sink: Sink::File(Mutex::new(file)),
         })
@@ -153,12 +145,12 @@ impl SegmentWriter {
     // mtm-cold: segment IO runs per journaled record, never inside sim
     // or scoring loops
     /// Append one record (one line) and flush it to the OS.
-    pub fn append<T: Serialize>(&self, record: &T) -> Result<(), RunnerError> {
+    pub fn append<T: Serialize>(&self, record: &T) -> Result<(), ObsError> {
         let Sink::File(file) = &self.sink else {
             return Ok(());
         };
         let json = serde_json::to_string(record)
-            .map_err(|e| RunnerError::Io(format!("serialize record: {e}")))?;
+            .map_err(|e| ObsError(format!("serialize record: {e}")))?;
         // mtm-allow: lock -- the file mutex exists to serialize this write+flush; it is held for nothing else and never while another lock is held
         let mut guard = match file.lock() {
             Ok(g) => g,
@@ -168,15 +160,7 @@ impl SegmentWriter {
             .write_all(json.as_bytes())
             .and_then(|()| guard.write_all(b"\n"))
             .and_then(|()| guard.flush())
-            .map_err(|e| RunnerError::Io(format!("append: {e}")))
-    }
-
-    /// Append a sequence of records, stopping at the first failure.
-    pub fn append_all<T: Serialize>(&self, records: &[T]) -> Result<(), RunnerError> {
-        for record in records {
-            self.append(record)?;
-        }
-        Ok(())
+            .map_err(|e| ObsError(format!("append: {e}")))
     }
 }
 
@@ -185,10 +169,10 @@ impl SegmentWriter {
 /// original. A crash mid-rotation leaves either the complete old file or
 /// the complete new one. This is the rotation primitive compaction is
 /// built on; callers must ensure no live writer holds the segment open.
-pub fn rewrite_atomic(path: &Path, contents: &[u8]) -> Result<(), RunnerError> {
+pub fn rewrite_atomic(path: &Path, contents: &[u8]) -> Result<(), ObsError> {
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)
-            .map_err(|e| RunnerError::Io(format!("mkdir {}: {e}", parent.display())))?;
+            .map_err(|e| ObsError(format!("mkdir {}: {e}", parent.display())))?;
     }
     let tmp: PathBuf = match path.file_name() {
         Some(name) => {
@@ -196,17 +180,17 @@ pub fn rewrite_atomic(path: &Path, contents: &[u8]) -> Result<(), RunnerError> {
             n.push(".rotate");
             path.with_file_name(n)
         }
-        None => return Err(RunnerError::Io(format!("bad path {}", path.display()))),
+        None => return Err(ObsError(format!("bad path {}", path.display()))),
     };
-    let mut file = File::create(&tmp)
-        .map_err(|e| RunnerError::Io(format!("create {}: {e}", tmp.display())))?;
+    let mut file =
+        File::create(&tmp).map_err(|e| ObsError(format!("create {}: {e}", tmp.display())))?;
     file.write_all(contents)
         .and_then(|()| file.flush())
         .and_then(|()| file.sync_all())
-        .map_err(|e| RunnerError::Io(format!("write {}: {e}", tmp.display())))?;
+        .map_err(|e| ObsError(format!("write {}: {e}", tmp.display())))?;
     drop(file);
     fs::rename(&tmp, path).map_err(|e| {
-        RunnerError::Io(format!(
+        ObsError(format!(
             "rename {} -> {}: {e}",
             tmp.display(),
             path.display()
@@ -216,11 +200,11 @@ pub fn rewrite_atomic(path: &Path, contents: &[u8]) -> Result<(), RunnerError> {
 
 /// Serialize records to the canonical segment byte representation (one
 /// JSON line per record) — the payload [`rewrite_atomic`] rotates in.
-pub fn render_lines<T: Serialize>(records: &[T]) -> Result<Vec<u8>, RunnerError> {
+pub fn render_lines<T: Serialize>(records: &[T]) -> Result<Vec<u8>, ObsError> {
     let mut out = Vec::new();
     for record in records {
         let json = serde_json::to_string(record)
-            .map_err(|e| RunnerError::Io(format!("serialize record: {e}")))?;
+            .map_err(|e| ObsError(format!("serialize record: {e}")))?;
         out.extend_from_slice(json.as_bytes());
         out.push(b'\n');
     }
@@ -238,7 +222,7 @@ mod tests {
     }
 
     fn tmpfile(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("mtm-runner-segment-tests");
+        let dir = std::env::temp_dir().join("mtm-obs-segment-tests");
         fs::create_dir_all(&dir).unwrap();
         dir.join(format!("{}-{}", std::process::id(), name))
     }

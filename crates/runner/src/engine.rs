@@ -972,7 +972,7 @@ mod tests {
 
         // Resume appends after the valid prefix; the finished journal
         // short-circuits, so the tail is a replay marker + experiment end.
-        let mut rec = JsonlRecorder::append_after(&trace_path, torn.valid_len).unwrap();
+        let mut rec = JsonlRecorder::resume(&trace_path, "test/torn", opts().seed).unwrap();
         run_experiment_traced(
             "test/torn",
             &make,

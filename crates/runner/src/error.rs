@@ -39,3 +39,9 @@ impl From<std::io::Error> for RunnerError {
         RunnerError::Io(e.to_string())
     }
 }
+
+impl From<mtm_obs::ObsError> for RunnerError {
+    fn from(e: mtm_obs::ObsError) -> Self {
+        RunnerError::Io(e.0)
+    }
+}

@@ -20,9 +20,9 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use mtm_core::{ExperimentResult, PassResult};
+use mtm_obs::segment::{self, SegmentWriter};
 
 use crate::error::RunnerError;
-use crate::segment::{self, SegmentWriter};
 
 /// Journal schema version. Bump on any record-shape change; old segments
 /// are then re-run rather than misread.
@@ -168,7 +168,7 @@ pub fn index_records(records: Vec<Record>, valid_len: u64) -> SegmentData {
 /// torn or trailing-garbage bytes (including invalid UTF-8 a concurrent
 /// writer may be mid-way through flushing) are excluded from `valid_len`
 /// rather than reported as errors — loading never requires the writer to
-/// be stopped (see [`crate::segment::scan_prefix`]).
+/// be stopped (see [`segment::scan_prefix`]).
 pub fn load_segment(path: &Path) -> Result<Option<SegmentData>, RunnerError> {
     let Some((lines, valid_len)) = segment::load_prefix::<Record>(path)? else {
         return Ok(None);
@@ -180,7 +180,7 @@ pub fn load_segment(path: &Path) -> Result<Option<SegmentData>, RunnerError> {
 }
 
 /// Append-only, internally synchronized record writer over
-/// [`crate::segment::SegmentWriter`]. Each `append` writes one full line
+/// [`SegmentWriter`]. Each `append` writes one full line
 /// and flushes, so at most the in-flight record is lost on a crash.
 pub struct Journal {
     writer: SegmentWriter,
@@ -206,7 +206,7 @@ impl Journal {
     // mtm-cold: journal IO runs per measured trial, never inside sim or scoring loops
     /// Append one record (one line) and flush it to the OS.
     pub fn append(&self, record: &Record) -> Result<(), RunnerError> {
-        self.writer.append(record)
+        Ok(self.writer.append(record)?)
     }
 }
 

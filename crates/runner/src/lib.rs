@@ -15,9 +15,8 @@
 //!   fresh strategy on resume (the surrogate is rebuilt, not stored),
 //!   with a per-pass **memo cache** (config-hash → measurement) and a
 //!   deterministic **fault plan** (injected failures, bounded retries);
-//! * [`segment`] — the reusable segment machinery underneath the
-//!   journal (byte-level longest-valid-prefix scan, append-only writer,
-//!   atomic rotation) shared with `mtm-serve`'s session store;
+//! * [`segment`] — a re-export of [`mtm_obs::segment`], the torn-tail
+//!   JSONL log the journal is written as;
 //! * [`pool`] — bounded OS-thread fan-out with order-preserving result
 //!   collection; combined with per-unit seed derivation, parallel runs
 //!   are bitwise-identical to serial ones;
@@ -42,7 +41,7 @@ pub mod journal;
 pub mod pool;
 pub mod progress;
 pub mod scale;
-pub mod segment;
+pub use mtm_obs::segment;
 
 pub use engine::{
     canonical_result_json, fingerprint, run_experiment_journaled, run_experiment_traced, Outcome,

@@ -1,11 +1,11 @@
 //! Bounded deterministic fan-out.
 //!
-//! The vendored `rayon` is a sequential shim (no crates.io access), so
-//! the runner brings its own minimal pool: scoped OS threads pulling unit
-//! indices from an atomic counter. Results land in unit order regardless
-//! of which thread ran what or in what order units finished — combined
-//! with per-unit seed derivation this is what makes parallel runs
-//! bitwise-identical to serial ones.
+//! The workspace's only thread pool: passes, confirmation reps and grid
+//! cells fan out here, as scoped OS threads pulling unit indices from an
+//! atomic counter. Results land in unit order regardless of which thread
+//! ran what or in what order units finished — combined with per-unit
+//! seed derivation this is what makes parallel runs bitwise-identical to
+//! serial ones.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -94,8 +94,6 @@ impl Write for Conn {
         }
     }
 
-    // mtm-allow: alloc -- socket I/O is the service boundary, not the
-    // measurement loop; hot-reach is a bare-name collision on `flush`
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             Conn::Tcp(s) => s.flush(),

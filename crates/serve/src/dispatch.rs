@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use mtm_obs::{load_trace, JsonlRecorder};
+use mtm_obs::JsonlRecorder;
 use mtm_runner::engine::RunnerOptions;
 use mtm_runner::journal::load_segment;
 use mtm_runner::{
@@ -639,12 +639,8 @@ impl Dispatcher {
         let outcome = if self.trace {
             // Per-session trace, spliced across restarts: reopen after the
             // longest valid prefix, exactly like the segment itself.
-            let mut rec = match load_trace(&trace_path) {
-                Ok(Some(data)) => JsonlRecorder::append_after(&trace_path, data.valid_len),
-                Ok(None) => JsonlRecorder::create(&trace_path, &exp_id, opts.seed),
-                Err(e) => Err(e),
-            }
-            .map_err(|e| RunnerError::Io(format!("trace {session}: {e}")))?;
+            let mut rec = JsonlRecorder::resume(&trace_path, &exp_id, opts.seed)
+                .map_err(|e| RunnerError::Io(format!("trace {session}: {e}")))?;
             let outcome = run_experiment_traced(
                 &exp_id,
                 &make,

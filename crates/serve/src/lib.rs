@@ -9,8 +9,8 @@
 //! - [`spec`] — what one session runs ([`SessionSpec`]), mirroring the
 //!   batch grid's cell construction exactly.
 //! - [`store`] — the sharded, crash-safe session store: per-session
-//!   journal segments with the runner's torn-tail discipline, plus
-//!   compaction bounding restart replay cost.
+//!   journal, meta and trace logs, all [`mtm_obs::segment`] torn-tail
+//!   JSONL, plus compaction bounding restart replay cost.
 //! - [`dispatch`] — deterministic admission (journaled reject/queue
 //!   decisions, per-tenant quotas, backpressure) and the worker pool.
 //! - [`proto`] — the schema-versioned, length-prefixed JSONL wire

@@ -12,8 +12,8 @@
 //!       trace.jsonl            optional per-session obs trace
 //! ```
 //!
-//! Every file is an append-only JSONL segment with the runner's torn-tail
-//! discipline (see [`mtm_runner::segment`]): readers take the longest
+//! Every file is an append-only JSONL segment ([`mtm_obs::segment`], the
+//! log under runner journals and obs traces too): readers take the longest
 //! valid prefix, writers truncate to it before appending, and a crash
 //! costs at most the line in flight. The admission journal is the single
 //! source of truth for *which* sessions exist and in what order they were
@@ -32,9 +32,9 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
+use mtm_obs::segment::{self, SegmentWriter};
 use mtm_runner::hash::fnv1a64;
 use mtm_runner::journal::Record as TrialJournalLine;
-use mtm_runner::segment::{self, SegmentWriter};
 use mtm_runner::RunnerError;
 
 use crate::proto::SegmentStats;
@@ -243,7 +243,7 @@ impl SessionStore {
             None => 0,
         };
         let writer = SegmentWriter::open_append(&path, valid_len)?;
-        writer.append(line)
+        Ok(writer.append(line)?)
     }
 
     /// Load one session's metadata, or `None` when it does not exist.

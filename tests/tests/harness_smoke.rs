@@ -2,7 +2,8 @@
 //! plausible output at smoke scale.
 
 use mtm_bench::figures;
-use mtm_bench::{grid, Scale};
+use mtm_bench::Scale;
+use mtm_runner::{grid, pool, RunnerOptions};
 
 #[test]
 fn tables_render() {
@@ -29,7 +30,10 @@ fn fig3_reports_unsaturated_network() {
 #[test]
 fn synthetic_grid_figures_flow_from_one_grid() {
     // One smoke grid feeds figs 4-7, like the real binaries.
-    let g = grid::run(Scale::Smoke);
+    let g = grid::run(
+        Scale::Smoke,
+        &RunnerOptions::parallel(pool::default_threads()),
+    );
 
     let f4 = figures::fig4::run(&g);
     // 4 conditions × 3 sizes × 8 strategies (incl. the zoo).

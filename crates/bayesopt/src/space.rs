@@ -243,16 +243,16 @@ impl ParamSpace {
     /// Panics on duplicate parameter names or an empty list.
     pub fn new(params: Vec<Param>) -> Self {
         assert!(!params.is_empty(), "parameter space cannot be empty");
-        for i in 0..params.len() {
-            for j in (i + 1)..params.len() {
-                assert_ne!(
-                    params[i].name(),
-                    params[j].name(),
-                    "duplicate parameter name '{}'",
-                    params[i].name()
-                );
-            }
-        }
+        // Sorted neighbours, not a pairwise scan: a Hints space holds one
+        // parameter per vertex, thousands on large graphs.
+        let mut names: Vec<&str> = params.iter().map(Param::name).collect();
+        names.sort_unstable();
+        let dup = names.iter().zip(names.iter().skip(1)).find(|(a, b)| a == b);
+        assert!(
+            dup.is_none(),
+            "duplicate parameter name '{}'",
+            dup.map_or("", |(a, _)| *a)
+        );
         ParamSpace { params }
     }
 
@@ -409,6 +409,26 @@ mod tests {
     #[should_panic(expected = "duplicate parameter name")]
     fn duplicate_names_rejected() {
         let _ = ParamSpace::new(vec![Param::int("a", 0, 1), Param::float("a", 0.0, 1.0)]);
+    }
+
+    #[test]
+    fn large_spaces_build() {
+        let params: Vec<Param> = (0..3_001)
+            .map(|i| Param::log_int(&format!("hint_{i}"), 1, 64))
+            .collect();
+        let space = ParamSpace::new(params);
+        assert_eq!(space.dim(), 3_001);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate parameter name 'x'")]
+    fn duplicate_names_rejected_when_not_adjacent() {
+        let _ = ParamSpace::new(vec![
+            Param::int("x", 0, 1),
+            Param::int("b", 0, 1),
+            Param::int("a", 0, 1),
+            Param::float("x", 0.0, 1.0),
+        ]);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! **Sinks** are the functions that construct journaled/measured values:
 //! struct literals of the record types ([`SINK_TYPES`]: `TrialRecord`,
 //! `Header`, `StepRecord`, `ExperimentResult`, …), `Record::…(…)` enum
-//! construction, and every impl of the `Measure` trait's `measure`
-//! method (the seam all measured throughput crosses).
+//! construction, and every impl of the `Measure` trait's
+//! `measure_batch` method (the seam all measured throughput crosses).
 //!
 //! **Sources** are syntactic nondeterminism introductions, each tagged
 //! with an allow key: `Instant::now`/`SystemTime::now`/`.elapsed()`
@@ -229,7 +229,8 @@ pub fn hash_fields(crates: &[CrateAst]) -> BTreeSet<String> {
 pub fn sink_fns(g: &CallGraph) -> Vec<FnId> {
     let mut out = Vec::new();
     for (id, f) in g.fns.iter().enumerate() {
-        let is_measure_impl = f.name == "measure" && f.trait_name.as_deref() == Some("Measure");
+        let is_measure_impl =
+            f.name == "measure_batch" && f.trait_name.as_deref() == Some("Measure");
         if is_measure_impl || body_constructs_sink(&f.body) {
             out.push(id);
         }
@@ -750,10 +751,10 @@ fn build(s: &State) -> StepRecord {{
     #[test]
     fn measure_impl_is_a_sink() {
         let src = "
-pub trait Measure { fn measure(&mut self) -> f64; }
+pub trait Measure { fn measure_batch(&mut self) -> f64; }
 pub struct M;
 impl Measure for M {
-    fn measure(&mut self) -> f64 { noisy() }
+    fn measure_batch(&mut self) -> f64 { noisy() }
 }
 fn noisy() -> f64 { thread_rng() }
 ";

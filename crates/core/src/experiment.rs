@@ -110,38 +110,25 @@ pub fn confirm_run_id(seed: u64, rep: u64) -> u64 {
     seed.wrapping_mul(0xDEAD_BEEF_CAFE_F00D).wrapping_add(rep)
 }
 
-/// How a pass obtains one measured throughput value.
+/// How a pass obtains its measured throughput values.
 ///
-/// The default implementation ([`DirectMeasure`]) simulates every trial;
-/// `mtm-runner` interposes here to add journaling, replay-on-resume,
-/// memoization and fault injection without touching the protocol loop.
+/// The default implementation ([`DirectMeasure`]) simulates; `mtm-runner`
+/// interposes here to add journaling, replay-on-resume, memoization and
+/// fault injection without touching the protocol loop.
 pub trait Measure {
-    /// Measure `config` for the trial at `ctx`, returning throughput in
-    /// tuples/s.
-    fn measure(&mut self, objective: &Objective, config: &StormConfig, ctx: &TrialCtx) -> f64;
-
-    /// Measure `config` once per trial context, appending one value per
-    /// context to `out`. Element `i` must equal
-    /// `self.measure(objective, config, &ctxs[i])` — the default is
-    /// exactly that loop, which keeps journaling implementations'
-    /// per-trial record order intact. Implementations may share
-    /// simulation work across the batch (see [`DirectMeasure`]) as long
-    /// as the per-trial values are preserved bitwise.
-    // mtm-cold: one batch of whole evaluation runs per step; per-batch
-    // setup allocates by design, and the solver has its own hot root.
+    /// Measure `config` once per trial context — the reps of one
+    /// optimization step — appending one value per context to `out`, in
+    /// context order. Value `i` is the objective's noise draw for
+    /// `ctxs[i].run_id()` (or a salted retry id) around one deterministic
+    /// simulation of `config`, which implementations run at most once per
+    /// call: a rep costs its noise draw, not a re-run of the simulator.
     fn measure_batch(
         &mut self,
         objective: &Objective,
         config: &StormConfig,
         ctxs: &[TrialCtx],
         out: &mut Vec<f64>,
-    ) {
-        out.reserve(ctxs.len());
-        for ctx in ctxs {
-            let y = self.measure(objective, config, ctx);
-            out.push(y);
-        }
-    }
+    );
 
     /// Session-scoped cancellation seam: the pass loop polls this once
     /// per optimization step and stops the pass early when it returns
@@ -158,21 +145,12 @@ pub trait Measure {
     }
 }
 
-/// The plain measurement path: one simulator run per trial, keyed by the
-/// protocol's deterministic run id.
+/// The plain measurement path: one simulation per step, one noise draw
+/// per trial keyed by the protocol's deterministic run id.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DirectMeasure;
 
 impl Measure for DirectMeasure {
-    // mtm-cold: one simulated two-minute run per trial; sim *setup*
-    // allocates by design, and the solver loop has its own hot root.
-    fn measure(&mut self, objective: &Objective, config: &StormConfig, ctx: &TrialCtx) -> f64 {
-        objective.measure(config, ctx.run_id())
-    }
-
-    /// Direct measurement simulates once and draws per-trial noise: the
-    /// simulator is deterministic, so per-rep re-simulation is pure
-    /// waste. Values are bitwise-identical to per-trial [`measure`].
     // mtm-cold: one batch of whole evaluation runs per step; per-batch
     // setup allocates by design, and the solver has its own hot root.
     fn measure_batch(

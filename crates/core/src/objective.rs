@@ -132,21 +132,35 @@ impl Objective {
         self.window_s
     }
 
+    /// The noise-free scalar of one simulated run of `config` (0 for a
+    /// failed run). Deterministic: every measurement of `config` is this
+    /// value with its own [`apply_noise`](Self::apply_noise) draw, so
+    /// callers that measure one configuration several times simulate it
+    /// once.
+    // mtm-cold: a whole simulated evaluation run — its per-run setup
+    // allocates by design; the constraint solver has its own hot root.
+    pub fn simulate(&self, config: &StormConfig) -> f64 {
+        self.sim.evaluate(config).map_or(0.0, |r| self.score(&r))
+    }
+
+    /// The measurement noise of run `run_id` applied to a simulated
+    /// value `raw` (see [`simulate`](Self::simulate)).
+    pub fn apply_noise(&self, raw: f64, run_id: u64) -> f64 {
+        self.noise.apply(raw, run_id)
+    }
+
     /// One measured evaluation run: returns noisy throughput in tuples/s.
     /// `run_id` individualizes the noise draw (use a distinct id per
     /// evaluation, as the experiment runner does).
     // mtm-cold: a whole simulated evaluation run — its per-run setup
     // allocates by design; the constraint solver has its own hot root.
     pub fn measure(&self, config: &StormConfig, run_id: u64) -> f64 {
-        let raw = self.sim.evaluate(config).map_or(0.0, |r| self.score(&r));
-        self.noise.apply(raw, run_id)
+        self.apply_noise(self.simulate(config), run_id)
     }
 
-    /// Batched form of [`measure`](Self::measure): one underlying
-    /// deterministic simulation, one independent noise draw per run id,
-    /// appended to `out` in order. Value `i` is bitwise-identical to
-    /// `self.measure(config, id_i)` — the simulation is deterministic, so
-    /// repeating it per rep buys nothing but latency.
+    /// Batched form of [`measure`](Self::measure): one simulation, one
+    /// independent noise draw per run id, appended to `out` in order.
+    /// Value `i` is bitwise-identical to `self.measure(config, id_i)`.
     // mtm-cold: a whole simulated evaluation run — its per-run setup
     // allocates by design; the constraint solver has its own hot root.
     pub fn measure_many(
@@ -155,8 +169,8 @@ impl Objective {
         run_ids: impl IntoIterator<Item = u64>,
         out: &mut Vec<f64>,
     ) {
-        let raw = self.sim.evaluate(config).map_or(0.0, |r| self.score(&r));
-        out.extend(run_ids.into_iter().map(|id| self.noise.apply(raw, id)));
+        let raw = self.simulate(config);
+        out.extend(run_ids.into_iter().map(|id| self.apply_noise(raw, id)));
     }
 
     /// The (noise-free) scalar this objective reads off a run.
@@ -232,6 +246,21 @@ mod tests {
         assert_eq!(batch.len(), ids.len());
         for (&id, &y) in ids.iter().zip(&batch) {
             assert_eq!(obj.measure(&c, id).to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn measure_is_simulate_plus_noise() {
+        let obj = objective();
+        let c = obj.base_config().clone();
+        let raw = obj.simulate(&c);
+        assert!(raw > 0.0);
+        assert_eq!(raw.to_bits(), obj.inspect(&c).throughput_tps.to_bits());
+        for id in [0u64, 7, 1 << 40] {
+            assert_eq!(
+                obj.measure(&c, id).to_bits(),
+                obj.apply_noise(raw, id).to_bits()
+            );
         }
     }
 

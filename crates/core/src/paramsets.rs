@@ -24,6 +24,17 @@ use crate::weights::hints_from_weights;
 /// step, across its 60-step budget).
 pub const HINT_MAX: i64 = 60;
 
+/// The `max_tasks` parameter for an `n`-vertex topology: from one task
+/// per vertex up to [`StormConfig::BASELINE_MAX_TASKS`], or up to two
+/// tasks per vertex once the graph alone reaches that cap (the range must
+/// stay non-empty).
+fn max_tasks_param(n: usize) -> Param {
+    let lo = n as i64;
+    let cap = i64::from(StormConfig::BASELINE_MAX_TASKS);
+    let hi = if lo < cap { cap } else { 2 * lo };
+    Param::log_int("max_tasks", lo, hi)
+}
+
 /// Which parameters the optimizer controls.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ParamSet {
@@ -64,13 +75,13 @@ impl ParamSet {
                 for v in 0..n {
                     params.push(Param::int(&format!("h{v}"), 1, HINT_MAX));
                 }
-                params.push(Param::log_int("max_tasks", n as i64, 4_000));
+                params.push(max_tasks_param(n));
             }
             ParamSet::HintsBatch => {
                 for v in 0..n {
                     params.push(Param::int(&format!("h{v}"), 1, HINT_MAX));
                 }
-                params.push(Param::log_int("max_tasks", n as i64, 4_000));
+                params.push(max_tasks_param(n));
                 params.push(Param::log_int("batch_size", 1_000, 1_000_000));
                 params.push(Param::int("batch_parallelism", 1, 32));
             }
@@ -83,7 +94,7 @@ impl ParamSet {
             }
             ParamSet::InformedMultiplier { .. } => {
                 params.push(Param::log_float("multiplier", 0.25, HINT_MAX as f64));
-                params.push(Param::log_int("max_tasks", n as i64, 4_000));
+                params.push(max_tasks_param(n));
             }
         }
         ParamSpace::new(params)
@@ -212,6 +223,18 @@ mod tests {
         let vals = vec![Value::Float(4.0), Value::Int(50)];
         let c = set.to_config(&t, &StormConfig::baseline(3), &vals);
         assert_eq!(c.parallelism_hints, vec![4, 4, 4]);
+    }
+
+    #[test]
+    fn max_tasks_range_keeps_the_cap_below_it_and_grows_past_it() {
+        let range = |n| match max_tasks_param(n) {
+            Param::LogInt { lo, hi, .. } => (lo, hi),
+            other => panic!("max_tasks is log-int, got {other:?}"),
+        };
+        assert_eq!(range(3), (3, 4_000));
+        assert_eq!(range(3_999), (3_999, 4_000));
+        assert_eq!(range(4_000), (4_000, 8_000));
+        assert_eq!(range(10_000), (10_000, 20_000));
     }
 
     #[test]

@@ -445,4 +445,21 @@ mod tests {
         let _ = s.propose(&t, &base, 0);
         let _ = s.propose(&t, &base, 1);
     }
+
+    #[test]
+    fn hints_strategies_build_on_graphs_past_the_task_cap() {
+        // 4 000 vertices: one task per vertex already reaches the
+        // baseline `max_tasks` cap, which used to make the range empty.
+        let params =
+            mtm_topogen::GgenParams::with_density(4_000, 10, 2.5, 4).expect("valid graph shape");
+        let t = mtm_topogen::generate_layer_by_layer(&params);
+        let base = StormConfig::baseline(t.n_nodes());
+        for label in ["bo", "ibo", "random"] {
+            let mut s = Strategy::by_name(label, &t, ParamSet::Hints, 5).unwrap();
+            let c = s.propose(&t, &base, 0).unwrap();
+            assert!(c.validate(&t).is_ok(), "{label} proposed an invalid config");
+            assert!(c.max_tasks >= 4_000, "{label}: max_tasks {}", c.max_tasks);
+            s.observe(1.0);
+        }
+    }
 }

@@ -14,7 +14,10 @@
 //! * repeated configurations within a pass can be **memoized**
 //!   (config-hash → measurement) when the caller opts in;
 //! * measurements go through the **fault plan**: injected failures are
-//!   retried with salted run ids, exhaustion reports zero throughput.
+//!   retried with salted run ids, exhaustion reports zero throughput;
+//! * a step's reps and the confirmation runs **share one simulation** of
+//!   their configuration (and one config hash): each rep draws only its
+//!   own noise, so values and journal rows match per-rep measurement.
 //!
 //! Determinism contract: for a fixed ([`RunOptions`], [`RunnerOptions`]
 //! minus `threads`), the result is bitwise-identical whether the run is
@@ -25,7 +28,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use mtm_core::{
@@ -99,7 +102,9 @@ impl RunnerOptions {
 /// Counters describing how an experiment's trials were satisfied.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TrialStats {
-    /// Simulator measurements actually run.
+    /// Trials measured fresh: one noise draw each around their step's
+    /// (or the confirmation phase's) one shared simulation, so this
+    /// counts measurements, not simulator runs.
     pub measured: u64,
     /// Trials served from the memo cache.
     pub cache_hits: u64,
@@ -181,13 +186,16 @@ pub fn canonical_result_json(result: &ExperimentResult) -> String {
 }
 
 /// Measure `config` under the fault plan: retry injected failures with
-/// salted run ids, report zero throughput on exhaustion. Returns
+/// salted run ids, report zero throughput on exhaustion. `sim` holds the
+/// one simulation of `config` that every rep and retry shares; it is run
+/// on the first attempt that is not injected to fail. Returns
 /// `(value, run_id_used, attempts, injected, exhausted)`.
 // mtm-allow: wall-clock -- the elapsed time only drives a stderr budget
 // warning; the measured value itself comes from the seeded simulator.
 fn measure_with_retry(
     objective: &Objective,
     config: &StormConfig,
+    sim: &OnceLock<f64>,
     base_run_id: u64,
     faults: &FaultPlan,
 ) -> (f64, u64, u32, u64, bool) {
@@ -199,7 +207,8 @@ fn measure_with_retry(
             continue;
         }
         let t0 = Instant::now();
-        let value = objective.measure(config, run_id);
+        let raw = *sim.get_or_init(|| objective.simulate(config));
+        let value = objective.apply_noise(raw, run_id);
         let elapsed = t0.elapsed().as_secs_f64();
         if elapsed > faults.timeout_s {
             eprintln!(
@@ -268,18 +277,21 @@ impl<'a> JournaledMeasure<'a> {
             }
         }
     }
-}
 
-impl Measure for JournaledMeasure<'_> {
-    fn poll_abort(&self) -> bool {
-        self.abort.is_some_and(|flag| flag.load(Ordering::Relaxed))
-    }
-
+    /// One rep of a step: replay it, serve it from the memo, or measure
+    /// it under the fault plan — journaling one [`TrialRecord`] unless it
+    /// replayed. `hash` is `config`'s hash and `sim` its shared
+    /// simulation, both computed once per step by the caller.
     // mtm-cold: one journaled two-minute evaluation run per trial;
     // journal IO and memo inserts are the per-trial cost by design.
-    fn measure(&mut self, objective: &Objective, config: &StormConfig, ctx: &TrialCtx) -> f64 {
-        let hash = config_hash(config);
-
+    fn measure_rep(
+        &mut self,
+        objective: &Objective,
+        config: &StormConfig,
+        hash: u64,
+        sim: &OnceLock<f64>,
+        ctx: &TrialCtx,
+    ) -> f64 {
         if let Some(rec) = self.replay.get(&(ctx.step, ctx.rep)) {
             if rec.config_hash == hash {
                 self.stats.replayed += 1;
@@ -316,7 +328,7 @@ impl Measure for JournaledMeasure<'_> {
         }
 
         let (value, run_id, attempts, injected, exhausted) =
-            measure_with_retry(objective, config, ctx.run_id(), &self.faults);
+            measure_with_retry(objective, config, sim, ctx.run_id(), &self.faults);
         self.stats.measured += 1;
         self.stats.injected_failures += injected;
         if exhausted {
@@ -340,6 +352,34 @@ impl Measure for JournaledMeasure<'_> {
             attempts,
         }));
         value
+    }
+}
+
+impl Measure for JournaledMeasure<'_> {
+    fn poll_abort(&self) -> bool {
+        self.abort.is_some_and(|flag| flag.load(Ordering::Relaxed))
+    }
+
+    /// One hash and at most one simulation per step: the reps run in
+    /// order through [`JournaledMeasure::measure_rep`], and the first rep
+    /// that neither replays nor hits the memo runs the simulation the
+    /// later ones reuse.
+    // mtm-cold: one batch of journaled evaluation runs per step; per-step
+    // hashing and journal IO are the per-trial cost by design.
+    fn measure_batch(
+        &mut self,
+        objective: &Objective,
+        config: &StormConfig,
+        ctxs: &[TrialCtx],
+        out: &mut Vec<f64>,
+    ) {
+        let hash = config_hash(config);
+        let sim = OnceLock::new();
+        out.reserve(ctxs.len());
+        for ctx in ctxs {
+            let y = self.measure_rep(objective, config, hash, &sim, ctx);
+            out.push(y);
+        }
     }
 }
 
@@ -540,6 +580,9 @@ pub fn run_experiment_traced<R: Recorder>(
     let best_pass = select_best_pass(&passes);
     let best_config = passes[best_pass].best_config.clone();
     let best_hash = config_hash(&best_config);
+    // One simulation of the winner, shared by every confirmation rep on
+    // any worker and run only if some rep does not replay.
+    let best_sim = OnceLock::new();
 
     // Confirmation runs: independent units keyed by repetition index.
     // Journaled confirms only replay while they confirm the same winner.
@@ -567,7 +610,7 @@ pub fn run_experiment_traced<R: Recorder>(
         }
         let base_id = confirm_run_id(opts.seed, rep as u64);
         let (value, run_id, _attempts, injected, exhausted) =
-            measure_with_retry(objective, &best_config, base_id, &ropts.faults);
+            measure_with_retry(objective, &best_config, &best_sim, base_id, &ropts.faults);
         journal.append(&Record::Confirm(ConfirmRecord {
             rep,
             config_hash: best_hash,
@@ -1074,5 +1117,238 @@ mod tests {
             "cancel + resume must reproduce the uninterrupted run exactly"
         );
         let _ = std::fs::remove_file(&seg);
+    }
+
+    /// Splits every batch into one-rep batches, so each rep hashes and
+    /// simulates on its own: the per-rep path the batched one must match.
+    struct PerRep<'m, 'a>(&'m mut JournaledMeasure<'a>);
+
+    impl Measure for PerRep<'_, '_> {
+        fn measure_batch(
+            &mut self,
+            objective: &Objective,
+            config: &StormConfig,
+            ctxs: &[TrialCtx],
+            out: &mut Vec<f64>,
+        ) {
+            for ctx in ctxs {
+                self.0
+                    .measure_batch(objective, config, std::slice::from_ref(ctx), out);
+            }
+        }
+    }
+
+    /// A fault plan that fails half the attempts and retries once, so
+    /// some trials exhaust.
+    fn harsh_faults() -> FaultPlan {
+        FaultPlan {
+            fail_rate: 0.5,
+            max_retries: 1,
+            ..FaultPlan::default()
+        }
+    }
+
+    /// The journal's `Trial`/`Confirm` lines — every measured value and
+    /// its run id, minus the wall-clock fields `PassDone`/`Done` carry.
+    fn measurement_rows(path: &Path) -> Vec<String> {
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .filter(|l| l.starts_with("{\"Trial\"") || l.starts_with("{\"Confirm\""))
+            .map(str::to_string)
+            .collect()
+    }
+
+    fn test_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir()
+            .join("mtm-runner-batch-tests")
+            .join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn batched_reps_match_per_rep_measurement() {
+        let obj = objective();
+        let make = bo_factory();
+        let dir = test_dir("per-rep");
+        let run_opts = RunOptions {
+            max_steps: 8,
+            measure_reps: 3,
+            seed: pass_seed(opts().seed, 0),
+            ..opts()
+        };
+        for memoize in [false, true] {
+            let ropts = RunnerOptions {
+                memoize,
+                faults: harsh_faults(),
+                ..RunnerOptions::serial()
+            };
+            let mut outcomes = Vec::new();
+            for per_rep in [false, true] {
+                let path = dir.join(format!("memo-{memoize}-per-rep-{per_rep}.jsonl"));
+                let journal = Journal::open_append(&path, 0).unwrap();
+                let mut measure = JournaledMeasure::new(&journal, 0, BTreeMap::new(), &ropts);
+                let mut strategy = make(run_opts.seed);
+                let result = if per_rep {
+                    let mut split = PerRep(&mut measure);
+                    run_pass_traced(
+                        &mut strategy,
+                        &obj,
+                        &run_opts,
+                        &mut split,
+                        &mut NullRecorder,
+                    )
+                } else {
+                    run_pass_traced(
+                        &mut strategy,
+                        &obj,
+                        &run_opts,
+                        &mut measure,
+                        &mut NullRecorder,
+                    )
+                };
+                assert!(measure.io_error.is_none());
+                let mut canonical = result.clone();
+                for step in &mut canonical.steps {
+                    step.optimizer_time_s = 0.0;
+                }
+                outcomes.push((
+                    serde_json::to_string(&canonical).unwrap(),
+                    measure.stats,
+                    std::fs::read(&path).unwrap(),
+                ));
+            }
+            let (batched, per_rep) = (&outcomes[0], &outcomes[1]);
+            assert_eq!(
+                batched.0, per_rep.0,
+                "memoize {memoize}: pass results differ"
+            );
+            assert_eq!(batched.1, per_rep.1, "memoize {memoize}: stats differ");
+            assert_eq!(
+                batched.2, per_rep.2,
+                "memoize {memoize}: journal bytes differ"
+            );
+            let stats = batched.1;
+            assert_eq!(stats.trials(), 8 * 3, "one trial per rep: {stats:?}");
+            assert!(stats.injected_failures > 0, "{stats:?}");
+            assert!(stats.retries_exhausted > 0, "an exhausted trial: {stats:?}");
+            if memoize {
+                assert!(stats.cache_hits > 0, "{stats:?}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shared_confirmation_simulation_matches_fresh_per_rep() {
+        let obj = objective();
+        let config = obj.base_config().clone();
+        let faults = harsh_faults();
+        let shared = OnceLock::new();
+        let mut exhausted = 0;
+        for rep in 0..16u64 {
+            let base_id = confirm_run_id(0x77, rep);
+            let a = measure_with_retry(&obj, &config, &shared, base_id, &faults);
+            let b = measure_with_retry(&obj, &config, &OnceLock::new(), base_id, &faults);
+            assert_eq!(
+                (a.0.to_bits(), a.1, a.2, a.3, a.4),
+                (b.0.to_bits(), b.1, b.2, b.3, b.4)
+            );
+            exhausted += a.4 as usize;
+        }
+        assert!(exhausted > 0, "the plan must exhaust some rep");
+    }
+
+    /// Run `run_opts` serially to completion at `seg`, cut the segment
+    /// right after the first line `cut_after` matches, resume on two
+    /// threads, and check the result and every measurement row against
+    /// the uninterrupted run. The serial run fixes the journal order, so
+    /// the cut always leaves trials to re-measure.
+    fn cut_and_resume(name: &str, run_opts: &RunOptions, cut_after: impl Fn(&Record) -> bool) {
+        let dir = test_dir(name);
+        let seg = dir.join("seg.jsonl");
+        let obj = objective();
+        let make = bo_factory();
+        let serial = RunnerOptions {
+            faults: harsh_faults(),
+            ..RunnerOptions::serial()
+        };
+        let full =
+            run_experiment_journaled(name, &make, &obj, run_opts, &serial, Some(&seg), false)
+                .unwrap();
+        let full_rows = measurement_rows(&seg);
+
+        let (lines, _) = mtm_obs::segment::load_prefix::<Record>(&seg)
+            .unwrap()
+            .unwrap();
+        let cut = lines
+            .iter()
+            .find(|l| cut_after(&l.record))
+            .expect("the cut record is journaled")
+            .end;
+        let bytes = std::fs::read(&seg).unwrap();
+        std::fs::write(&seg, &bytes[..cut as usize]).unwrap();
+
+        let parallel = RunnerOptions {
+            faults: harsh_faults(),
+            ..RunnerOptions::parallel(2)
+        };
+        let resumed =
+            run_experiment_journaled(name, &make, &obj, run_opts, &parallel, Some(&seg), true)
+                .unwrap();
+        assert!(
+            resumed.resumed && resumed.stats.replayed > 0,
+            "{:?}",
+            resumed.stats
+        );
+        assert!(resumed.stats.measured > 0, "{:?}", resumed.stats);
+        assert_eq!(
+            full.stats.trials(),
+            resumed.stats.trials(),
+            "every trial is replayed or measured"
+        );
+        assert_eq!(
+            canonical_result_json(&full.result),
+            canonical_result_json(&resumed.result)
+        );
+        let mut resumed_rows = measurement_rows(&seg);
+        let mut full_rows = full_rows;
+        // The resumed rows land in worker order.
+        full_rows.sort();
+        resumed_rows.sort();
+        assert_eq!(full_rows, resumed_rows);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cut_between_reps_of_one_step_resumes_bitwise() {
+        let run_opts = RunOptions {
+            measure_reps: 3,
+            ..opts()
+        };
+        // Reps 0 and 1 of pass 0, step 2 replay; rep 2 is measured fresh
+        // in the same batch.
+        cut_and_resume(
+            "test/cut-reps",
+            &run_opts,
+            |r| matches!(r, Record::Trial(t) if t.pass == 0 && t.step == 2 && t.rep == 1),
+        );
+    }
+
+    #[test]
+    fn cut_mid_confirmation_resumes_bitwise() {
+        let run_opts = RunOptions {
+            measure_reps: 3,
+            confirm_reps: 6,
+            ..opts()
+        };
+        // Rep 2 is the third confirmation journaled; the rest re-measure.
+        cut_and_resume(
+            "test/cut-confirm",
+            &run_opts,
+            |r| matches!(r, Record::Confirm(c) if c.rep == 2),
+        );
     }
 }

@@ -81,6 +81,20 @@ mod tests {
     }
 
     #[test]
+    fn config_hash_is_pinned() {
+        // Journals key trials by these values: a serializer change that
+        // moves them silently re-keys every journal on disk.
+        assert_eq!(
+            config_hash(&StormConfig::baseline(4)),
+            0x75ec_00f2_74ce_dd17
+        );
+        let mut wide = StormConfig::baseline(10_000);
+        wide.parallelism_hints = (0..10_000u32).map(|v| 1 + v % 60).collect();
+        wide.max_tasks = 20_000;
+        assert_eq!(config_hash(&wide), 0x2977_dfa6_6693_6f3d);
+    }
+
+    #[test]
     fn unit_draws_are_in_range() {
         for i in 0..1000u64 {
             let u = unit_f64(splitmix64(i));

@@ -71,6 +71,9 @@ pub struct StormConfig {
 }
 
 impl StormConfig {
+    /// The baseline `max_tasks` cap (the paper cluster's task budget).
+    pub const BASELINE_MAX_TASKS: u32 = 4_000;
+
     /// A conservative default for a topology with `n_nodes` operators:
     /// hint 1 everywhere, the paper's baseline batch settings.
     pub fn baseline(n_nodes: usize) -> Self {
@@ -81,7 +84,7 @@ impl StormConfig {
             batch_parallelism: 3,
             batch_size: 300,
             parallelism_hints: vec![1; n_nodes],
-            max_tasks: 4_000,
+            max_tasks: Self::BASELINE_MAX_TASKS,
         }
     }
 

@@ -173,7 +173,7 @@ mod tests {
             receiver_threads: 1,
             ackers: 0,
             parallelism_hints: vec![hint; SUNDOG_NODES],
-            max_tasks: 4_000,
+            max_tasks: StormConfig::BASELINE_MAX_TASKS,
         };
 
         // Best-over-h with the developers' batch settings — a natural
@@ -213,7 +213,7 @@ mod tests {
                 batch_parallelism: bp,
                 ..StormConfig::uniform_hints(SUNDOG_NODES, 11)
             };
-            c.max_tasks = 4_000;
+            c.max_tasks = StormConfig::BASELINE_MAX_TASKS;
             sim.evaluate(&c).unwrap().throughput_tps
         };
         let good = with_batch(265_000, 16);

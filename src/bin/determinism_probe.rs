@@ -12,7 +12,7 @@ use mtm_core::objective::synthetic_base;
 use mtm_core::{run_pass, step_run_id, Objective, ParamSet, RunOptions, Strategy};
 use mtm_obs::{JsonlRecorder, MemRecorder, NullRecorder};
 use mtm_runner::engine::{canonical_result_json, run_experiment_journaled, run_experiment_traced};
-use mtm_runner::RunnerOptions;
+use mtm_runner::{FaultPlan, RunnerOptions};
 use mtm_stormsim::noise::MeasurementNoise;
 use mtm_stormsim::{
     simulate_flow_with, simulate_tuples_with, ClusterSpec, FlowSimulator, SimBatch, Simulator,
@@ -121,7 +121,40 @@ fn main() {
     // print both canonical results. The two lines must match each other
     // AND be bit-identical across probe invocations — scratch paths stay
     // on stderr-free temp storage and never reach stdout.
-    journal_replay_section(&objective);
+    let replay_opts = RunOptions {
+        max_steps: 6,
+        confirm_reps: 2,
+        passes: 2,
+        seed: 0xD5,
+        ..Default::default()
+    };
+    journal_replay_section(
+        &objective,
+        "journal",
+        "probe/replay",
+        &replay_opts,
+        &RunnerOptions::serial(),
+    );
+    // The same on the batched path: three reps per step share one
+    // simulation, injected failures retry within a batch, and two runner
+    // threads interleave the passes' journal appends.
+    let reps_opts = RunOptions {
+        measure_reps: 3,
+        confirm_reps: 4,
+        seed: 0xD6,
+        ..replay_opts
+    };
+    let reps_ropts = RunnerOptions {
+        faults: FaultPlan::with_rate(0.3),
+        ..RunnerOptions::parallel(2)
+    };
+    journal_replay_section(
+        &objective,
+        "journal/reps",
+        "probe/reps",
+        &reps_opts,
+        &reps_ropts,
+    );
 
     // Recording-is-inert: every instrumented path re-run with a live
     // recorder must reproduce the unrecorded result bit for bit, and two
@@ -272,77 +305,96 @@ fn recording_inert_section(objective: &Objective) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Run + truncate + resume one journaled experiment and print the
-/// canonical (wall-clock-zeroed) JSON of the uninterrupted and the
-/// resumed result.
-fn journal_replay_section(objective: &Objective) {
+/// Run + truncate + resume one journaled experiment `exp_id` and print
+/// the canonical (wall-clock-zeroed) JSON of the uninterrupted and the
+/// resumed result, each line prefixed with `label`.
+fn journal_replay_section(
+    objective: &Objective,
+    label: &str,
+    exp_id: &str,
+    opts: &RunOptions,
+    ropts: &RunnerOptions,
+) {
     let dir = std::env::temp_dir()
         .join("mtm-determinism-probe")
         .join(std::process::id().to_string());
     let _ = std::fs::remove_dir_all(&dir);
     if std::fs::create_dir_all(&dir).is_err() {
-        println!("journal/full <scratch dir unavailable>");
-        println!("journal/resumed <scratch dir unavailable>");
+        println!("{label}/full <scratch dir unavailable>");
+        println!("{label}/resumed <scratch dir unavailable>");
         return;
     }
     let segment = dir.join("probe.jsonl");
 
     let topo = objective.topology().clone();
     let make = move |seed: u64| Strategy::bo(&topo, ParamSet::Hints, seed);
-    let opts = RunOptions {
-        max_steps: 6,
-        confirm_reps: 2,
-        passes: 2,
-        seed: 0xD5,
-        ..Default::default()
-    };
-    let ropts = RunnerOptions::serial();
 
-    let full = run_experiment_journaled(
-        "probe/replay",
-        &make,
-        objective,
-        &opts,
-        &ropts,
-        Some(&segment),
-        false,
-    );
-    // Truncate to 60% — mid-run, possibly mid-line (the loader tolerates
-    // torn tails).
+    let full =
+        run_experiment_journaled(exp_id, &make, objective, opts, ropts, Some(&segment), false);
+    // Truncate mid-run and mid-line (the loader tolerates torn tails).
     if let Ok(bytes) = std::fs::read(&segment) {
-        let cut = bytes.len() * 6 / 10;
-        let _ = std::fs::write(&segment, &bytes[..cut]);
+        let _ = std::fs::write(&segment, bytes.get(..record_cut(&bytes)).unwrap_or(&[]));
     }
-    let resumed = run_experiment_journaled(
-        "probe/replay",
-        &make,
-        objective,
-        &opts,
-        &ropts,
-        Some(&segment),
-        true,
-    );
+    let resumed =
+        run_experiment_journaled(exp_id, &make, objective, opts, ropts, Some(&segment), true);
     match (full, resumed) {
         (Ok(full), Ok(resumed)) => {
             let a = canonical_result_json(&full.result);
             let b = canonical_result_json(&resumed.result);
-            println!("journal/full {a}");
-            println!("journal/resumed {b}");
-            println!("journal/equiv {}", a == b);
+            println!("{label}/full {a}");
+            println!("{label}/resumed {b}");
+            println!("{label}/equiv {}", a == b);
+            if ropts.threads == 1 {
+                println!(
+                    "{label}/replay replayed={} measured={} divergences={}",
+                    resumed.stats.replayed,
+                    resumed.stats.measured,
+                    resumed.stats.replay_divergences
+                );
+            } else {
+                // Which records land before the cut depends on the
+                // threads' append order, so only the totals print.
+                println!(
+                    "{label}/replay trials={} replayed_some={} divergences={}",
+                    resumed.stats.trials(),
+                    resumed.stats.replayed > 0,
+                    resumed.stats.replay_divergences
+                );
+            }
             println!(
-                "journal/replay replayed={} measured={} divergences={}",
-                resumed.stats.replayed, resumed.stats.measured, resumed.stats.replay_divergences
+                "{label}/faults injected={} exhausted={}",
+                full.stats.injected_failures, full.stats.retries_exhausted
             );
         }
         (full, resumed) => {
             println!(
-                "journal/error full_err={} resumed_err={}",
+                "{label}/error full_err={} resumed_err={}",
                 full.is_err(),
                 resumed.is_err()
             );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Byte offset that keeps the first 60% of the lines in `bytes` whole and
+/// tears the next one in half. Counting lines rather than bytes keeps the
+/// cut on the same record when wall-clock digits change a line's length.
+fn record_cut(bytes: &[u8]) -> usize {
+    let ends: Vec<usize> = bytes
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == b'\n')
+        .map(|(i, _)| i + 1)
+        .collect();
+    let k = ends.len() * 6 / 10;
+    let start = k
+        .checked_sub(1)
+        .and_then(|i| ends.get(i))
+        .copied()
+        .unwrap_or(0);
+    let end = ends.get(k).copied().unwrap_or(bytes.len());
+    start + (end - start) / 2
 }
 
 /// Unwrap a probe-internal `Result` without a panic site: probe output

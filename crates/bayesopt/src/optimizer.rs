@@ -68,7 +68,7 @@ pub enum KernelChoice {
 }
 
 /// Either supported kernel behind one type, so `BayesOpt` is not generic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum BoKernel {
     /// Matérn 5/2 variant.
     Matern(Matern52Ard),

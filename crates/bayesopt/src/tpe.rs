@@ -28,6 +28,7 @@ use mtm_obs::{Event, NullRecorder, Recorder};
 use mtm_stats::dist::{norm_cdf, norm_pdf, norm_ppf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Instant;
 
 use crate::error::BoError;
 use crate::optimizer::{Candidate, Observation};
@@ -129,8 +130,18 @@ impl Tpe {
     /// choice (`pool` is the candidate count, `margin` the best minus
     /// runner-up log-ratio). The proposal is bitwise identical with any
     /// recorder.
+    ///
+    /// `wall_ns` is captured only when `rec.wallclock()` is true, exactly
+    /// as in [`BayesOpt::propose_recorded`](crate::optimizer::BayesOpt::propose_recorded);
+    /// the default leaves it `None` so traces stay byte-identical.
     // mtm-cold: one proposal per optimization step, like BayesOpt's.
+    // mtm-allow: wall-clock -- opt-in propose-latency capture, as in BayesOpt
     pub fn propose_recorded<R: Recorder>(&mut self, rec: &mut R) -> Candidate {
+        let t0 = if R::ENABLED && rec.wallclock() {
+            Some(Instant::now())
+        } else {
+            None
+        };
         let step = self.observations.len();
         let mut rng = step_rng(self.config.seed, step);
         if step < self.config.n_startup {
@@ -144,7 +155,7 @@ impl Tpe {
                     pool: 1,
                     margin: 0.0,
                     polish_moves: 0,
-                    wall_ns: None,
+                    wall_ns: t0.map(|t| t.elapsed().as_nanos() as u64),
                 });
             }
             return Candidate { unit, values };
@@ -199,7 +210,7 @@ impl Tpe {
                 pool: self.config.n_candidates,
                 margin: finite_or_zero(best_score - runner_up),
                 polish_moves: 0,
-                wall_ns: None,
+                wall_ns: t0.map(|t| t.elapsed().as_nanos() as u64),
             });
         }
         Candidate {
@@ -264,9 +275,11 @@ fn step_rng(seed: u64, step: usize) -> StdRng {
 /// the interval edges counting as neighbors.
 #[derive(Debug, Clone)]
 struct Parzen {
-    /// `(center, width)` per mixture component, observed points first
-    /// (ascending), the prior component last.
-    components: Vec<(f64, f64)>,
+    /// `(center, width, norm)` per mixture component, observed points
+    /// first (ascending), the prior component last. `norm` is the
+    /// density's divisor `width × in-range mass` (see [`component`]),
+    /// fixed at fit time so `log_pdf` pays no `norm_cdf` per component.
+    components: Vec<(f64, f64, f64)>,
 }
 
 /// Bandwidth floor: keeps a cluster of identical coordinates (common
@@ -291,9 +304,9 @@ impl Parzen {
                 .unwrap_or(0.0);
             let right = centers.get(i + 1).copied().unwrap_or(1.0);
             let width = (c - left).max(right - c).clamp(MIN_BANDWIDTH, 1.0);
-            components.push((c, width));
+            components.push(component(c, width));
         }
-        components.push(PRIOR);
+        components.push(component(PRIOR.0, PRIOR.1));
         Parzen { components }
     }
 
@@ -301,9 +314,8 @@ impl Parzen {
     fn log_pdf(&self, u: f64) -> f64 {
         let k = self.components.len() as f64;
         let mut acc = 0.0;
-        for &(c, s) in &self.components {
-            let z = truncnorm_mass(c, s).max(f64::MIN_POSITIVE);
-            acc += norm_pdf((u - c) / s) / (s * z);
+        for &(c, s, norm) in &self.components {
+            acc += norm_pdf((u - c) / s) / norm;
         }
         (acc / k).max(f64::MIN_POSITIVE).ln()
     }
@@ -314,12 +326,18 @@ impl Parzen {
     fn sample(&self, rng: &mut StdRng) -> f64 {
         let k = self.components.len();
         let pick = ((rng.random::<f64>() * k as f64).floor() as usize).min(k.saturating_sub(1));
-        let (c, s) = self.components.get(pick).copied().unwrap_or(PRIOR);
+        let (c, s) = self.components.get(pick).map_or(PRIOR, |&(c, s, _)| (c, s));
         let lo = norm_cdf((0.0 - c) / s);
         let hi = norm_cdf((1.0 - c) / s);
         let p = (lo + rng.random::<f64>() * (hi - lo)).clamp(1e-12, 1.0 - 1e-12);
         (c + s * norm_ppf(p)).clamp(0.0, 1.0)
     }
+}
+
+/// One mixture component at center `c` with width `s`, carrying the
+/// normalizer `s × truncnorm_mass(c, s)` its truncated density divides by.
+fn component(c: f64, s: f64) -> (f64, f64, f64) {
+    (c, s, s * truncnorm_mass(c, s).max(f64::MIN_POSITIVE))
 }
 
 /// Probability mass a unit Gaussian at `(c, s)` leaves inside `[0, 1]`.
@@ -453,6 +471,50 @@ mod tests {
         assert!((mass - 1.0).abs() < 0.01, "total mass {mass}");
         // Density concentrates where the points are.
         assert!(p.log_pdf(0.2) > p.log_pdf(0.5));
+    }
+
+    #[test]
+    fn parzen_cached_normalizers_match_per_call_recomputation() {
+        let p = Parzen::fit([0.0, 0.2, 0.2, 0.21, 0.8, 1.0].into_iter());
+        for i in 0..=50 {
+            let u = i as f64 / 50.0;
+            let k = p.components.len() as f64;
+            let mut acc = 0.0;
+            for &(c, s, _) in &p.components {
+                let z = truncnorm_mass(c, s).max(f64::MIN_POSITIVE);
+                acc += norm_pdf((u - c) / s) / (s * z);
+            }
+            let want = (acc / k).max(f64::MIN_POSITIVE).ln();
+            assert_eq!(p.log_pdf(u).to_bits(), want.to_bits(), "u = {u}");
+        }
+    }
+
+    #[test]
+    fn propose_timing_is_opt_in() {
+        let cfg = TpeConfig {
+            n_startup: 1,
+            ..TpeConfig::default()
+        };
+        let walls = |mut rec: mtm_obs::MemRecorder| {
+            let mut tpe = Tpe::new(space(), cfg);
+            for i in 0..3 {
+                let cand = tpe.propose_recorded(&mut rec);
+                tpe.observe(cand, i as f64).unwrap();
+            }
+            rec.events()
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Propose { wall_ns, .. } => Some(wall_ns.is_some()),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        // Both the startup and the density-ratio path are timed.
+        assert_eq!(
+            walls(mtm_obs::MemRecorder::new().with_wallclock(true)),
+            [true; 3]
+        );
+        assert_eq!(walls(mtm_obs::MemRecorder::new()), [false; 3]);
     }
 
     #[test]

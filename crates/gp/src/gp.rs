@@ -123,9 +123,10 @@ impl<K: Kernel> GpRegression<K> {
     /// build compares the incremental factor against the fresh one here —
     /// the refit boundary is exactly where accumulated drift would surface.
     pub fn refit(&mut self) -> Result<(), GpError> {
-        let n = self.xs.len();
-        let mut k = Mat::from_fn(n, n, |i, j| self.kernel.eval(&self.xs[i], &self.xs[j]));
+        let mut k = self.kernel_matrix();
         k.add_diag(self.log_noise_var.exp());
+        #[cfg(feature = "strict-invariants")]
+        let n = self.xs.len();
         #[cfg(feature = "strict-invariants")]
         mtm_linalg::invariants::assert_finite("GP kernel matrix", k.as_slice());
         #[cfg(feature = "strict-invariants")]
@@ -150,6 +151,23 @@ impl<K: Kernel> GpRegression<K> {
         self.incremental_steps = 0;
         self.refresh_weights();
         Ok(())
+    }
+
+    /// The noise-free Gram matrix `K[i][j] = k(x_i, x_j)`.
+    ///
+    /// Stationary kernels see `x_i - x_j` only through its square, and
+    /// `(b - a)·s = -((a - b)·s)` exactly, so `k(x_j, x_i)` is bit-equal
+    /// to `k(x_i, x_j)`: the lower triangle is evaluated and mirrored.
+    fn kernel_matrix(&self) -> Mat {
+        let n = self.xs.len();
+        let mut k = Mat::zeros(n, n);
+        for (i, xi) in self.xs.iter().enumerate() {
+            for (kij, xj) in k.row_mut(i).iter_mut().take(i + 1).zip(&self.xs) {
+                *kij = self.kernel.eval(xi, xj);
+            }
+        }
+        k.mirror_lower();
+        k
     }
 
     /// Absorb one new observation in `O(n²)` via a bordered Cholesky
@@ -544,6 +562,27 @@ mod tests {
             "prediction {} should be near {target}",
             p.mean
         );
+    }
+
+    #[test]
+    fn kernel_matrix_is_bit_equal_to_a_full_fill() {
+        let xs: Vec<Vec<f64>> = (0..9)
+            .map(|i| {
+                vec![
+                    (i as f64 * 0.37).sin(),
+                    (i as f64 * 1.3).cos(),
+                    i as f64 / 8.0,
+                ]
+            })
+            .collect();
+        let ys: Vec<f64> = (0..9).map(|i| i as f64).collect();
+        let mut gp = GpRegression::fit(Matern52Ard::new(3, 1.0, 0.5), xs, ys, 1e-3).unwrap();
+        gp.set_hyperparameters(&[0.4, -0.7, 0.2, 1.1, -2.0])
+            .unwrap();
+        let k = gp.kernel_matrix();
+        let full = Mat::from_fn(9, 9, |i, j| gp.kernel.eval(&gp.xs[i], &gp.xs[j]));
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&k), bits(&full));
     }
 
     #[test]

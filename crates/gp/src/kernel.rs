@@ -4,8 +4,13 @@
 //! `log ℓ_i`): that keeps them positive under unconstrained optimization
 //! and makes the marginal-likelihood surface much better behaved. The
 //! gradient methods therefore return `∂k/∂(log θ_j)`.
-
-use serde::{Deserialize, Serialize};
+//!
+//! Both kernels also keep the linear-space values derived from those
+//! parameters (`σ_f²` and every `1/ℓ_i`), refreshed in place by `new`
+//! and `set_params`. `eval`, `eval_grad` and `diag` read the cache
+//! instead of calling `exp` per dimension per pair; each cached value is
+//! the same expression the per-call code evaluated, so results are
+//! bit-identical.
 
 /// A stationary covariance function with tunable log-hyperparameters.
 pub trait Kernel: Send + Sync + Clone {
@@ -35,15 +40,33 @@ pub trait Kernel: Send + Sync + Clone {
     fn input_dim(&self) -> usize;
 }
 
+/// Recompute the linear-space scales both ARD kernels cache from their
+/// log-space parameters, in place.
+fn refresh_scales(
+    log_signal_var: f64,
+    log_lengthscales: &[f64],
+    signal_var: &mut f64,
+    inv_lengthscales: &mut [f64],
+) {
+    *signal_var = log_signal_var.exp();
+    for (inv_l, &log_l) in inv_lengthscales.iter_mut().zip(log_lengthscales) {
+        *inv_l = (-log_l).exp();
+    }
+}
+
 /// Squared-exponential (RBF) kernel with Automatic Relevance Determination:
 ///
 /// ```text
 /// k(a, b) = σ_f² exp( -½ Σ_i (a_i - b_i)² / ℓ_i² )
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SquaredExpArd {
     log_signal_var: f64,
     log_lengthscales: Vec<f64>,
+    /// `exp(log_signal_var)`.
+    signal_var: f64,
+    /// `exp(-log_lengthscales[i])`.
+    inv_lengthscales: Vec<f64>,
 }
 
 impl SquaredExpArd {
@@ -55,9 +78,13 @@ impl SquaredExpArd {
     /// Panics if `dim` is zero or either scale parameter is not positive.
     pub fn new(dim: usize, signal_var: f64, lengthscale: f64) -> Self {
         assert!(dim > 0 && signal_var > 0.0 && lengthscale > 0.0);
+        let log_signal_var = signal_var.ln();
+        let log_lengthscale = lengthscale.ln();
         SquaredExpArd {
-            log_signal_var: signal_var.ln(),
-            log_lengthscales: vec![lengthscale.ln(); dim],
+            log_signal_var,
+            log_lengthscales: vec![log_lengthscale; dim],
+            signal_var: log_signal_var.exp(),
+            inv_lengthscales: vec![(-log_lengthscale).exp(); dim],
         }
     }
 
@@ -83,31 +110,36 @@ impl Kernel for SquaredExpArd {
         assert_eq!(p.len(), self.n_params());
         self.log_signal_var = p[0];
         self.log_lengthscales.copy_from_slice(&p[1..]);
+        refresh_scales(
+            self.log_signal_var,
+            &self.log_lengthscales,
+            &mut self.signal_var,
+            &mut self.inv_lengthscales,
+        );
     }
 
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), self.log_lengthscales.len());
+        debug_assert_eq!(a.len(), self.inv_lengthscales.len());
         let mut s = 0.0;
-        for i in 0..a.len() {
-            let inv_l = (-self.log_lengthscales[i]).exp();
-            let d = (a[i] - b[i]) * inv_l;
+        for ((&ai, &bi), &inv_l) in a.iter().zip(b).zip(&self.inv_lengthscales) {
+            let d = (ai - bi) * inv_l;
             s += d * d;
         }
-        self.log_signal_var.exp() * (-0.5 * s).exp()
+        self.signal_var * (-0.5 * s).exp()
     }
 
     fn eval_grad(&self, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
         debug_assert_eq!(grad.len(), self.n_params());
         let mut s = 0.0;
         // Scaled squared distances per dimension, reused for the gradient.
-        for i in 0..a.len() {
-            let inv_l = (-self.log_lengthscales[i]).exp();
-            let d = (a[i] - b[i]) * inv_l;
+        let dims = a.iter().zip(b).zip(&self.inv_lengthscales);
+        for (g, ((&ai, &bi), &inv_l)) in grad[1..].iter_mut().zip(dims) {
+            let d = (ai - bi) * inv_l;
             let d2 = d * d;
-            grad[1 + i] = d2; // placeholder, scaled below
+            *g = d2; // placeholder, scaled below
             s += d2;
         }
-        let k = self.log_signal_var.exp() * (-0.5 * s).exp();
+        let k = self.signal_var * (-0.5 * s).exp();
         // ∂k/∂ log σ_f² = k ;  ∂k/∂ log ℓ_i = k * d_i²
         grad[0] = k;
         for g in grad[1..].iter_mut() {
@@ -117,7 +149,7 @@ impl Kernel for SquaredExpArd {
     }
 
     fn diag(&self) -> f64 {
-        self.log_signal_var.exp()
+        self.signal_var
     }
 
     fn input_dim(&self) -> usize {
@@ -133,10 +165,14 @@ impl Kernel for SquaredExpArd {
 /// r²   = Σ_i (a_i - b_i)² / ℓ_i²
 /// k    = σ_f² (1 + √5 r + 5r²/3) exp(-√5 r)
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Matern52Ard {
     log_signal_var: f64,
     log_lengthscales: Vec<f64>,
+    /// `exp(log_signal_var)`.
+    signal_var: f64,
+    /// `exp(-log_lengthscales[i])`.
+    inv_lengthscales: Vec<f64>,
 }
 
 impl Matern52Ard {
@@ -147,9 +183,13 @@ impl Matern52Ard {
     /// Panics if `dim` is zero or either scale parameter is not positive.
     pub fn new(dim: usize, signal_var: f64, lengthscale: f64) -> Self {
         assert!(dim > 0 && signal_var > 0.0 && lengthscale > 0.0);
+        let log_signal_var = signal_var.ln();
+        let log_lengthscale = lengthscale.ln();
         Matern52Ard {
-            log_signal_var: signal_var.ln(),
-            log_lengthscales: vec![lengthscale.ln(); dim],
+            log_signal_var,
+            log_lengthscales: vec![log_lengthscale; dim],
+            signal_var: log_signal_var.exp(),
+            inv_lengthscales: vec![(-log_lengthscale).exp(); dim],
         }
     }
 
@@ -175,28 +215,33 @@ impl Kernel for Matern52Ard {
         assert_eq!(p.len(), self.n_params());
         self.log_signal_var = p[0];
         self.log_lengthscales.copy_from_slice(&p[1..]);
+        refresh_scales(
+            self.log_signal_var,
+            &self.log_lengthscales,
+            &mut self.signal_var,
+            &mut self.inv_lengthscales,
+        );
     }
 
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         let mut r2 = 0.0;
-        for i in 0..a.len() {
-            let inv_l = (-self.log_lengthscales[i]).exp();
-            let d = (a[i] - b[i]) * inv_l;
+        for ((&ai, &bi), &inv_l) in a.iter().zip(b).zip(&self.inv_lengthscales) {
+            let d = (ai - bi) * inv_l;
             r2 += d * d;
         }
         let r = r2.sqrt();
         let sqrt5_r = 5.0_f64.sqrt() * r;
-        self.log_signal_var.exp() * (1.0 + sqrt5_r + 5.0 * r2 / 3.0) * (-sqrt5_r).exp()
+        self.signal_var * (1.0 + sqrt5_r + 5.0 * r2 / 3.0) * (-sqrt5_r).exp()
     }
 
     fn eval_grad(&self, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
         debug_assert_eq!(grad.len(), self.n_params());
-        let sf2 = self.log_signal_var.exp();
+        let sf2 = self.signal_var;
         let mut r2 = 0.0;
-        for i in 0..a.len() {
-            let inv_l = (-self.log_lengthscales[i]).exp();
-            let d = (a[i] - b[i]) * inv_l;
-            grad[1 + i] = d * d; // per-dim scaled squared distance
+        let dims = a.iter().zip(b).zip(&self.inv_lengthscales);
+        for (g, ((&ai, &bi), &inv_l)) in grad[1..].iter_mut().zip(dims) {
+            let d = (ai - bi) * inv_l;
+            *g = d * d; // per-dim scaled squared distance
             r2 += d * d;
         }
         let r = r2.sqrt();
@@ -216,7 +261,7 @@ impl Kernel for Matern52Ard {
     }
 
     fn diag(&self) -> f64 {
-        self.log_signal_var.exp()
+        self.signal_var
     }
 
     fn input_dim(&self) -> usize {

@@ -110,3 +110,97 @@ proptest! {
         }
     }
 }
+
+/// The kernels as they read before their linear-space scales were cached:
+/// `exp` of every log-hyperparameter on every call. Returns
+/// `(k(a, b), ∂k/∂ log θ)` for `p = [log σ_f², log ℓ_1, ..]`.
+fn reference_se(p: &[f64], a: &[f64], b: &[f64]) -> (f64, Vec<f64>) {
+    let mut grad = vec![0.0; p.len()];
+    let mut s = 0.0;
+    for i in 0..a.len() {
+        let inv_l = (-p[1 + i]).exp();
+        let d = (a[i] - b[i]) * inv_l;
+        let d2 = d * d;
+        grad[1 + i] = d2;
+        s += d2;
+    }
+    let k = p[0].exp() * (-0.5 * s).exp();
+    grad[0] = k;
+    for g in grad[1..].iter_mut() {
+        *g *= k;
+    }
+    (k, grad)
+}
+
+fn reference_matern(p: &[f64], a: &[f64], b: &[f64]) -> (f64, Vec<f64>) {
+    let mut grad = vec![0.0; p.len()];
+    let sf2 = p[0].exp();
+    let mut r2 = 0.0;
+    for i in 0..a.len() {
+        let inv_l = (-p[1 + i]).exp();
+        let d = (a[i] - b[i]) * inv_l;
+        grad[1 + i] = d * d;
+        r2 += d * d;
+    }
+    let r = r2.sqrt();
+    let sqrt5 = 5.0_f64.sqrt();
+    let e = (-sqrt5 * r).exp();
+    let k = sf2 * (1.0 + sqrt5 * r + 5.0 * r2 / 3.0) * e;
+    grad[0] = k;
+    let factor = (5.0 * sf2 / 3.0) * (1.0 + sqrt5 * r) * e;
+    for g in grad[1..].iter_mut() {
+        *g *= factor;
+    }
+    (k, grad)
+}
+
+/// A reference kernel: `(params, a, b) -> (k(a, b), ∂k/∂ log θ)`.
+type Reference = fn(&[f64], &[f64], &[f64]) -> (f64, Vec<f64>);
+
+/// Evaluate `kernel` at `(a, b)`, `(a, a)` and `(b, a)` and compare every
+/// value and gradient entry with the reference bit for bit.
+fn assert_bits_match<K: Kernel>(kernel: &K, reference: Reference, a: &[f64], b: &[f64]) {
+    let p = kernel.params();
+    for (x, y) in [(a, b), (a, a), (b, a)] {
+        let (want, want_grad) = reference(&p, x, y);
+        let mut grad = vec![0.0; kernel.n_params()];
+        let got = kernel.eval_grad(x, y, &mut grad);
+        prop_assert_eq!(kernel.eval(x, y).to_bits(), want.to_bits());
+        prop_assert_eq!(got.to_bits(), want.to_bits());
+        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&grad), bits(&want_grad));
+    }
+    prop_assert_eq!(kernel.diag().to_bits(), p[0].exp().to_bits());
+}
+
+fn arb_kernel_case() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>)> {
+    (1usize..7).prop_flat_map(|d| {
+        (
+            prop::collection::vec(-4.0f64..4.0, d + 1),
+            prop::collection::vec(-3.0f64..3.0, d),
+            prop::collection::vec(-3.0f64..3.0, d),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn cached_kernel_scales_are_bit_exact((p, a, b) in arb_kernel_case()) {
+        let d = a.len();
+        let mut se = SquaredExpArd::new(d, 1.3, 0.4);
+        assert_bits_match(&se, reference_se, &a, &b);
+        se.set_params(&p);
+        assert_bits_match(&se, reference_se, &a, &b);
+
+        let mut matern = Matern52Ard::new(d, 0.7, 2.1);
+        assert_bits_match(&matern, reference_matern, &a, &b);
+        matern.set_params(&p);
+        assert_bits_match(&matern, reference_matern, &a, &b);
+        // A second update must overwrite the cache, not blend into it.
+        let q: Vec<f64> = p.iter().map(|v| 0.5 - v).collect();
+        matern.set_params(&q);
+        assert_bits_match(&matern, reference_matern, &a, &b);
+    }
+}

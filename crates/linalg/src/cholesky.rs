@@ -111,8 +111,64 @@ impl Cholesky {
 
     /// Explicit inverse `A^{-1}` (used for LML gradients where the full
     /// inverse genuinely appears; prefer the solve methods elsewhere).
+    ///
+    /// Runs the two substitutions of `solve_mat(&Mat::identity(n))`
+    /// restricted to the entries that can be nonzero and that the lower
+    /// triangle of the result depends on: row `i` of `L^{-1}` is zero
+    /// right of the diagonal, and row `i` of `L^{-T} L^{-1}` left of the
+    /// diagonal reads only the lower triangles of the rows below it. The
+    /// skipped updates subtract exact `+0.0`s, so the lower triangle is
+    /// bit-equal to the full solve's; the upper triangle mirrors it.
     pub fn inverse(&self) -> Mat {
-        self.solve_mat(&Mat::identity(self.dim()))
+        let n = self.dim();
+        let mut x = Mat::identity(n);
+        if n == 0 {
+            return x;
+        }
+        let l = self.l.as_slice();
+        let xs = x.as_mut_slice();
+        // Forward: X <- L^{-1} X, lower triangle only.
+        let diag = l.iter().step_by(n + 1);
+        for ((i, l_row), &l_ii) in l.chunks_exact(n).enumerate().zip(diag) {
+            let (done, rest) = xs.split_at_mut(i * n);
+            let (x_row, _) = rest.split_at_mut(i + 1);
+            let l_head = l_row.iter().take(i).enumerate();
+            for ((k, &l_ik), x_k) in l_head.zip(done.chunks_exact(n)) {
+                // lint:allow(float_cmp) exact sparse-skip of zero entries
+                if l_ik == 0.0 {
+                    continue;
+                }
+                for (xi, xk) in x_row.iter_mut().zip(x_k.split_at(k + 1).0) {
+                    *xi -= l_ik * xk;
+                }
+            }
+            let inv = 1.0 / l_ii;
+            for v in x_row.iter_mut() {
+                *v *= inv;
+            }
+        }
+        // Backward: X <- L^{-T} X, lower triangle only, last row first.
+        for (i, &l_ii) in l.iter().step_by(n + 1).enumerate().rev() {
+            let (head, below) = xs.split_at_mut((i + 1) * n);
+            let (x_row, _) = head.split_at_mut(i * n).1.split_at_mut(i + 1);
+            // Column i of L below the diagonal: L[k][i] for k > i.
+            let l_col = l.iter().skip((i + 1) * n + i).step_by(n);
+            for (&l_ki, x_k) in l_col.zip(below.chunks_exact(n)) {
+                // lint:allow(float_cmp) exact sparse-skip of zero entries
+                if l_ki == 0.0 {
+                    continue;
+                }
+                for (xi, xk) in x_row.iter_mut().zip(x_k) {
+                    *xi -= l_ki * xk;
+                }
+            }
+            let inv = 1.0 / l_ii;
+            for v in x_row.iter_mut() {
+                *v *= inv;
+            }
+        }
+        x.mirror_lower();
+        x
     }
 
     /// Quadratic form `b^T A^{-1} b` computed stably as `||L^{-1} b||^2`.

@@ -242,6 +242,24 @@ impl Mat {
         true
     }
 
+    /// Copy the strict lower triangle into the upper one, in place:
+    /// `A[j][i] <- A[i][j]` for `j < i`. For symmetric matrices built by
+    /// computing one triangle.
+    ///
+    /// # Panics
+    /// Panics if the matrix is not square.
+    pub fn mirror_lower(&mut self) {
+        assert!(self.is_square(), "mirror_lower needs a square matrix");
+        let n = self.cols;
+        for i in 1..n {
+            let (above, rest) = self.data.split_at_mut(i * n);
+            let col_i = above.iter_mut().skip(i).step_by(n);
+            for (a_ji, &a_ij) in col_i.zip(rest.iter()) {
+                *a_ji = a_ij;
+            }
+        }
+    }
+
     /// Symmetrize in place: `A <- (A + A^T) / 2`. Useful to scrub the tiny
     /// asymmetries that accumulate when building kernel matrices.
     pub fn symmetrize(&mut self) -> Result<()> {
@@ -430,6 +448,13 @@ mod tests {
         assert!(!m.is_symmetric(1e-15));
         m.symmetrize().unwrap();
         assert!(m.is_symmetric(0.0));
+
+        let mut lower = Mat::from_rows(&[&[1.0, 9.0, 9.0], &[2.0, 3.0, 9.0], &[4.0, 5.0, 6.0]]);
+        lower.mirror_lower();
+        assert_eq!(
+            lower,
+            Mat::from_rows(&[&[1.0, 2.0, 4.0], &[2.0, 3.0, 5.0], &[4.0, 5.0, 6.0]])
+        );
     }
 
     #[test]

@@ -182,4 +182,45 @@ proptest! {
             prop_assert!((p - q).abs() < 1e-7);
         }
     }
+
+    #[test]
+    fn inverse_lower_triangle_is_bit_equal_to_the_full_solve(
+        a in arb_spd(14),
+        sparse in arb_sparse_spd(14),
+    ) {
+        for m in [a, sparse] {
+            let ch = Cholesky::factor(&m).unwrap();
+            let n = m.rows();
+            let inv = ch.inverse();
+            let full = ch.solve_mat(&Mat::identity(n));
+            for i in 0..n {
+                for j in 0..=i {
+                    prop_assert_eq!(inv[(i, j)].to_bits(), full[(i, j)].to_bits(), "({}, {})", i, j);
+                    prop_assert_eq!(inv[(j, i)].to_bits(), inv[(i, j)].to_bits(), "mirror ({}, {})", j, i);
+                }
+            }
+        }
+    }
+}
+
+/// SPD matrix whose factor has exact zeros: `B Bᵀ + n·I` with most of
+/// `B` zeroed, so the inverse's zero-skip branches run.
+fn arb_sparse_spd(max_n: usize) -> impl Strategy<Value = Mat> {
+    (
+        2usize..max_n,
+        prop::collection::vec(-1.0f64..1.0, max_n * max_n),
+    )
+        .prop_map(|(n, data)| {
+            let b = Mat::from_fn(n, n, |i, j| {
+                let v = data[i * n + j];
+                if v.abs() < 0.7 {
+                    0.0
+                } else {
+                    v
+                }
+            });
+            let mut g = blas::syrk(&b);
+            g.add_diag(n as f64);
+            g
+        })
 }

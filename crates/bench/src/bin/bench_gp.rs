@@ -12,78 +12,23 @@
 //!   optimization that the pre-incremental optimizer paid per step.
 //!
 //! Writes the machine-readable `BENCH_gp.json` at the repo root (the
-//! README's bench table is generated from it) and prints it to stdout.
+//! README's bench table is generated from it), prints it to stdout, and
+//! exits non-zero when the history-180 speedup falls below
+//! [`MIN_SPEEDUP_AT_180`].
 //!
 //! ```text
 //! cargo run --release -p mtm-bench --bin bench_gp
 //! ```
 
-use serde::Serialize;
+use std::process::ExitCode;
 
-use mtm_bayesopt::{space::Param, BayesOpt, BoConfig, ParamSpace};
-use mtm_gp::FitOptions;
+use mtm_bayesopt::BayesOpt;
+use mtm_bench::perf::gp::{GpRecord, HistoryCell, MIN_SPEEDUP_AT_180};
+use mtm_bench::perf::{self, primed_optimizer, PRIMED_DIM};
 use mtm_stats::quantile::median;
 
-/// Tuned dimensionality: matches the paper's "10 hints" cell of Fig. 7.
-const DIM: usize = 10;
 /// Timed repetitions per cell; the medians go into the record.
 const REPS: usize = 7;
-
-#[derive(Debug, Serialize)]
-struct HistoryCell {
-    /// Observation-history size the proposal was measured at.
-    history: usize,
-    /// Median wall seconds per propose, incremental surrogate.
-    incremental_propose_s: f64,
-    /// Median wall seconds per propose, invalidate-then-propose baseline.
-    full_refit_propose_s: f64,
-    /// `full_refit_propose_s / incremental_propose_s`.
-    speedup: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct BenchRecord {
-    bench: &'static str,
-    dim: usize,
-    n_init: usize,
-    refit_every: usize,
-    n_candidates: usize,
-    reps: usize,
-    cells: Vec<HistoryCell>,
-}
-
-fn bench_config() -> Result<BoConfig, String> {
-    BoConfig::builder()
-        .seed(2)
-        .fit(FitOptions::fast())
-        .n_init(6)
-        .n_candidates(256)
-        .refit_every(4)
-        .build()
-        .map_err(|e| format!("bench config: {e}"))
-}
-
-/// Drive a fresh optimizer to `n_obs` observations of a deterministic
-/// objective.
-fn primed_optimizer(n_obs: usize) -> Result<BayesOpt, String> {
-    let params: Vec<Param> = (0..DIM)
-        .map(|i| Param::int(&format!("h{i}"), 1, 60))
-        .collect();
-    let space = ParamSpace::new(params);
-    let mut bo = BayesOpt::new(space, bench_config()?);
-    for _ in 0..n_obs {
-        let c = bo.propose().map_err(|e| format!("prime propose: {e}"))?;
-        let y = c
-            .values
-            .iter()
-            .map(|v| v.as_int() as f64)
-            .sum::<f64>()
-            .sin();
-        bo.observe(c, y)
-            .map_err(|e| format!("prime observe: {e}"))?;
-    }
-    Ok(bo)
-}
 
 fn time_proposals(bo: &BayesOpt, invalidate_each: bool) -> Result<f64, String> {
     let mut times = Vec::with_capacity(REPS);
@@ -109,7 +54,7 @@ fn time_proposals(bo: &BayesOpt, invalidate_each: bool) -> Result<f64, String> {
 }
 
 fn run() -> Result<(), String> {
-    let cfg = bench_config()?;
+    let cfg = primed_optimizer(0)?.config().clone();
     let mut cells = Vec::new();
     for &history in &[15usize, 60, 180] {
         eprintln!("[bench_gp] priming optimizer to {history} observations");
@@ -128,30 +73,20 @@ fn run() -> Result<(), String> {
             speedup,
         });
     }
-    let record = BenchRecord {
+    let record = GpRecord {
         bench: "gp",
-        dim: DIM,
+        dim: PRIMED_DIM,
         n_init: cfg.n_init,
         refit_every: cfg.refit_every,
         n_candidates: cfg.n_candidates,
         reps: REPS,
+        min_speedup_at_180: MIN_SPEEDUP_AT_180,
         cells,
     };
-    let json =
-        serde_json::to_string_pretty(&record).map_err(|e| format!("serialize record: {e}"))?;
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_gp.json");
-    std::fs::write(&path, format!("{json}\n"))
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("{json}");
-    eprintln!("[bench_gp] wrote {}", path.display());
-    Ok(())
+    perf::write_record("gp", &record)?;
+    record.gate()
 }
 
-fn main() {
-    if let Err(e) = run() {
-        eprintln!("bench_gp: {e}");
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    perf::run_main("gp", run)
 }

@@ -12,25 +12,25 @@
 //!   throughput cliff cannot hide *between* two runs of the same code.
 //! * **p99 poll latency** — the service's responsiveness under load.
 //!   Polls are request/response round trips over the socket while every
-//!   worker is busy; the p99 over all reps is gated against an absolute
-//!   cap that a mutex-held-too-long dispatch core would blow through.
+//!   worker is busy; the p99 over all reps (interpolated, so never below
+//!   the nearest-rank value) is gated against an absolute cap that a
+//!   mutex-held-too-long dispatch core would blow through.
 //!
-//! Writes the machine-readable `BENCH_serve.json` at the repo root and
-//! prints it to stdout.
+//! Writes the machine-readable `BENCH_serve.json` at the repo root,
+//! prints it to stdout, and exits non-zero when [`ServeRecord::gate`]
+//! fails.
 //!
 //! ```text
 //! cargo run --release -p mtm-bench --bin bench_serve [-- --sessions N]
 //! ```
 
-use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use serde::Serialize;
-
+use mtm_bench::perf::{self, serve::ServeRecord};
 use mtm_serve::{
     Client, Daemon, DaemonConfig, DispatchConfig, Endpoint, Quotas, SessionSpec, SessionState,
 };
-use mtm_stats::quantile::median;
 
 /// Sessions per arm (override with `--sessions`). The acceptance bar is
 /// "thousands of concurrent sessions", so the default exercises 1000.
@@ -39,46 +39,6 @@ const SESSIONS: usize = 1000;
 const WORKERS: usize = 8;
 /// Timed repetitions per arm; medians go into the record.
 const REPS: usize = 3;
-/// A/A throughput delta above this percentage fails the bench. Looser
-/// than the obs bench: whole-service throughput on shared CI machines
-/// jitters with scheduler noise, and a real regression (a lock held
-/// across a session run, an O(sessions) poll) costs integer factors.
-const NOISE_TOLERANCE_PCT: f64 = 40.0;
-/// p99 poll latency cap in milliseconds. A poll is one mutex grab and a
-/// map lookup; even with every worker saturated it sits far below this.
-const P99_CAP_MS: f64 = 250.0;
-
-#[derive(Debug, Serialize)]
-struct BenchRecord {
-    bench: &'static str,
-    sessions: usize,
-    workers: usize,
-    reps: usize,
-    noise_tolerance_pct: f64,
-    p99_cap_ms: f64,
-    /// Median sessions/s, first arm.
-    a_sessions_per_s: f64,
-    /// Median sessions/s, second arm (same code, same workload).
-    b_sessions_per_s: f64,
-    /// `|a − b| / min(a, b)` in percent — the noise floor.
-    aa_delta_pct: f64,
-    /// p99 poll round-trip latency in milliseconds, over every poll of
-    /// every rep of both arms.
-    p99_poll_ms: f64,
-    /// Polls the p99 is computed over.
-    polls: usize,
-    within_noise: bool,
-    p99_within_cap: bool,
-}
-
-fn percentile_99(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    let idx = (xs.len() - 1) * 99 / 100;
-    xs.get(idx).copied().unwrap_or(f64::NAN)
-}
 
 /// One timed pass: fresh root, fresh daemon, `sessions` submissions,
 /// round-robin polls to completion. Returns (sessions/s, poll seconds).
@@ -165,52 +125,11 @@ fn run() -> Result<(), String> {
         arm_b.push(rate);
         poll_secs.extend(polls);
     }
-    let a_sessions_per_s = median(&arm_a).unwrap_or(f64::NAN);
-    let b_sessions_per_s = median(&arm_b).unwrap_or(f64::NAN);
-    let floor = a_sessions_per_s.min(b_sessions_per_s).max(1e-9);
-    let aa_delta_pct = (a_sessions_per_s - b_sessions_per_s).abs() / floor * 100.0;
-    let polls = poll_secs.len();
-    let p99_poll_ms = percentile_99(poll_secs) * 1000.0;
-    let record = BenchRecord {
-        bench: "serve",
-        sessions,
-        workers: WORKERS,
-        reps: REPS,
-        noise_tolerance_pct: NOISE_TOLERANCE_PCT,
-        p99_cap_ms: P99_CAP_MS,
-        a_sessions_per_s,
-        b_sessions_per_s,
-        aa_delta_pct,
-        p99_poll_ms,
-        polls,
-        within_noise: aa_delta_pct <= NOISE_TOLERANCE_PCT,
-        p99_within_cap: p99_poll_ms <= P99_CAP_MS,
-    };
-    let json =
-        serde_json::to_string_pretty(&record).map_err(|e| format!("serialize record: {e}"))?;
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_serve.json");
-    std::fs::write(&path, format!("{json}\n"))
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("{json}");
-    eprintln!("[bench_serve] wrote {}", path.display());
-    if !record.within_noise {
-        return Err(format!(
-            "A/A throughput delta {aa_delta_pct:.1}% exceeds {NOISE_TOLERANCE_PCT}% tolerance"
-        ));
-    }
-    if !record.p99_within_cap {
-        return Err(format!(
-            "p99 poll latency {p99_poll_ms:.1}ms exceeds {P99_CAP_MS}ms cap"
-        ));
-    }
-    Ok(())
+    let record = ServeRecord::new(sessions, WORKERS, &arm_a, &arm_b, &poll_secs);
+    perf::write_record("serve", &record)?;
+    record.gate()
 }
 
-fn main() {
-    if let Err(e) = run() {
-        eprintln!("bench_serve: {e}");
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    perf::run_main("serve", run)
 }

@@ -9,15 +9,17 @@
 //! asserts the batched results stay *bitwise* identical to the
 //! sequential ones, and gates on the headline claim: batched ≥ 3×
 //! faster than per-config sequential at V = 10k. Writes the
-//! machine-readable `BENCH_sim.json` at the repo root and prints it to
-//! stdout.
+//! machine-readable `BENCH_sim.json` at the repo root, prints it to
+//! stdout, and exits non-zero when [`SimRecord::gate`] fails.
 //!
 //! ```text
 //! cargo run --release -p mtm-bench --bin bench_sim
 //! ```
 
-use serde::Serialize;
+use std::process::ExitCode;
 
+use mtm_bench::perf;
+use mtm_bench::perf::sim::{SimCell, SimRecord, MIN_SPEEDUP_AT_10K};
 use mtm_stats::quantile::median;
 use mtm_stormsim::{ClusterSpec, FlowSimulator, SimBatch, Simulator, StormConfig};
 use mtm_topogen::{generate_layer_by_layer, GgenParams};
@@ -27,11 +29,6 @@ use mtm_topogen::{generate_layer_by_layer, GgenParams};
 const N_CONFIGS: u32 = 16;
 /// Timed repetitions per arm; the medians go into the record.
 const REPS: usize = 9;
-/// Batched must beat per-config sequential by at least this factor at
-/// the largest size. The shared analysis alone buys more than this at
-/// V = 10k; regressing below it means the batch path started redoing
-/// per-config work.
-const MIN_SPEEDUP_AT_10K: f64 = 3.0;
 
 /// One topology size cell.
 struct Workload {
@@ -65,50 +62,6 @@ const WORKLOADS: [Workload; 3] = [
     },
 ];
 
-#[derive(Debug, Serialize)]
-struct Cell {
-    /// Workload label (`v100`, `v1k`, `v10k`).
-    workload: &'static str,
-    /// Vertices in the generated topology.
-    vertices: usize,
-    /// Configurations per sweep.
-    n_configs: u32,
-    /// Median wall seconds for N sequential per-config evaluations
-    /// (each call re-analyzes the topology — the status quo the batch
-    /// path replaces).
-    sequential_s: f64,
-    /// Median wall seconds for one warm batched evaluation of the same
-    /// N configurations.
-    batched_s: f64,
-    /// `sequential_s / batched_s`.
-    speedup: f64,
-    /// Every batched result bitwise-equal to its sequential twin.
-    bitwise_identical: bool,
-}
-
-#[derive(Debug, Serialize)]
-struct BenchRecord {
-    bench: &'static str,
-    reps: usize,
-    min_speedup_at_10k: f64,
-    cells: Vec<Cell>,
-}
-
-/// Assemble one record cell from already-taken medians. Kept free of
-/// timing so the `Cell` construction site stays wall-clock-clean under
-/// the determinism taint pass (same shape as `bench_obs`).
-fn cell(w: &Workload, sequential_s: f64, batched_s: f64, bitwise_identical: bool) -> Cell {
-    Cell {
-        workload: w.label,
-        vertices: w.vertices,
-        n_configs: N_CONFIGS,
-        sequential_s,
-        batched_s,
-        speedup: sequential_s / batched_s.max(1e-12),
-        bitwise_identical,
-    }
-}
-
 /// The candidate sweep for a `v`-vertex topology: at 10k vertices only
 /// large single-pipeline batches commit inside the batch timeout, so
 /// the sweep varies batch size with tasks pinned at one per node; the
@@ -132,7 +85,7 @@ fn sweep(v: usize) -> Vec<StormConfig> {
     }
 }
 
-fn bench_cell(w: &Workload) -> Result<Cell, String> {
+fn bench_cell(w: &Workload) -> Result<SimCell, String> {
     let params = GgenParams::with_density(w.vertices, w.layers, 2.5, 0xBE7C)
         .map_err(|e| format!("{}: {e}", w.label))?;
     let topo = generate_layer_by_layer(&params);
@@ -174,12 +127,17 @@ fn bench_cell(w: &Workload) -> Result<Cell, String> {
         std::hint::black_box(batch.results().len());
         bat.push(t0.elapsed().as_secs_f64());
     }
-    Ok(cell(
-        w,
-        median(&seq).unwrap_or(f64::NAN),
-        median(&bat).unwrap_or(f64::NAN),
+    let sequential_s = median(&seq).unwrap_or(f64::NAN);
+    let batched_s = median(&bat).unwrap_or(f64::NAN);
+    Ok(SimCell {
+        workload: w.label,
+        vertices: w.vertices,
+        n_configs: N_CONFIGS,
+        sequential_s,
+        batched_s,
+        speedup: sequential_s / batched_s.max(1e-12),
         bitwise_identical,
-    ))
+    })
 }
 
 fn run() -> Result<(), String> {
@@ -196,45 +154,16 @@ fn run() -> Result<(), String> {
         );
         cells.push(cell);
     }
-    let record = BenchRecord {
+    let record = SimRecord {
         bench: "sim",
         reps: REPS,
         min_speedup_at_10k: MIN_SPEEDUP_AT_10K,
         cells,
     };
-    let json =
-        serde_json::to_string_pretty(&record).map_err(|e| format!("serialize record: {e}"))?;
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_sim.json");
-    std::fs::write(&path, format!("{json}\n"))
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("{json}");
-    eprintln!("[bench_sim] wrote {}", path.display());
-
-    if let Some(c) = record.cells.iter().find(|c| !c.bitwise_identical) {
-        return Err(format!(
-            "{}: batched results diverged from sequential",
-            c.workload
-        ));
-    }
-    let big = record
-        .cells
-        .iter()
-        .find(|c| c.workload == "v10k")
-        .ok_or("missing v10k cell")?;
-    if big.speedup < MIN_SPEEDUP_AT_10K {
-        return Err(format!(
-            "v10k speedup {:.2}x is below the {MIN_SPEEDUP_AT_10K}x gate",
-            big.speedup
-        ));
-    }
-    Ok(())
+    perf::write_record("sim", &record)?;
+    record.gate()
 }
 
-fn main() {
-    if let Err(e) = run() {
-        eprintln!("bench_sim: {e}");
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    perf::run_main("sim", run)
 }

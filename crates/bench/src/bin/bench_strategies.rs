@@ -15,15 +15,18 @@
 //! record is bitwise-reproducible and the gate is CI-stable: on the
 //! Medium preset, TPE and Hyperband must each reach the 95% bar with no
 //! more effort than the random-search floor (`trials-to-95%-of-best ≤
-//! random's`). Writes `BENCH_strategies.json` at the repo root and
-//! prints it to stdout.
+//! random's`). Writes `BENCH_strategies.json` at the repo root, prints
+//! it to stdout, and exits non-zero when [`StrategiesRecord::gate`]
+//! fails.
 //!
 //! ```text
 //! cargo run --release -p mtm-bench --bin bench_strategies
 //! ```
 
-use serde::Serialize;
+use std::process::ExitCode;
 
+use mtm_bench::perf;
+use mtm_bench::perf::strategies::{StrategiesRecord, StrategyCell};
 use mtm_core::objective::synthetic_base;
 use mtm_core::{step_run_id, Objective, ParamSet, Strategy};
 use mtm_stormsim::ClusterSpec;
@@ -53,32 +56,6 @@ const CONDITION: Condition = Condition {
     time_imbalance: 0.5,
     contention: 0.25,
 };
-
-#[derive(Debug, Serialize)]
-struct Cell {
-    /// Topology size label (`small`, `medium`, `large`).
-    size: &'static str,
-    /// Strategy label.
-    strategy: &'static str,
-    /// Best step-averaged objective found within the budget.
-    final_best: f64,
-    /// Cumulative measurement reps to 95% of the size's best final
-    /// objective ([`UNREACHED`] if never reached).
-    t95_reps: usize,
-    /// Total measurement reps actually spent.
-    effort_reps: usize,
-    /// Steps taken (≠ reps for Hyperband).
-    steps: usize,
-}
-
-#[derive(Debug, Serialize)]
-struct BenchRecord {
-    bench: &'static str,
-    seed: u64,
-    budget_reps: usize,
-    unreached: usize,
-    cells: Vec<Cell>,
-}
 
 /// One strategy's trajectory: `(cumulative reps, running best)` per
 /// step, plus totals.
@@ -165,7 +142,7 @@ fn run() -> Result<(), String> {
                 t.points.len(),
                 t.effort_reps,
             );
-            cells.push(Cell {
+            cells.push(StrategyCell {
                 size: size.label(),
                 strategy: label,
                 final_best: t.final_best,
@@ -176,48 +153,17 @@ fn run() -> Result<(), String> {
         }
     }
 
-    let record = BenchRecord {
+    let record = StrategiesRecord {
         bench: "strategies",
         seed: BENCH_SEED,
         budget_reps: BUDGET_REPS,
         unreached: UNREACHED,
         cells,
     };
-    let json =
-        serde_json::to_string_pretty(&record).map_err(|e| format!("serialize record: {e}"))?;
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_strategies.json");
-    std::fs::write(&path, format!("{json}\n"))
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("{json}");
-    eprintln!("[bench_strategies] wrote {}", path.display());
-
-    // The floor gate: on Medium, the adaptive zoo strategies must reach
-    // the 95% bar with no more measurement effort than random search.
-    let t95_of = |strategy: &str| {
-        record
-            .cells
-            .iter()
-            .find(|c| c.size == "medium" && c.strategy == strategy)
-            .map(|c| c.t95_reps)
-            .ok_or_else(|| format!("missing medium/{strategy} cell"))
-    };
-    let floor = t95_of("random")?;
-    for challenger in ["tpe", "hyperband"] {
-        let t95 = t95_of(challenger)?;
-        if t95 > floor {
-            return Err(format!(
-                "medium/{challenger} t95 {t95} reps exceeds the random floor's {floor}"
-            ));
-        }
-    }
-    Ok(())
+    perf::write_record("strategies", &record)?;
+    record.gate()
 }
 
-fn main() {
-    if let Err(e) = run() {
-        eprintln!("bench_strategies: {e}");
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    perf::run_main("strategies", run)
 }

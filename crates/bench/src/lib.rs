@@ -17,6 +17,9 @@
 //! | `run_all` | everything above in sequence |
 //! | `ablations` | design-choice ablations (averaging, acquisition, kernel, marginalization, contention exponent) |
 //!
+//! The `bench_*` binaries write the gated `BENCH_*.json` perf records;
+//! their shared plumbing and their gates live in [`perf`].
+//!
 //! Every binary accepts the `MTM_SCALE` environment variable:
 //! `paper` (default — the paper's budgets: 60/180 steps, 2 passes, 30
 //! confirmation runs), `fast` (reduced budgets for a laptop-minute run)
@@ -32,6 +35,7 @@
 
 pub mod ablations;
 pub mod figures;
+pub mod perf;
 
 pub use mtm_runner::Scale;
 

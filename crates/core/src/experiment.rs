@@ -113,8 +113,8 @@ pub fn confirm_run_id(seed: u64, rep: u64) -> u64 {
 /// How a pass obtains its measured throughput values.
 ///
 /// The default implementation ([`DirectMeasure`]) simulates; `mtm-runner`
-/// interposes here to add journaling, replay-on-resume, memoization and
-/// fault injection without touching the protocol loop.
+/// interposes here to add journaling, replay-on-resume and fault
+/// injection without touching the protocol loop.
 pub trait Measure {
     /// Measure `config` once per trial context — the reps of one
     /// optimization step — appending one value per context to `out`, in
@@ -273,8 +273,8 @@ pub fn run_pass(strategy: &mut Strategy, objective: &Objective, opts: &RunOption
 /// Run one optimization pass, obtaining every measurement through
 /// `measure`. This is the single implementation of the §V pass loop —
 /// early stop, best tracking and repetition averaging live here, while
-/// `measure` decides whether a trial is simulated, replayed from a
-/// journal, or served from a memo cache.
+/// `measure` decides whether a trial is simulated or replayed from a
+/// journal.
 ///
 /// Instrumentation goes to `rec`: per-proposal surrogate events (via
 /// [`Strategy::propose_traced`]) and one [`Event::Trial`] per

@@ -11,8 +11,6 @@
 //!   (deterministically, from its seed), the proposal's hash is verified
 //!   against the journal, and the recorded value is fed back without
 //!   touching the simulator — surrogate state is rebuilt, not stored;
-//! * repeated configurations within a pass can be **memoized**
-//!   (config-hash → measurement) when the caller opts in;
 //! * measurements go through the **fault plan**: injected failures are
 //!   retried with salted run ids, exhaustion reports zero throughput;
 //! * a step's reps and the confirmation runs **share one simulation** of
@@ -56,10 +54,6 @@ pub struct RunnerOptions {
     /// grid cells at the layer above). `0` or `1` runs serially. Not part
     /// of the journal fingerprint: thread count never changes results.
     pub threads: usize,
-    /// Deduplicate repeated configurations within a pass via the memo
-    /// cache. Off by default — the paper re-measures every step, and
-    /// memoized runs serve repeats instead of re-measuring them.
-    pub memoize: bool,
     /// Fault injection and retry policy.
     pub faults: FaultPlan,
     /// Session abort flag — how `mtm-serve` cancels a long-lived session.
@@ -76,7 +70,6 @@ impl Default for RunnerOptions {
     fn default() -> Self {
         RunnerOptions {
             threads: 1,
-            memoize: false,
             faults: FaultPlan::default(),
             abort: None,
         }
@@ -84,7 +77,7 @@ impl Default for RunnerOptions {
 }
 
 impl RunnerOptions {
-    /// Serial, fault-free, unmemoized — the reference configuration.
+    /// Serial and fault-free — the reference configuration.
     pub fn serial() -> RunnerOptions {
         RunnerOptions::default()
     }
@@ -106,8 +99,6 @@ pub struct TrialStats {
     /// (or the confirmation phase's) one shared simulation, so this
     /// counts measurements, not simulator runs.
     pub measured: u64,
-    /// Trials served from the memo cache.
-    pub cache_hits: u64,
     /// Trials replayed from the journal on resume.
     pub replayed: u64,
     /// Injected measurement failures encountered (each consumed one
@@ -124,7 +115,6 @@ impl TrialStats {
     /// Accumulate another stats block into this one.
     pub fn merge(&mut self, other: &TrialStats) {
         self.measured += other.measured;
-        self.cache_hits += other.cache_hits;
         self.replayed += other.replayed;
         self.injected_failures += other.injected_failures;
         self.retries_exhausted += other.retries_exhausted;
@@ -133,7 +123,7 @@ impl TrialStats {
 
     /// Total trials satisfied by any means.
     pub fn trials(&self) -> u64 {
-        self.measured + self.cache_hits + self.replayed
+        self.measured + self.replayed
     }
 }
 
@@ -156,7 +146,7 @@ pub struct Outcome {
 /// instead of serving old numbers).
 pub fn fingerprint(exp_id: &str, opts: &RunOptions, ropts: &RunnerOptions) -> u64 {
     let canonical = format!(
-        "v{}|{}|seed={}|steps={}|zero={}|confirm={}|passes={}|reps={}|memo={}|frate={}|fseed={}|fretries={}",
+        "v{}|{}|seed={}|steps={}|zero={}|confirm={}|passes={}|reps={}|frate={}|fseed={}|fretries={}",
         SCHEMA_VERSION,
         exp_id,
         opts.seed,
@@ -165,7 +155,6 @@ pub fn fingerprint(exp_id: &str, opts: &RunOptions, ropts: &RunnerOptions) -> u6
         opts.confirm_reps,
         opts.passes,
         opts.measure_reps,
-        ropts.memoize,
         ropts.faults.fail_rate,
         ropts.faults.seed,
         ropts.faults.max_retries,
@@ -229,8 +218,6 @@ struct JournaledMeasure<'a> {
     pass: usize,
     /// `(step, rep)` → journaled trial, consumed by replay.
     replay: BTreeMap<(usize, usize), TrialRecord>,
-    memo: BTreeMap<u64, f64>,
-    memoize: bool,
     faults: FaultPlan,
     stats: TrialStats,
     /// Session abort flag ([`Measure::poll_abort`]); `None` for batch
@@ -249,19 +236,10 @@ impl<'a> JournaledMeasure<'a> {
         replay: BTreeMap<(usize, usize), TrialRecord>,
         ropts: &'a RunnerOptions,
     ) -> Self {
-        // Pre-populate the memo with replayed values: an uninterrupted
-        // memoized run would hold exactly these entries by the time it
-        // reached the first un-journaled step.
-        let memo = replay
-            .values()
-            .map(|t| (t.config_hash, t.throughput))
-            .collect();
         JournaledMeasure {
             journal,
             pass,
             replay,
-            memo,
-            memoize: ropts.memoize,
             faults: ropts.faults,
             stats: TrialStats::default(),
             abort: ropts.abort.as_deref(),
@@ -278,12 +256,11 @@ impl<'a> JournaledMeasure<'a> {
         }
     }
 
-    /// One rep of a step: replay it, serve it from the memo, or measure
-    /// it under the fault plan — journaling one [`TrialRecord`] unless it
-    /// replayed. `hash` is `config`'s hash and `sim` its shared
+    /// One rep of a step: replay it, or measure it under the fault plan
+    /// and journal one [`TrialRecord`]. `hash` is `config`'s hash and `sim` its shared
     /// simulation, both computed once per step by the caller.
     // mtm-cold: one journaled two-minute evaluation run per trial;
-    // journal IO and memo inserts are the per-trial cost by design.
+    // journal IO is the per-trial cost by design.
     fn measure_rep(
         &mut self,
         objective: &Objective,
@@ -307,24 +284,6 @@ impl<'a> JournaledMeasure<'a> {
             );
             self.stats.replay_divergences += 1;
             self.replay.clear();
-            self.memo.clear();
-        }
-
-        if self.memoize {
-            if let Some(&value) = self.memo.get(&hash) {
-                self.stats.cache_hits += 1;
-                self.push(Record::Trial(TrialRecord {
-                    pass: self.pass,
-                    step: ctx.step,
-                    rep: ctx.rep,
-                    config_hash: hash,
-                    run_id: ctx.run_id(),
-                    throughput: value,
-                    cached: true,
-                    attempts: 0,
-                }));
-                return value;
-            }
         }
 
         let (value, run_id, attempts, injected, exhausted) =
@@ -338,9 +297,6 @@ impl<'a> JournaledMeasure<'a> {
                 self.pass, ctx.step, ctx.rep, attempts
             );
         }
-        if self.memoize {
-            self.memo.insert(hash, value);
-        }
         self.push(Record::Trial(TrialRecord {
             pass: self.pass,
             step: ctx.step,
@@ -348,7 +304,6 @@ impl<'a> JournaledMeasure<'a> {
             config_hash: hash,
             run_id,
             throughput: value,
-            cached: false,
             attempts,
         }));
         value
@@ -362,8 +317,7 @@ impl Measure for JournaledMeasure<'_> {
 
     /// One hash and at most one simulation per step: the reps run in
     /// order through [`JournaledMeasure::measure_rep`], and the first rep
-    /// that neither replays nor hits the memo runs the simulation the
-    /// later ones reuse.
+    /// that does not replay runs the simulation the later ones reuse.
     // mtm-cold: one batch of journaled evaluation runs per step; per-step
     // hashing and journal IO are the per-trial cost by design.
     fn measure_batch(
@@ -763,46 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn memoization_dedups_repeated_configs() {
-        let obj = objective();
-        // With `measure_reps: 2` every step measures the same
-        // configuration twice — the second repetition is a guaranteed
-        // memo hit when memoization is on.
-        let make = |_seed: u64| Strategy::pla();
-        let memo_opts = RunnerOptions {
-            memoize: true,
-            ..RunnerOptions::serial()
-        };
-        let run_opts = RunOptions {
-            max_steps: 5,
-            measure_reps: 2,
-            passes: 1,
-            ..opts()
-        };
-        let run =
-            run_experiment_journaled("test/memo", &make, &obj, &run_opts, &memo_opts, None, false)
-                .unwrap();
-        assert_eq!(
-            run.stats.cache_hits, 5,
-            "one memo hit per step, stats: {:?}",
-            run.stats
-        );
-        // And memoization off re-measures every repetition.
-        let run = run_experiment_journaled(
-            "test/memo-off",
-            &make,
-            &obj,
-            &run_opts,
-            &RunnerOptions::serial(),
-            None,
-            false,
-        )
-        .unwrap();
-        assert_eq!(run.stats.cache_hits, 0);
-        assert_eq!(run.stats.measured, 5 * 2 + 3, "10 step reps + 3 confirms");
-    }
-
-    #[test]
     fn injected_failures_are_retried_deterministically() {
         let obj = objective();
         let make = bo_factory();
@@ -842,10 +756,6 @@ mod tests {
                 },
                 &r
             )
-        );
-        assert_ne!(
-            base,
-            fingerprint("x", &o, &RunnerOptions { memoize: true, ..r })
         );
         // Threads and the abort flag are explicitly NOT fingerprinted.
         assert_eq!(base, fingerprint("x", &o, &RunnerOptions::parallel(8)));
@@ -1179,65 +1089,53 @@ mod tests {
             seed: pass_seed(opts().seed, 0),
             ..opts()
         };
-        for memoize in [false, true] {
-            let ropts = RunnerOptions {
-                memoize,
-                faults: harsh_faults(),
-                ..RunnerOptions::serial()
+        let ropts = RunnerOptions {
+            faults: harsh_faults(),
+            ..RunnerOptions::serial()
+        };
+        let mut outcomes = Vec::new();
+        for per_rep in [false, true] {
+            let path = dir.join(format!("per-rep-{per_rep}.jsonl"));
+            let journal = Journal::open_append(&path, 0).unwrap();
+            let mut measure = JournaledMeasure::new(&journal, 0, BTreeMap::new(), &ropts);
+            let mut strategy = make(run_opts.seed);
+            let result = if per_rep {
+                let mut split = PerRep(&mut measure);
+                run_pass_traced(
+                    &mut strategy,
+                    &obj,
+                    &run_opts,
+                    &mut split,
+                    &mut NullRecorder,
+                )
+            } else {
+                run_pass_traced(
+                    &mut strategy,
+                    &obj,
+                    &run_opts,
+                    &mut measure,
+                    &mut NullRecorder,
+                )
             };
-            let mut outcomes = Vec::new();
-            for per_rep in [false, true] {
-                let path = dir.join(format!("memo-{memoize}-per-rep-{per_rep}.jsonl"));
-                let journal = Journal::open_append(&path, 0).unwrap();
-                let mut measure = JournaledMeasure::new(&journal, 0, BTreeMap::new(), &ropts);
-                let mut strategy = make(run_opts.seed);
-                let result = if per_rep {
-                    let mut split = PerRep(&mut measure);
-                    run_pass_traced(
-                        &mut strategy,
-                        &obj,
-                        &run_opts,
-                        &mut split,
-                        &mut NullRecorder,
-                    )
-                } else {
-                    run_pass_traced(
-                        &mut strategy,
-                        &obj,
-                        &run_opts,
-                        &mut measure,
-                        &mut NullRecorder,
-                    )
-                };
-                assert!(measure.io_error.is_none());
-                let mut canonical = result.clone();
-                for step in &mut canonical.steps {
-                    step.optimizer_time_s = 0.0;
-                }
-                outcomes.push((
-                    serde_json::to_string(&canonical).unwrap(),
-                    measure.stats,
-                    std::fs::read(&path).unwrap(),
-                ));
+            assert!(measure.io_error.is_none());
+            let mut canonical = result.clone();
+            for step in &mut canonical.steps {
+                step.optimizer_time_s = 0.0;
             }
-            let (batched, per_rep) = (&outcomes[0], &outcomes[1]);
-            assert_eq!(
-                batched.0, per_rep.0,
-                "memoize {memoize}: pass results differ"
-            );
-            assert_eq!(batched.1, per_rep.1, "memoize {memoize}: stats differ");
-            assert_eq!(
-                batched.2, per_rep.2,
-                "memoize {memoize}: journal bytes differ"
-            );
-            let stats = batched.1;
-            assert_eq!(stats.trials(), 8 * 3, "one trial per rep: {stats:?}");
-            assert!(stats.injected_failures > 0, "{stats:?}");
-            assert!(stats.retries_exhausted > 0, "an exhausted trial: {stats:?}");
-            if memoize {
-                assert!(stats.cache_hits > 0, "{stats:?}");
-            }
+            outcomes.push((
+                serde_json::to_string(&canonical).unwrap(),
+                measure.stats,
+                std::fs::read(&path).unwrap(),
+            ));
         }
+        let (batched, per_rep) = (&outcomes[0], &outcomes[1]);
+        assert_eq!(batched.0, per_rep.0, "pass results differ");
+        assert_eq!(batched.1, per_rep.1, "stats differ");
+        assert_eq!(batched.2, per_rep.2, "journal bytes differ");
+        let stats = batched.1;
+        assert_eq!(stats.trials(), 8 * 3, "one trial per rep: {stats:?}");
+        assert!(stats.injected_failures > 0, "{stats:?}");
+        assert!(stats.retries_exhausted > 0, "an exhausted trial: {stats:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

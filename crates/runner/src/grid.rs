@@ -358,13 +358,12 @@ pub fn run_or_load(scale: Scale, ropts: &RunnerOptions, journal_root: &Path) -> 
     match run_journaled(scale, ropts, journal_root, true, &progress) {
         Ok((grid, report)) => {
             eprintln!(
-                "[grid] {} cells ({} resumed from journal, {} trials: {} measured / {} replayed / {} memo hits)",
+                "[grid] {} cells ({} resumed from journal, {} trials: {} measured / {} replayed)",
                 report.cells,
                 report.cells_resumed,
                 report.stats.trials(),
                 report.stats.measured,
                 report.stats.replayed,
-                report.stats.cache_hits,
             );
             grid
         }

@@ -25,8 +25,9 @@ use mtm_obs::segment::{self, SegmentWriter};
 use crate::error::RunnerError;
 
 /// Journal schema version. Bump on any record-shape change; old segments
-/// are then re-run rather than misread.
-pub const SCHEMA_VERSION: u32 = 1;
+/// are then re-run rather than misread. Version 2 dropped the trial
+/// rows' `cached` flag.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// First line of every segment: what experiment this is and under which
 /// exact protocol it ran.
@@ -39,13 +40,13 @@ pub struct Header {
     /// Base seed of the experiment.
     pub seed: u64,
     /// Fingerprint of everything else that shapes results: budgets,
-    /// repetitions, memoization, fault plan (see
+    /// repetitions, fault plan (see
     /// [`crate::engine::fingerprint`]). Thread count is deliberately
     /// excluded — parallel and serial runs are interchangeable.
     pub fingerprint: u64,
 }
 
-/// One measured (or memo-served) trial.
+/// One measured trial.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrialRecord {
     /// Pass index within the experiment.
@@ -61,10 +62,8 @@ pub struct TrialRecord {
     pub run_id: u64,
     /// Measured throughput, tuples/s.
     pub throughput: f64,
-    /// `true` when served from the memo cache instead of the simulator.
-    pub cached: bool,
     /// Measurement attempts consumed (>1 means injected failures were
-    /// retried; 0 means memo hit).
+    /// retried).
     pub attempts: u32,
 }
 
@@ -229,7 +228,6 @@ mod tests {
             config_hash: 0xABCD,
             run_id: 7,
             throughput: tp,
-            cached: false,
             attempts: 1,
         })
     }

@@ -13,18 +13,18 @@
 //! * [`engine`] — executes the protocol through `mtm_core`'s
 //!   `propose`/`observe` interface, **replaying** journaled trials into a
 //!   fresh strategy on resume (the surrogate is rebuilt, not stored),
-//!   with a per-pass **memo cache** (config-hash → measurement) and a
-//!   deterministic **fault plan** (injected failures, bounded retries);
+//!   under a deterministic **fault plan** (injected failures, bounded
+//!   retries);
 //! * [`segment`] — a re-export of [`mtm_obs::segment`], the torn-tail
 //!   JSONL log the journal is written as;
 //! * [`pool`] — bounded OS-thread fan-out with order-preserving result
 //!   collection; combined with per-unit seed derivation, parallel runs
 //!   are bitwise-identical to serial ones;
-//! * [`grid`] — the Figs. 4–7 grid as 60 independent journaled cells
+//! * [`grid`] — the Figs. 4–7 grid as 96 independent journaled cells
 //!   (replaces the monolithic `grid_<scale>.json` cache);
 //! * [`scale`] — the `paper`/`fast`/`smoke` budget scaling (moved here
 //!   from `mtm-bench`; the bench crate re-exports it);
-//! * the `mtm-runner` binary — `run | resume | status | bench` with
+//! * the `mtm-runner` binary — `run | resume | status` with
 //!   progress/ETA reporting (see the README quickstart).
 //!
 //! Determinism contract: results are bitwise-identical across serial,

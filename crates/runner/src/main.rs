@@ -2,34 +2,27 @@
 //!
 //! ```text
 //! cargo run -p mtm-runner --release -- run    [--scale paper|fast|smoke] [--threads N]
-//!                                             [--memoize] [--fail-rate F]
+//!                                             [--fail-rate F]
 //! cargo run -p mtm-runner --release -- resume [same flags]
 //! cargo run -p mtm-runner --release -- status [--scale ...]
-//! cargo run -p mtm-runner --release -- bench  [--threads N]
 //! ```
 //!
 //! `run` executes the Figs. 4–7 grid from scratch (wiping this scale's
 //! journal segments first); `resume` continues from whatever the journal
 //! already holds — completed cells load instantly, partial cells replay
 //! their journaled trials into the strategy and continue measuring.
-//! `status` inspects the segments without executing anything. `bench`
-//! times serial vs. parallel vs. resumed execution at smoke scale and
-//! writes the machine-readable `BENCH_runner.json` perf record.
+//! `status` inspects the segments without executing anything.
 //!
 //! Exit code 0 on success, 1 on an execution/journal error, 2 on usage
 //! errors.
 
 use std::process::ExitCode;
 
-use mtm_core::objective::synthetic_base;
-use mtm_core::{Objective, ParamSet, RunOptions as CoreRunOptions, Strategy};
-use mtm_runner::engine::{run_experiment_journaled, RunnerOptions};
+use mtm_runner::engine::RunnerOptions;
 use mtm_runner::fault::FaultPlan;
-use mtm_runner::grid::{self, CellState, GRID_SEED};
+use mtm_runner::grid::{self, CellState};
 use mtm_runner::progress::Progress;
 use mtm_runner::{journal_root, pool, Scale};
-use mtm_stormsim::ClusterSpec;
-use mtm_topogen::{make_condition, Condition, SizeClass};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -49,7 +42,6 @@ fn main() -> ExitCode {
         "run" => cmd_run(&parsed, false),
         "resume" => cmd_run(&parsed, true),
         "status" => cmd_status(&parsed),
-        "bench" => cmd_bench(&parsed),
         _ => return usage(),
     };
     match outcome {
@@ -63,8 +55,8 @@ fn main() -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: mtm-runner <run | resume | status | bench> \
-         [--scale paper|fast|smoke] [--threads N] [--memoize] [--fail-rate F]"
+        "usage: mtm-runner <run | resume | status> \
+         [--scale paper|fast|smoke] [--threads N] [--fail-rate F]"
     );
     ExitCode::from(2)
 }
@@ -94,7 +86,6 @@ impl Flags {
                         .parse::<usize>()
                         .map_err(|e| format!("bad thread count '{value}': {e}"))?;
                 }
-                "--memoize" => ropts.memoize = true,
                 "--fail-rate" => {
                     let value = it.next().ok_or("--fail-rate needs a value")?;
                     let rate = value
@@ -142,13 +133,12 @@ fn cmd_run(flags: &Flags, resume: bool) -> Result<(), String> {
         );
     }
     eprintln!(
-        "[runner] done in {wall:.1}s — {} cells ({} resumed), {} trials ({} measured, {} replayed, {} memo hits, {} injected failures)",
+        "[runner] done in {wall:.1}s — {} cells ({} resumed), {} trials ({} measured, {} replayed, {} injected failures)",
         report.cells,
         report.cells_resumed,
         report.stats.trials(),
         report.stats.measured,
         report.stats.replayed,
-        report.stats.cache_hits,
         report.stats.injected_failures,
     );
     Ok(())
@@ -181,180 +171,4 @@ fn cmd_status(flags: &Flags) -> Result<(), String> {
         root.display()
     );
     Ok(())
-}
-
-/// The machine-readable perf record `bench` writes.
-#[derive(serde::Serialize)]
-struct BenchRecord {
-    bench: &'static str,
-    scale: &'static str,
-    cells: usize,
-    threads: usize,
-    serial_wall_s: f64,
-    parallel_wall_s: f64,
-    speedup: f64,
-    trials_per_run: u64,
-    memo_unmemoized_wall_s: f64,
-    memo_memoized_wall_s: f64,
-    memo_trials: u64,
-    memo_cache_hits: u64,
-    memo_cache_hit_rate: f64,
-    resume_wall_s: f64,
-    resume_replayed_trials: u64,
-}
-
-fn cmd_bench(flags: &Flags) -> Result<(), String> {
-    let scale = Scale::Smoke;
-    let threads = flags.ropts.threads.max(2);
-    let quiet = Progress::quiet();
-
-    eprintln!("[bench] smoke grid, serial");
-    let t0 = std::time::Instant::now();
-    let (grid_serial, report_serial) = grid::run_journaled(
-        scale,
-        &RunnerOptions::serial(),
-        &bench_dir("serial")?,
-        false,
-        &quiet,
-    )
-    .map_err(|e| e.to_string())?;
-    let serial_wall_s = t0.elapsed().as_secs_f64();
-
-    eprintln!("[bench] smoke grid, {threads} threads");
-    let t0 = std::time::Instant::now();
-    let (grid_parallel, report_parallel) = grid::run_journaled(
-        scale,
-        &RunnerOptions::parallel(threads),
-        &bench_dir("parallel")?,
-        false,
-        &quiet,
-    )
-    .map_err(|e| e.to_string())?;
-    let parallel_wall_s = t0.elapsed().as_secs_f64();
-
-    // Sanity: the determinism contract, enforced at bench time too.
-    for (a, b) in grid_serial.cells.iter().zip(&grid_parallel.cells) {
-        if mtm_runner::canonical_result_json(&a.result)
-            != mtm_runner::canonical_result_json(&b.result)
-        {
-            return Err(format!(
-                "parallel grid diverged from serial at cell {}/{}",
-                a.size.label(),
-                a.strategy
-            ));
-        }
-    }
-
-    // Memoization leg: the grid's protocol measures each proposal once, so
-    // the grid never revisits a config hash. Bench the memo cache where it
-    // actually applies — a repeated-measurement experiment
-    // (`measure_reps: 3`): repetitions 2 and 3 of every step are
-    // guaranteed cache hits when memoization is on.
-    eprintln!("[bench] repeated-measurement experiment, memoization off vs on");
-    let topo = make_condition(
-        SizeClass::Medium,
-        &Condition {
-            time_imbalance: 0.5,
-            contention: 0.25,
-        },
-        GRID_SEED,
-    );
-    let base = synthetic_base(&topo);
-    let objective = Objective::new(topo, ClusterSpec::paper_cluster()).with_base(base);
-    let topo_ref = objective.topology().clone();
-    let make = move |seed: u64| Strategy::bo(&topo_ref, ParamSet::Hints, seed);
-    let memo_run_opts = CoreRunOptions {
-        max_steps: 20,
-        measure_reps: 3,
-        confirm_reps: 5,
-        passes: 2,
-        seed: GRID_SEED,
-        ..Default::default()
-    };
-    let t0 = std::time::Instant::now();
-    let plain = run_experiment_journaled(
-        "bench/memo-off",
-        &make,
-        &objective,
-        &memo_run_opts,
-        &RunnerOptions::serial(),
-        None,
-        false,
-    )
-    .map_err(|e| e.to_string())?;
-    let memo_unmemoized_wall_s = t0.elapsed().as_secs_f64();
-    let memo_opts = RunnerOptions {
-        memoize: true,
-        ..RunnerOptions::serial()
-    };
-    let t0 = std::time::Instant::now();
-    let memo = run_experiment_journaled(
-        "bench/memo-on",
-        &make,
-        &objective,
-        &memo_run_opts,
-        &memo_opts,
-        None,
-        false,
-    )
-    .map_err(|e| e.to_string())?;
-    let memo_memoized_wall_s = t0.elapsed().as_secs_f64();
-    let _ = plain;
-
-    eprintln!("[bench] resume of the completed serial journal");
-    let t0 = std::time::Instant::now();
-    let (_, report_resume) = grid::run_journaled(
-        scale,
-        &RunnerOptions::serial(),
-        &bench_dir_existing("serial"),
-        true,
-        &quiet,
-    )
-    .map_err(|e| e.to_string())?;
-    let resume_wall_s = t0.elapsed().as_secs_f64();
-
-    let memo_total = memo.stats.trials().max(1);
-    let record = BenchRecord {
-        bench: "runner",
-        scale: scale.label(),
-        cells: report_serial.cells,
-        threads,
-        serial_wall_s,
-        parallel_wall_s,
-        speedup: serial_wall_s / parallel_wall_s.max(1e-9),
-        trials_per_run: report_serial.stats.trials(),
-        memo_unmemoized_wall_s,
-        memo_memoized_wall_s,
-        memo_trials: memo.stats.trials(),
-        memo_cache_hits: memo.stats.cache_hits,
-        memo_cache_hit_rate: memo.stats.cache_hits as f64 / memo_total as f64,
-        resume_wall_s,
-        resume_replayed_trials: report_resume.stats.replayed,
-    };
-    let json =
-        serde_json::to_string_pretty(&record).map_err(|e| format!("serialize record: {e}"))?;
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_runner.json");
-    std::fs::write(&path, format!("{json}\n"))
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("{json}");
-    eprintln!("[bench] wrote {}", path.display());
-    let _ = report_parallel; // counts match serial by construction
-    Ok(())
-}
-
-fn bench_dir(tag: &str) -> Result<std::path::PathBuf, String> {
-    let dir = journal_root().join("bench").join(tag);
-    // Fresh timing run: wipe leftovers so nothing replays.
-    match std::fs::remove_dir_all(&dir) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(format!("clear {}: {e}", dir.display())),
-    }
-    Ok(dir)
-}
-
-fn bench_dir_existing(tag: &str) -> std::path::PathBuf {
-    journal_root().join("bench").join(tag)
 }

@@ -8,8 +8,9 @@ use std::path::{Path, PathBuf};
 
 use mtm_core::objective::synthetic_base;
 use mtm_core::{Objective, ParamSet, RunOptions, Strategy};
-use mtm_runner::engine::{canonical_result_json, run_experiment_journaled};
+use mtm_runner::engine::{canonical_result_json, fingerprint, run_experiment_journaled};
 use mtm_runner::grid;
+use mtm_runner::journal::{load_segment, Header, Record, SCHEMA_VERSION};
 use mtm_runner::progress::Progress;
 use mtm_runner::{RunnerOptions, Scale};
 use mtm_stormsim::ClusterSpec;
@@ -273,6 +274,65 @@ fn stale_segment_is_discarded_not_served() {
         canonical_result_json(&resumed.result),
         "re-run under the new seed, not the journaled old one"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A version-1 segment: schema version 1's header over `segment`'s
+/// experiment, and trial rows with the `cached` flag version 2 dropped.
+/// The header keeps the current fingerprint, so only its version can
+/// mark the segment stale.
+fn as_version_1(segment: &str, exp_id: &str, opts: &RunOptions) -> String {
+    let header = Record::Header(Header {
+        version: 1,
+        exp_id: exp_id.to_string(),
+        seed: opts.seed,
+        fingerprint: fingerprint(exp_id, opts, &RunnerOptions::serial()),
+    });
+    let mut out = serde_json::to_string(&header).unwrap();
+    for line in segment.lines().skip(1) {
+        out.push('\n');
+        out.push_str(&line.replace(",\"attempts\":", ",\"cached\":false,\"attempts\":"));
+    }
+    out + "\n"
+}
+
+#[test]
+fn version_1_segment_is_stale_and_re_run() {
+    let dir = scratch("schema-v1");
+    let segment = dir.join("v1.jsonl");
+    let obj = objective();
+    let make = bo_factory();
+    let ropts = RunnerOptions::serial();
+    let exp_id = "resume/schema";
+    let fresh =
+        run_experiment_journaled(exp_id, &make, &obj, &opts(), &ropts, Some(&segment), false)
+            .unwrap();
+    // The first 60% of the lines: a trusted segment would replay them.
+    let full = fs::read_to_string(&segment).unwrap();
+    let keep = full.lines().count() * 6 / 10;
+    let cut: String = full.lines().take(keep).map(|l| format!("{l}\n")).collect();
+    let v1 = as_version_1(&cut, exp_id, &opts());
+    assert!(
+        v1.contains("{\"Trial\"") && v1.contains(",\"cached\":false,"),
+        "{v1}"
+    );
+    fs::write(&segment, &v1).unwrap();
+
+    let resumed =
+        run_experiment_journaled(exp_id, &make, &obj, &opts(), &ropts, Some(&segment), true)
+            .unwrap();
+    assert!(!resumed.resumed, "a version-1 segment must not be trusted");
+    assert_eq!(resumed.stats.replayed, 0, "{:?}", resumed.stats);
+    assert_eq!(resumed.stats.measured, fresh.stats.measured);
+    assert_eq!(
+        canonical_result_json(&fresh.result),
+        canonical_result_json(&resumed.result),
+        "the re-run matches a fresh run"
+    );
+    // The re-run rewrote the segment under the current schema.
+    let data = load_segment(&segment).unwrap().unwrap();
+    assert_eq!(data.header.map(|h| h.version), Some(SCHEMA_VERSION));
+    assert!(data.done.is_some());
     let _ = fs::remove_dir_all(&dir);
 }
 

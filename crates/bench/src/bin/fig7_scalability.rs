@@ -1,6 +1,7 @@
 //! Regenerate Fig. 7 (optimizer step wall-time).
 use mtm_bench::Scale;
-use mtm_runner::{grid, journal_root, pool, results_dir, RunnerOptions};
+use mtm_runner::{grid, journal_root, results_dir, RunnerOptions};
+use mtm_stats::pool;
 fn main() {
     let scale = Scale::from_env();
     let g = grid::run_or_load(

@@ -1,6 +1,7 @@
 //! Regenerate every table and figure in sequence.
 use mtm_bench::{figures, Scale};
-use mtm_runner::{grid, journal_root, pool, results_dir, RunnerOptions};
+use mtm_runner::{grid, journal_root, results_dir, RunnerOptions};
+use mtm_stats::pool;
 
 fn main() -> Result<(), mtm_runner::RunnerError> {
     let scale = Scale::from_env();

@@ -8,7 +8,8 @@
 
 use mtm_core::objective::synthetic_base;
 use mtm_core::report::Table;
-use mtm_core::{run_pass, Objective, RunOptions, Strategy};
+use mtm_core::{run_pass_traced, DirectMeasure, Objective, RunOptions, Strategy};
+use mtm_obs::NullRecorder;
 use mtm_stormsim::{ClusterSpec, StormConfig};
 use mtm_topogen::{make_condition, sundog_topology, Condition, SizeClass};
 
@@ -57,7 +58,13 @@ fn tuned_network(
         passes: 1,
         ..Default::default()
     };
-    let pass = run_pass(&mut pla, &objective, &opts);
+    let pass = run_pass_traced(
+        &mut pla,
+        &objective,
+        &opts,
+        &mut DirectMeasure,
+        &mut NullRecorder,
+    );
     objective.inspect(&pass.best_config).avg_worker_net_mbps
 }
 

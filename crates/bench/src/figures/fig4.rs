@@ -118,7 +118,8 @@ pub fn shape_report(grid: &Grid) -> String {
 #[cfg(test)]
 mod tests {
     use crate::Scale;
-    use mtm_runner::{grid, pool, RunnerOptions};
+    use mtm_runner::{grid, RunnerOptions};
+    use mtm_stats::pool;
 
     #[test]
     fn fig4_table_has_all_cells() {

@@ -85,7 +85,8 @@ pub fn shape_report(tables: &[Table]) -> String {
 #[cfg(test)]
 mod tests {
     use crate::Scale;
-    use mtm_runner::{grid, pool, RunnerOptions};
+    use mtm_runner::{grid, RunnerOptions};
+    use mtm_stats::pool;
 
     #[test]
     fn fig6_smoothes_trajectories() {

@@ -1,5 +1,6 @@
 //! `BENCH_gp.json`: propose latency of the incremental surrogate against
-//! a full refit, and its gate.
+//! a full refit, one hyperparameter fit with and without idle cores, and
+//! the gate.
 
 use serde::Serialize;
 
@@ -21,6 +22,23 @@ pub struct HistoryCell {
     pub speedup: f64,
 }
 
+/// One hyperparameter fit at a fixed history, timed twice: with every
+/// core claimed, so its restarts run inline, and with nothing claimed, so
+/// they spread over the spare cores.
+#[derive(Debug, Default, Serialize)]
+pub struct RefitCell {
+    /// Observation-history size of the fitted surrogate.
+    pub history: usize,
+    /// Cores the machine reports; with one, both arms run inline.
+    pub nproc: usize,
+    /// Median wall seconds per fit with every core claimed.
+    pub fit_inline_s: f64,
+    /// Median wall seconds per fit with nothing claimed.
+    pub fit_spare_s: f64,
+    /// Every fit of both arms left the same hyperparameter and LML bits.
+    pub fit_bitwise: bool,
+}
+
 /// The record `bench_gp` writes.
 #[derive(Debug, Default, Serialize)]
 pub struct GpRecord {
@@ -40,11 +58,21 @@ pub struct GpRecord {
     pub min_speedup_at_180: f64,
     /// One cell per history size.
     pub cells: Vec<HistoryCell>,
+    /// The history-180 fit, inline against spread.
+    pub refit: RefitCell,
 }
 
 impl GpRecord {
-    /// Pass when the history-180 cell reaches [`MIN_SPEEDUP_AT_180`].
+    /// Pass when the history-180 cell reaches [`MIN_SPEEDUP_AT_180`] and
+    /// the refit's bits do not depend on the cores it ran on. The refit
+    /// sets no speed floor: a one-core machine has no spare core to use.
     pub fn gate(&self) -> Result<(), String> {
+        if !self.refit.fit_bitwise {
+            return Err(format!(
+                "hyperparameter fit at history {} differs between inline and {}-core runs",
+                self.refit.history, self.refit.nproc
+            ));
+        }
         let cell = self
             .cells
             .iter()
@@ -73,6 +101,12 @@ mod tests {
         };
         GpRecord {
             cells: vec![cell],
+            refit: RefitCell {
+                history: 180,
+                nproc: 2,
+                fit_bitwise: true,
+                ..Default::default()
+            },
             ..Default::default()
         }
     }
@@ -83,5 +117,21 @@ mod tests {
         let err = record(180, 4.9).gate().unwrap_err();
         assert!(err.contains("history 180 only 4.90x"), "{err}");
         assert!(record(60, 80.0).gate().is_err(), "no history-180 cell");
+    }
+
+    #[test]
+    fn refit_must_be_bitwise_with_no_speed_floor() {
+        // A spread fit slower than the inline one still passes.
+        let mut slow = record(180, 40.0);
+        slow.refit.fit_inline_s = 0.1;
+        slow.refit.fit_spare_s = 0.2;
+        assert_eq!(slow.gate(), Ok(()));
+        let mut breach = record(180, 40.0);
+        breach.refit.fit_bitwise = false;
+        let err = breach.gate().unwrap_err();
+        assert!(
+            err.contains("history 180 differs between inline and 2-core runs"),
+            "{err}"
+        );
     }
 }

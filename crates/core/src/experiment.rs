@@ -19,7 +19,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use mtm_obs::event::finite_or_zero;
-use mtm_obs::{Event, NullRecorder, Recorder};
+use mtm_obs::{Event, Recorder};
 use mtm_stormsim::StormConfig;
 
 use crate::objective::Objective;
@@ -258,18 +258,6 @@ impl ExperimentResult {
     }
 }
 
-/// Run one optimization pass of `strategy` against `objective`,
-/// measuring every trial directly.
-pub fn run_pass(strategy: &mut Strategy, objective: &Objective, opts: &RunOptions) -> PassResult {
-    run_pass_traced(
-        strategy,
-        objective,
-        opts,
-        &mut DirectMeasure,
-        &mut NullRecorder,
-    )
-}
-
 /// Run one optimization pass, obtaining every measurement through
 /// `measure`. This is the single implementation of the §V pass loop —
 /// early stop, best tracking and repetition averaging live here, while
@@ -402,6 +390,7 @@ pub fn select_best_pass(passes: &[PassResult]) -> usize {
 mod tests {
     use super::*;
     use crate::paramsets::ParamSet;
+    use mtm_obs::NullRecorder;
     use mtm_stormsim::noise::MeasurementNoise;
     use mtm_stormsim::ClusterSpec;
     use mtm_topogen::{make_condition, Condition, SizeClass};
@@ -431,7 +420,13 @@ mod tests {
     fn pla_pass_improves_over_first_step() {
         let obj = small_objective();
         let mut s = Strategy::pla();
-        let pass = run_pass(&mut s, &obj, &quick_opts());
+        let pass = run_pass_traced(
+            &mut s,
+            &obj,
+            &quick_opts(),
+            &mut DirectMeasure,
+            &mut NullRecorder,
+        );
         assert!(!pass.steps.is_empty());
         assert!(pass.best_throughput >= pass.steps[0].throughput);
         assert_eq!(pass.strategy, "pla");
@@ -443,7 +438,13 @@ mod tests {
     fn bo_pass_runs_and_observes() {
         let obj = small_objective();
         let mut s = Strategy::bo(obj.topology(), ParamSet::Hints, 3);
-        let pass = run_pass(&mut s, &obj, &quick_opts());
+        let pass = run_pass_traced(
+            &mut s,
+            &obj,
+            &quick_opts(),
+            &mut DirectMeasure,
+            &mut NullRecorder,
+        );
         assert_eq!(pass.steps.len(), 10);
         assert!(pass.best_throughput > 0.0);
     }
@@ -466,13 +467,15 @@ mod tests {
             .with_base(base)
             .with_noise(MeasurementNoise::none());
         let mut s = Strategy::pla();
-        let pass = run_pass(
+        let pass = run_pass_traced(
             &mut s,
             &obj,
             &RunOptions {
                 max_steps: 60,
                 ..Default::default()
             },
+            &mut DirectMeasure,
+            &mut NullRecorder,
         );
         assert_eq!(pass.steps.len(), 3, "stopped after three zero runs");
         assert_eq!(pass.best_throughput, 0.0);

@@ -37,7 +37,13 @@
 //!     .with_window(20.0);
 //! let mut strategy = Strategy::bo(objective.topology(), ParamSet::Hints, 42);
 //! let opts = RunOptions { max_steps: 8, confirm_reps: 3, ..Default::default() };
-//! let pass = run_pass(&mut strategy, &objective, &opts);
+//! let pass = run_pass_traced(
+//!     &mut strategy,
+//!     &objective,
+//!     &opts,
+//!     &mut DirectMeasure,
+//!     &mut mtm_obs::NullRecorder,
+//! );
 //! assert!(pass.best_throughput > 0.0);
 //! ```
 
@@ -49,9 +55,8 @@ pub mod strategy;
 pub mod weights;
 
 pub use experiment::{
-    confirm_run_id, pass_seed, run_pass, run_pass_traced, select_best_pass, step_run_id,
-    DirectMeasure, ExperimentResult, Measure, PassResult, RunOptions, StepRecord, TrialCtx,
-    TrialKind,
+    confirm_run_id, pass_seed, run_pass_traced, select_best_pass, step_run_id, DirectMeasure,
+    ExperimentResult, Measure, PassResult, RunOptions, StepRecord, TrialCtx, TrialKind,
 };
 pub use objective::{Objective, ObjectiveKind};
 pub use paramsets::ParamSet;
@@ -60,10 +65,11 @@ pub use weights::base_parallelism_weights;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::experiment::{run_pass, RunOptions};
+    pub use crate::experiment::{run_pass_traced, DirectMeasure, RunOptions};
     pub use crate::objective::Objective;
     pub use crate::paramsets::ParamSet;
     pub use crate::strategy::Strategy;
     pub use crate::weights::base_parallelism_weights;
+    pub use mtm_obs::NullRecorder;
     pub use mtm_stormsim::{ClusterSpec, StormConfig};
 }

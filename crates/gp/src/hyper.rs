@@ -6,7 +6,13 @@
 //! surface is cheap to differentiate analytically (see
 //! [`crate::gp::GpRegression::lml_with_grad`]) but multimodal and poorly
 //! scaled across parameters, which adaptive per-coordinate steps absorb.
+//!
+//! The restarts are independent ascents, so they fan out over the
+//! workspace's one thread pool ([`mtm_stats::pool`]) on whatever cores
+//! no other thread has claimed. The fitted bits do not depend on how
+//! many that is (see [`optimize`]).
 
+use mtm_stats::pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -67,46 +73,42 @@ impl FitOptions {
 
 /// Maximize the (penalized) log marginal likelihood of `gp` in place.
 /// Returns the best LML value reached (excluding the prior term).
+///
+/// The restarts run on the cores no other thread has claimed
+/// ([`pool::spare`]); the result is bitwise the same on any number.
 pub fn optimize<K: Kernel>(gp: &mut GpRegression<K>, opts: &FitOptions) -> f64 {
+    optimize_on(gp, opts, pool::spare())
+}
+
+/// [`optimize`] with its restarts fanned out over `workers` threads.
+///
+/// Each restart ascends on its own clone of `gp` from a start point
+/// drawn before any ascent runs, and the ascents draw no randomness, so
+/// the per-restart results do not depend on `workers`; the reduction
+/// then walks them in restart order.
+fn optimize_on<K: Kernel>(gp: &mut GpRegression<K>, opts: &FitOptions, workers: usize) -> f64 {
     let start = gp.hyperparameters();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut best_lml = gp.log_marginal_likelihood();
+    let inits = restart_points(&start, opts);
+    // The refit-boundary drift check compares an incrementally updated
+    // factor with a fresh one at the same hyperparameters. Run it once on
+    // the incoming GP: each restart's clone refactors at its own start
+    // point, which the check would mistake for drift.
+    #[cfg(feature = "strict-invariants")]
+    let _ = gp.refit();
+
+    let base: &GpRegression<K> = gp;
+    let ascents = pool::run_indexed(inits.len(), workers, |restart| {
+        inits
+            .get(restart)
+            .and_then(|init| ascend_from(base.clone(), init, opts))
+    });
 
     let mut best_params = start.clone();
-    let mut best_lml = gp.log_marginal_likelihood();
-
-    for restart in 0..=opts.restarts {
-        let init: Vec<f64> = if restart == 0 {
-            start.clone()
-        } else if restart == 1 {
-            // First restart is always unit scale with optimistic (small)
-            // noise: a canonical start that doesn't depend on the RNG
-            // stream, so a badly-scaled incoming point can never strand
-            // the whole fit. Noise starts low because a large initial
-            // noise floor pulls Adam into the "everything is noise"
-            // basin before the signal parameters can adapt; from below,
-            // the noise gradient recovers quickly if the data really is
-            // noisy.
-            let mut p = vec![0.0; start.len()];
-            if let Some(last) = p.last_mut() {
-                *last = -6.0;
-            }
-            p
-        } else {
-            // Remaining restarts around unit scale rather than around
-            // the incoming point: a bad starting point would otherwise
-            // anchor every restart inside the same bad basin.
-            start.iter().map(|_| rng.random_range(-3.0..3.0)).collect()
-        };
-        if gp.set_hyperparameters(&init).is_err() {
-            continue;
-        }
-        let final_params = adam_ascent(gp, opts);
-        if gp.set_hyperparameters(&final_params).is_ok() {
-            let lml = gp.log_marginal_likelihood();
-            if lml > best_lml && lml.is_finite() {
-                best_lml = lml;
-                best_params = final_params;
-            }
+    for (params, lml) in ascents.into_iter().flatten() {
+        if lml > best_lml && lml.is_finite() {
+            best_lml = lml;
+            best_params = params;
         }
     }
 
@@ -116,6 +118,51 @@ pub fn optimize<K: Kernel>(gp: &mut GpRegression<K>, opts: &FitOptions) -> f64 {
         let _ = gp.set_hyperparameters(&start);
     }
     gp.log_marginal_likelihood()
+}
+
+/// The start point of every restart, in restart order, all drawn from
+/// the one seeded RNG before any ascent runs.
+fn restart_points(start: &[f64], opts: &FitOptions) -> Vec<Vec<f64>> {
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    (0..=opts.restarts)
+        .map(|restart| {
+            if restart == 0 {
+                start.to_vec()
+            } else if restart == 1 {
+                // First restart is always unit scale with optimistic (small)
+                // noise: a canonical start that doesn't depend on the RNG
+                // stream, so a badly-scaled incoming point can never strand
+                // the whole fit. Noise starts low because a large initial
+                // noise floor pulls Adam into the "everything is noise"
+                // basin before the signal parameters can adapt; from below,
+                // the noise gradient recovers quickly if the data really is
+                // noisy.
+                let mut p = vec![0.0; start.len()];
+                if let Some(last) = p.last_mut() {
+                    *last = -6.0;
+                }
+                p
+            } else {
+                // Remaining restarts around unit scale rather than around
+                // the incoming point: a bad starting point would otherwise
+                // anchor every restart inside the same bad basin.
+                start.iter().map(|_| rng.random_range(-3.0..3.0)).collect()
+            }
+        })
+        .collect()
+}
+
+/// One restart on its own GP: factor at `init`, ascend, refactor at the
+/// ascent's best point. `None` when either factorization fails.
+fn ascend_from<K: Kernel>(
+    mut gp: GpRegression<K>,
+    init: &[f64],
+    opts: &FitOptions,
+) -> Option<(Vec<f64>, f64)> {
+    gp.set_hyperparameters(init).ok()?;
+    let final_params = adam_ascent(&mut gp, opts);
+    gp.set_hyperparameters(&final_params).ok()?;
+    Some((final_params, gp.log_marginal_likelihood()))
 }
 
 /// One Adam ascent run from the GP's current hyperparameters. Returns the
@@ -171,7 +218,7 @@ fn adam_ascent<K: Kernel>(gp: &mut GpRegression<K>, opts: &FitOptions) -> Vec<f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::SquaredExpArd;
+    use crate::kernel::{Matern52Ard, SquaredExpArd};
     use crate::priors::{IndependentPriors, Prior};
 
     fn noisy_quadratic() -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -239,5 +286,91 @@ mod tests {
             "prior should have held the noise up, got {}",
             gp.noise_var()
         );
+    }
+
+    fn noisy_surface() -> (Vec<Vec<f64>>, Vec<f64>) {
+        let xs: Vec<Vec<f64>> = (0..18)
+            .map(|i| vec![(i as f64 * 0.61).sin(), i as f64 / 17.0])
+            .collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| (2.0 * x[0]).cos() + x[1] * x[1] + if i % 3 == 0 { 0.05 } else { -0.03 })
+            .collect();
+        (xs, ys)
+    }
+
+    /// The fitted hyperparameters and returned LML, as bits, when the
+    /// restarts of one fit of `gp` run on `workers` threads.
+    fn fit_bits<K: Kernel>(gp: &GpRegression<K>, opts: &FitOptions, workers: usize) -> Vec<u64> {
+        let mut gp = gp.clone();
+        let lml = optimize_on(&mut gp, opts, workers);
+        let mut bits: Vec<u64> = gp.hyperparameters().iter().map(|p| p.to_bits()).collect();
+        bits.push(lml.to_bits());
+        bits
+    }
+
+    fn assert_bit_exact_across_workers<K: Kernel>(gp: &GpRegression<K>, label: &str) {
+        let n_params = gp.hyperparameters().len();
+        for restarts in [0, 2, 4] {
+            for priors in [None, Some(IndependentPriors::weakly_informative(n_params))] {
+                let opts = FitOptions {
+                    restarts,
+                    priors,
+                    ..Default::default()
+                };
+                let serial = fit_bits(gp, &opts, 1);
+                for workers in [2, 3, 5] {
+                    assert_eq!(
+                        fit_bits(gp, &opts, workers),
+                        serial,
+                        "{label}, restarts {restarts}, MAP {}, workers {workers}",
+                        opts.priors.is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fit_is_bit_exact_across_worker_counts() {
+        let (xs, ys) = noisy_surface();
+        let se = GpRegression::fit(
+            SquaredExpArd::new(2, 1.0, 0.5),
+            xs.clone(),
+            ys.clone(),
+            0.05,
+        )
+        .unwrap();
+        assert_bit_exact_across_workers(&se, "SE-ARD");
+        let matern = GpRegression::fit(Matern52Ard::new(2, 1.0, 0.5), xs, ys, 0.05).unwrap();
+        assert_bit_exact_across_workers(&matern, "Matérn-5/2");
+    }
+
+    // Strict builds assert a finite Gram matrix, and a non-finite one is
+    // exactly the factorization failure this test provokes.
+    #[cfg(not(feature = "strict-invariants"))]
+    #[test]
+    fn fit_is_bit_exact_when_a_restart_fails_to_factor() {
+        // Inputs 1e200 apart: at the incoming lengthscale e^500 they are
+        // close, but at any start point's unit-scale lengthscale their
+        // squared distance overflows and Matérn's `inf · 0` is NaN.
+        let xs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 * 1e200]).collect();
+        let ys: Vec<f64> = (0..8).map(|i| (i as f64).sin()).collect();
+        let gp = GpRegression::fit(Matern52Ard::new(1, 1.0, 500.0_f64.exp()), xs, ys, 0.1).unwrap();
+        let opts = FitOptions {
+            restarts: 2,
+            ..Default::default()
+        };
+        let inits = restart_points(&gp.hyperparameters(), &opts);
+        let failed = inits
+            .iter()
+            .filter(|init| ascend_from(gp.clone(), init, &opts).is_none())
+            .count();
+        assert!(failed >= 1, "no restart took the failed-factor path");
+        let serial = fit_bits(&gp, &opts, 1);
+        for workers in [2, 3, 5] {
+            assert_eq!(fit_bits(&gp, &opts, workers), serial, "workers {workers}");
+        }
     }
 }

@@ -35,6 +35,7 @@ use mtm_core::{
 };
 use mtm_obs::event::finite_or_zero;
 use mtm_obs::{Event, MemRecorder, NullRecorder, Recorder};
+use mtm_stats::pool;
 use mtm_stormsim::StormConfig;
 use serde::Serialize;
 
@@ -45,7 +46,6 @@ use crate::journal::{
     load_segment, ConfirmRecord, Header, Journal, PassDone, Record, SegmentData, TrialRecord,
     SCHEMA_VERSION,
 };
-use crate::pool;
 
 /// Execution options orthogonal to the protocol's [`RunOptions`].
 #[derive(Debug, Clone)]

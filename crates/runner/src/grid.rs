@@ -241,7 +241,7 @@ fn run_inner(
         threads: 1,
         ..ropts.clone()
     };
-    let outcomes = crate::pool::run_indexed(coords.len(), ropts.threads, |i| {
+    let outcomes = mtm_stats::pool::run_indexed(coords.len(), ropts.threads, |i| {
         let coord = &coords[i];
         let segment = journal_root.map(|root| segment_path(root, scale, coord));
         let out = run_cell(coord, scale, &cell_ropts, segment.as_deref(), resume);

@@ -17,9 +17,6 @@
 //!   retries);
 //! * [`segment`] — a re-export of [`mtm_obs::segment`], the torn-tail
 //!   JSONL log the journal is written as;
-//! * [`pool`] — bounded OS-thread fan-out with order-preserving result
-//!   collection; combined with per-unit seed derivation, parallel runs
-//!   are bitwise-identical to serial ones;
 //! * [`grid`] — the Figs. 4–7 grid as 96 independent journaled cells
 //!   (replaces the monolithic `grid_<scale>.json` cache);
 //! * [`scale`] — the `paper`/`fast`/`smoke` budget scaling (moved here
@@ -38,7 +35,6 @@ pub mod fault;
 pub mod grid;
 pub mod hash;
 pub mod journal;
-pub mod pool;
 pub mod progress;
 pub mod scale;
 pub use mtm_obs::segment;

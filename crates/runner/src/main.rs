@@ -22,7 +22,8 @@ use mtm_runner::engine::RunnerOptions;
 use mtm_runner::fault::FaultPlan;
 use mtm_runner::grid::{self, CellState};
 use mtm_runner::progress::Progress;
-use mtm_runner::{journal_root, pool, Scale};
+use mtm_runner::{journal_root, Scale};
+use mtm_stats::pool;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

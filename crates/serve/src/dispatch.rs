@@ -28,6 +28,7 @@ use mtm_runner::journal::load_segment;
 use mtm_runner::{
     canonical_result_json, run_experiment_journaled, run_experiment_traced, RunnerError,
 };
+use mtm_stats::pool;
 
 use crate::proto::{Response, SessionState, SessionView};
 use crate::spec::SessionSpec;
@@ -558,7 +559,12 @@ impl Dispatcher {
                 }
             };
 
-            let outcome = self.run_session(&session, &spec, abort);
+            let outcome = {
+                // The session occupies this worker's core, so a fit
+                // inside it borrows only cores no other session holds.
+                let _core = pool::claim();
+                self.run_session(&session, &spec, abort)
+            };
 
             // Decide the terminal transition under the lock; journal it
             // after release. Only the owning worker writes a session's

@@ -13,7 +13,9 @@
 //!   what Fig. 6 of the paper uses),
 //! * [`linreg`] — ordinary least squares on small designs,
 //! * [`quantile`] — quantiles and medians,
-//! * [`histogram`] — fixed-width binning for diagnostics.
+//! * [`histogram`] — fixed-width binning for diagnostics,
+//! * [`pool`] — the workspace's one thread pool: order-preserving
+//!   fan-out under a process-wide core budget.
 //!
 //! ```
 //! use mtm_stats::{welch_t_test, Summary};
@@ -31,6 +33,7 @@ pub mod dist;
 pub mod histogram;
 pub mod linreg;
 pub mod loess;
+pub mod pool;
 pub mod quantile;
 pub mod special;
 pub mod ttest;

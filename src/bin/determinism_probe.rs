@@ -9,7 +9,9 @@
 //! are the one sanctioned nondeterminism in the workspace.
 
 use mtm_core::objective::synthetic_base;
-use mtm_core::{run_pass, step_run_id, Objective, ParamSet, RunOptions, Strategy};
+use mtm_core::{
+    run_pass_traced, step_run_id, DirectMeasure, Objective, ParamSet, RunOptions, Strategy,
+};
 use mtm_obs::{JsonlRecorder, MemRecorder, NullRecorder};
 use mtm_runner::engine::{canonical_result_json, run_experiment_journaled, run_experiment_traced};
 use mtm_runner::{FaultPlan, RunnerOptions};
@@ -101,7 +103,13 @@ fn main() {
         seed: 7,
         ..Default::default()
     };
-    let pass = run_pass(&mut strategy, &objective, &run_opts);
+    let pass = run_pass_traced(
+        &mut strategy,
+        &objective,
+        &run_opts,
+        &mut DirectMeasure,
+        &mut NullRecorder,
+    );
     for s in &pass.steps {
         println!("bo/step {} {}", s.step, float_bits(s.throughput));
     }

@@ -33,7 +33,13 @@
 //! let objective = Objective::new(topo, ClusterSpec::paper_cluster()).with_window(20.0);
 //! let mut bo = Strategy::bo(objective.topology(), ParamSet::Hints, 7);
 //! let opts = RunOptions { max_steps: 6, confirm_reps: 2, ..Default::default() };
-//! let pass = run_pass(&mut bo, &objective, &opts);
+//! let pass = run_pass_traced(
+//!     &mut bo,
+//!     &objective,
+//!     &opts,
+//!     &mut DirectMeasure,
+//!     &mut NullRecorder,
+//! );
 //! assert!(pass.best_throughput > 0.0);
 //! ```
 
@@ -58,5 +64,5 @@ pub use mtm_linalg::LinalgError;
 /// The commonly-used types in one import.
 pub mod prelude {
     pub use mtm_core::prelude::*;
-    pub use mtm_core::{run_pass, ExperimentResult, PassResult, StepRecord};
+    pub use mtm_core::{ExperimentResult, PassResult, StepRecord};
 }

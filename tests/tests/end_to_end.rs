@@ -1,7 +1,10 @@
 //! End-to-end tuning flows: optimizer ↔ simulator ↔ experiment protocol.
 
 use mtm_core::objective::synthetic_base;
-use mtm_core::{run_pass, ExperimentResult, Objective, ParamSet, RunOptions, Strategy};
+use mtm_core::{
+    run_pass_traced, DirectMeasure, ExperimentResult, Objective, ParamSet, RunOptions, Strategy,
+};
+use mtm_obs::NullRecorder;
 use mtm_runner::{run_experiment_journaled, RunnerOptions};
 use mtm_stormsim::noise::MeasurementNoise;
 use mtm_stormsim::ClusterSpec;
@@ -44,7 +47,13 @@ fn bo_beats_random_search_on_a_contended_topology() {
         passes: 1,
         ..Default::default()
     };
-    let bo_pass = run_pass(&mut bo, &objective, &opts);
+    let bo_pass = run_pass_traced(
+        &mut bo,
+        &objective,
+        &opts,
+        &mut DirectMeasure,
+        &mut NullRecorder,
+    );
 
     // Random search with the same budget over the same space.
     let space = ParamSet::Hints.space(objective.topology());

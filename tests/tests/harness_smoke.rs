@@ -3,7 +3,8 @@
 
 use mtm_bench::figures;
 use mtm_bench::Scale;
-use mtm_runner::{grid, pool, RunnerOptions};
+use mtm_runner::{grid, RunnerOptions};
+use mtm_stats::pool;
 
 #[test]
 fn tables_render() {

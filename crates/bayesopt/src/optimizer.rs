@@ -101,10 +101,16 @@ impl Kernel for BoKernel {
             BoKernel::SquaredExp(k) => k.eval(a, b),
         }
     }
-    fn eval_grad(&self, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
+    fn eval_pair(&self, a: &[f64], b: &[f64]) -> (f64, f64) {
         match self {
-            BoKernel::Matern(k) => k.eval_grad(a, b, grad),
-            BoKernel::SquaredExp(k) => k.eval_grad(a, b, grad),
+            BoKernel::Matern(k) => k.eval_pair(a, b),
+            BoKernel::SquaredExp(k) => k.eval_pair(a, b),
+        }
+    }
+    fn grad_from(&self, a: &[f64], b: &[f64], k: f64, factor: f64, grad: &mut [f64]) {
+        match self {
+            BoKernel::Matern(kern) => kern.grad_from(a, b, k, factor, grad),
+            BoKernel::SquaredExp(kern) => kern.grad_from(a, b, k, factor, grad),
         }
     }
     fn diag(&self) -> f64 {
@@ -409,26 +415,49 @@ impl Surrogate for SurrogateBox {
     }
 }
 
-/// Score `pool` under `sur`, *accumulating* into `scores`, one
-/// [`SCORE_CHUNK`]-wide chunk at a time. Each chunk predicts into one
-/// reused scratch buffer instead of collecting a fresh
-/// `Vec<Prediction>`; its capacity plateaus at `SCORE_CHUNK` after the
-/// first chunk.
-// mtm-hot: acq-score
+/// Score `candidates` under `sur`, *accumulating* into `scores`. The
+/// [`SCORE_CHUNK`]-wide chunks fan out over `workers` threads of the one
+/// pool ([`mtm_stats::pool`]), each scored by [`score_chunk`] into its
+/// own buffer, and are added into `scores` in chunk order: every score
+/// is the same expression added to the same slot, so the sums do not
+/// depend on `workers`.
 fn accumulate_scores<S: Surrogate + ?Sized>(
     sur: &S,
     acq: &Acquisition,
-    pool: &[Vec<f64>],
+    candidates: &[Vec<f64>],
     z_best: f64,
     scores: &mut [f64],
+    workers: usize,
 ) {
-    debug_assert_eq!(pool.len(), scores.len());
-    let mut scratch = Vec::with_capacity(SCORE_CHUNK);
-    for (out, cands) in scores.chunks_mut(SCORE_CHUNK).zip(pool.chunks(SCORE_CHUNK)) {
-        sur.predict_many_into(cands, &mut scratch);
-        for (s, p) in out.iter_mut().zip(scratch.iter()) {
-            *s += acq.score(p.mean, p.std(), z_best);
+    debug_assert_eq!(candidates.len(), scores.len());
+    let n_chunks = candidates.len().div_ceil(SCORE_CHUNK);
+    let chunk_scores = mtm_stats::pool::run_indexed(n_chunks, workers, |c| {
+        let cands = candidates.chunks(SCORE_CHUNK).nth(c).unwrap_or_default();
+        let mut out = vec![0.0; cands.len()];
+        score_chunk(sur, acq, cands, z_best, &mut out);
+        out
+    });
+    for (sums, chunk) in scores.chunks_mut(SCORE_CHUNK).zip(&chunk_scores) {
+        for (s, &v) in sums.iter_mut().zip(chunk) {
+            *s += v;
         }
+    }
+}
+
+/// Score one chunk of candidates into `out`, predicting into one
+/// pre-sized buffer.
+// mtm-hot: acq-score
+fn score_chunk<S: Surrogate + ?Sized>(
+    sur: &S,
+    acq: &Acquisition,
+    cands: &[Vec<f64>],
+    z_best: f64,
+    out: &mut [f64],
+) {
+    let mut scratch = Vec::with_capacity(cands.len());
+    sur.predict_many_into(cands, &mut scratch);
+    for (s, p) in out.iter_mut().zip(scratch.iter()) {
+        *s = acq.score(p.mean, p.std(), z_best);
     }
 }
 
@@ -437,17 +466,31 @@ fn accumulate_scores<S: Surrogate + ?Sized>(
 /// `evaluate_batch`. `out` is cleared and refilled with one score per
 /// candidate through the same [`SCORE_CHUNK`] decomposition the proposal
 /// loop uses, so the result is bitwise-identical to scoring every
-/// candidate on its own.
+/// candidate on its own. The chunks run on the cores no other thread has
+/// claimed ([`mtm_stats::pool::spare`]); the scores do not depend on how
+/// many that is.
 pub fn score_batch<S: Surrogate + ?Sized>(
     sur: &S,
     acq: &Acquisition,
-    pool: &[Vec<f64>],
+    candidates: &[Vec<f64>],
     best: f64,
     out: &mut Vec<f64>,
 ) {
+    score_batch_on(sur, acq, candidates, best, out, mtm_stats::pool::spare());
+}
+
+/// [`score_batch`] with its chunks fanned out over `workers` threads.
+fn score_batch_on<S: Surrogate + ?Sized>(
+    sur: &S,
+    acq: &Acquisition,
+    candidates: &[Vec<f64>],
+    best: f64,
+    out: &mut Vec<f64>,
+    workers: usize,
+) {
     out.clear();
-    out.resize(pool.len(), 0.0);
-    accumulate_scores(sur, acq, pool, best, out);
+    out.resize(candidates.len(), 0.0);
+    accumulate_scores(sur, acq, candidates, best, out, workers);
 }
 
 /// The Bayesian optimizer.
@@ -888,7 +931,8 @@ impl BayesOpt {
                 ));
             };
             if hyper_samples.is_empty() {
-                accumulate_scores(&*sur, &acq, &candidates, z_best, &mut scores);
+                let workers = mtm_stats::pool::spare();
+                accumulate_scores(&*sur, &acq, &candidates, z_best, &mut scores, workers);
                 Ok(())
             } else {
                 let mut res = Ok(());
@@ -897,7 +941,8 @@ impl BayesOpt {
                         res = Err(BoError::from(e));
                         break;
                     }
-                    accumulate_scores(&*sur, &acq, &candidates, z_best, &mut scores);
+                    let workers = mtm_stats::pool::spare();
+                    accumulate_scores(&*sur, &acq, &candidates, z_best, &mut scores, workers);
                 }
                 // Polish below runs under the first sample.
                 if res.is_ok() {
@@ -1440,6 +1485,52 @@ mod tests {
                 "batched score {i} differs: {} vs {b}",
                 single[0]
             );
+        }
+    }
+
+    #[test]
+    fn score_batch_is_bit_exact_across_worker_counts() {
+        use mtm_gp::kernel::Matern52Ard;
+        let d = 4;
+        let point = |i: usize, salt: f64| -> Vec<f64> {
+            (0..d)
+                .map(|j| ((i * d + j) as f64 * 0.377 + salt).fract())
+                .collect()
+        };
+        let xs: Vec<Vec<f64>> = (0..30).map(|i| point(i, 0.0)).collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|x| x.iter().map(|v| (4.0 * v).sin()).sum())
+            .collect();
+        let gp = GpRegression::fit(Matern52Ard::new(d, 1.0, 0.3), xs, ys, 1e-3).unwrap();
+        // Six chunks, the last one partial: more chunks than the largest
+        // worker count, and not a multiple of any of them.
+        let candidates: Vec<Vec<f64>> = (0..(5 * SCORE_CHUNK + 23))
+            .map(|i| point(i, 0.13))
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        for acq in [
+            Acquisition::default(),
+            Acquisition::UpperConfidenceBound { kappa: 2.0 },
+            Acquisition::ProbabilityOfImprovement { xi: 0.01 },
+        ] {
+            let mut serial = Vec::new();
+            score_batch_on(&gp, &acq, &candidates, 0.7, &mut serial, 1);
+            assert_eq!(serial.len(), candidates.len());
+            // Accumulating twice (the marginalized path) sums chunk by chunk.
+            let mut twice = serial.clone();
+            accumulate_scores(&gp, &acq, &candidates, 0.7, &mut twice, 1);
+            for workers in [2, 3, 5] {
+                let mut fanned = Vec::new();
+                score_batch_on(&gp, &acq, &candidates, 0.7, &mut fanned, workers);
+                assert_eq!(bits(&fanned), bits(&serial), "{acq:?}, workers {workers}");
+                accumulate_scores(&gp, &acq, &candidates, 0.7, &mut fanned, workers);
+                assert_eq!(
+                    bits(&fanned),
+                    bits(&twice),
+                    "{acq:?}, workers {workers}, twice"
+                );
+            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! `BENCH_gp.json`: propose latency of the incremental surrogate against
-//! a full refit, one hyperparameter fit with and without idle cores, and
-//! the gate.
+//! a full refit, hyperparameter fits with and without idle cores, and the
+//! gate.
 
 use serde::Serialize;
 
@@ -58,19 +58,23 @@ pub struct GpRecord {
     pub min_speedup_at_180: f64,
     /// One cell per history size.
     pub cells: Vec<HistoryCell>,
-    /// The history-180 fit, inline against spread.
-    pub refit: RefitCell,
+    /// One fit per refit history (60, the paper protocol's largest, and
+    /// 180), inline against spread.
+    pub refits: Vec<RefitCell>,
 }
 
 impl GpRecord {
     /// Pass when the history-180 cell reaches [`MIN_SPEEDUP_AT_180`] and
-    /// the refit's bits do not depend on the cores it ran on. The refit
-    /// sets no speed floor: a one-core machine has no spare core to use.
+    /// no refit's bits depend on the cores it ran on. The refits set no
+    /// speed floor: a one-core machine has no spare core to use.
     pub fn gate(&self) -> Result<(), String> {
-        if !self.refit.fit_bitwise {
+        if self.refits.is_empty() {
+            return Err("no refit cell".into());
+        }
+        if let Some(refit) = self.refits.iter().find(|r| !r.fit_bitwise) {
             return Err(format!(
                 "hyperparameter fit at history {} differs between inline and {}-core runs",
-                self.refit.history, self.refit.nproc
+                refit.history, refit.nproc
             ));
         }
         let cell = self
@@ -99,14 +103,15 @@ mod tests {
             speedup,
             ..Default::default()
         };
+        let refit = |history| RefitCell {
+            history,
+            nproc: 2,
+            fit_bitwise: true,
+            ..Default::default()
+        };
         GpRecord {
             cells: vec![cell],
-            refit: RefitCell {
-                history: 180,
-                nproc: 2,
-                fit_bitwise: true,
-                ..Default::default()
-            },
+            refits: vec![refit(60), refit(180)],
             ..Default::default()
         }
     }
@@ -123,15 +128,24 @@ mod tests {
     fn refit_must_be_bitwise_with_no_speed_floor() {
         // A spread fit slower than the inline one still passes.
         let mut slow = record(180, 40.0);
-        slow.refit.fit_inline_s = 0.1;
-        slow.refit.fit_spare_s = 0.2;
+        for refit in &mut slow.refits {
+            refit.fit_inline_s = 0.1;
+            refit.fit_spare_s = 0.2;
+        }
         assert_eq!(slow.gate(), Ok(()));
-        let mut breach = record(180, 40.0);
-        breach.refit.fit_bitwise = false;
-        let err = breach.gate().unwrap_err();
-        assert!(
-            err.contains("history 180 differs between inline and 2-core runs"),
-            "{err}"
-        );
+        for (i, history) in [(0, 60), (1, 180)] {
+            let mut breach = record(180, 40.0);
+            breach.refits[i].fit_bitwise = false;
+            let err = breach.gate().unwrap_err();
+            assert!(
+                err.contains(&format!(
+                    "history {history} differs between inline and 2-core runs"
+                )),
+                "{err}"
+            );
+        }
+        let mut missing = record(180, 40.0);
+        missing.refits.clear();
+        assert_eq!(missing.gate(), Err("no refit cell".into()));
     }
 }

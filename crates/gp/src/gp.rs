@@ -66,6 +66,12 @@ pub struct GpRegression<K: Kernel> {
     chol: Cholesky,
     /// `(K + σ_n² I)^{-1} (y - m)` — the dual weights.
     alpha: Vec<f64>,
+    /// [`Kernel::eval_pair`] of every lower-triangle pair `(i, j ≤ i)`,
+    /// row by row, as the last refit's Gram fill evaluated it, for
+    /// [`lml_with_grad`](Self::lml_with_grad) to read instead of
+    /// re-evaluating the kernel. Emptied when an added or removed
+    /// observation makes it stale (see [`pairs_fresh`](Self::pairs_fresh)).
+    pairs: Vec<(f64, f64)>,
     /// Rank-one / bordered factor updates applied since the last full
     /// factorization. Drives the strict-invariants drift check at refit
     /// boundaries.
@@ -109,6 +115,7 @@ impl<K: Kernel> GpRegression<K> {
             log_noise_var: noise_var.ln(),
             chol: Cholesky::factor(&Mat::identity(1))?,
             alpha: Vec::new(),
+            pairs: Vec::new(),
             incremental_steps: 0,
         };
         gp.refit()?;
@@ -123,7 +130,7 @@ impl<K: Kernel> GpRegression<K> {
     /// build compares the incremental factor against the fresh one here —
     /// the refit boundary is exactly where accumulated drift would surface.
     pub fn refit(&mut self) -> Result<(), GpError> {
-        let mut k = self.kernel_matrix();
+        let mut k = gram(&self.kernel, &self.xs, &mut self.pairs);
         k.add_diag(self.log_noise_var.exp());
         #[cfg(feature = "strict-invariants")]
         let n = self.xs.len();
@@ -153,21 +160,12 @@ impl<K: Kernel> GpRegression<K> {
         Ok(())
     }
 
-    /// The noise-free Gram matrix `K[i][j] = k(x_i, x_j)`.
-    ///
-    /// Stationary kernels see `x_i - x_j` only through its square, and
-    /// `(b - a)·s = -((a - b)·s)` exactly, so `k(x_j, x_i)` is bit-equal
-    /// to `k(x_i, x_j)`: the lower triangle is evaluated and mirrored.
-    fn kernel_matrix(&self) -> Mat {
+    /// Whether [`pairs`](Self::pairs) holds every lower-triangle pair of
+    /// the current inputs under the current kernel: true from a refit
+    /// until the next added or removed observation.
+    fn pairs_fresh(&self) -> bool {
         let n = self.xs.len();
-        let mut k = Mat::zeros(n, n);
-        for (i, xi) in self.xs.iter().enumerate() {
-            for (kij, xj) in k.row_mut(i).iter_mut().take(i + 1).zip(&self.xs) {
-                *kij = self.kernel.eval(xi, xj);
-            }
-        }
-        k.mirror_lower();
-        k
+        self.pairs.len() == n * (n + 1) / 2
     }
 
     /// Absorb one new observation in `O(n²)` via a bordered Cholesky
@@ -188,6 +186,7 @@ impl<K: Kernel> GpRegression<K> {
         self.ys.push(y);
         match self.chol.append(&b, c) {
             Ok(()) => {
+                self.pairs.clear();
                 self.incremental_steps += 1;
                 self.refresh_weights();
                 Ok(())
@@ -214,6 +213,7 @@ impl<K: Kernel> GpRegression<K> {
         self.xs.remove(idx);
         self.ys.remove(idx);
         self.chol.remove(idx);
+        self.pairs.clear();
         self.incremental_steps += 1;
         self.refresh_weights();
         Ok(())
@@ -344,7 +344,10 @@ impl<K: Kernel> GpRegression<K> {
     ///
     /// Uses the standard identity `∂L/∂θ = ½ tr((αα^T - K⁻¹) ∂K/∂θ)`,
     /// evaluated pairwise so the per-parameter `∂K/∂θ` matrices are never
-    /// materialized (`O(n² d)` time, `O(n²)` memory).
+    /// materialized (`O(n² d)` time, `O(n²)` memory). Each pair's
+    /// `(k, factor)` comes from the last refit's Gram fill when that is
+    /// still fresh, else from [`Kernel::eval_pair`]: the same bits either
+    /// way.
     pub fn lml_with_grad(&self) -> (f64, Vec<f64>) {
         let n = self.xs.len();
         let n_kp = self.kernel.n_params();
@@ -354,22 +357,39 @@ impl<K: Kernel> GpRegression<K> {
         let kinv = self.chol.inverse();
         let mut grad = vec![0.0; n_kp + 1];
         let mut kg = vec![0.0; n_kp];
-        for i in 0..n {
-            for j in 0..=i {
-                let m_ij = self.alpha[i] * self.alpha[j] - kinv[(i, j)];
+        let mut cached = if self.pairs_fresh() {
+            self.pairs.iter()
+        } else {
+            [].iter()
+        };
+        let rows = self.xs.iter().zip(&self.alpha);
+        for (i, ((xi, &a_i), kinv_row)) in rows.zip(kinv.as_slice().chunks_exact(n)).enumerate() {
+            let cols = self.xs.iter().zip(&self.alpha).zip(kinv_row).take(i + 1);
+            for (j, ((xj, &a_j), &kinv_ij)) in cols.enumerate() {
+                let m_ij = a_i * a_j - kinv_ij;
                 let weight = if i == j { 0.5 * m_ij } else { m_ij };
-                self.kernel.eval_grad(&self.xs[i], &self.xs[j], &mut kg);
-                for (g, &dk) in grad[..n_kp].iter_mut().zip(&kg) {
+                let (k, factor) = match cached.next() {
+                    Some(&pair) => pair,
+                    None => self.kernel.eval_pair(xi, xj),
+                };
+                self.kernel.grad_from(xi, xj, k, factor, &mut kg);
+                for (g, &dk) in grad.iter_mut().zip(&kg) {
                     *g += weight * dk;
                 }
             }
         }
         // Noise term: ∂K/∂ log σ_n² = σ_n² I → ½ σ_n² tr(M).
         let sn2 = self.log_noise_var.exp();
-        let tr_m: f64 = (0..n)
-            .map(|i| self.alpha[i] * self.alpha[i] - kinv[(i, i)])
+        let kinv_diag = kinv.as_slice().iter().step_by(n + 1);
+        let tr_m: f64 = self
+            .alpha
+            .iter()
+            .zip(kinv_diag)
+            .map(|(&a_i, &kinv_ii)| a_i * a_i - kinv_ii)
             .sum();
-        grad[n_kp] = 0.5 * sn2 * tr_m;
+        if let Some(g_noise) = grad.last_mut() {
+            *g_noise = 0.5 * sn2 * tr_m;
+        }
         #[cfg(feature = "strict-invariants")]
         mtm_linalg::invariants::assert_finite("LML gradient", &grad);
         (lml, grad)
@@ -440,6 +460,31 @@ impl<K: Kernel> GpRegression<K> {
             _ => Some(y),
         })
     }
+}
+
+/// The noise-free Gram matrix `K[i][j] = k(x_i, x_j)`, with every
+/// lower-triangle pair's [`Kernel::eval_pair`] refilled into `pairs` row
+/// by row.
+///
+/// Stationary kernels see `x_i - x_j` only through its square, and
+/// `(b - a)·s = -((a - b)·s)` exactly, so `k(x_j, x_i)` is bit-equal to
+/// `k(x_i, x_j)`: the lower triangle is evaluated and mirrored.
+fn gram<K: Kernel>(kernel: &K, xs: &[Vec<f64>], pairs: &mut Vec<(f64, f64)>) -> Mat {
+    let n = xs.len();
+    let mut k = Mat::zeros(n, n);
+    // mtm-allow: alloc -- refilled in place at every refit; capacity plateaus at the largest history
+    pairs.resize(n * (n + 1) / 2, (0.0, 0.0));
+    let mut rest = pairs.as_mut_slice();
+    for (i, xi) in xs.iter().enumerate() {
+        let (row_pairs, below) = std::mem::take(&mut rest).split_at_mut(i + 1);
+        rest = below;
+        for ((kij, xj), pair) in k.row_mut(i).iter_mut().zip(xs).zip(row_pairs) {
+            *pair = kernel.eval_pair(xi, xj);
+            *kij = pair.0;
+        }
+    }
+    k.mirror_lower();
+    k
 }
 
 #[cfg(test)]
@@ -579,10 +624,89 @@ mod tests {
         let mut gp = GpRegression::fit(Matern52Ard::new(3, 1.0, 0.5), xs, ys, 1e-3).unwrap();
         gp.set_hyperparameters(&[0.4, -0.7, 0.2, 1.1, -2.0])
             .unwrap();
-        let k = gp.kernel_matrix();
+        let k = gram(&gp.kernel, &gp.xs, &mut Vec::new());
         let full = Mat::from_fn(9, 9, |i, j| gp.kernel.eval(&gp.xs[i], &gp.xs[j]));
         let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&k), bits(&full));
+    }
+
+    /// The per-pair `eval_grad` sweep `lml_with_grad` replaced, kept as
+    /// its bit-exact reference.
+    fn reference_lml_with_grad<K: Kernel>(gp: &GpRegression<K>) -> (f64, Vec<f64>) {
+        let n = gp.xs.len();
+        let n_kp = gp.kernel.n_params();
+        let lml = gp.log_marginal_likelihood();
+        let kinv = gp.chol.inverse();
+        let mut grad = vec![0.0; n_kp + 1];
+        let mut kg = vec![0.0; n_kp];
+        for i in 0..n {
+            for j in 0..=i {
+                let m_ij = gp.alpha[i] * gp.alpha[j] - kinv[(i, j)];
+                let weight = if i == j { 0.5 * m_ij } else { m_ij };
+                gp.kernel.eval_grad(&gp.xs[i], &gp.xs[j], &mut kg);
+                for (g, &dk) in grad[..n_kp].iter_mut().zip(&kg) {
+                    *g += weight * dk;
+                }
+            }
+        }
+        let sn2 = gp.log_noise_var.exp();
+        let tr_m: f64 = (0..n)
+            .map(|i| gp.alpha[i] * gp.alpha[i] - kinv[(i, i)])
+            .sum();
+        grad[n_kp] = 0.5 * sn2 * tr_m;
+        (lml, grad)
+    }
+
+    fn assert_grad_matches_reference<K: Kernel>(gp: &GpRegression<K>, fresh: bool, label: &str) {
+        assert_eq!(gp.pairs_fresh(), fresh, "{label}: cache freshness");
+        let bits = |(lml, grad): (f64, Vec<f64>)| {
+            std::iter::once(lml)
+                .chain(grad)
+                .map(f64::to_bits)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            bits(gp.lml_with_grad()),
+            bits(reference_lml_with_grad(gp)),
+            "{label}"
+        );
+    }
+
+    fn cache_states_match_reference<K: Kernel>(kernel: K, label: &str) {
+        let xs: Vec<Vec<f64>> = (0..14)
+            .map(|i| {
+                vec![
+                    (i as f64 * 0.43).sin(),
+                    (i as f64 * 0.91).cos(),
+                    i as f64 / 13.0,
+                ]
+            })
+            .collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x[0] * 2.0 - x[1] + x[2] * x[2]).collect();
+        let mut gp = GpRegression::fit(kernel, xs[..10].to_vec(), ys[..10].to_vec(), 1e-2).unwrap();
+        assert_grad_matches_reference(&gp, true, &format!("{label}: fit"));
+        gp.set_hyperparameters(&[0.3, -0.8, 0.4, -1.1, -3.0])
+            .unwrap();
+        assert_grad_matches_reference(&gp, true, &format!("{label}: set_hyperparameters"));
+        gp.set_targets(&ys[4..14]).unwrap();
+        assert_grad_matches_reference(&gp, true, &format!("{label}: set_targets, fresh"));
+        gp.add_observation(xs[10].clone(), ys[10]).unwrap();
+        assert_grad_matches_reference(&gp, false, &format!("{label}: add_observation"));
+        gp.set_targets(&ys[3..14]).unwrap();
+        assert_grad_matches_reference(&gp, false, &format!("{label}: set_targets, stale"));
+        gp.refit().unwrap();
+        assert_grad_matches_reference(&gp, true, &format!("{label}: refit"));
+        gp.remove_observation(2).unwrap();
+        assert_grad_matches_reference(&gp, false, &format!("{label}: remove_observation"));
+        // Same size as the cache again, but different pairs.
+        gp.add_observation(xs[11].clone(), ys[11]).unwrap();
+        assert_grad_matches_reference(&gp, false, &format!("{label}: remove then add"));
+    }
+
+    #[test]
+    fn lml_gradient_is_bit_equal_to_per_pair_eval_grad() {
+        cache_states_match_reference(SquaredExpArd::new(3, 1.0, 0.5), "SE-ARD");
+        cache_states_match_reference(Matern52Ard::new(3, 1.0, 0.5), "Matérn-5/2");
     }
 
     #[test]

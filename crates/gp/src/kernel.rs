@@ -7,10 +7,17 @@
 //!
 //! Both kernels also keep the linear-space values derived from those
 //! parameters (`σ_f²` and every `1/ℓ_i`), refreshed in place by `new`
-//! and `set_params`. `eval`, `eval_grad` and `diag` read the cache
+//! and `set_params`. `eval`, `eval_pair` and `diag` read the cache
 //! instead of calling `exp` per dimension per pair; each cached value is
 //! the same expression the per-call code evaluated, so results are
 //! bit-identical.
+//!
+//! The gradient splits in two: [`Kernel::eval_pair`] does the per-pair
+//! transcendental work once and returns `k` with the pair's gradient
+//! factor, and [`Kernel::grad_from`] turns that pair into the gradient
+//! with one pass over the dimensions. A GP's Gram fill keeps every
+//! pair's `(k, factor)`, so its LML gradient sweep pays only the second
+//! half; [`Kernel::eval_grad`] is the two halves back to back.
 
 /// A stationary covariance function with tunable log-hyperparameters.
 pub trait Kernel: Send + Sync + Clone {
@@ -29,9 +36,24 @@ pub trait Kernel: Send + Sync + Clone {
     /// Covariance `k(a, b)`.
     fn eval(&self, a: &[f64], b: &[f64]) -> f64;
 
+    /// Covariance `k(a, b)` and the pair's gradient factor: the scalar
+    /// that [`grad_from`](Self::grad_from) multiplies each scaled squared
+    /// distance `d_i² = ((a_i − b_i)/ℓ_i)²` by to get `∂k/∂ log ℓ_i`.
+    /// `k` is bit-equal to [`eval`](Self::eval)'s.
+    fn eval_pair(&self, a: &[f64], b: &[f64]) -> (f64, f64);
+
+    /// Gradient of `k(a, b)` with respect to each log-hyperparameter
+    /// from the pair's `(k, factor)` as [`eval_pair`](Self::eval_pair)
+    /// returned them. `grad` must have length `n_params()`.
+    fn grad_from(&self, a: &[f64], b: &[f64], k: f64, factor: f64, grad: &mut [f64]);
+
     /// Covariance and gradient with respect to each log-hyperparameter.
     /// `grad` must have length `n_params()`; returns `k(a, b)`.
-    fn eval_grad(&self, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64;
+    fn eval_grad(&self, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
+        let (k, factor) = self.eval_pair(a, b);
+        self.grad_from(a, b, k, factor, grad);
+        k
+    }
 
     /// Prior variance at any point, `k(x, x)`.
     fn diag(&self) -> f64;
@@ -51,6 +73,38 @@ fn refresh_scales(
     *signal_var = log_signal_var.exp();
     for (inv_l, &log_l) in inv_lengthscales.iter_mut().zip(log_lengthscales) {
         *inv_l = (-log_l).exp();
+    }
+}
+
+/// `Σ_i ((a_i − b_i)/ℓ_i)²`, summed in dimension order.
+fn scaled_sq_dist(inv_lengthscales: &[f64], a: &[f64], b: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for ((&ai, &bi), &inv_l) in a.iter().zip(b).zip(inv_lengthscales) {
+        let d = (ai - bi) * inv_l;
+        s += d * d;
+    }
+    s
+}
+
+/// The ARD kernels' gradient from a pair's `(k, factor)`:
+/// `∂k/∂ log σ_f² = k` and `∂k/∂ log ℓ_i = d_i² · factor`.
+fn ard_grad_from(
+    inv_lengthscales: &[f64],
+    a: &[f64],
+    b: &[f64],
+    k: f64,
+    factor: f64,
+    grad: &mut [f64],
+) {
+    debug_assert_eq!(grad.len(), 1 + inv_lengthscales.len());
+    let Some((g0, g_dims)) = grad.split_first_mut() else {
+        return;
+    };
+    *g0 = k;
+    let dims = a.iter().zip(b).zip(inv_lengthscales);
+    for (g, ((&ai, &bi), &inv_l)) in g_dims.iter_mut().zip(dims) {
+        let d = (ai - bi) * inv_l;
+        *g = d * d * factor;
     }
 }
 
@@ -120,32 +174,18 @@ impl Kernel for SquaredExpArd {
 
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), self.inv_lengthscales.len());
-        let mut s = 0.0;
-        for ((&ai, &bi), &inv_l) in a.iter().zip(b).zip(&self.inv_lengthscales) {
-            let d = (ai - bi) * inv_l;
-            s += d * d;
-        }
+        let s = scaled_sq_dist(&self.inv_lengthscales, a, b);
         self.signal_var * (-0.5 * s).exp()
     }
 
-    fn eval_grad(&self, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
-        debug_assert_eq!(grad.len(), self.n_params());
-        let mut s = 0.0;
-        // Scaled squared distances per dimension, reused for the gradient.
-        let dims = a.iter().zip(b).zip(&self.inv_lengthscales);
-        for (g, ((&ai, &bi), &inv_l)) in grad[1..].iter_mut().zip(dims) {
-            let d = (ai - bi) * inv_l;
-            let d2 = d * d;
-            *g = d2; // placeholder, scaled below
-            s += d2;
-        }
-        let k = self.signal_var * (-0.5 * s).exp();
-        // ∂k/∂ log σ_f² = k ;  ∂k/∂ log ℓ_i = k * d_i²
-        grad[0] = k;
-        for g in grad[1..].iter_mut() {
-            *g *= k;
-        }
-        k
+    fn eval_pair(&self, a: &[f64], b: &[f64]) -> (f64, f64) {
+        // ∂k/∂ log ℓ_i = k · d_i²: the factor is `k` itself.
+        let k = self.eval(a, b);
+        (k, k)
+    }
+
+    fn grad_from(&self, a: &[f64], b: &[f64], k: f64, factor: f64, grad: &mut [f64]) {
+        ard_grad_from(&self.inv_lengthscales, a, b, k, factor, grad);
     }
 
     fn diag(&self) -> f64 {
@@ -224,40 +264,29 @@ impl Kernel for Matern52Ard {
     }
 
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let mut r2 = 0.0;
-        for ((&ai, &bi), &inv_l) in a.iter().zip(b).zip(&self.inv_lengthscales) {
-            let d = (ai - bi) * inv_l;
-            r2 += d * d;
-        }
+        let r2 = scaled_sq_dist(&self.inv_lengthscales, a, b);
         let r = r2.sqrt();
         let sqrt5_r = 5.0_f64.sqrt() * r;
         self.signal_var * (1.0 + sqrt5_r + 5.0 * r2 / 3.0) * (-sqrt5_r).exp()
     }
 
-    fn eval_grad(&self, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
-        debug_assert_eq!(grad.len(), self.n_params());
+    fn eval_pair(&self, a: &[f64], b: &[f64]) -> (f64, f64) {
         let sf2 = self.signal_var;
-        let mut r2 = 0.0;
-        let dims = a.iter().zip(b).zip(&self.inv_lengthscales);
-        for (g, ((&ai, &bi), &inv_l)) in grad[1..].iter_mut().zip(dims) {
-            let d = (ai - bi) * inv_l;
-            *g = d * d; // per-dim scaled squared distance
-            r2 += d * d;
-        }
+        let r2 = scaled_sq_dist(&self.inv_lengthscales, a, b);
         let r = r2.sqrt();
-        let sqrt5 = 5.0_f64.sqrt();
-        let e = (-sqrt5 * r).exp();
-        let k = sf2 * (1.0 + sqrt5 * r + 5.0 * r2 / 3.0) * e;
-        grad[0] = k; // ∂k/∂ log σ_f²
-
+        let sqrt5_r = 5.0_f64.sqrt() * r;
+        let e = (-sqrt5_r).exp();
+        let k = sf2 * (1.0 + sqrt5_r + 5.0 * r2 / 3.0) * e;
         // dk/dr = -(5 σ_f²/3) r (1 + √5 r) e^{-√5 r};
         // ∂r/∂ log ℓ_i = -d_i² / r  (r > 0), so
-        // ∂k/∂ log ℓ_i = (5 σ_f²/3)(1 + √5 r) e^{-√5 r} d_i².
-        let factor = (5.0 * sf2 / 3.0) * (1.0 + sqrt5 * r) * e;
-        for g in grad[1..].iter_mut() {
-            *g *= factor; // d_i² * factor; at r = 0 every d_i² = 0 → grad 0
-        }
-        k
+        // ∂k/∂ log ℓ_i = (5 σ_f²/3)(1 + √5 r) e^{-√5 r} d_i²;
+        // at r = 0 every d_i² = 0, so the gradient is 0.
+        let factor = (5.0 * sf2 / 3.0) * (1.0 + sqrt5_r) * e;
+        (k, factor)
+    }
+
+    fn grad_from(&self, a: &[f64], b: &[f64], k: f64, factor: f64, grad: &mut [f64]) {
+        ard_grad_from(&self.inv_lengthscales, a, b, k, factor, grad);
     }
 
     fn diag(&self) -> f64 {
@@ -352,6 +381,75 @@ mod tests {
         assert!((kv - 1.0).abs() < 1e-12);
         assert!(g.iter().all(|v| v.is_finite()));
         assert!((g[1]).abs() < 1e-12 && (g[2]).abs() < 1e-12);
+    }
+
+    /// The one-call `eval_grad` bodies the `eval_pair` + `grad_from`
+    /// split replaced, kept as their bit-exact reference.
+    fn reference_eval_grad(
+        matern: bool,
+        sf2: f64,
+        inv_ls: &[f64],
+        a: &[f64],
+        b: &[f64],
+    ) -> Vec<f64> {
+        let mut grad = vec![0.0; 1 + inv_ls.len()];
+        let mut s = 0.0;
+        for (g, ((&ai, &bi), &inv_l)) in grad[1..].iter_mut().zip(a.iter().zip(b).zip(inv_ls)) {
+            let d = (ai - bi) * inv_l;
+            *g = d * d;
+            s += d * d;
+        }
+        let (k, factor) = if matern {
+            let r = s.sqrt();
+            let sqrt5 = 5.0_f64.sqrt();
+            let e = (-sqrt5 * r).exp();
+            let k = sf2 * (1.0 + sqrt5 * r + 5.0 * s / 3.0) * e;
+            (k, (5.0 * sf2 / 3.0) * (1.0 + sqrt5 * r) * e)
+        } else {
+            let k = sf2 * (-0.5 * s).exp();
+            (k, k)
+        };
+        grad[0] = k;
+        for g in grad[1..].iter_mut() {
+            *g *= factor;
+        }
+        grad
+    }
+
+    #[test]
+    fn split_gradient_is_bit_equal_to_the_one_call_formula() {
+        let params = [0.4, -0.9, 0.2, 1.3];
+        let mut se = SquaredExpArd::new(3, 1.0, 1.0);
+        let mut matern = Matern52Ard::new(3, 1.0, 1.0);
+        se.set_params(&params);
+        matern.set_params(&params);
+        let sf2 = params[0].exp();
+        let inv_ls: Vec<f64> = params[1..].iter().map(|l| (-l).exp()).collect();
+        let point = |i: usize| -> Vec<f64> {
+            (0..3)
+                .map(|d| ((i * 3 + d) as f64 * 0.577).sin() * 2.0)
+                .collect()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for i in 0..12 {
+            // j == i covers the zero-distance pair.
+            for j in 0..=i {
+                let (a, b) = (point(i), point(j));
+                let mut g = vec![0.0; 4];
+                let k = se.eval_grad(&a, &b, &mut g);
+                assert_eq!(k.to_bits(), se.eval(&a, &b).to_bits());
+                assert_eq!(
+                    bits(&g),
+                    bits(&reference_eval_grad(false, sf2, &inv_ls, &a, &b))
+                );
+                let k = matern.eval_grad(&a, &b, &mut g);
+                assert_eq!(k.to_bits(), matern.eval(&a, &b).to_bits());
+                assert_eq!(
+                    bits(&g),
+                    bits(&reference_eval_grad(true, sf2, &inv_ls, &a, &b))
+                );
+            }
+        }
     }
 
     #[test]

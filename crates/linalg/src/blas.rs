@@ -102,22 +102,26 @@ pub fn gemv_t_into(a: &Mat, v: &[f64], out: &mut [f64]) {
 /// Dot product of two equal-length slices.
 ///
 /// Unrolled by four lanes; the independent accumulators break the
-/// floating-point dependency chain so the loop pipelines well.
+/// floating-point dependency chain so the loop pipelines well. The walk
+/// over `chunks_exact(4)` carries no bounds checks; lane `l` of every
+/// chunk feeds `s_l`, and the tail feeds `rest` in order.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    let chunks = a.len() / 4;
     let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-    for c in 0..chunks {
-        let i = c * 4;
-        s0 += a[i] * b[i];
-        s1 += a[i + 1] * b[i + 1];
-        s2 += a[i + 2] * b[i + 2];
-        s3 += a[i + 3] * b[i + 3];
+    let (a4, b4) = (a.chunks_exact(4), b.chunks_exact(4));
+    let (a_tail, b_tail) = (a4.remainder(), b4.remainder());
+    for (x, y) in a4.zip(b4) {
+        if let ([x0, x1, x2, x3], [y0, y1, y2, y3]) = (x, y) {
+            s0 += x0 * y0;
+            s1 += x1 * y1;
+            s2 += x2 * y2;
+            s3 += x3 * y3;
+        }
     }
     let mut rest = 0.0;
-    for i in chunks * 4..a.len() {
-        rest += a[i] * b[i];
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        rest += x * y;
     }
     s0 + s1 + s2 + s3 + rest
 }
@@ -191,6 +195,59 @@ mod tests {
         let mut out_t = vec![0.0; 2];
         gemv_t_into(&a, &[1.0, 1.0, 1.0], &mut out_t);
         assert_eq!(out_t, vec![9.0, 12.0]);
+    }
+
+    /// The indexed four-lane loop `dot` replaced, kept as its bit-exact
+    /// reference.
+    fn indexed_dot(a: &[f64], b: &[f64]) -> f64 {
+        let chunks = a.len() / 4;
+        let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
+        for c in 0..chunks {
+            let i = c * 4;
+            s0 += a[i] * b[i];
+            s1 += a[i + 1] * b[i + 1];
+            s2 += a[i + 2] * b[i + 2];
+            s3 += a[i + 3] * b[i + 3];
+        }
+        let mut rest = 0.0;
+        for i in chunks * 4..a.len() {
+            rest += a[i] * b[i];
+        }
+        s0 + s1 + s2 + s3 + rest
+    }
+
+    #[test]
+    fn dot_is_bit_equal_to_the_indexed_loop() {
+        // Values spread over many magnitudes and signs, so every lane's
+        // rounding shows; non-finite entries pin NaN and infinity paths.
+        let val = |i: usize, salt: f64| {
+            ((i as f64 + salt) * 0.7311).sin() * 10f64.powi((i % 7) as i32 - 3)
+        };
+        for n in 0..=67 {
+            let a: Vec<f64> = (0..n).map(|i| val(i, 0.0)).collect();
+            let b: Vec<f64> = (0..n).map(|i| val(i, 0.5)).collect();
+            assert_eq!(
+                dot(&a, &b).to_bits(),
+                indexed_dot(&a, &b).to_bits(),
+                "n={n}"
+            );
+            for (pos, bad) in [
+                (0, f64::NAN),
+                (n / 2, f64::INFINITY),
+                (n.saturating_sub(1), f64::NEG_INFINITY),
+            ] {
+                if n == 0 {
+                    continue;
+                }
+                let mut a_bad = a.clone();
+                a_bad[pos] = bad;
+                let (got, want) = (dot(&a_bad, &b), indexed_dot(&a_bad, &b));
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "n={n}, {bad} at {pos}: {got} vs {want}"
+                );
+            }
+        }
     }
 
     #[test]

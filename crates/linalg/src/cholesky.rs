@@ -325,25 +325,36 @@ impl Cholesky {
 
 /// Attempt a plain lower Cholesky of `a + jitter * I`. Returns `None` if a
 /// non-positive pivot shows up.
+///
+/// Left-looking, in column order: column `j` takes its pivot from row
+/// `j`'s finished prefix, then each of the `n − j − 1` entries below is
+/// an independent dot of two finished row prefixes, so consecutive
+/// entries do not wait on each other. Every entry is the expression the
+/// row-order sweep evaluates, over the same operands, and pivot `j`
+/// reads only columns `< j`: the factor and the first failing pivot are
+/// bit-identical to the row-order sweep's.
 fn try_factor(a: &Mat, jitter: f64) -> Option<Mat> {
     let n = a.rows();
     let mut l = Mat::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            // Split borrow: rows i and j of the factor under construction.
-            let s = {
-                let row_i = l.row(i);
-                let row_j = l.row(j);
-                crate::blas::dot(&row_i[..j], &row_j[..j])
-            };
-            if i == j {
-                let d = a[(i, i)] + jitter - s;
-                if d <= 0.0 || !d.is_finite() {
-                    return None;
-                }
-                l[(i, j)] = d.sqrt();
-            } else {
-                l[(i, j)] = (a[(i, j)] - s) / l[(j, j)];
+    let a = a.as_slice();
+    let ls = l.as_mut_slice();
+    for (j, &a_jj) in a.iter().step_by(n + 1).enumerate() {
+        let (row_j, below) = ls.split_at_mut(j * n).1.split_at_mut(n);
+        let (head_j, tail_j) = row_j.split_at_mut(j);
+        let d = a_jj + jitter - crate::blas::dot(head_j, head_j);
+        if d <= 0.0 || !d.is_finite() {
+            return None;
+        }
+        let l_jj = d.sqrt();
+        if let Some(pivot) = tail_j.first_mut() {
+            *pivot = l_jj;
+        }
+        // Column j of `a` below the diagonal: a[i][j] for i > j.
+        let a_col = a.iter().skip((j + 1) * n + j).step_by(n);
+        for (row_i, &a_ij) in below.chunks_exact_mut(n).zip(a_col) {
+            let (head_i, tail_i) = row_i.split_at_mut(j);
+            if let Some(l_ij) = tail_i.first_mut() {
+                *l_ij = (a_ij - crate::blas::dot(head_i, head_j)) / l_jj;
             }
         }
     }
@@ -368,6 +379,98 @@ mod tests {
         let mut g = blas::syrk(&b);
         g.add_diag(n as f64);
         g
+    }
+
+    /// The row-order sweep `try_factor` replaced, kept as its bit-exact
+    /// reference.
+    fn row_order_try_factor(a: &Mat, jitter: f64) -> Option<Mat> {
+        let n = a.rows();
+        let mut l = Mat::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let s = blas::dot(&l.row(i)[..j], &l.row(j)[..j]);
+                if i == j {
+                    let d = a[(i, i)] + jitter - s;
+                    if d <= 0.0 || !d.is_finite() {
+                        return None;
+                    }
+                    l[(i, j)] = d.sqrt();
+                } else {
+                    l[(i, j)] = (a[(i, j)] - s) / l[(j, j)];
+                }
+            }
+        }
+        Some(l)
+    }
+
+    /// [`Cholesky::factor`]'s jitter ladder over the row-order sweep.
+    fn row_order_factor(a: &Mat) -> Result<(Mat, f64)> {
+        let n = a.rows();
+        let mean_diag = if n == 0 {
+            0.0
+        } else {
+            a.trace().abs() / n as f64
+        };
+        let scale = if mean_diag > 0.0 { mean_diag } else { 1.0 };
+        let mut max_tried = 0.0;
+        for &step in JITTER_STEPS {
+            let jitter = step * scale;
+            max_tried = jitter;
+            if let Some(l) = row_order_try_factor(a, jitter) {
+                return Ok((l, jitter));
+            }
+        }
+        Err(LinalgError::NotPositiveDefinite {
+            max_jitter: max_tried,
+        })
+    }
+
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn column_order_factor_is_bit_equal_to_the_row_order_sweep() {
+        // Sparse SPD: a banded matrix with exact zeros off the band.
+        let banded = |n: usize| {
+            Mat::from_fn(n, n, |i, j| match i.abs_diff(j) {
+                0 => 4.0 + i as f64 * 0.01,
+                1 => -1.0 / (1 + i.min(j)) as f64,
+                2 => 0.25,
+                _ => 0.0,
+            })
+        };
+        // A near-singular Gram matrix of close 1-D inputs under a wide
+        // RBF: plain factorization fails and the ladder adds jitter.
+        let near_singular = Mat::from_fn(9, 9, |i, j| {
+            let d = (i as f64 - j as f64) * 1e-3;
+            (-0.5 * d * d).exp()
+        });
+        let mut cases: Vec<Mat> = (0..=13).map(|n| spd(n, 100 + n as u64)).collect();
+        cases.extend([banded(1), banded(7), banded(20), Mat::identity(5)]);
+        cases.push(near_singular.clone());
+        for (c, a) in cases.iter().enumerate() {
+            let got = Cholesky::factor(a).unwrap();
+            let (want_l, want_jitter) = row_order_factor(a).unwrap();
+            assert_eq!(bits(got.l()), bits(&want_l), "case {c}");
+            assert_eq!(got.jitter().to_bits(), want_jitter.to_bits(), "case {c}");
+        }
+        let rescued = Cholesky::factor(&near_singular).unwrap();
+        assert!(
+            rescued.jitter() > 0.0,
+            "the near-singular case needs jitter"
+        );
+
+        // Indefinite: every rung fails, with the same error.
+        let indefinite = Mat::from_rows(&[&[2.0, 1.0, 0.0], &[1.0, 2.0, 3.0], &[0.0, 3.0, 1.0]]);
+        assert_eq!(
+            Cholesky::factor(&indefinite).unwrap_err(),
+            row_order_factor(&indefinite).unwrap_err()
+        );
+        assert_eq!(
+            Cholesky::factor_exact(&indefinite).unwrap_err(),
+            LinalgError::NotPositiveDefinite { max_jitter: 0.0 }
+        );
     }
 
     #[test]

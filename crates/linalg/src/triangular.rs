@@ -40,13 +40,19 @@ pub fn solve_lower_transpose(l: &Mat, b: &[f64]) -> Vec<f64> {
 pub fn solve_lower_transpose_in_place(l: &Mat, b: &mut [f64]) {
     let n = l.rows();
     debug_assert!(l.is_square() && b.len() == n);
-    for i in (0..n).rev() {
-        // Column i of L below the diagonal is row i of L^T right of diagonal.
+    let ls = l.as_slice();
+    for (i, &l_ii) in ls.iter().step_by(n + 1).enumerate().rev() {
+        // Column i of L below the diagonal is row i of L^T right of
+        // diagonal: walk the rows below, summing in row order.
+        let (head, below) = b.split_at_mut(i + 1);
+        let l_col = ls.iter().skip((i + 1) * n + i).step_by(n);
         let mut s = 0.0;
-        for k in (i + 1)..n {
-            s += l[(k, i)] * b[k];
+        for (&l_ki, &b_k) in l_col.zip(below.iter()) {
+            s += l_ki * b_k;
         }
-        b[i] = (b[i] - s) / l[(i, i)];
+        if let Some(b_i) = head.last_mut() {
+            *b_i = (*b_i - s) / l_ii;
+        }
     }
 }
 
@@ -136,6 +142,29 @@ mod tests {
         for (got, want) in ltx.iter().zip(&b) {
             assert!((got - want).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn transpose_solve_is_bit_equal_to_the_indexed_column_walk() {
+        let n = 11;
+        let l = Mat::from_fn(n, n, |i, j| match i.cmp(&j) {
+            std::cmp::Ordering::Less => 0.0,
+            std::cmp::Ordering::Equal => 1.5 + (i as f64 * 0.3).sin(),
+            std::cmp::Ordering::Greater => ((i * 7 + j) as f64 * 0.61).cos(),
+        });
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 1.7).sin() * 3.0).collect();
+        let mut want = b.clone();
+        for i in (0..n).rev() {
+            let mut s = 0.0;
+            for k in (i + 1)..n {
+                s += l[(k, i)] * want[k];
+            }
+            want[i] = (want[i] - s) / l[(i, i)];
+        }
+        let got = solve_lower_transpose(&l, &b);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        assert!(solve_lower_transpose(&Mat::zeros(0, 0), &[]).is_empty());
     }
 
     #[test]

@@ -493,6 +493,72 @@ fn score_batch_on<S: Surrogate + ?Sized>(
     accumulate_scores(sur, acq, candidates, best, out, workers);
 }
 
+/// Polish steps tried on each coordinate, in order.
+const POLISH_DELTAS: [f64; 4] = [-0.15, -0.05, 0.05, 0.15];
+
+/// Coordinate-descent polish of `best_point` under `eval`: up to
+/// `passes` sweeps over the coordinates, each trying [`POLISH_DELTAS`]
+/// and keeping a trial only when it scores strictly higher. Returns the
+/// polished point and how many moves it kept.
+///
+/// A trial is `canonicalize(best_point)` with the moved coordinate set
+/// to the snap of `best_point[coord] + delta`, clamped: exactly the
+/// canonicalization of the moved point, with the incumbent's snap taken
+/// once per kept move rather than once per trial. Every coordinate is
+/// re-snapped there because snapping is not idempotent for `LogFloat`
+/// (see [`crate::space`]). A trial bit-equal to `best_point` is not
+/// scored: it would score exactly the incumbent's score, which the
+/// strict `>` cannot take.
+fn polish(
+    space: &ParamSpace,
+    passes: usize,
+    mut best_point: Vec<f64>,
+    eval: impl Fn(&[f64]) -> f64,
+) -> (Vec<f64>, usize) {
+    let mut cur_score = eval(&best_point);
+    let mut moves = 0;
+    // `trial` equals `snapped` outside the coordinate being tried.
+    let mut snapped = space.canonicalize(&best_point);
+    let mut trial = snapped.clone();
+    for _ in 0..passes {
+        let mut improved = false;
+        for (coord, param) in space.params().iter().enumerate() {
+            for delta in POLISH_DELTAS {
+                let (Some(&x), Some(t)) = (best_point.get(coord), trial.get_mut(coord)) else {
+                    continue;
+                };
+                let moved = param.snap((x + delta).clamp(0.0, 1.0));
+                *t = moved;
+                if moved.to_bits() == x.to_bits() && bits_equal(&trial, &best_point) {
+                    continue;
+                }
+                let s = eval(&trial);
+                if s > cur_score {
+                    cur_score = s;
+                    best_point.clone_from(&trial);
+                    snapped = space.canonicalize(&best_point);
+                    trial.clone_from(&snapped);
+                    improved = true;
+                    moves += 1;
+                }
+            }
+            // Restore the coordinate the last rejected trial moved.
+            if let (Some(t), Some(&v)) = (trial.get_mut(coord), snapped.get(coord)) {
+                *t = v;
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    (best_point, moves)
+}
+
+/// Whether two points are equal bit for bit.
+fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// The Bayesian optimizer.
 #[derive(Debug, Clone)]
 pub struct BayesOpt {
@@ -897,9 +963,8 @@ impl BayesOpt {
             // Degenerate data (e.g. duplicated inputs the jitter ladder
             // cannot rescue): explore uniformly.
             stats.path = "uniform";
-            let unit = self
-                .space
-                .canonicalize(&(0..d).map(|_| rng.random::<f64>()).collect::<Vec<_>>());
+            let mut unit: Vec<f64> = (0..d).map(|_| rng.random::<f64>()).collect();
+            self.space.canonicalize_in_place(&mut unit);
             let values = self.space.decode(&unit);
             return Ok(Candidate { unit, values });
         };
@@ -988,14 +1053,14 @@ impl BayesOpt {
                 0.0
             };
         }
-        let mut best_point = candidates
+        let best_point = candidates
             .get(best_idx)
             .cloned()
             .unwrap_or_else(|| vec![0.5; d]);
 
         // Coordinate-descent polish under the (first) hyperparameter
         // sample; cheap and effective on the mostly-discrete spaces here.
-        {
+        let (best_point, moves) = {
             let Some(sur) = self.surrogate.as_ref() else {
                 return Err(BoError::InvalidConfig(
                     "surrogate vanished mid-proposal".into(),
@@ -1005,31 +1070,10 @@ impl BayesOpt {
                 let p = sur.predict(u);
                 acq.score(p.mean, p.std(), z_best)
             };
-            let mut cur_score = eval(&best_point);
-            for _ in 0..self.config.local_passes {
-                let mut improved = false;
-                for coord in 0..d {
-                    for delta in [-0.15, -0.05, 0.05, 0.15] {
-                        let mut trial = best_point.clone();
-                        if let Some(t) = trial.get_mut(coord) {
-                            *t = (*t + delta).clamp(0.0, 1.0);
-                        }
-                        let trial = self.space.canonicalize(&trial);
-                        let s = eval(&trial);
-                        if s > cur_score {
-                            cur_score = s;
-                            best_point = trial;
-                            improved = true;
-                            if R::ENABLED {
-                                stats.polish_moves += 1;
-                            }
-                        }
-                    }
-                }
-                if !improved {
-                    break;
-                }
-            }
+            polish(&self.space, self.config.local_passes, best_point, eval)
+        };
+        if R::ENABLED {
+            stats.polish_moves = moves;
         }
 
         // Marginalization mutated the surrogate (the slice sampler
@@ -1054,15 +1098,16 @@ impl BayesOpt {
         let d = self.space.dim();
         let mut pool = Vec::with_capacity(self.config.n_candidates + 3 * self.config.n_perturb);
         for _ in 0..self.config.n_candidates {
-            let u: Vec<f64> = (0..d).map(|_| rng.random::<f64>()).collect();
-            pool.push(self.space.canonicalize(&u));
+            let mut u: Vec<f64> = (0..d).map(|_| rng.random::<f64>()).collect();
+            self.space.canonicalize_in_place(&mut u);
+            pool.push(u);
         }
         // Perturb the top three incumbents.
         let mut by_y: Vec<&Observation> = self.observations.iter().collect();
         by_y.sort_by(|a, b| b.y.total_cmp(&a.y));
         for inc in by_y.iter().take(3) {
             for _ in 0..self.config.n_perturb {
-                let u: Vec<f64> = inc
+                let mut u: Vec<f64> = inc
                     .unit
                     .iter()
                     .map(|&x| {
@@ -1073,7 +1118,8 @@ impl BayesOpt {
                         (x + 0.1 * z).clamp(0.0, 1.0)
                     })
                     .collect();
-                pool.push(self.space.canonicalize(&u));
+                self.space.canonicalize_in_place(&mut u);
+                pool.push(u);
             }
         }
         pool
@@ -1486,6 +1532,129 @@ mod tests {
                 single[0]
             );
         }
+    }
+
+    /// The polish loop as it was before [`polish`]: every trial is a
+    /// clone of the incumbent, moved, clamped and fully canonicalized,
+    /// and every trial is scored.
+    fn polish_reference(
+        space: &ParamSpace,
+        passes: usize,
+        mut best_point: Vec<f64>,
+        eval: impl Fn(&[f64]) -> f64,
+    ) -> (Vec<f64>, usize) {
+        let mut cur_score = eval(&best_point);
+        let mut moves = 0;
+        for _ in 0..passes {
+            let mut improved = false;
+            for coord in 0..space.dim() {
+                for delta in [-0.15, -0.05, 0.05, 0.15] {
+                    let mut trial = best_point.clone();
+                    trial[coord] = (trial[coord] + delta).clamp(0.0, 1.0);
+                    let trial = space.canonicalize(&trial);
+                    let s = eval(&trial);
+                    if s > cur_score {
+                        cur_score = s;
+                        best_point = trial;
+                        improved = true;
+                        moves += 1;
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        (best_point, moves)
+    }
+
+    /// Run [`polish`] and [`polish_reference`] from the best of a few
+    /// snapped candidates under 20 surrogates fit to growing histories
+    /// on `space`, asserting the same point bits and move count. With
+    /// `unstable_starts`, every candidate is one a second snap would
+    /// move, so a polish that does not re-snap the incumbent diverges.
+    /// Returns `(moves, trials skipped)` summed over the states.
+    fn polish_matches_reference_on(
+        space: &ParamSpace,
+        lengthscale: f64,
+        unstable_starts: bool,
+        seed: u64,
+    ) -> (usize, usize) {
+        let d = space.dim();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let draw = |rng: &mut StdRng| -> Vec<f64> {
+            let mut u: Vec<f64> = (0..d).map(|_| rng.random::<f64>()).collect();
+            space.canonicalize_in_place(&mut u);
+            u
+        };
+        let draw_start = |rng: &mut StdRng| loop {
+            let u = draw(rng);
+            if !unstable_starts || bits(&space.canonicalize(&u)) != bits(&u) {
+                break u;
+            }
+        };
+        let target: Vec<f64> = (0..d).map(|_| rng.random::<f64>()).collect();
+        let objective = |u: &[f64]| -> f64 {
+            -u.iter()
+                .zip(&target)
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum::<f64>()
+        };
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        let (mut moves, mut skipped) = (0, 0);
+        for state in 0..20 {
+            for _ in 0..2 {
+                let x = draw(&mut rng);
+                ys.push(objective(&x));
+                xs.push(x);
+            }
+            let kernel = Matern52Ard::new(d, 1.0, lengthscale);
+            let gp = GpRegression::fit(kernel, xs.clone(), ys.clone(), 1e-6).unwrap();
+            let z_best = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let acq = Acquisition::default();
+            let evals = std::cell::Cell::new(0usize);
+            let eval = |u: &[f64]| {
+                evals.set(evals.get() + 1);
+                let p = gp.predict(u);
+                acq.score(p.mean, p.std(), z_best)
+            };
+            let start = (0..8)
+                .map(|_| draw_start(&mut rng))
+                .max_by(|a, b| eval(a).total_cmp(&eval(b)))
+                .unwrap();
+            evals.set(0);
+            let (want, want_moves) = polish_reference(space, 2, start.clone(), eval);
+            let want_evals = evals.replace(0);
+            let (got, got_moves) = polish(space, 2, start, eval);
+            assert_eq!(bits(&got), bits(&want), "state {state}: polished point");
+            assert_eq!(got_moves, want_moves, "state {state}: move count");
+            moves += got_moves;
+            skipped += want_evals - evals.get();
+        }
+        (moves, skipped)
+    }
+
+    #[test]
+    fn polish_is_bit_equal_to_the_full_canonicalize_loop() {
+        // The Medium Hints space: 50 hints and max-tasks (d = 51).
+        let mut params: Vec<Param> = (0..50)
+            .map(|v| Param::int(&format!("h{v}"), 1, 60))
+            .collect();
+        params.push(Param::log_int("max_tasks", 50, 4_000));
+        let (moves, skipped) = polish_matches_reference_on(&ParamSpace::new(params), 2.0, false, 5);
+        assert!(
+            moves > 0 && skipped > 0,
+            "hints: {moves} moves, {skipped} skipped"
+        );
+        // `ibo`'s informed-multiplier space, where snapping is not
+        // idempotent on the LogFloat coordinate.
+        let ibo = ParamSpace::new(vec![
+            Param::log_float("multiplier", 0.25, 60.0),
+            Param::log_int("max_tasks", 50, 4_000),
+        ]);
+        let (moves, _) = polish_matches_reference_on(&ibo, 0.3, true, 6);
+        assert!(moves > 0, "ibo: no polish move kept");
     }
 
     #[test]

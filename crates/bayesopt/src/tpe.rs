@@ -174,29 +174,34 @@ impl Tpe {
             ));
         }
 
-        // Sample the candidate pool from the good density and keep the
-        // two best log-ratios (argmax + margin). First maximizer wins
-        // ties, so the scan order (the sampling order) is load-bearing
-        // and deterministic.
+        // Sample the candidate pool from the good density, snapped to
+        // bucket midpoints so the ratio is evaluated at the configuration
+        // that would actually run. Scoring draws no randomness, so all
+        // candidates are drawn first, in the same order as one at a time.
+        let candidates: Vec<Vec<f64>> = (0..self.config.n_candidates)
+            .map(|_| {
+                let mut u: Vec<f64> = good_density.iter().map(|p| p.sample(&mut rng)).collect();
+                self.space.canonicalize_in_place(&mut u);
+                u
+            })
+            .collect();
+        let scores = score_candidates_on(
+            &candidates,
+            &good_density,
+            &bad_density,
+            mtm_stats::pool::spare(),
+        );
+        // Keep the two best log-ratios (argmax + margin). First maximizer
+        // wins ties, so the scan order (the sampling order) is
+        // load-bearing and deterministic.
         let mut best_u: Vec<f64> = Vec::new();
         let mut best_score = f64::NEG_INFINITY;
         let mut runner_up = f64::NEG_INFINITY;
-        let mut candidate: Vec<f64> = Vec::with_capacity(dims);
-        for _ in 0..self.config.n_candidates {
-            candidate.clear();
-            candidate.extend(good_density.iter().map(|p| p.sample(&mut rng)));
-            // Snap to bucket midpoints before scoring so the ratio is
-            // evaluated at the configuration that would actually run.
-            let snapped = self.space.canonicalize(&candidate);
-            let score: f64 = snapped
-                .iter()
-                .zip(good_density.iter().zip(bad_density.iter()))
-                .map(|(&u, (l, g))| l.log_pdf(u) - g.log_pdf(u))
-                .sum();
+        for (u, score) in candidates.into_iter().zip(scores) {
             if score > best_score {
                 runner_up = best_score;
                 best_score = score;
-                best_u = snapped;
+                best_u = u;
             } else if score > runner_up {
                 runner_up = score;
             }
@@ -261,6 +266,26 @@ impl Tpe {
     }
 }
 
+/// Log density ratio `log l(u) − log g(u)` of each candidate, summed in
+/// dimension order. The candidates fan out over `workers` threads of the
+/// one pool ([`mtm_stats::pool`]); each score is the same sum whichever
+/// thread computes it, so the scores do not depend on `workers`.
+fn score_candidates_on(
+    candidates: &[Vec<f64>],
+    good: &[Parzen],
+    bad: &[Parzen],
+    workers: usize,
+) -> Vec<f64> {
+    mtm_stats::pool::run_indexed(candidates.len(), workers, |i| {
+        candidates.get(i).map_or(f64::NEG_INFINITY, |u| {
+            u.iter()
+                .zip(good.iter().zip(bad))
+                .map(|(&x, (l, g))| l.log_pdf(x) - g.log_pdf(x))
+                .sum()
+        })
+    })
+}
+
 /// Per-step RNG derivation, shared with `BayesOpt`: resumed runs replay
 /// their observations and land on the same stream.
 fn step_rng(seed: u64, step: usize) -> StdRng {
@@ -275,11 +300,24 @@ fn step_rng(seed: u64, step: usize) -> StdRng {
 /// the interval edges counting as neighbors.
 #[derive(Debug, Clone)]
 struct Parzen {
-    /// `(center, width, norm)` per mixture component, observed points
-    /// first (ascending), the prior component last. `norm` is the
-    /// density's divisor `width × in-range mass` (see [`component`]),
-    /// fixed at fit time so `log_pdf` pays no `norm_cdf` per component.
-    components: Vec<(f64, f64, f64)>,
+    /// One entry per mixture component, observed points first
+    /// (ascending), the prior component last.
+    components: Vec<Component>,
+}
+
+/// One truncated-Gaussian mixture component, with the CDF values its
+/// density and its sampler need fixed at fit time (see [`component`]),
+/// so neither `log_pdf` nor `sample` calls `norm_cdf`.
+#[derive(Debug, Clone, Copy)]
+struct Component {
+    /// Center.
+    c: f64,
+    /// Width.
+    s: f64,
+    /// The density's divisor `width × in-range mass`.
+    norm: f64,
+    /// `(Φ(−c/s), Φ((1−c)/s))`: the CDF at the interval's edges.
+    cdf: (f64, f64),
 }
 
 /// Bandwidth floor: keeps a cluster of identical coordinates (common
@@ -314,7 +352,7 @@ impl Parzen {
     fn log_pdf(&self, u: f64) -> f64 {
         let k = self.components.len() as f64;
         let mut acc = 0.0;
-        for &(c, s, norm) in &self.components {
+        for &Component { c, s, norm, .. } in &self.components {
             acc += norm_pdf((u - c) / s) / norm;
         }
         (acc / k).max(f64::MIN_POSITIVE).ln()
@@ -326,23 +364,33 @@ impl Parzen {
     fn sample(&self, rng: &mut StdRng) -> f64 {
         let k = self.components.len();
         let pick = ((rng.random::<f64>() * k as f64).floor() as usize).min(k.saturating_sub(1));
-        let (c, s) = self.components.get(pick).map_or(PRIOR, |&(c, s, _)| (c, s));
-        let lo = norm_cdf((0.0 - c) / s);
-        let hi = norm_cdf((1.0 - c) / s);
+        let Component {
+            c,
+            s,
+            cdf: (lo, hi),
+            ..
+        } = self
+            .components
+            .get(pick)
+            .copied()
+            .unwrap_or_else(|| component(PRIOR.0, PRIOR.1));
         let p = (lo + rng.random::<f64>() * (hi - lo)).clamp(1e-12, 1.0 - 1e-12);
         (c + s * norm_ppf(p)).clamp(0.0, 1.0)
     }
 }
 
-/// One mixture component at center `c` with width `s`, carrying the
-/// normalizer `s × truncnorm_mass(c, s)` its truncated density divides by.
-fn component(c: f64, s: f64) -> (f64, f64, f64) {
-    (c, s, s * truncnorm_mass(c, s).max(f64::MIN_POSITIVE))
-}
-
-/// Probability mass a unit Gaussian at `(c, s)` leaves inside `[0, 1]`.
-fn truncnorm_mass(c: f64, s: f64) -> f64 {
-    norm_cdf((1.0 - c) / s) - norm_cdf((0.0 - c) / s)
+/// The mixture component at center `c` with width `s`. Its density
+/// divides by `s × mass`, where `mass = Φ((1−c)/s) − Φ(−c/s)` is the
+/// probability a Gaussian at `(c, s)` leaves inside `[0, 1]`.
+fn component(c: f64, s: f64) -> Component {
+    let cdf = (norm_cdf((0.0 - c) / s), norm_cdf((1.0 - c) / s));
+    let mass = cdf.1 - cdf.0;
+    Component {
+        c,
+        s,
+        norm: s * mass.max(f64::MIN_POSITIVE),
+        cdf,
+    }
 }
 
 #[cfg(test)]
@@ -473,19 +521,94 @@ mod tests {
         assert!(p.log_pdf(0.2) > p.log_pdf(0.5));
     }
 
+    /// Probability mass a unit Gaussian at `(c, s)` leaves inside
+    /// `[0, 1]`, recomputed per call as `log_pdf` once did.
+    fn truncnorm_mass(c: f64, s: f64) -> f64 {
+        norm_cdf((1.0 - c) / s) - norm_cdf((0.0 - c) / s)
+    }
+
+    /// `Parzen::sample` as it was before the CDF pair was cached: both
+    /// edge CDFs recomputed per draw.
+    fn sample_recomputing_cdfs(p: &Parzen, rng: &mut StdRng) -> f64 {
+        let k = p.components.len();
+        let pick = ((rng.random::<f64>() * k as f64).floor() as usize).min(k.saturating_sub(1));
+        let (c, s) = p.components.get(pick).map_or(PRIOR, |m| (m.c, m.s));
+        let lo = norm_cdf((0.0 - c) / s);
+        let hi = norm_cdf((1.0 - c) / s);
+        let p = (lo + rng.random::<f64>() * (hi - lo)).clamp(1e-12, 1.0 - 1e-12);
+        (c + s * norm_ppf(p)).clamp(0.0, 1.0)
+    }
+
     #[test]
     fn parzen_cached_normalizers_match_per_call_recomputation() {
         let p = Parzen::fit([0.0, 0.2, 0.2, 0.21, 0.8, 1.0].into_iter());
+        for m in &p.components {
+            let lo = norm_cdf((0.0 - m.c) / m.s);
+            let hi = norm_cdf((1.0 - m.c) / m.s);
+            assert_eq!(m.cdf.0.to_bits(), lo.to_bits(), "c = {}", m.c);
+            assert_eq!(m.cdf.1.to_bits(), hi.to_bits(), "c = {}", m.c);
+        }
         for i in 0..=50 {
             let u = i as f64 / 50.0;
             let k = p.components.len() as f64;
             let mut acc = 0.0;
-            for &(c, s, _) in &p.components {
-                let z = truncnorm_mass(c, s).max(f64::MIN_POSITIVE);
-                acc += norm_pdf((u - c) / s) / (s * z);
+            for m in &p.components {
+                let z = truncnorm_mass(m.c, m.s).max(f64::MIN_POSITIVE);
+                acc += norm_pdf((u - m.c) / m.s) / (m.s * z);
             }
             let want = (acc / k).max(f64::MIN_POSITIVE).ln();
             assert_eq!(p.log_pdf(u).to_bits(), want.to_bits(), "u = {u}");
+        }
+        let (mut fast, mut slow) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
+        for draw in 0..2_000 {
+            let got = p.sample(&mut fast);
+            let want = sample_recomputing_cdfs(&p, &mut slow);
+            assert_eq!(got.to_bits(), want.to_bits(), "draw {draw}");
+        }
+    }
+
+    #[test]
+    fn tpe_scoring_is_bit_exact_across_worker_counts() {
+        // A d = 51 history like the Medium Hints space's, split as a
+        // proposal splits it, scored over several pool widths.
+        let mut params: Vec<Param> = (0..50)
+            .map(|v| Param::int(&format!("h{v}"), 1, 60))
+            .collect();
+        params.push(Param::log_int("max_tasks", 50, 4_000));
+        let mut tpe = Tpe::new(ParamSpace::new(params), TpeConfig::with_seed(4));
+        for i in 0..30 {
+            let cand = tpe.propose();
+            tpe.observe(cand, ((i * 37) % 11) as f64).unwrap();
+        }
+        let (good, bad) = tpe.partition();
+        let dims = tpe.space().dim();
+        let fit = |side: &[&Observation]| -> Vec<Parzen> {
+            (0..dims)
+                .map(|d| Parzen::fit(side.iter().filter_map(|o| o.unit.get(d).copied())))
+                .collect()
+        };
+        let (l, g) = (fit(&good), fit(&bad));
+        let mut rng = StdRng::seed_from_u64(8);
+        let candidates: Vec<Vec<f64>> = (0..37)
+            .map(|_| {
+                let mut u: Vec<f64> = l.iter().map(|p| p.sample(&mut rng)).collect();
+                tpe.space().canonicalize_in_place(&mut u);
+                u
+            })
+            .collect();
+        let serial = score_candidates_on(&candidates, &l, &g, 1);
+        assert_eq!(serial.len(), candidates.len());
+        for (u, &got) in candidates.iter().zip(&serial) {
+            let mut want = 0.0;
+            for ((&x, lp), gp) in u.iter().zip(&l).zip(&g) {
+                want += lp.log_pdf(x) - gp.log_pdf(x);
+            }
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        for workers in [2, 3, 5] {
+            let fanned = score_candidates_on(&candidates, &l, &g, workers);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fanned), bits(&serial), "workers = {workers}");
         }
     }
 

@@ -1,13 +1,13 @@
 //! Bounded deterministic fan-out under a process-wide core budget.
 //!
 //! The workspace's only thread pool: passes, confirmation reps, grid
-//! cells, GP hyperparameter restarts and acquisition-scoring chunks fan
-//! out here, as scoped OS threads pulling unit indices from an atomic
-//! counter. The calling thread pulls units too, as worker 0, so a
-//! fan-out over `w` workers spawns `w − 1` threads. Results land in unit
-//! order regardless of which thread ran what or in what order units
-//! finished — combined with per-unit seed derivation this is what makes
-//! parallel runs bitwise-identical to serial ones.
+//! cells, GP hyperparameter restarts, acquisition-scoring chunks and
+//! TPE candidate scoring fan out here, as scoped OS threads pulling unit
+//! indices from an atomic counter. The calling thread pulls units too,
+//! as worker 0, so a fan-out over `w` workers spawns `w − 1` threads.
+//! Results land in unit order regardless of which thread ran what or in
+//! what order units finished — combined with per-unit seed derivation
+//! this is what makes parallel runs bitwise-identical to serial ones.
 //!
 //! **Core budget.** The pool keeps one process-wide count of claimed
 //! cores. Every worker of a parallel fan-out (the caller included) holds

@@ -10,6 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::BoError;
 use crate::optimizer::{BayesOpt, BoConfig, Observation};
 use crate::space::ParamSpace;
 
@@ -33,6 +34,8 @@ pub enum SnapshotError {
     Json(serde_json::Error),
     /// Snapshot version not understood.
     UnsupportedVersion(u32),
+    /// The snapshot's configuration fails [`BoConfig::validate`].
+    InvalidConfig(BoError),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -40,6 +43,7 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::Json(e) => write!(f, "snapshot JSON error: {e}"),
             SnapshotError::UnsupportedVersion(v) => write!(f, "unsupported snapshot version {v}"),
+            SnapshotError::InvalidConfig(e) => write!(f, "snapshot config rejected: {e}"),
         }
     }
 }
@@ -67,11 +71,15 @@ impl Snapshot {
         }
     }
 
-    /// Rebuild the optimizer from the snapshot.
+    /// Rebuild the optimizer from the snapshot, rejecting a version or a
+    /// configuration it cannot run.
     pub fn resume(self) -> Result<BayesOpt, SnapshotError> {
         if self.version != VERSION {
             return Err(SnapshotError::UnsupportedVersion(self.version));
         }
+        self.config
+            .validate()
+            .map_err(SnapshotError::InvalidConfig)?;
         Ok(BayesOpt::from_parts(
             self.space,
             self.config,
@@ -161,6 +169,81 @@ mod tests {
             snap.resume(),
             Err(SnapshotError::UnsupportedVersion(999))
         ));
+    }
+
+    /// Set `key` in the `config` object of a serialized snapshot or
+    /// optimizer, appending it when absent.
+    fn set_config_field(state: &mut serde::Value, key: &str, value: serde::Value) {
+        let serde::Value::Object(pairs) = state else {
+            panic!("expected an object");
+        };
+        let Some((_, serde::Value::Object(cfg))) = pairs.iter_mut().find(|(k, _)| k == "config")
+        else {
+            panic!("expected a config object");
+        };
+        cfg.retain(|(k, _)| k != key);
+        cfg.push((key.to_string(), value));
+    }
+
+    /// `snap` as JSON, with config field `key` set to `value`.
+    fn json_with_config_field(snap: &Snapshot, key: &str, value: serde::Value) -> String {
+        let mut state = snap.to_value();
+        set_config_field(&mut state, key, value);
+        serde_json::to_string_pretty(&state).unwrap()
+    }
+
+    #[test]
+    fn snapshots_with_configs_the_builder_rejects_are_refused() {
+        let space = ParamSpace::new(vec![Param::float("x", 0.0, 1.0)]);
+        let mut bo = BayesOpt::new(space, BoConfig::default());
+        // Past the design steps, so the next proposal would size its
+        // candidate pool from `n_perturb`.
+        run_steps(&mut bo, 5);
+        let live = bo.to_value();
+        let snap = Snapshot::capture(bo);
+        for (key, value) in [
+            ("n_perturb", serde::Value::Int(6_148_914_691_236_517_205)),
+            ("n_init", serde::Value::Int(1)),
+        ] {
+            let json = json_with_config_field(&snap, key, value.clone());
+            let parsed = Snapshot::from_json(&json).expect("well-formed snapshot JSON");
+            assert!(
+                matches!(parsed.resume(), Err(SnapshotError::InvalidConfig(_))),
+                "{key}: snapshot resumed"
+            );
+            // The optimizer's own wire format, as journals embed it.
+            let mut state = live.clone();
+            set_config_field(&mut state, key, value);
+            assert!(BayesOpt::from_value(&state).is_err(), "{key}: deserialized");
+        }
+    }
+
+    #[test]
+    fn snapshots_with_the_retired_surrogate_field_resume_unchanged() {
+        let space = ParamSpace::new(vec![Param::float("x", 0.0, 1.0)]);
+        let cfg = BoConfig {
+            seed: 13,
+            fit: FitOptions::fast(),
+            ..Default::default()
+        };
+        let mut bo = BayesOpt::new(space, cfg);
+        run_steps(&mut bo, 7);
+        let snap = Snapshot::capture(bo);
+        let resume_and_run = |json: &str| {
+            let mut bo = Snapshot::from_json(json).unwrap().resume().unwrap();
+            run_steps(&mut bo, 6)
+        };
+        let plain = snap.to_json().unwrap();
+        assert!(!plain.contains("surrogate"));
+        let want = resume_and_run(&plain);
+        for mode in ["Exact", "Incremental"] {
+            let json = json_with_config_field(&snap, "surrogate", serde::Value::Str(mode.into()));
+            assert!(
+                json.contains(&format!("\"surrogate\": \"{mode}\"")),
+                "{json}"
+            );
+            assert_eq!(resume_and_run(&json), want, "surrogate: {mode}");
+        }
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub use history::Snapshot;
 pub use hyperband::{Hyperband, HyperbandConfig};
 pub use optimizer::{
     score_batch, BayesOpt, BoConfig, BoConfigBuilder, Candidate, KernelChoice, Observation,
-    SurrogateMode,
 };
 pub use proposer::Proposer;
 pub use random_search::RandomSearch;

@@ -13,7 +13,7 @@
 //!
 //! # The incremental hot path
 //!
-//! The optimizer holds a persistent [`Surrogate`] between proposals.
+//! The optimizer holds a persistent [`GpRegression`] between proposals.
 //! A new observation reaches the surrogate through an `O(n²)` bordered
 //! Cholesky update, target re-standardization is two `O(n²)` triangular
 //! solves, and only the scheduled hyperparameter refits pay the `O(n³)`
@@ -37,7 +37,7 @@ use std::time::Instant;
 use mtm_gp::kernel::{Kernel, Matern52Ard, SquaredExpArd};
 use mtm_gp::priors::IndependentPriors;
 use mtm_gp::slice::sample_hyperposterior;
-use mtm_gp::{ExactGp, FitOptions, GpRegression, Surrogate};
+use mtm_gp::{FitOptions, GpRegression};
 use mtm_obs::event::finite_or_zero;
 use mtm_obs::{Event, NullRecorder, Recorder};
 use rand::rngs::StdRng;
@@ -136,25 +136,14 @@ pub struct Marginalize {
     pub burn_in: usize,
 }
 
-/// Which [`Surrogate`] implementation backs the optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SurrogateMode {
-    /// Incremental GP: `O(n²)` per observation, full refactorization
-    /// only when hyperparameters change. The production default.
-    #[default]
-    Incremental,
-    /// Reference GP: full `O(n³)` refit on every observation. For
-    /// benchmarks, equivalence tests, and chasing suspected
-    /// incremental-update bugs.
-    Exact,
-}
-
 /// Configuration of the optimizer.
 ///
 /// Marked `#[non_exhaustive]`: construct it with [`BoConfig::builder`]
 /// (validating) or take [`BoConfig::default`] and mutate the public
 /// fields. The `Default` values are stable so journaled configurations
-/// replay identically across versions.
+/// replay identically across versions. [`BoConfig::validate`] holds the
+/// checks; the builder, [`crate::history::Snapshot::resume`] and
+/// `BayesOpt`'s deserializer all run them.
 #[non_exhaustive]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BoConfig {
@@ -162,7 +151,7 @@ pub struct BoConfig {
     pub n_init: usize,
     /// Acquisition function.
     pub acquisition: Acquisition,
-    /// Surrogate kernel family.
+    /// Kernel family of the surrogate.
     pub kernel: KernelChoice,
     /// Hyperparameter fit options.
     pub fit: FitOptions,
@@ -178,10 +167,6 @@ pub struct BoConfig {
     pub local_passes: usize,
     /// Marginalize the acquisition over hyperparameter samples.
     pub marginalize: Option<Marginalize>,
-    /// Which surrogate implementation to use (absent in journals from
-    /// before the incremental hot path; defaults to incremental).
-    #[serde(default)]
-    pub surrogate: SurrogateMode,
     /// Master seed; all per-step randomness derives from it.
     pub seed: u64,
 }
@@ -198,7 +183,6 @@ impl Default for BoConfig {
             n_perturb: 16,
             local_passes: 2,
             marginalize: None,
-            surrogate: SurrogateMode::default(),
             seed: 0xB0,
         }
     }
@@ -210,6 +194,38 @@ impl BoConfig {
         BoConfigBuilder {
             cfg: BoConfig::default(),
         }
+    }
+
+    /// Reject settings the optimizer cannot run: `n_init < 2`,
+    /// `refit_every == 0`, `n_candidates == 0`, `n_perturb > 4096`, or
+    /// marginalization with zero samples.
+    pub fn validate(&self) -> Result<(), BoError> {
+        if self.n_init < 2 {
+            return Err(BoError::InvalidConfig(format!(
+                "n_init must be >= 2 (got {})",
+                self.n_init
+            )));
+        }
+        if self.refit_every < 1 {
+            return Err(BoError::InvalidConfig("refit_every must be >= 1".into()));
+        }
+        if self.n_candidates == 0 {
+            return Err(BoError::InvalidConfig("n_candidates must be > 0".into()));
+        }
+        if self.n_perturb > 4096 {
+            return Err(BoError::InvalidConfig(format!(
+                "n_perturb must be <= 4096 (got {})",
+                self.n_perturb
+            )));
+        }
+        if let Some(m) = self.marginalize {
+            if m.n_samples == 0 {
+                return Err(BoError::InvalidConfig(
+                    "marginalize.n_samples must be > 0".into(),
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -232,7 +248,7 @@ impl BoConfigBuilder {
         self
     }
 
-    /// Surrogate kernel family.
+    /// Kernel family of the surrogate.
     pub fn kernel(mut self, v: KernelChoice) -> Self {
         self.cfg.kernel = v;
         self
@@ -274,46 +290,15 @@ impl BoConfigBuilder {
         self
     }
 
-    /// Which surrogate implementation backs the optimizer.
-    pub fn surrogate(mut self, v: SurrogateMode) -> Self {
-        self.cfg.surrogate = v;
-        self
-    }
-
     /// Master seed.
     pub fn seed(mut self, v: u64) -> Self {
         self.cfg.seed = v;
         self
     }
 
-    /// Validate and produce the configuration.
+    /// Validate ([`BoConfig::validate`]) and produce the configuration.
     pub fn build(self) -> Result<BoConfig, BoError> {
-        let c = &self.cfg;
-        if c.n_init < 2 {
-            return Err(BoError::InvalidConfig(format!(
-                "n_init must be >= 2 (got {})",
-                c.n_init
-            )));
-        }
-        if c.refit_every < 1 {
-            return Err(BoError::InvalidConfig("refit_every must be >= 1".into()));
-        }
-        if c.n_candidates == 0 {
-            return Err(BoError::InvalidConfig("n_candidates must be > 0".into()));
-        }
-        if c.n_perturb > 4096 {
-            return Err(BoError::InvalidConfig(format!(
-                "n_perturb must be <= 4096 (got {})",
-                c.n_perturb
-            )));
-        }
-        if let Some(m) = c.marginalize {
-            if m.n_samples == 0 {
-                return Err(BoError::InvalidConfig(
-                    "marginalize.n_samples must be > 0".into(),
-                ));
-            }
-        }
+        self.cfg.validate()?;
         Ok(self.cfg)
     }
 }
@@ -338,91 +323,14 @@ pub struct Observation {
     pub y: f64,
 }
 
-/// The two surrogate implementations behind [`SurrogateMode`], in one
-/// clonable, non-generic container.
-#[derive(Debug, Clone)]
-enum SurrogateBox {
-    Incremental(GpRegression<BoKernel>),
-    Exact(ExactGp<BoKernel>),
-}
-
-impl Surrogate for SurrogateBox {
-    fn observe(&mut self, x: Vec<f64>, y: f64) -> Result<(), mtm_gp::GpError> {
-        match self {
-            SurrogateBox::Incremental(s) => s.observe(x, y),
-            SurrogateBox::Exact(s) => s.observe(x, y),
-        }
-    }
-    fn set_targets(&mut self, ys: &[f64]) -> Result<(), mtm_gp::GpError> {
-        match self {
-            SurrogateBox::Incremental(s) => Surrogate::set_targets(s, ys),
-            SurrogateBox::Exact(s) => s.set_targets(ys),
-        }
-    }
-    fn predict(&self, x: &[f64]) -> mtm_gp::Prediction {
-        match self {
-            SurrogateBox::Incremental(s) => Surrogate::predict(s, x),
-            SurrogateBox::Exact(s) => s.predict(x),
-        }
-    }
-    fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<mtm_gp::Prediction> {
-        match self {
-            SurrogateBox::Incremental(s) => Surrogate::predict_many(s, xs),
-            SurrogateBox::Exact(s) => s.predict_many(xs),
-        }
-    }
-    fn predict_many_into(&self, xs: &[Vec<f64>], out: &mut Vec<mtm_gp::Prediction>) {
-        match self {
-            SurrogateBox::Incremental(s) => Surrogate::predict_many_into(s, xs, out),
-            SurrogateBox::Exact(s) => Surrogate::predict_many_into(s, xs, out),
-        }
-    }
-    fn refit(&mut self) -> Result<(), mtm_gp::GpError> {
-        match self {
-            SurrogateBox::Incremental(s) => Surrogate::refit(s),
-            SurrogateBox::Exact(s) => s.refit(),
-        }
-    }
-    fn lml(&self) -> f64 {
-        match self {
-            SurrogateBox::Incremental(s) => s.lml(),
-            SurrogateBox::Exact(s) => s.lml(),
-        }
-    }
-    fn hyperparameters(&self) -> Vec<f64> {
-        match self {
-            SurrogateBox::Incremental(s) => Surrogate::hyperparameters(s),
-            SurrogateBox::Exact(s) => s.hyperparameters(),
-        }
-    }
-    fn set_hyperparameters(&mut self, p: &[f64]) -> Result<(), mtm_gp::GpError> {
-        match self {
-            SurrogateBox::Incremental(s) => Surrogate::set_hyperparameters(s, p),
-            SurrogateBox::Exact(s) => s.set_hyperparameters(p),
-        }
-    }
-    fn optimize_hyperparameters(&mut self, opts: &FitOptions) -> f64 {
-        match self {
-            SurrogateBox::Incremental(s) => Surrogate::optimize_hyperparameters(s, opts),
-            SurrogateBox::Exact(s) => s.optimize_hyperparameters(opts),
-        }
-    }
-    fn n_observations(&self) -> usize {
-        match self {
-            SurrogateBox::Incremental(s) => Surrogate::n_observations(s),
-            SurrogateBox::Exact(s) => s.n_observations(),
-        }
-    }
-}
-
 /// Score `candidates` under `sur`, *accumulating* into `scores`. The
 /// [`SCORE_CHUNK`]-wide chunks fan out over `workers` threads of the one
 /// pool ([`mtm_stats::pool`]), each scored by [`score_chunk`] into its
 /// own buffer, and are added into `scores` in chunk order: every score
 /// is the same expression added to the same slot, so the sums do not
 /// depend on `workers`.
-fn accumulate_scores<S: Surrogate + ?Sized>(
-    sur: &S,
+fn accumulate_scores<K: Kernel>(
+    sur: &GpRegression<K>,
     acq: &Acquisition,
     candidates: &[Vec<f64>],
     z_best: f64,
@@ -447,8 +355,8 @@ fn accumulate_scores<S: Surrogate + ?Sized>(
 /// Score one chunk of candidates into `out`, predicting into one
 /// pre-sized buffer.
 // mtm-hot: acq-score
-fn score_chunk<S: Surrogate + ?Sized>(
-    sur: &S,
+fn score_chunk<K: Kernel>(
+    sur: &GpRegression<K>,
     acq: &Acquisition,
     cands: &[Vec<f64>],
     z_best: f64,
@@ -464,13 +372,13 @@ fn score_chunk<S: Surrogate + ?Sized>(
 /// Score a pool of candidate points under an already-fit surrogate in
 /// one pass — the acquisition-side mirror of the simulator's
 /// `evaluate_batch`. `out` is cleared and refilled with one score per
-/// candidate through the same [`SCORE_CHUNK`] decomposition the proposal
-/// loop uses, so the result is bitwise-identical to scoring every
+/// candidate through the same 64-candidate chunks the proposal loop
+/// uses, so the result is bitwise-identical to scoring every
 /// candidate on its own. The chunks run on the cores no other thread has
 /// claimed ([`mtm_stats::pool::spare`]); the scores do not depend on how
 /// many that is.
-pub fn score_batch<S: Surrogate + ?Sized>(
-    sur: &S,
+pub fn score_batch<K: Kernel>(
+    sur: &GpRegression<K>,
     acq: &Acquisition,
     candidates: &[Vec<f64>],
     best: f64,
@@ -480,8 +388,8 @@ pub fn score_batch<S: Surrogate + ?Sized>(
 }
 
 /// [`score_batch`] with its chunks fanned out over `workers` threads.
-fn score_batch_on<S: Surrogate + ?Sized>(
-    sur: &S,
+fn score_batch_on<K: Kernel>(
+    sur: &GpRegression<K>,
     acq: &Acquisition,
     candidates: &[Vec<f64>],
     best: f64,
@@ -572,11 +480,12 @@ pub struct BayesOpt {
     // --- runtime-only state, never serialized -------------------------
     /// The persistent surrogate; `None` until the first surrogate-backed
     /// proposal (or after deserialization / invalidation).
-    surrogate: Option<SurrogateBox>,
+    surrogate: Option<GpRegression<BoKernel>>,
     /// How many leading observations the surrogate has absorbed.
     n_absorbed: usize,
-    /// Set when deterministic replay failed once; the optimizer then
-    /// pins itself to the legacy fit-per-propose path for this run.
+    /// Set when deterministic replay failed once or the surrogate was
+    /// invalidated; the optimizer then pins itself to the fresh-refit
+    /// path ([`rebuild_fresh`](Self::rebuild_fresh)) for this run.
     replay_poisoned: bool,
 }
 
@@ -605,9 +514,13 @@ impl Deserialize for BayesOpt {
         let field = |name: &str| {
             serde::__get(pairs, name).ok_or_else(|| serde::DeError::missing_field(name, "BayesOpt"))
         };
+        let config: BoConfig = Deserialize::from_value(field("config")?)?;
+        config
+            .validate()
+            .map_err(|e| serde::DeError::custom(format!("BayesOpt: {e}")))?;
         Ok(BayesOpt {
             space: Deserialize::from_value(field("space")?)?,
-            config: Deserialize::from_value(field("config")?)?,
+            config,
             observations: Deserialize::from_value(field("observations")?)?,
             init_design: Deserialize::from_value(field("init_design")?)?,
             cached_hypers: Deserialize::from_value(field("cached_hypers")?)?,
@@ -777,13 +690,13 @@ impl BayesOpt {
     }
 
     /// Drop all incremental surrogate state *and* the cached
-    /// hyperparameters, and pin the optimizer to the legacy full-refit
-    /// path: every subsequent [`propose`](Self::propose) rebuilds the
-    /// factor from scratch, and the next one also re-optimizes
-    /// hyperparameters — the per-step cost the `bo`/`ibo`/`bo180`
-    /// strategies paid before the incremental hot path existed. Exists
-    /// as the benchmark baseline and as an escape hatch if surrogate
-    /// state is ever suspected stale.
+    /// hyperparameters, and pin the optimizer to the fresh-refit path:
+    /// every subsequent [`propose`](Self::propose) fits a new GP over all
+    /// observations, and the next one also re-optimizes hyperparameters.
+    /// `bench_gp` times this path as its baseline; called before the
+    /// first proposal, it gives the reference run the incremental path
+    /// is tested against; and it is an escape hatch if surrogate state
+    /// is ever suspected stale.
     pub fn invalidate_surrogate(&mut self) {
         self.surrogate = None;
         self.n_absorbed = 0;
@@ -818,12 +731,11 @@ impl BayesOpt {
     /// observations. Returns which path did it (`"incremental"`,
     /// `"replay"` or `"fresh"` — the trace's propose-path vocabulary), or
     /// `None` when no usable surrogate could be built (numerically
-    /// degenerate data) — the caller then explores uniformly, like the
-    /// legacy fit-per-propose code did.
+    /// degenerate data) — the caller then explores uniformly.
     fn sync_surrogate(&mut self) -> Option<&'static str> {
         let n = self.observations.len();
         if self.replay_poisoned {
-            // Legacy mode: fresh fit on every proposal.
+            // Pinned: fresh fit on every proposal.
             return self.rebuild_fresh(n).then_some("fresh");
         }
         if self.surrogate.is_none() {
@@ -831,7 +743,7 @@ impl BayesOpt {
                 return Some("replay");
             }
             // Deterministic replay failed (degenerate prefix). Pin to the
-            // legacy path, which fits over all observations at once and
+            // fresh path, which fits over all observations at once and
             // may still succeed.
             self.replay_poisoned = true;
             return self.rebuild_fresh(n).then_some("fresh");
@@ -861,14 +773,7 @@ impl BayesOpt {
             .map(|o| o.unit.clone())
             .collect();
         let zs = self.standardized_prefix(n0);
-        let built = match self.config.surrogate {
-            SurrogateMode::Incremental => GpRegression::fit(self.make_kernel(), xs, zs, BASE_NOISE)
-                .map(SurrogateBox::Incremental),
-            SurrogateMode::Exact => {
-                ExactGp::fit(self.make_kernel(), xs, zs, BASE_NOISE).map(SurrogateBox::Exact)
-            }
-        };
-        let Ok(sur) = built else {
+        let Ok(sur) = GpRegression::fit(self.make_kernel(), xs, zs, BASE_NOISE) else {
             return false;
         };
         self.surrogate = Some(sur);
@@ -896,7 +801,7 @@ impl BayesOpt {
             let Some(sur) = self.surrogate.as_mut() else {
                 return false;
             };
-            if sur.observe(x, y).is_err() {
+            if sur.add_observation(x, y).is_err() {
                 return false;
             }
             self.n_absorbed += 1;
@@ -918,10 +823,13 @@ impl BayesOpt {
         true
     }
 
-    /// Legacy path: fit a fresh surrogate over all `n` observations,
-    /// reapply cached hyperparameters, refit them on the legacy
-    /// schedule. Semantically what every `propose()` did before the
-    /// incremental hot path; kept for the poisoned/benchmark modes.
+    /// Fresh-refit path: fit a new GP over all `n` observations, reapply
+    /// the cached hyperparameters and refit them when due (or when none
+    /// are cached). It is the fallback when replay fails, the path
+    /// [`invalidate_surrogate`](Self::invalidate_surrogate) pins, the
+    /// baseline `bench_gp` times, and the reference the incremental
+    /// path must propose identically to
+    /// (`incremental_and_fresh_paths_propose_identically`).
     fn rebuild_fresh(&mut self, n: usize) -> bool {
         self.surrogate = None;
         self.n_absorbed = 0;
@@ -930,14 +838,7 @@ impl BayesOpt {
         }
         let xs: Vec<Vec<f64>> = self.observations.iter().map(|o| o.unit.clone()).collect();
         let zs = self.standardized_prefix(n);
-        let built = match self.config.surrogate {
-            SurrogateMode::Incremental => GpRegression::fit(self.make_kernel(), xs, zs, BASE_NOISE)
-                .map(SurrogateBox::Incremental),
-            SurrogateMode::Exact => {
-                ExactGp::fit(self.make_kernel(), xs, zs, BASE_NOISE).map(SurrogateBox::Exact)
-            }
-        };
-        let Ok(mut sur) = built else {
+        let Ok(mut sur) = GpRegression::fit(self.make_kernel(), xs, zs, BASE_NOISE) else {
             return false;
         };
         if let Some(h) = &self.cached_hypers {
@@ -1412,7 +1313,6 @@ mod tests {
         assert_eq!(built.n_perturb, dflt.n_perturb);
         assert_eq!(built.local_passes, dflt.local_passes);
         assert_eq!(built.seed, dflt.seed);
-        assert_eq!(built.surrogate, dflt.surrogate);
 
         assert!(BoConfig::builder().n_init(1).build().is_err());
         assert!(BoConfig::builder().refit_every(0).build().is_err());
@@ -1429,27 +1329,9 @@ mod tests {
             .seed(42)
             .refit_every(3)
             .n_candidates(128)
-            .surrogate(SurrogateMode::Exact)
             .build()
             .expect("valid config");
         assert_eq!(ok.seed, 42);
-        assert_eq!(ok.surrogate, SurrogateMode::Exact);
-    }
-
-    #[test]
-    fn config_without_surrogate_field_deserializes_to_incremental() {
-        // Journaled configs predate the `surrogate` field; they must
-        // replay with the incremental default.
-        let cfg = BoConfig {
-            surrogate: SurrogateMode::Exact,
-            ..Default::default()
-        };
-        let mut val = cfg.to_value();
-        if let serde::Value::Object(pairs) = &mut val {
-            pairs.retain(|(k, _)| k != "surrogate");
-        }
-        let back = BoConfig::from_value(&val).expect("old-format config parses");
-        assert_eq!(back.surrogate, SurrogateMode::Incremental);
     }
 
     #[test]
@@ -1703,42 +1585,55 @@ mod tests {
         }
     }
 
-    #[test]
-    fn exact_and_incremental_surrogates_propose_identically() {
-        // The incremental factor updates must be numerically equivalent
-        // to refitting from scratch: drive two optimizers that differ
-        // only in SurrogateMode through the same deterministic objective
-        // and demand the exact same proposal sequence.
+    /// Run the default optimizer and one pinned to the fresh-refit path
+    /// side by side for `steps` proposals, asserting the same values at
+    /// every step and the same number of hyperparameter fits.
+    fn incremental_matches_fresh(kernel: KernelChoice, seed: u64, steps: usize) {
         let objective = |vals: &[Value]| -> f64 {
             let (x, y) = (vals[0].as_float(), vals[1].as_float());
             -((x - 1.0) * (x - 1.0) + (y + 2.0) * (y + 2.0)) + (2.0 * x).sin()
         };
-        let mk = |mode: SurrogateMode| {
-            BoConfig::builder()
-                .seed(17)
-                .n_init(4)
-                .fit(FitOptions::fast())
-                .refit_every(3)
-                .n_candidates(96)
-                .surrogate(mode)
-                .build()
-                .expect("valid config")
-        };
-        let mut inc = BayesOpt::new(quadratic_space(), mk(SurrogateMode::Incremental));
-        let mut exa = BayesOpt::new(quadratic_space(), mk(SurrogateMode::Exact));
-        for step in 0..16 {
+        let config = BoConfig::builder()
+            .seed(seed)
+            .kernel(kernel)
+            .n_init(4)
+            .fit(FitOptions::fast())
+            .refit_every(3)
+            .n_candidates(96)
+            .build()
+            .expect("valid config");
+        let mut inc = BayesOpt::new(quadratic_space(), config.clone());
+        let mut fresh = BayesOpt::new(quadratic_space(), config);
+        fresh.invalidate_surrogate();
+        for step in 0..steps {
             let ci = inc.propose().expect("incremental propose");
-            let ce = exa.propose().expect("exact propose");
+            let cf = fresh.propose().expect("fresh propose");
             assert_eq!(
-                ci.values, ce.values,
-                "proposal sequences diverged at step {step}: {ci:?} vs {ce:?}"
+                ci.values, cf.values,
+                "{kernel:?}, seed {seed}: proposals diverged at step {step}"
             );
             inc.observe(ci.clone(), objective(&ci.values))
                 .expect("observe");
-            exa.observe(ce.clone(), objective(&ce.values))
+            fresh
+                .observe(cf.clone(), objective(&cf.values))
                 .expect("observe");
         }
-        assert_eq!(inc.fits_done(), exa.fits_done());
+        assert_eq!(
+            inc.fits_done(),
+            fresh.fits_done(),
+            "{kernel:?}, seed {seed}"
+        );
+    }
+
+    #[test]
+    fn incremental_and_fresh_paths_propose_identically() {
+        // The bordered appends and retargets of the incremental path
+        // must propose what a fresh fit over all observations proposes.
+        for kernel in [KernelChoice::Matern52, KernelChoice::SquaredExp] {
+            for seed in [1, 17, 99, 1234] {
+                incremental_matches_fresh(kernel, seed, 40);
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!   hyperparameters on the `refit_every` schedule (the production
 //!   default), and
 //! * **full refit** — [`BayesOpt::invalidate_surrogate`] before every
-//!   proposal, forcing the legacy fit-from-scratch plus hyperparameter
-//!   optimization that the pre-incremental optimizer paid per step.
+//!   proposal, pinning the optimizer's fresh-refit path: a new GP fit
+//!   over all observations plus a hyperparameter optimization, the
+//!   per-step cost of an optimizer without the incremental path.
 //!
 //! It also times one hyperparameter fit of the history-60 and the
 //! history-180 surrogate in two arms each: with every core claimed

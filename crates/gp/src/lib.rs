@@ -14,10 +14,13 @@
 //!   multi-restart Adam optimizer in log space,
 //! * [`mod@slice`] — univariate slice sampling over hyperparameters, for the
 //!   marginalized acquisition Spearmint uses,
-//! * [`priors`] — log-normal and uniform priors on log-hyperparameters,
-//! * [`surrogate`] — the [`Surrogate`] trait the BO loop consumes, with an
-//!   incremental implementation ([`GpRegression`], `O(n²)` per observation)
-//!   and an exact reference ([`ExactGp`], full refit per observation).
+//! * [`priors`] — log-normal and uniform priors on log-hyperparameters.
+//!
+//! [`GpRegression`] is the one surrogate the BO loop holds: it absorbs an
+//! observation with an `O(n²)` bordered Cholesky append and refactors in
+//! `O(n³)` only when its hyperparameters change. Its reference is a fresh
+//! [`GpRegression::fit`] over the same data, which the tests compare the
+//! appended model against.
 //!
 //! ```
 //! use mtm_gp::{GpRegression, kernel::Matern52Ard};
@@ -38,12 +41,10 @@ pub mod hyper;
 pub mod kernel;
 pub mod priors;
 pub mod slice;
-pub mod surrogate;
 
 pub use gp::{GpError, GpRegression, Prediction};
 pub use hyper::FitOptions;
 pub use kernel::{Kernel, Matern52Ard, SquaredExpArd};
-pub use surrogate::{ExactGp, Surrogate};
 
 // Runtime invariant guards, available to callers when the
 // `strict-invariants` feature is on.

@@ -9,8 +9,9 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::gp::GpRegression;
+use crate::kernel::Kernel;
 use crate::priors::IndependentPriors;
-use crate::surrogate::Surrogate;
 
 /// One univariate slice-sampling move along coordinate `coord` of `x`.
 ///
@@ -69,15 +70,14 @@ pub fn slice_sample_coord(
     x[coord] = x0; // give up, stay put
 }
 
-/// Draw `n_samples` hyperparameter vectors from the surrogate's
-/// hyperposterior, after `burn_in` discarded sweeps. The surrogate is
-/// left at the **last** sample.
+/// Draw `n_samples` hyperparameter vectors from the GP's
+/// hyperposterior, after `burn_in` discarded sweeps. The GP is left at
+/// the **last** sample.
 ///
 /// Each returned vector is `[kernel log-params..., log noise]`, the same
-/// layout as [`Surrogate::hyperparameters`]. Works on any
-/// [`Surrogate`], including trait objects.
-pub fn sample_hyperposterior<S: Surrogate + ?Sized>(
-    gp: &mut S,
+/// layout as [`GpRegression::hyperparameters`].
+pub fn sample_hyperposterior<K: Kernel>(
+    gp: &mut GpRegression<K>,
     priors: &IndependentPriors,
     n_samples: usize,
     burn_in: usize,
@@ -93,7 +93,7 @@ pub fn sample_hyperposterior<S: Surrogate + ?Sized>(
             return f64::NEG_INFINITY;
         }
         match gp.set_hyperparameters(p) {
-            Ok(()) => gp.lml() + prior,
+            Ok(()) => gp.log_marginal_likelihood() + prior,
             Err(_) => f64::NEG_INFINITY,
         }
     };
@@ -115,7 +115,6 @@ pub fn sample_hyperposterior<S: Surrogate + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gp::GpRegression;
     use crate::kernel::SquaredExpArd;
     use rand::SeedableRng;
 

@@ -53,23 +53,6 @@ impl Cholesky {
         })
     }
 
-    /// Factor without any jitter escalation; fails fast when indefinite.
-    pub fn factor_exact(a: &Mat) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { shape: a.shape() });
-        }
-        if !a.all_finite() {
-            return Err(LinalgError::NonFinite);
-        }
-        #[cfg(feature = "strict-invariants")]
-        crate::invariants::check_symmetric("Cholesky::factor_exact input", a.rows(), &|i, j| {
-            a[(i, j)]
-        });
-        try_factor(a, 0.0)
-            .map(|l| Cholesky { l, jitter: 0.0 })
-            .ok_or(LinalgError::NotPositiveDefinite { max_jitter: 0.0 })
-    }
-
     /// The lower-triangular factor `L`.
     pub fn l(&self) -> &Mat {
         &self.l
@@ -175,121 +158,6 @@ impl Cholesky {
     pub fn quad_form(&self, b: &[f64]) -> f64 {
         let w = self.whiten(b);
         crate::blas::dot(&w, &w)
-    }
-
-    /// Rank-one *update*: refactor to represent `A + v v^T` in `O(n^2)`.
-    ///
-    /// This is the classic hyperbolic-rotation-free algorithm (Golub & Van
-    /// Loan §6.5.4). Used by the incremental GP to absorb one new
-    /// observation without an `O(n^3)` refactorization.
-    pub fn rank_one_update(&mut self, v: &[f64]) {
-        let n = self.dim();
-        debug_assert_eq!(v.len(), n);
-        let mut work = v.to_vec();
-        for k in 0..n {
-            let lkk = self.l[(k, k)];
-            let r = (lkk * lkk + work[k] * work[k]).sqrt();
-            let c = r / lkk;
-            let s = work[k] / lkk;
-            self.l[(k, k)] = r;
-            #[allow(clippy::needless_range_loop)] // parallel update of L and work
-            for i in (k + 1)..n {
-                let lik = self.l[(i, k)];
-                self.l[(i, k)] = (lik + s * work[i]) / c;
-                work[i] = c * work[i] - s * self.l[(i, k)];
-            }
-        }
-    }
-
-    /// Rank-one *downdate*: refactor to represent `A - v v^T` in `O(n^2)`.
-    ///
-    /// The mirror image of [`rank_one_update`](Self::rank_one_update); fails
-    /// with [`LinalgError::NotPositiveDefinite`] when the downdated matrix
-    /// loses positive definiteness (a pivot `L_kk^2 - w_k^2` becomes
-    /// non-positive), leaving the factor untouched in that case.
-    pub fn rank_one_downdate(&mut self, v: &[f64]) -> Result<()> {
-        let n = self.dim();
-        debug_assert_eq!(v.len(), n);
-        // Dry-run the pivot recurrence first so a failed downdate cannot
-        // leave the factor half-modified.
-        let mut probe = v.to_vec();
-        for k in 0..n {
-            let lkk: f64 = self.l[(k, k)];
-            let r2 = lkk * lkk - probe[k] * probe[k];
-            if r2 <= 0.0 || !r2.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite {
-                    max_jitter: self.jitter,
-                });
-            }
-            let r: f64 = r2.sqrt();
-            let c: f64 = r / lkk;
-            let s: f64 = probe[k] / lkk;
-            #[allow(clippy::needless_range_loop)] // probe[i] pairs with L[(i, k)]
-            for i in (k + 1)..n {
-                let updated = (self.l[(i, k)] - s * probe[i]) / c;
-                probe[i] = c * probe[i] - s * updated;
-            }
-        }
-        let mut work = v.to_vec();
-        for k in 0..n {
-            let lkk: f64 = self.l[(k, k)];
-            let r: f64 = (lkk * lkk - work[k] * work[k]).sqrt();
-            let c: f64 = r / lkk;
-            let s: f64 = work[k] / lkk;
-            self.l[(k, k)] = r;
-            #[allow(clippy::needless_range_loop)] // parallel update of L and work
-            for i in (k + 1)..n {
-                let lik = self.l[(i, k)];
-                self.l[(i, k)] = (lik - s * work[i]) / c;
-                work[i] = c * work[i] - s * self.l[(i, k)];
-            }
-        }
-        Ok(())
-    }
-
-    /// Shrink the factorization to represent `A` with row and column `idx`
-    /// deleted, in `O(n^2)`.
-    ///
-    /// Deleting row/column `j` leaves the leading `j x j` block and the
-    /// off-diagonal rows of `L` untouched; the trailing block absorbs the
-    /// removed column's sub-diagonal entries via a rank-one update
-    /// (`L' L'^T = L33 L33^T + l32 l32^T`). The inverse operation of
-    /// [`append`](Self::append) when `idx == n - 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn remove(&mut self, idx: usize) {
-        let n = self.dim();
-        assert!(idx < n, "remove index {idx} out of bounds for dim {n}");
-        // Sub-diagonal entries of the removed column drive the trailing
-        // rank-one update.
-        let spike: Vec<f64> = ((idx + 1)..n).map(|i| self.l[(i, idx)]).collect();
-        let mut shrunk = Mat::zeros(n - 1, n - 1);
-        for i in 0..(n - 1) {
-            let src = if i < idx { i } else { i + 1 };
-            for j in 0..=i {
-                let src_j = if j < idx { j } else { j + 1 };
-                shrunk[(i, j)] = self.l[(src, src_j)];
-            }
-        }
-        self.l = shrunk;
-        // Rank-one update restricted to the trailing (n-1-idx) block.
-        let m = self.dim();
-        let mut work = spike;
-        for k in idx..m {
-            let lkk: f64 = self.l[(k, k)];
-            let wk: f64 = work[k - idx];
-            let r: f64 = (lkk * lkk + wk * wk).sqrt();
-            let c: f64 = r / lkk;
-            let s: f64 = wk / lkk;
-            self.l[(k, k)] = r;
-            for i in (k + 1)..m {
-                let lik = self.l[(i, k)];
-                self.l[(i, k)] = (lik + s * work[i - idx]) / c;
-                work[i - idx] = c * work[i - idx] - s * self.l[(i, k)];
-            }
-        }
     }
 
     /// Grow the factorization to represent the `(n+1) x (n+1)` matrix that
@@ -467,10 +335,6 @@ mod tests {
             Cholesky::factor(&indefinite).unwrap_err(),
             row_order_factor(&indefinite).unwrap_err()
         );
-        assert_eq!(
-            Cholesky::factor_exact(&indefinite).unwrap_err(),
-            LinalgError::NotPositiveDefinite { max_jitter: 0.0 }
-        );
     }
 
     #[test]
@@ -517,7 +381,7 @@ mod tests {
         let a = Mat::filled(4, 4, 1.0);
         let ch = Cholesky::factor(&a).unwrap();
         assert!(ch.jitter() > 0.0, "jitter should have been needed");
-        assert!(Cholesky::factor_exact(&a).is_err());
+        assert!(try_factor(&a, 0.0).is_none());
     }
 
     #[test]
@@ -534,93 +398,6 @@ mod tests {
         let mut a = Mat::identity(3);
         a[(1, 1)] = f64::INFINITY;
         assert!(matches!(Cholesky::factor(&a), Err(LinalgError::NonFinite)));
-    }
-
-    #[test]
-    fn rank_one_update_matches_refactor() {
-        let a = spd(6, 5);
-        let v: Vec<f64> = (0..6).map(|i| 0.3 * (i as f64) - 1.0).collect();
-        let mut ch = Cholesky::factor(&a).unwrap();
-        ch.rank_one_update(&v);
-
-        let mut a_up = a.clone();
-        for i in 0..6 {
-            for j in 0..6 {
-                a_up[(i, j)] += v[i] * v[j];
-            }
-        }
-        let ch_ref = Cholesky::factor(&a_up).unwrap();
-        assert!((ch.l() - ch_ref.l()).max_abs() < 1e-8);
-    }
-
-    #[test]
-    fn rank_one_downdate_matches_refactor() {
-        let a = spd(6, 13);
-        // Small vector keeps A - v v^T safely positive definite.
-        let v: Vec<f64> = (0..6).map(|i| 0.1 * (i as f64) - 0.2).collect();
-        let mut ch = Cholesky::factor(&a).unwrap();
-        ch.rank_one_downdate(&v).unwrap();
-
-        let mut a_dn = a.clone();
-        for i in 0..6 {
-            for j in 0..6 {
-                a_dn[(i, j)] -= v[i] * v[j];
-            }
-        }
-        let ch_ref = Cholesky::factor(&a_dn).unwrap();
-        assert!((ch.l() - ch_ref.l()).max_abs() < 1e-8);
-    }
-
-    #[test]
-    fn downdate_then_update_round_trips() {
-        let a = spd(5, 21);
-        let v = vec![0.3, -0.1, 0.2, 0.05, -0.25];
-        let mut ch = Cholesky::factor(&a).unwrap();
-        let before = ch.l().clone();
-        ch.rank_one_downdate(&v).unwrap();
-        ch.rank_one_update(&v);
-        assert!((ch.l() - &before).max_abs() < 1e-9);
-    }
-
-    #[test]
-    fn downdate_rejects_indefinite_and_leaves_factor_intact() {
-        let a = Mat::identity(3);
-        let mut ch = Cholesky::factor(&a).unwrap();
-        let before = ch.l().clone();
-        // ||v|| > 1 drives I - v v^T indefinite.
-        assert!(ch.rank_one_downdate(&[2.0, 0.0, 0.0]).is_err());
-        assert!((ch.l() - &before).max_abs() == 0.0);
-    }
-
-    #[test]
-    fn remove_matches_refactor() {
-        let n = 8;
-        let a = spd(n, 17);
-        for idx in [0, 3, n - 1] {
-            let mut ch = Cholesky::factor(&a).unwrap();
-            ch.remove(idx);
-            let reduced = Mat::from_fn(n - 1, n - 1, |i, j| {
-                let si = if i < idx { i } else { i + 1 };
-                let sj = if j < idx { j } else { j + 1 };
-                a[(si, sj)]
-            });
-            let ch_ref = Cholesky::factor(&reduced).unwrap();
-            assert!(
-                (ch.l() - ch_ref.l()).max_abs() < 1e-8,
-                "remove({idx}) disagrees with refactor"
-            );
-        }
-    }
-
-    #[test]
-    fn remove_inverts_append() {
-        let a = spd(6, 29);
-        let mut ch = Cholesky::factor(&a).unwrap();
-        let before = ch.l().clone();
-        let b: Vec<f64> = (0..6).map(|i| 0.2 * i as f64 - 0.5).collect();
-        ch.append(&b, 8.0).unwrap();
-        ch.remove(6);
-        assert!((ch.l() - &before).max_abs() < 1e-9);
     }
 
     #[test]

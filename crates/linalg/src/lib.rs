@@ -9,7 +9,8 @@
 //! * [`Mat`] — a row-major dense matrix with the usual constructors and
 //!   arithmetic,
 //! * [`Cholesky`] — an SPD factorization with jitter escalation, triangular
-//!   solves, log-determinant and rank-one updates,
+//!   solves, log-determinant, inverse and the bordered `append` that
+//!   grows the factor by one row,
 //! * [`blas`] — matrix multiply / symmetric rank-k update / matrix-vector
 //!   kernels,
 //! * [`triangular`] — forward and backward substitution.

@@ -99,42 +99,7 @@ proptest! {
     }
 
     #[test]
-    fn rank_one_update_matches_fresh_factor(a in arb_spd(10), scale in 0.05f64..1.5) {
-        let n = a.rows();
-        let v: Vec<f64> = (0..n).map(|i| scale * ((i as f64 * 1.3).sin())).collect();
-        let mut ch = Cholesky::factor(&a).unwrap();
-        ch.rank_one_update(&v);
-        let mut a_up = a.clone();
-        for i in 0..n {
-            for j in 0..n {
-                a_up[(i, j)] += v[i] * v[j];
-            }
-        }
-        let fresh = Cholesky::factor(&a_up).unwrap();
-        let err = (ch.l() - fresh.l()).max_abs();
-        prop_assert!(err < 1e-9 * a_up.max_abs().max(1.0), "factor drift {err}");
-    }
-
-    #[test]
-    fn rank_one_downdate_matches_fresh_factor(a in arb_spd(10), scale in 0.01f64..0.3) {
-        let n = a.rows();
-        // Small perturbation keeps A - vvᵀ positive definite (diag >= n).
-        let v: Vec<f64> = (0..n).map(|i| scale * ((i as f64 * 0.9).cos())).collect();
-        let mut ch = Cholesky::factor(&a).unwrap();
-        ch.rank_one_downdate(&v).unwrap();
-        let mut a_dn = a.clone();
-        for i in 0..n {
-            for j in 0..n {
-                a_dn[(i, j)] -= v[i] * v[j];
-            }
-        }
-        let fresh = Cholesky::factor(&a_dn).unwrap();
-        let err = (ch.l() - fresh.l()).max_abs();
-        prop_assert!(err < 1e-9 * a.max_abs().max(1.0), "factor drift {err}");
-    }
-
-    #[test]
-    fn append_then_remove_matches_fresh_factor(a in arb_spd(9)) {
+    fn append_matches_fresh_factor(a in arb_spd(9)) {
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| 0.3 * ((i as f64 * 2.1).sin())).collect();
         let c = n as f64 + 1.0;
@@ -150,37 +115,6 @@ proptest! {
         let fresh = Cholesky::factor(&bordered).unwrap();
         let err = (ch.l() - fresh.l()).max_abs();
         prop_assert!(err < 1e-9 * bordered.max_abs().max(1.0), "append drift {err}");
-        // Removing interior index 1 must agree with factoring the reduced matrix.
-        ch.remove(1);
-        let reduced = Mat::from_fn(n, n, |i, j| {
-            let si = if i < 1 { i } else { i + 1 };
-            let sj = if j < 1 { j } else { j + 1 };
-            bordered[(si, sj)]
-        });
-        let fresh = Cholesky::factor(&reduced).unwrap();
-        let err = (ch.l() - fresh.l()).max_abs();
-        prop_assert!(err < 1e-9 * reduced.max_abs().max(1.0), "remove drift {err}");
-    }
-
-    #[test]
-    fn rank_one_update_preserves_solutions(a in arb_spd(7)) {
-        let n = a.rows();
-        let v: Vec<f64> = (0..n).map(|i| 0.2 * i as f64 - 0.5).collect();
-        let mut ch = Cholesky::factor(&a).unwrap();
-        ch.rank_one_update(&v);
-        // Compare against factoring A + vvᵀ directly.
-        let mut a_up = a.clone();
-        for i in 0..n {
-            for j in 0..n {
-                a_up[(i, j)] += v[i] * v[j];
-            }
-        }
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-        let x1 = ch.solve_vec(&b);
-        let x2 = Cholesky::factor(&a_up).unwrap().solve_vec(&b);
-        for (p, q) in x1.iter().zip(&x2) {
-            prop_assert!((p - q).abs() < 1e-7);
-        }
     }
 
     #[test]

@@ -106,9 +106,10 @@ pub enum Event {
         step: usize,
         /// Which path produced the proposal: `design` (warm-up),
         /// `incremental` (persistent surrogate stepped), `replay`
-        /// (surrogate rebuilt by replaying the history), `fresh`
-        /// (legacy full refit), `uniform` (degenerate-data fallback),
-        /// or `linear` (pla/ipla schedules).
+        /// (surrogate rebuilt by replaying the history), `fresh` (a new
+        /// GP fit over all observations: the fallback when replay fails,
+        /// or pinned by `invalidate_surrogate()`), `uniform`
+        /// (degenerate-data fallback), or `linear` (pla/ipla schedules).
         path: Cow<'static, str>,
         /// `true` when this step re-optimized surrogate hyperparameters.
         refit: bool,

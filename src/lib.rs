@@ -54,11 +54,10 @@ pub use mtm_stats as stats;
 pub use mtm_stormsim as stormsim;
 pub use mtm_topogen as topogen;
 
-// The surrogate abstraction and the error chain, at the root for
-// callers that plug in their own models or route failures upward
+// The error chain, at the root for callers that route failures upward
 // (LinalgError → GpError → BoError, lifted by `From` at each level).
 pub use mtm_bayesopt::error::BoError;
-pub use mtm_gp::{ExactGp, GpError, Surrogate};
+pub use mtm_gp::GpError;
 pub use mtm_linalg::LinalgError;
 
 /// The commonly-used types in one import.

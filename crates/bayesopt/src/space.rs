@@ -311,14 +311,6 @@ impl Value {
             other => panic!("expected Float, got {other:?}"),
         }
     }
-
-    /// Unwrap a categorical index.
-    pub fn as_cat(&self) -> usize {
-        match self {
-            Value::Cat(v) => *v,
-            other => panic!("expected Cat, got {other:?}"),
-        }
-    }
 }
 
 /// An ordered collection of parameters — the optimization domain.

@@ -29,7 +29,7 @@ mod tests {
     #[test]
     fn renders_four_rows_plus_note() {
         let t = super::run();
-        assert_eq!(t.matches("20").count() >= 4, true);
+        assert!(t.matches("20").count() >= 4);
         assert!(t.contains("Linear Road"));
         assert!(t.contains("10/50/100"));
     }

@@ -11,8 +11,8 @@
 //!    per ratchet unit against the budgets in `check/ratchet.toml`
 //!    (tables `[panic_sites]`, `[index_sites]`, `[div_sites]`; counts can
 //!    only go down).
-//! 3. **Float sanity** — `f64`/`f32` `==`/`!=` (allow keys `float-eq`,
-//!    legacy `lint:allow(float_cmp)` honored), `partial_cmp().unwrap()`
+//! 3. **Float sanity** — `f64`/`f32` `==`/`!=` (allow key `float-eq`),
+//!    `partial_cmp().unwrap()`
 //!    on possibly-NaN keys, and order-sensitive reductions after a
 //!    `par_iter` (`float-ord`).
 //! 4. **Hot-path allocations** ([`crate::hotpath`]) — allocation, lock
@@ -51,7 +51,7 @@ pub struct Analysis {
 
 /// Parse every workspace crate: `crates/*/src` plus the root `src/`.
 /// Vendored `third_party/` stand-ins and the `tests/` member are out of
-/// scope, as for `lint`.
+/// scope.
 pub fn parse_workspace(root: &Path) -> Result<Vec<CrateAst>, String> {
     let mut crates = Vec::new();
     let crates_dir = root.join("crates");
@@ -90,15 +90,9 @@ pub fn analyze_crates(crates: &[CrateAst]) -> Analysis {
     // Annotations, collected per file so staleness can be reported even
     // for files no pass flags.
     let mut allows: Vec<Allow> = Vec::new();
-    let mut legacy_float_allows: BTreeSet<(String, usize)> = BTreeSet::new();
     for krate in crates {
         for file in &krate.files {
             allows.extend(taint::collect_allows(file, &mut analysis.report));
-            for c in &file.comments {
-                if c.text.contains("lint:allow(float_cmp)") {
-                    legacy_float_allows.insert((file.rel.clone(), c.line));
-                }
-            }
         }
         for orphan in &krate.orphans {
             analysis.report.push(Diag::new(
@@ -138,12 +132,6 @@ pub fn analyze_crates(crates: &[CrateAst]) -> Analysis {
             } else {
                 "float-ord"
             };
-            let legacy_ok = key == "float-eq"
-                && (legacy_float_allows.contains(&(f.file.clone(), line))
-                    || (line > 1 && legacy_float_allows.contains(&(f.file.clone(), line - 1))));
-            if legacy_ok {
-                continue;
-            }
             if let Some(a) = allows
                 .iter_mut()
                 .find(|a| taint::allow_covers(a, key, &f.file, line, f.line, f.end_line))
@@ -442,27 +430,21 @@ fn walk_body(trees: &[Tree], scan: &mut BodyScan<'_>) {
                             }
                         }
                     }
-                    "panic" => {
-                        if tok_at(i + 1).is_some_and(|t| t.is_punct("!")) {
-                            scan.counts.panic_sites += 1;
-                        }
+                    "panic" if tok_at(i + 1).is_some_and(|t| t.is_punct("!")) => {
+                        scan.counts.panic_sites += 1;
                     }
                     // Operator arms must check the token kind: a char
                     // literal `'/'` or string literal `"/"` carries the
                     // same text as the punct and is not an operator.
-                    "/" | "%" => {
-                        if tok.kind == TokKind::Punct && !div_is_guarded(trees, i, scan) {
-                            scan.counts.div_sites += 1;
-                        }
+                    "/" | "%" if tok.kind == TokKind::Punct && !div_is_guarded(trees, i, scan) => {
+                        scan.counts.div_sites += 1;
                     }
-                    "==" | "!=" => {
-                        if tok.kind == TokKind::Punct && float_operands(trees, i, scan) {
-                            scan.floats.push((
-                                "float/eq".to_string(),
-                                line,
-                                format!("float `{}` comparison", tok.text),
-                            ));
-                        }
+                    "==" | "!=" if tok.kind == TokKind::Punct && float_operands(trees, i, scan) => {
+                        scan.floats.push((
+                            "float/eq".to_string(),
+                            line,
+                            format!("float `{}` comparison", tok.text),
+                        ));
                     }
                     "par_iter" | "into_par_iter" | "par_chunks" | "par_bridge" => {
                         if let Some(red_line) = par_reduction_after(trees, i) {
@@ -692,7 +674,9 @@ fn f(xs: &[f64]) {
     }
 
     #[test]
-    fn float_eq_flagged_and_legacy_allow_honored() {
+    fn float_eq_flagged_and_only_mtm_allow_honored() {
+        // A leftover clippy-style `lint:allow(float_cmp)` comment
+        // suppresses nothing; `mtm-allow: float-eq` is the one syntax.
         let a = analyze_source(
             "crates/fixture/src/lib.rs",
             "
@@ -704,12 +688,18 @@ fn g(x: f64) -> bool {
     // lint:allow(float_cmp) exact sentinel
     x == 0.0
 }
+fn k(x: f64) -> bool {
+    // mtm-allow: float-eq -- exact sentinel
+    x == 1.0
+}
 fn h(x: usize) -> bool { x == 5 }
 ",
         );
         let rendered = a.report.render();
-        assert_eq!(rendered.matches("float/eq").count(), 1, "{rendered}");
+        assert_eq!(rendered.matches("float/eq").count(), 2, "{rendered}");
         assert!(rendered.contains(":4:"), "{rendered}");
+        assert!(rendered.contains(":8:"), "{rendered}");
+        assert!(!rendered.contains("annotation/stale"), "{rendered}");
     }
 
     #[test]

@@ -125,7 +125,7 @@ pub struct HotSite {
 pub fn run(
     graph: &CallGraph,
     crates: &[CrateAst],
-    allows: &mut Vec<Allow>,
+    allows: &mut [Allow],
     report: &mut Report,
     counts: &mut BTreeMap<String, SiteCounts>,
 ) -> HotSummary {

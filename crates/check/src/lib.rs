@@ -1,6 +1,6 @@
 //! Correctness tooling for the mtm workspace.
 //!
-//! Four passes, exposed through the `mtm-check` binary
+//! Three passes, exposed through the `mtm-check` binary
 //! (`cargo run -p mtm-check -- <subcommand>`):
 //!
 //! * [`analyze`] — the AST-backed static analyzer: a self-contained
@@ -17,9 +17,6 @@
 //!   blocking-under-lock, lock-order cycles and guard-across-wait over
 //!   `// mtm-lock: <name>` named locks, ratcheted in
 //!   `[blocking_under_lock]` / `[lock_order]`).
-//! * [`lint`] — the comment-driven rules that stay text-based: `unsafe`
-//!   requires a `// SAFETY:` comment, and panicking `pub fn`s in
-//!   `linalg`/`gp` must carry a `# Panics` doc section.
 //! * [`invariants`] — runtime guard functions (finite, symmetric, PSD,
 //!   monotonic time) that `linalg`/`gp`/`stormsim`/`bayesopt` re-export
 //!   and call behind their `strict-invariants` feature.
@@ -37,7 +34,6 @@ pub mod determinism;
 pub mod diag;
 pub mod hotpath;
 pub mod invariants;
-pub mod lint;
 pub mod lockregion;
 pub mod ratchet;
 pub mod taint;

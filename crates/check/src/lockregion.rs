@@ -243,7 +243,7 @@ struct Pass<'a> {
 pub fn run(
     graph: &CallGraph,
     crates: &[CrateAst],
-    allows: &mut Vec<Allow>,
+    allows: &mut [Allow],
     report: &mut Report,
     counts: &mut BTreeMap<String, SiteCounts>,
 ) -> LockSummary {
@@ -837,8 +837,8 @@ fn skip_strict_gate(trees: &[Tree], i: usize) -> Option<usize> {
 /// binding: the next `;` at this level, or just past the first brace
 /// group (match arms, loop body) — whichever comes first.
 fn stmt_extent(trees: &[Tree], from: usize) -> usize {
-    for j in from..trees.len() {
-        match &trees[j] {
+    for (j, tree) in trees.iter().enumerate().skip(from) {
+        match tree {
             Tree::Tok(t) if t.is_punct(";") => return j,
             Tree::Group(g) if g.delim == Delim::Brace => return j + 1,
             _ => {}

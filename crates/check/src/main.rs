@@ -1,8 +1,7 @@
 //! The `mtm-check` command-line tool.
 //!
 //! ```text
-//! cargo run -p mtm-check -- analyze [--update-ratchet] [--hot] [--locks] [--explain lock]
-//! cargo run -p mtm-check -- lint
+//! cargo run -p mtm-check -- analyze [--hot] [--locks] [--explain lock]
 //! cargo run -p mtm-check -- invariants
 //! cargo run -p mtm-check -- determinism
 //! cargo run -p mtm-check -- coverage
@@ -12,14 +11,13 @@
 //! * `analyze` — AST-backed static analysis: determinism taint (with
 //!   `mtm-allow` annotation adjudication), panic/index/div/alloc-hot
 //!   budgets against `check/ratchet.toml`, float sanity, the hot-path
-//!   allocation pass, and the lock-region pass. `--update-ratchet`
-//!   rewrites the budget file from current counts (only do this after
-//!   *reducing* sites); `--hot` prints the hot-path roots and every
+//!   allocation pass, and the lock-region pass. Budgets that can fall
+//!   are printed as `ratchet (tightenable)`; lower them by hand, with a
+//!   comment. `--hot` prints the hot-path roots and every
 //!   flagged site; `--locks` prints the named locks, the
 //!   acquired-while-holding graph and every flagged blocking site;
 //!   `--explain lock` documents the lock-region model and annotation
 //!   grammar alongside the live lock graph.
-//! * `lint` — comment-driven rules (`// SAFETY:`, `# Panics` docs).
 //! * `invariants` — run guarded crate test suites with
 //!   `--features strict-invariants`.
 //! * `determinism` — build the probe and require bit-identical output
@@ -27,7 +25,7 @@
 //! * `coverage` — run `cargo llvm-cov` and enforce the per-unit line
 //!   coverage floors in `check/ratchet.toml` `[coverage_floor]`
 //!   (skipped with a notice when cargo-llvm-cov is not installed).
-//! * `all` — every pass above (analyze, lint, invariants, determinism,
+//! * `all` — every pass above (analyze, invariants, determinism,
 //!   coverage).
 //!
 //! Exit code 0 means the pass(es) succeeded; 1 means violations or a
@@ -42,7 +40,6 @@ use std::process::{Command, ExitCode};
 use mtm_check::analyze;
 use mtm_check::coverage;
 use mtm_check::determinism;
-use mtm_check::lint;
 use mtm_check::ratchet::Ratchet;
 
 fn main() -> ExitCode {
@@ -72,26 +69,23 @@ fn main() -> ExitCode {
             }
             run_analyze(
                 &root,
-                rest.contains(&"--update-ratchet"),
                 rest.contains(&"--hot"),
                 rest.contains(&"--locks") || explain == Some("lock"),
             )
         }
-        "lint" => run_lint(&root),
         "invariants" => run_invariants(),
         "determinism" => run_determinism(),
         "coverage" => run_coverage(&root),
         "all" => {
-            let analyze_ok = run_analyze(&root, false, false, false);
-            let lint_ok = run_lint(&root);
+            let analyze_ok = run_analyze(&root, false, false);
             let inv_ok = run_invariants();
             let det_ok = run_determinism();
             let cov_ok = run_coverage(&root);
-            analyze_ok && lint_ok && inv_ok && det_ok && cov_ok
+            analyze_ok && inv_ok && det_ok && cov_ok
         }
         _ => {
             eprintln!(
-                "usage: mtm-check <analyze [--update-ratchet] [--hot] [--locks] [--explain lock] | lint | invariants | determinism | coverage | all>"
+                "usage: mtm-check <analyze [--hot] [--locks] [--explain lock] | invariants | determinism | coverage | all>"
             );
             return ExitCode::from(2);
         }
@@ -172,7 +166,7 @@ mtm-check analyze --explain lock
 
 /// The AST pass: taint + float findings are hard failures; panic/index/
 /// div/alloc-hot/lock counts ratchet against `check/ratchet.toml`.
-fn run_analyze(root: &Path, update_ratchet: bool, show_hot: bool, show_locks: bool) -> bool {
+fn run_analyze(root: &Path, show_hot: bool, show_locks: bool) -> bool {
     println!(
         "mtm-check analyze: parsing workspace crates under {}",
         root.display()
@@ -240,23 +234,6 @@ fn run_analyze(root: &Path, update_ratchet: bool, show_hot: bool, show_locks: bo
     }
 
     let ratchet_path = root.join("check/ratchet.toml");
-    if update_ratchet {
-        // Carry non-counted tables (coverage floors) through the rewrite.
-        let extras = fs::read_to_string(&ratchet_path)
-            .ok()
-            .and_then(|text| Ratchet::parse(&text).ok())
-            .unwrap_or_default();
-        let rendered = Ratchet::render_with(&analysis.counts, &extras);
-        if let Some(parent) = ratchet_path.parent() {
-            let _ = fs::create_dir_all(parent);
-        }
-        if let Err(e) = fs::write(&ratchet_path, rendered) {
-            eprintln!("mtm-check analyze: write {}: {e}", ratchet_path.display());
-            return false;
-        }
-        println!("mtm-check analyze: wrote {}", ratchet_path.display());
-        return ok;
-    }
     let recorded = match fs::read_to_string(&ratchet_path) {
         Ok(text) => match Ratchet::parse(&text) {
             Ok(r) => r,
@@ -267,7 +244,8 @@ fn run_analyze(root: &Path, update_ratchet: bool, show_hot: bool, show_locks: bo
         },
         Err(e) => {
             eprintln!(
-                "mtm-check analyze: read {}: {e} (run with --update-ratchet to create it)",
+                "mtm-check analyze: read {}: {e} (the budgets are kept by hand: \
+                 restore the file; lower a budget by hand, with a comment)",
                 ratchet_path.display()
             );
             return false;
@@ -310,33 +288,6 @@ fn run_analyze(root: &Path, update_ratchet: bool, show_hot: bool, show_locks: bo
         );
     }
     ok
-}
-
-fn run_lint(root: &Path) -> bool {
-    println!(
-        "mtm-check lint: scanning library sources under {}",
-        root.display()
-    );
-    let report = match lint::scan_workspace(root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("mtm-check lint: {e}");
-            return false;
-        }
-    };
-    for v in &report.violations {
-        println!("  {v}");
-    }
-    if report.violations.is_empty() {
-        println!("mtm-check lint: OK (0 rule violations)");
-        true
-    } else {
-        println!(
-            "mtm-check lint: {} rule violation(s)",
-            report.violations.len()
-        );
-        false
-    }
 }
 
 /// Run each guarded crate's test suite with `strict-invariants` enabled,

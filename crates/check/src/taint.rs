@@ -540,7 +540,7 @@ pub fn run_taint(g: &CallGraph, crates: &[CrateAst], allows: &mut [Allow], repor
     }
 
     let mut instances: Vec<SourceInst> = Vec::new();
-    for (&fn_id, _) in &via {
+    for &fn_id in via.keys() {
         let f = &g.fns[fn_id];
         find_sources(&f.body, &f.file, fn_id, &fields, &mut instances);
     }

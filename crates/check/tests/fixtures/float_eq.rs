@@ -9,7 +9,7 @@ pub fn still_moving(step: f64) -> bool {
 }
 
 pub fn annotated_sentinel(x: f64) -> bool {
-    x == 0.0 // lint:allow(float_cmp) exact sparse-skip sentinel — not flagged
+    x == 0.0 // mtm-allow: float-eq -- exact sparse-skip sentinel, not flagged
 }
 
 pub fn integer_compare_is_fine(n: usize) -> bool {

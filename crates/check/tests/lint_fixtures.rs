@@ -1,22 +1,12 @@
-//! Pass self-tests over the planted fixture files: every planted
-//! violation must be flagged at its exact line, and the clean fixture
-//! must stay silent — for both the comment-driven lint rules and the
-//! AST-backed analyze pass.
+//! Analyze-pass self-tests over the planted fixture files: every
+//! planted violation must be flagged at its exact line, and the clean
+//! fixture must stay silent.
 
 use mtm_check::analyze;
-use mtm_check::lint::{scan_source, Rule, RuleScope};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
-}
-
-fn rule_lines(src: &str, rule: Rule) -> Vec<usize> {
-    scan_source("fixture.rs", src, &RuleScope::all())
-        .into_iter()
-        .filter(|v| v.rule == rule)
-        .map(|v| v.line)
-        .collect()
 }
 
 #[test]
@@ -32,7 +22,7 @@ fn float_eq_fixture_is_flagged_by_ast_pass() {
     let a = analyze::analyze_source("crates/fixture/src/lib.rs", &fixture("float_eq.rs"));
     let rendered = a.report.render();
     // `== 0.0` (line 4) and `!= 1.0e-9` (line 8) flagged; the
-    // lint:allow-annotated sentinel and the integer compare are not.
+    // `mtm-allow: float-eq` sentinel and the integer compare are not.
     assert_eq!(rendered.matches("float/eq").count(), 2, "{rendered}");
     assert!(
         rendered.contains("crates/fixture/src/lib.rs:4:"),
@@ -45,28 +35,7 @@ fn float_eq_fixture_is_flagged_by_ast_pass() {
 }
 
 #[test]
-fn unsafe_fixture_is_flagged() {
-    let src = fixture("unsafe_no_safety.rs");
-    let lines = rule_lines(&src, Rule::UnsafeNoSafety);
-    // The undocumented unsafe block is flagged; the SAFETY-commented one
-    // is not.
-    assert_eq!(lines.len(), 1, "flagged lines: {lines:?}");
-}
-
-#[test]
-fn missing_panics_doc_fixture_is_flagged() {
-    let src = fixture("missing_panics_doc.rs");
-    let lines = rule_lines(&src, Rule::MissingPanicsDoc);
-    // `head` lacks the section; `documented_head` has it; `total` cannot
-    // panic.
-    assert_eq!(lines.len(), 1, "flagged lines: {lines:?}");
-}
-
-#[test]
 fn clean_fixture_is_silent_everywhere() {
-    let src = fixture("clean.rs");
-    let violations = scan_source("clean.rs", &src, &RuleScope::all());
-    assert!(violations.is_empty(), "unexpected: {violations:?}");
-    let a = analyze::analyze_source("crates/fixture/src/lib.rs", &src);
+    let a = analyze::analyze_source("crates/fixture/src/lib.rs", &fixture("clean.rs"));
     assert!(a.report.is_empty(), "unexpected: {}", a.report.render());
 }

@@ -1,12 +1,11 @@
 //! The repo-level gate, wired into `cargo test`: the workspace's own
-//! library code must pass the lint rules and the AST analyze pass
-//! (zero unannotated taint/float findings), and the panic/index/div
-//! site counts must not exceed the ceilings in `check/ratchet.toml`.
+//! library code must pass the AST analyze pass (zero unannotated
+//! taint/float findings), and the panic/index/div site counts must not
+//! exceed the ceilings in `check/ratchet.toml`.
 
 use std::path::PathBuf;
 
 use mtm_check::analyze;
-use mtm_check::lint;
 use mtm_check::ratchet::Ratchet;
 
 fn workspace_root() -> PathBuf {
@@ -19,13 +18,6 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_has_no_lint_violations() {
-    let report = lint::scan_workspace(&workspace_root()).expect("scan workspace");
-    let all: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
-    assert!(all.is_empty(), "lint violations:\n{}", all.join("\n"));
-}
-
-#[test]
 fn workspace_analyze_is_clean_and_within_ratchet() {
     let root = workspace_root();
     let analysis = analyze::analyze_workspace(&root).expect("parse workspace");
@@ -35,8 +27,9 @@ fn workspace_analyze_is_clean_and_within_ratchet() {
          `// mtm-allow: <key> -- <reason>`):\n{}",
         analysis.report.render()
     );
-    let text = std::fs::read_to_string(root.join("check/ratchet.toml"))
-        .expect("check/ratchet.toml exists — regenerate with `cargo run -p mtm-check -- analyze --update-ratchet`");
+    let text = std::fs::read_to_string(root.join("check/ratchet.toml")).expect(
+        "check/ratchet.toml exists — it is kept by hand: lower a budget by hand, with a comment",
+    );
     let ratchet = Ratchet::parse(&text).expect("ratchet parses");
     let (failures, _tighten) = ratchet.compare(&analysis.counts);
     assert!(

@@ -145,7 +145,6 @@ impl<K: Kernel> GpRegression<K> {
         if let Some(old) = stale {
             // Jitter escalation changes the factored matrix itself; only
             // compare factors built at the same effective jitter.
-            #[allow(clippy::float_cmp)] // lint:allow(float_cmp) same-ladder-rung check
             if old.jitter() == self.chol.jitter() {
                 mtm_linalg::invariants::check_factor_agreement(
                     "GP factor at refit boundary",

@@ -36,6 +36,8 @@
 //! assert!(p.var >= 0.0);
 //! ```
 
+#![deny(clippy::missing_panics_doc)]
+
 pub mod gp;
 pub mod hyper;
 pub mod kernel;

@@ -21,7 +21,7 @@ pub fn matmul(a: &Mat, b: &Mat) -> Result<Mat> {
     for i in 0..m {
         for kk in 0..k {
             let a_ik = a[(i, kk)];
-            // lint:allow(float_cmp) exact sparse-skip of zero entries
+            // mtm-allow: float-eq -- exact sparse-skip of zero entries
             if a_ik == 0.0 {
                 continue;
             }
@@ -89,7 +89,7 @@ pub fn gemv_t_into(a: &Mat, v: &[f64], out: &mut [f64]) {
     debug_assert_eq!(a.cols(), out.len());
     out.fill(0.0);
     for (i, &v_i) in v.iter().enumerate() {
-        // lint:allow(float_cmp) exact sparse-skip of zero entries
+        // mtm-allow: float-eq -- exact sparse-skip of zero entries
         if v_i == 0.0 {
             continue;
         }

@@ -117,7 +117,7 @@ impl Cholesky {
             let (x_row, _) = rest.split_at_mut(i + 1);
             let l_head = l_row.iter().take(i).enumerate();
             for ((k, &l_ik), x_k) in l_head.zip(done.chunks_exact(n)) {
-                // lint:allow(float_cmp) exact sparse-skip of zero entries
+                // mtm-allow: float-eq -- exact sparse-skip of zero entries
                 if l_ik == 0.0 {
                     continue;
                 }
@@ -137,7 +137,7 @@ impl Cholesky {
             // Column i of L below the diagonal: L[k][i] for k > i.
             let l_col = l.iter().skip((i + 1) * n + i).step_by(n);
             for (&l_ki, x_k) in l_col.zip(below.chunks_exact(n)) {
-                // lint:allow(float_cmp) exact sparse-skip of zero entries
+                // mtm-allow: float-eq -- exact sparse-skip of zero entries
                 if l_ki == 0.0 {
                     continue;
                 }

@@ -30,6 +30,8 @@
 //! assert!(r0.abs() < 1e-12 && r1.abs() < 1e-12);
 //! ```
 
+#![deny(clippy::missing_panics_doc)]
+
 pub mod blas;
 mod cholesky;
 mod error;

@@ -99,15 +99,6 @@ impl Mat {
         m
     }
 
-    /// Build a column vector (`n x 1`) from a slice.
-    pub fn col_vec(v: &[f64]) -> Self {
-        Mat {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -142,11 +133,6 @@ impl Mat {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consume the matrix, returning the row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Borrow row `i` as a contiguous slice.

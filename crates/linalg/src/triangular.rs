@@ -24,7 +24,7 @@ pub fn solve_lower_in_place(l: &Mat, b: &mut [f64]) {
     for i in 0..n {
         let row = l.row(i);
         let s = crate::blas::dot(&row[..i], &b[..i]);
-        debug_assert!(row[i] != 0.0, "zero diagonal in triangular solve"); // lint:allow(float_cmp) exact zero-pivot guard
+        debug_assert!(row[i] != 0.0, "zero diagonal in triangular solve"); // mtm-allow: float-eq -- exact zero-pivot guard
         b[i] = (b[i] - s) / row[i];
     }
 }
@@ -66,7 +66,7 @@ pub fn solve_lower_mat(l: &Mat, b: &Mat) -> Mat {
     for i in 0..n {
         for k in 0..i {
             let l_ik = l[(i, k)];
-            // lint:allow(float_cmp) exact sparse-skip of zero entries
+            // mtm-allow: float-eq -- exact sparse-skip of zero entries
             if l_ik == 0.0 {
                 continue;
             }
@@ -94,7 +94,7 @@ pub fn solve_lower_transpose_mat(l: &Mat, b: &Mat) -> Mat {
     for i in (0..n).rev() {
         for k in (i + 1)..n {
             let l_ki = l[(k, i)];
-            // lint:allow(float_cmp) exact sparse-skip of zero entries
+            // mtm-allow: float-eq -- exact sparse-skip of zero entries
             if l_ki == 0.0 {
                 continue;
             }

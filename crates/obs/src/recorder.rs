@@ -337,8 +337,8 @@ mod tests {
 
     #[test]
     fn null_recorder_is_disabled() {
-        assert!(!NullRecorder::ENABLED);
-        assert!(MemRecorder::ENABLED);
+        const { assert!(!NullRecorder::ENABLED) };
+        const { assert!(MemRecorder::ENABLED) };
         let mut r = NullRecorder;
         assert!(!r.wallclock());
         r.record(note("dropped"));

@@ -12,6 +12,11 @@
 //! threads, and a shared counter would see one test's warm-up inside the
 //! other's measured window.
 
+#![allow(
+    unsafe_code,
+    reason = "a counting `#[global_allocator]` needs `unsafe impl GlobalAlloc`"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -40,13 +45,19 @@ fn allocs() -> u64 {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
+        // `layout`, which is passed to `System` unchanged.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, so from `System`, with
+        // this `layout`, as `GlobalAlloc::dealloc` requires.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        // SAFETY: `ptr`, `layout` and `new_size` meet
+        // `GlobalAlloc::realloc`'s contract and go to `System` unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

@@ -21,7 +21,7 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
         sxx += dx * dx;
         syy += dy * dy;
     }
-    // lint:allow(float_cmp) exact degenerate-variance guard
+    // mtm-allow: float-eq -- exact degenerate-variance guard
     if sxx == 0.0 || syy == 0.0 {
         return None;
     }

@@ -18,11 +18,11 @@ pub fn norm_cdf(x: f64) -> f64 {
 /// Halley step — relative error below 1e-13).
 pub fn norm_ppf(p: f64) -> f64 {
     assert!((0.0..=1.0).contains(&p), "norm_ppf requires 0 <= p <= 1");
-    // lint:allow(float_cmp) exact boundary sentinel
+    // mtm-allow: float-eq -- exact boundary sentinel
     if p == 0.0 {
         return f64::NEG_INFINITY;
     }
-    // lint:allow(float_cmp) exact boundary sentinel
+    // mtm-allow: float-eq -- exact boundary sentinel
     if p == 1.0 {
         return f64::INFINITY;
     }
@@ -83,7 +83,7 @@ pub fn norm_ppf(p: f64) -> f64 {
 /// CDF of Student's t distribution with `df` degrees of freedom.
 pub fn t_cdf(t: f64, df: f64) -> f64 {
     assert!(df > 0.0, "t_cdf requires df > 0");
-    // lint:allow(float_cmp) exact boundary sentinel
+    // mtm-allow: float-eq -- exact boundary sentinel
     if t == 0.0 {
         return 0.5;
     }

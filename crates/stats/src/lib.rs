@@ -13,7 +13,6 @@
 //!   what Fig. 6 of the paper uses),
 //! * [`linreg`] — ordinary least squares on small designs,
 //! * [`quantile`] — quantiles and medians,
-//! * [`histogram`] — fixed-width binning for diagnostics,
 //! * [`pool`] — the workspace's one thread pool: order-preserving
 //!   fan-out under a process-wide core budget.
 //!
@@ -30,7 +29,6 @@
 pub mod corr;
 pub mod describe;
 pub mod dist;
-pub mod histogram;
 pub mod linreg;
 pub mod loess;
 pub mod pool;

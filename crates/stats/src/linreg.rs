@@ -38,13 +38,13 @@ pub fn linfit(x: &[f64], y: &[f64]) -> Option<LinFit> {
         sxy += dx * dy;
         syy += dy * dy;
     }
-    // lint:allow(float_cmp) exact degenerate-variance guard
+    // mtm-allow: float-eq -- exact degenerate-variance guard
     if sxx == 0.0 {
         return None;
     }
     let slope = sxy / sxx;
     let intercept = my - slope * mx;
-    // lint:allow(float_cmp) exact degenerate-variance guard
+    // mtm-allow: float-eq -- exact degenerate-variance guard
     let r_squared = if syy == 0.0 {
         1.0
     } else {

@@ -101,11 +101,11 @@ fn erf_series(x: f64) -> f64 {
 pub fn betainc_reg(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "betainc_reg requires a,b > 0");
     assert!((0.0..=1.0).contains(&x), "betainc_reg requires 0 <= x <= 1");
-    // lint:allow(float_cmp) exact boundary sentinel
+    // mtm-allow: float-eq -- exact boundary sentinel
     if x == 0.0 {
         return 0.0;
     }
-    // lint:allow(float_cmp) exact boundary sentinel
+    // mtm-allow: float-eq -- exact boundary sentinel
     if x == 1.0 {
         return 1.0;
     }
@@ -176,13 +176,10 @@ mod tests {
     #[test]
     fn ln_gamma_integer_factorials() {
         // Gamma(n) = (n-1)!
-        let facts = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0];
+        let facts: [f64; 7] = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0];
         for (i, &f) in facts.iter().enumerate() {
             let n = (i + 1) as f64;
-            assert!(
-                (ln_gamma(n) - (f as f64).ln()).abs() < 1e-10,
-                "Gamma({n}) mismatch"
-            );
+            assert!((ln_gamma(n) - f.ln()).abs() < 1e-10, "Gamma({n}) mismatch");
         }
     }
 

@@ -42,7 +42,7 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> Option<TTestResult> {
     let va_n = sa.var / sa.n as f64;
     let vb_n = sb.var / sb.n as f64;
     let denom = (va_n + vb_n).sqrt();
-    // lint:allow(float_cmp) exact degenerate-variance guard
+    // mtm-allow: float-eq -- exact degenerate-variance guard
     if denom == 0.0 {
         return None;
     }

@@ -535,53 +535,6 @@ impl Topology {
         self.edge_grouping[ei]
     }
 
-    // --- whole-column views (batch kernels walk these contiguously) ---
-
-    /// Per-node compute-cost column, id order.
-    pub fn time_complexity_col(&self) -> &[f64] {
-        &self.time_complexity
-    }
-
-    /// Per-node selectivity column, id order.
-    pub fn selectivity_col(&self) -> &[f64] {
-        &self.selectivity
-    }
-
-    /// Per-node contention-flag column, id order.
-    pub fn contentious_col(&self) -> &[bool] {
-        &self.contentious
-    }
-
-    /// Per-node tuple-size column, id order.
-    pub fn tuple_bytes_col(&self) -> &[u32] {
-        &self.tuple_bytes
-    }
-
-    /// Per-node route-policy column, id order.
-    pub fn route_col(&self) -> &[RoutePolicy] {
-        &self.route
-    }
-
-    /// Per-node kind column, id order.
-    pub fn kind_col(&self) -> &[NodeKind] {
-        &self.kind
-    }
-
-    /// Edge producer column, edge-id order.
-    pub fn edge_from_col(&self) -> &[u32] {
-        &self.edge_from
-    }
-
-    /// Edge consumer column, edge-id order.
-    pub fn edge_to_col(&self) -> &[u32] {
-        &self.edge_to
-    }
-
-    /// Edge grouping column, edge-id order.
-    pub fn edge_grouping_col(&self) -> &[Grouping] {
-        &self.edge_grouping
-    }
-
     // --- setters for generator post-processing (replace `node_mut`) ---
 
     /// Overwrite a node's per-tuple compute cost (generator post-processing).
@@ -742,9 +695,12 @@ mod tests {
             assert_eq!(e.to, t.edge_to(ei));
             assert_eq!(e.grouping, t.edge_grouping(ei));
         }
-        assert_eq!(t.time_complexity_col(), &[10.0, 20.0, 30.0, 5.0]);
-        assert_eq!(t.edge_from_col(), &[0, 0, 1, 2]);
-        assert_eq!(t.edge_to_col(), &[1, 2, 3, 3]);
+        let costs: Vec<f64> = (0..t.n_nodes()).map(|v| t.time_complexity(v)).collect();
+        assert_eq!(costs, [10.0, 20.0, 30.0, 5.0]);
+        let from: Vec<NodeId> = (0..t.n_edges()).map(|ei| t.edge_from(ei)).collect();
+        assert_eq!(from, [0, 0, 1, 2]);
+        let to: Vec<NodeId> = (0..t.n_edges()).map(|ei| t.edge_to(ei)).collect();
+        assert_eq!(to, [1, 2, 3, 3]);
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! the batched engine exists for. Lives in its own integration-test
 //! binary so the counting allocator cannot skew any other suite.
 
+#![allow(
+    unsafe_code,
+    reason = "a counting `#[global_allocator]` needs `unsafe impl GlobalAlloc`"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,13 +30,19 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
+        // `layout`, which is passed to `System` unchanged.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, so from `System`, with
+        // this `layout`, as `GlobalAlloc::dealloc` requires.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr`, `layout` and `new_size` meet
+        // `GlobalAlloc::realloc`'s contract and go to `System` unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

@@ -179,8 +179,9 @@ fn main() {
 /// inside the window, so any nondeterminism in split, promotion, or
 /// sampling diffs immediately.
 fn strategies_section(objective: &Objective) {
+    type Maker = fn(&mtm_stormsim::Topology, ParamSet, u64) -> Strategy;
     let topo = objective.topology().clone();
-    let makers: [(&str, fn(&mtm_stormsim::Topology, ParamSet, u64) -> Strategy); 3] = [
+    let makers: [(&str, Maker); 3] = [
         ("tpe", Strategy::tpe),
         ("hyperband", Strategy::hyperband),
         ("random", Strategy::random),

@@ -126,16 +126,14 @@ impl StormConfig {
         // Over budget: every node keeps one task, and the remaining
         // budget is distributed proportionally to the excess hints
         // (water-filling), so the sum never exceeds the cap.
+        // `e * spare` fits in u64: e <= u32::MAX - 1 and spare <= cap <=
+        // u32::MAX, so the product is below 2^64.
         let n = out.len() as u64;
         let spare = cap - n;
         let excess_total: u64 = total - n;
         for h in out.iter_mut() {
             let e = (*h - 1) as u64;
-            let extra = if excess_total == 0 {
-                0
-            } else {
-                (e as u128 * spare as u128 / excess_total as u128) as u64
-            };
+            let extra = (e * spare).checked_div(excess_total).unwrap_or(0);
             *h = (1 + extra) as u32;
         }
     }
@@ -245,6 +243,61 @@ mod tests {
         c.max_tasks = 8;
         let tasks = c.normalized_tasks(&t);
         assert!(tasks.iter().all(|&x| x >= 1), "{tasks:?}");
+    }
+
+    /// The water-fill as written before it dropped to u64: the product
+    /// widened to u128.
+    fn normalized_tasks_u128(c: &StormConfig, n_nodes: usize) -> Vec<u32> {
+        let mut out: Vec<u32> = c.parallelism_hints.iter().map(|&h| h.max(1)).collect();
+        let total: u64 = out.iter().map(|&h| h as u64).sum();
+        let cap = c.max_tasks.max(n_nodes as u32) as u64;
+        if total <= cap {
+            return out;
+        }
+        let n = out.len() as u64;
+        let spare = cap - n;
+        let excess_total: u64 = total - n;
+        for h in out.iter_mut() {
+            let e = (*h - 1) as u64;
+            let extra = if excess_total == 0 {
+                0
+            } else {
+                (e as u128 * spare as u128 / excess_total as u128) as u64
+            };
+            *h = (1 + extra) as u32;
+        }
+        out
+    }
+
+    #[test]
+    fn u64_water_fill_is_bit_equal_to_the_u128_one() {
+        let mut cases = Vec::new();
+        for n in [2usize, 3, 1000] {
+            // The overflow edge: the largest hints against the largest cap.
+            let mut c = StormConfig::baseline(n);
+            c.parallelism_hints = vec![u32::MAX; n];
+            c.max_tasks = u32::MAX;
+            cases.push(c.clone());
+            // Uneven largest hints, so the quotients differ per node.
+            c.parallelism_hints = (0..n as u32).map(|v| u32::MAX - v * 7).collect();
+            cases.push(c.clone());
+            // The cap equals the node count: every node keeps one task.
+            c.max_tasks = n as u32;
+            cases.push(c.clone());
+            // All hints 1: nothing to distribute.
+            c.parallelism_hints = vec![1; n];
+            cases.push(c);
+        }
+        for c in &cases {
+            let n = c.parallelism_hints.len();
+            let t = chain(n);
+            assert_eq!(
+                c.normalized_tasks(&t),
+                normalized_tasks_u128(c, n),
+                "n={n} max_tasks={}",
+                c.max_tasks
+            );
+        }
     }
 
     #[test]

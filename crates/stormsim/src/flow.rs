@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::topology::{RoutePolicy, Topology};
+use crate::topology::{Grouping, RoutePolicy, Topology};
 
 /// Per-node and per-edge steady-state flows for one unit of aggregate
 /// spout emission.
@@ -25,6 +25,16 @@ pub struct FlowAnalysis {
     pub bytes_per_unit: f64,
     /// Tuples arriving at sinks per unit.
     pub sink_flow: f64,
+    /// Σ edge_flow — tuples crossing edges per unit.
+    pub edge_flow_total: f64,
+    /// Flow-weighted mean emitted-tuple size in bytes (128 when no node
+    /// carries flow).
+    pub mean_tuple_bytes: f64,
+    /// Per-node cap on effective parallelism: the smallest bound its
+    /// in-edges' groupings put on it — a `Fields` edge its key
+    /// cardinality, a `Global` edge 1 — or `u32::MAX` when none does. A
+    /// node with `t` tasks runs `t.min(cap).max(1)` of them in parallel.
+    pub grouping_cap: Vec<u32>,
 }
 
 /// Analyze `topo`. Spouts share the unit emission equally.
@@ -37,9 +47,12 @@ pub fn analyze(topo: &Topology) -> FlowAnalysis {
         node_flow[s] = 1.0 / spouts.len() as f64;
     }
     let mut edge_flow = vec![0.0; topo.n_edges()];
+    let mut grouping_cap = vec![u32::MAX; n];
 
     // Propagate in topological order: emitted = processed * selectivity,
-    // split or replicated across outgoing edges.
+    // split or replicated across outgoing edges. The same walk visits
+    // every edge once, so it also folds each edge's grouping into its
+    // target's cap (a `min`, so edge order does not matter).
     for &u in topo.topo_order() {
         let out = topo.out_edges(u);
         if out.is_empty() {
@@ -51,8 +64,15 @@ pub fn analyze(topo: &Topology) -> FlowAnalysis {
             RoutePolicy::Split => emitted / out.len() as f64,
         };
         for &ei in out {
+            let to = topo.edge_to(ei as usize);
             edge_flow[ei as usize] += per_edge;
-            node_flow[topo.edge_to(ei as usize)] += per_edge;
+            node_flow[to] += per_edge;
+            let cap = &mut grouping_cap[to];
+            match topo.edge_grouping(ei as usize) {
+                Grouping::Shuffle => {}
+                Grouping::Fields { key_cardinality } => *cap = (*cap).min(key_cardinality),
+                Grouping::Global => *cap = (*cap).min(1),
+            }
         }
     }
 
@@ -63,6 +83,14 @@ pub fn analyze(topo: &Topology) -> FlowAnalysis {
         .map(|(ei, &f)| f * topo.tuple_bytes(topo.edge_from(ei)) as f64)
         .sum();
     let sink_flow = topo.sinks().iter().map(|&s| node_flow[s]).sum();
+    let edge_flow_total = edge_flow.iter().sum();
+    let mut weight = 0.0;
+    let mut sum = 0.0;
+    for (v, &f) in node_flow.iter().enumerate() {
+        weight += f;
+        sum += f * topo.tuple_bytes(v) as f64;
+    }
+    let mean_tuple_bytes = if weight > 0.0 { sum / weight } else { 128.0 };
 
     FlowAnalysis {
         node_flow,
@@ -70,6 +98,9 @@ pub fn analyze(topo: &Topology) -> FlowAnalysis {
         total_processing,
         bytes_per_unit,
         sink_flow,
+        edge_flow_total,
+        mean_tuple_bytes,
+        grouping_cap,
     }
 }
 

@@ -4,9 +4,12 @@
 //! constraint of the cluster model is linear in the aggregate spout rate
 //! `R`, so the steady-state throughput is the minimum over constraint
 //! bounds, followed by the (nonlinear but closed-form) batch-pipeline,
-//! memory and latency corrections. One evaluation costs microseconds,
-//! which is what lets the benches replay the paper's thousands of
-//! optimization runs.
+//! memory and latency corrections. One evaluation of a 10k-vertex graph
+//! takes ~0.2 ms on a 2-core x86-64 machine (the paper's presets take
+//! microseconds), which is what lets the benches replay the paper's
+//! thousands of optimization runs. What depends only on the topology
+//! (flows, their sums, the per-node grouping caps) is computed once in
+//! [`flow::analyze`]; an evaluation does only the per-configuration work.
 //!
 //! The constraints, in the order they are applied:
 //!
@@ -34,7 +37,7 @@ use crate::config::StormConfig;
 use crate::flow::{self, FlowAnalysis};
 use crate::metrics::{Bottleneck, SimResult};
 use crate::placement::{place_even, Placement};
-use crate::topology::{Grouping, Topology};
+use crate::topology::Topology;
 
 /// Evaluate `config` on `topo` over a measurement window of `window_s`
 /// virtual seconds — the reference implementation
@@ -157,8 +160,6 @@ pub(crate) struct SolveCtx<'a> {
     pub(crate) tasks: &'a [u32],
     /// Per-tuple compute cost of node v including contention and overhead.
     pub(crate) node_cost: &'a [f64],
-    /// Effective parallelism of node v after grouping caps.
-    pub(crate) eff_tasks: &'a [f64],
     /// Aggregate demand units per spout tuple placed on each machine
     /// (per-task coefficients `f_v * cost_v / tasks_v` plus acker shares).
     pub(crate) machine_demand: &'a [f64],
@@ -186,7 +187,6 @@ struct ConstraintModel<'a> {
     placement: Placement,
     flows: FlowAnalysis,
     node_cost: Vec<f64>,
-    eff_tasks: Vec<f64>,
     machine_demand: Vec<f64>,
     ack_coef: f64,
 }
@@ -200,26 +200,16 @@ impl<'a> ConstraintModel<'a> {
         placement: Placement,
         flows: FlowAnalysis,
     ) -> Self {
-        let node_cost: Vec<f64> = (0..topo.n_nodes())
-            .map(|v| node_cost_of(topo, cluster, tasks, v))
-            .collect();
-        let eff_tasks: Vec<f64> = (0..topo.n_nodes())
-            .map(|v| eff_tasks_of(topo, tasks, v))
+        let node_cost: Vec<f64> = (tasks.iter().enumerate())
+            .map(|(v, &t)| node_cost_of(topo, cluster, v, t))
             .collect();
         // Everything `solve` needs per machine is a pure function of
         // the configuration, so it is all precomputed here: `solve`
         // itself (a hot root of the allocation ratchet) runs over these
         // buffers without touching the heap.
         let ackers_n = placement.acker_worker.len().max(1);
-        let coef: Vec<f64> = (0..topo.n_nodes())
-            .map(|v| {
-                let f = flows.node_flow[v];
-                if tasks[v] == 0 {
-                    0.0
-                } else {
-                    f * node_cost[v] / tasks[v] as f64
-                }
-            })
+        let coef: Vec<f64> = (flows.node_flow.iter().zip(tasks).zip(&node_cost))
+            .map(|((&f, &t), &cost)| demand_coef(f, cost, t))
             .collect();
         let ack_coef = flows.total_processing * cluster.acker_cost_units / ackers_n as f64;
         let mut machine_demand = vec![0.0; placement.workers];
@@ -237,7 +227,6 @@ impl<'a> ConstraintModel<'a> {
             placement,
             flows,
             node_cost,
-            eff_tasks,
             machine_demand,
             ack_coef,
         }
@@ -252,7 +241,6 @@ impl<'a> ConstraintModel<'a> {
             flows: &self.flows,
             tasks: &self.tasks,
             node_cost: &self.node_cost,
-            eff_tasks: &self.eff_tasks,
             machine_demand: &self.machine_demand,
             tasks_per_worker: &self.placement.tasks_per_worker,
             ackers_per_worker: &self.placement.ackers_per_worker,
@@ -265,30 +253,32 @@ impl<'a> ConstraintModel<'a> {
     }
 }
 
-/// Per-tuple compute cost of node `v` under `tasks`, including the
-/// contention multiplier and framework overhead.
-pub(crate) fn node_cost_of(topo: &Topology, cluster: &ClusterSpec, tasks: &[u32], v: usize) -> f64 {
+/// Per-tuple compute cost of node `v` when it runs `tasks` tasks,
+/// including the contention multiplier and framework overhead.
+pub(crate) fn node_cost_of(topo: &Topology, cluster: &ClusterSpec, v: usize, tasks: u32) -> f64 {
     let contention = if topo.is_contentious(v) {
-        (tasks[v] as f64).powf(cluster.contention_exponent)
+        (tasks as f64).powf(cluster.contention_exponent)
     } else {
         1.0
     };
     topo.time_complexity(v) * contention + cluster.per_tuple_overhead_units
 }
 
-/// Effective parallelism of node `v` after grouping caps on its in-edges.
-pub(crate) fn eff_tasks_of(topo: &Topology, tasks: &[u32], v: usize) -> f64 {
-    let mut eff = tasks[v] as f64;
-    for &ei in topo.in_edges(v) {
-        match topo.edge_grouping(ei as usize) {
-            Grouping::Shuffle => {}
-            Grouping::Fields { key_cardinality } => {
-                eff = eff.min(key_cardinality as f64);
-            }
-            Grouping::Global => eff = 1.0,
-        }
+/// Demand units one task of a node adds to its machine per spout tuple:
+/// the node's flow `f` times its per-tuple `cost`, shared by its `tasks`.
+pub(crate) fn demand_coef(f: f64, cost: f64, tasks: u32) -> f64 {
+    if tasks == 0 {
+        0.0
+    } else {
+        f * cost / tasks as f64
     }
-    eff.max(1.0)
+}
+
+/// Effective parallelism of a node running `tasks` tasks under the
+/// grouping cap `cap` of its in-edges ([`FlowAnalysis::grouping_cap`]):
+/// at least one task always runs.
+fn eff_tasks(tasks: u32, cap: u32) -> f64 {
+    tasks.min(cap).max(1) as f64
 }
 
 impl SolveCtx<'_> {
@@ -305,9 +295,11 @@ impl SolveCtx<'_> {
             bottleneck: Bottleneck::ClusterCpu,
         };
 
-        // 1. Node capacity: R * f_v * cost_v <= eff_tasks_v * unit_rate.
-        for v in 0..self.topo.n_nodes() {
-            let f = self.flows.node_flow[v];
+        // 1. Node capacity: R * f_v * cost_v <= eff_tasks_v * unit_rate,
+        // where the grouping caps how many of a node's tasks run at once.
+        let columns = (self.flows.node_flow.iter().zip(self.node_cost))
+            .zip(self.tasks.iter().zip(&self.flows.grouping_cap));
+        for (v, ((&f, &cost), (&tasks, &cap))) in columns.enumerate() {
             if f <= 0.0 {
                 continue;
             }
@@ -315,47 +307,46 @@ impl SolveCtx<'_> {
                 rec,
                 "node",
                 Some(v),
-                self.eff_tasks[v] * cl.unit_rate / (f * self.node_cost[v]),
+                eff_tasks(tasks, cap) * cl.unit_rate / (f * cost),
                 Bottleneck::NodeCapacity(v),
             );
         }
 
-        // 2. Machine CPU, over the demand buffers `build` precomputed.
+        // 2. Machine CPU, over the demand buffers `build` precomputed
+        // (all three per-worker columns hold exactly `workers` entries).
         let ack_coef = self.ack_coef;
-        let machine_demand = &self.machine_demand;
         let mut total_capacity = 0.0;
         let mut spin_total = 0.0;
         let mut failed = false;
-        #[allow(clippy::needless_range_loop)] // indexes three parallel arrays
-        for m in 0..workers {
-            let threads = (self.tasks_per_worker[m] as u32).min(self.config.worker_threads)
+        let per_worker =
+            (self.tasks_per_worker.iter().zip(self.ackers_per_worker)).zip(self.machine_demand);
+        for (m, ((&worker_tasks, &worker_ackers), &demand)) in per_worker.enumerate() {
+            let threads = (worker_tasks as u32).min(self.config.worker_threads)
                 + self.config.receiver_threads
-                + self.ackers_per_worker[m] as u32;
+                + worker_ackers as u32;
             let cap = cl.machine_capacity(threads);
-            let spin =
-                cl.task_spin_units * (self.tasks_per_worker[m] + self.ackers_per_worker[m]) as f64;
+            let spin = cl.task_spin_units * (worker_tasks + worker_ackers) as f64;
             total_capacity += cap;
             spin_total += spin;
             if spin >= cap {
                 failed = true; // the machine thrashes on overhead alone
                 continue;
             }
-            if machine_demand[m] > 0.0 {
+            if demand > 0.0 {
                 tr.consider(
                     rec,
                     "cpu",
                     Some(m),
-                    (cap - spin) / machine_demand[m],
+                    (cap - spin) / demand,
                     Bottleneck::ClusterCpu,
                 );
             }
             // Executor work is additionally limited by the worker's
             // thread pool: at most min(worker_threads, tasks) bolt/spout
             // tuples in service at once, one core each.
-            let exec_demand: f64 = machine_demand[m] - self.ackers_per_worker[m] as f64 * ack_coef;
+            let exec_demand: f64 = demand - worker_ackers as f64 * ack_coef;
             if exec_demand > 0.0 {
-                let exec_threads =
-                    (self.tasks_per_worker[m] as u32).min(self.config.worker_threads) as f64;
+                let exec_threads = (worker_tasks as u32).min(self.config.worker_threads) as f64;
                 tr.consider(
                     rec,
                     "exec",
@@ -383,8 +374,7 @@ impl SolveCtx<'_> {
         }
 
         // 4. Receivers: remote tuples arriving per worker per unit R.
-        let edge_tuples_per_unit: f64 = self.flows.edge_flow.iter().sum();
-        let inbound_per_worker = edge_tuples_per_unit * remote / workers as f64;
+        let inbound_per_worker = self.flows.edge_flow_total * remote / workers as f64;
         if inbound_per_worker > 0.0 {
             tr.consider(
                 rec,
@@ -443,9 +433,9 @@ impl SolveCtx<'_> {
 
         // 7. Memory: in-flight tuples across the pipeline occupy worker
         // buffers; amplification by downstream processing.
-        let mean_bytes = self.mean_tuple_bytes();
         let inflight_bytes =
-            b * s * mean_bytes * (1.0 + self.flows.total_processing) / workers as f64;
+            b * s * self.flows.mean_tuple_bytes * (1.0 + self.flows.total_processing)
+                / workers as f64;
         if inflight_bytes > cl.worker_buffer_bytes {
             let factor = cl.worker_buffer_bytes / inflight_bytes;
             r *= factor * factor; // thrashing is superlinear
@@ -477,8 +467,8 @@ impl SolveCtx<'_> {
         // Metrics.
         let committed_batches = (measured * window_s / s).floor() as u64;
         let cpu_used = measured
-            * (0..self.topo.n_nodes())
-                .map(|v| self.flows.node_flow[v] * self.node_cost[v])
+            * (self.flows.node_flow.iter().zip(self.node_cost))
+                .map(|(&f, &cost)| f * cost)
                 .sum::<f64>()
             + measured * ack_demand_per_r
             + spin_total;
@@ -528,28 +518,12 @@ impl SolveCtx<'_> {
             queue_hwm: 0,
         });
     }
-
-    /// Flow-weighted mean emitted-tuple size.
-    fn mean_tuple_bytes(&self) -> f64 {
-        let mut weight = 0.0;
-        let mut sum = 0.0;
-        for v in 0..self.topo.n_nodes() {
-            let f = self.flows.node_flow[v];
-            weight += f;
-            sum += f * self.topo.tuple_bytes(v) as f64;
-        }
-        if weight > 0.0 {
-            sum / weight
-        } else {
-            128.0
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::TopologyBuilder;
+    use crate::topology::{Grouping, TopologyBuilder};
     use mtm_obs::NullRecorder;
 
     fn chain(costs: &[f64]) -> Topology {
@@ -789,6 +763,129 @@ mod tests {
              tightest={tightest} measured={}",
             recorded.throughput_tps
         );
+    }
+
+    /// The per-call forms the flow analysis now computes once per
+    /// topology, as they were written before the hoist.
+    mod per_call {
+        use super::*;
+
+        pub fn eff_tasks_of(topo: &Topology, tasks: &[u32], v: usize) -> f64 {
+            let mut eff = tasks[v] as f64;
+            for &ei in topo.in_edges(v) {
+                match topo.edge_grouping(ei as usize) {
+                    Grouping::Shuffle => {}
+                    Grouping::Fields { key_cardinality } => {
+                        eff = eff.min(key_cardinality as f64);
+                    }
+                    Grouping::Global => eff = 1.0,
+                }
+            }
+            eff.max(1.0)
+        }
+
+        pub fn mean_tuple_bytes(topo: &Topology, flows: &FlowAnalysis) -> f64 {
+            let mut weight = 0.0;
+            let mut sum = 0.0;
+            for v in 0..topo.n_nodes() {
+                let f = flows.node_flow[v];
+                weight += f;
+                sum += f * topo.tuple_bytes(v) as f64;
+            }
+            if weight > 0.0 {
+                sum / weight
+            } else {
+                128.0
+            }
+        }
+
+        pub fn edge_flow_sum(flows: &FlowAnalysis) -> f64 {
+            flows.edge_flow.iter().sum()
+        }
+    }
+
+    /// Five spouts feed one bolt per ordered selection of distinct
+    /// groupings, connected in that order, so every grouping meets every
+    /// other on one node in both orders (`Global` before and after
+    /// `Fields`), and every bolt then feeds a sink.
+    fn grouping_orders() -> Topology {
+        let groupings = [
+            Grouping::Shuffle,
+            Grouping::Fields { key_cardinality: 0 },
+            Grouping::Fields { key_cardinality: 1 },
+            Grouping::Fields { key_cardinality: 6 },
+            Grouping::Global,
+        ];
+        let mut orders: Vec<Vec<usize>> = vec![vec![]];
+        let mut frontier = orders.clone();
+        for _ in 0..groupings.len() {
+            frontier = frontier
+                .iter()
+                .flat_map(|o| {
+                    (0..groupings.len())
+                        .filter(|g| !o.contains(g))
+                        .map(|g| [o.as_slice(), &[g]].concat())
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            orders.extend(frontier.iter().cloned());
+        }
+        let mut tb = TopologyBuilder::new("grouping-orders");
+        let spouts: Vec<_> = (0..groupings.len())
+            .map(|i| tb.spout(&format!("s{i}"), 1.0 + i as f64))
+            .collect();
+        for (i, &s) in spouts.iter().enumerate() {
+            tb.tuple_bytes(s, 64 + 37 * i as u32);
+            tb.selectivity(s, 0.3 + 0.1 * i as f64);
+        }
+        let sink = tb.bolt("sink", 1.0);
+        for (b, order) in orders.iter().enumerate().skip(1) {
+            let bolt = tb.bolt(&format!("b{b}"), 2.0);
+            tb.tuple_bytes(bolt, 100 + b as u32 % 17);
+            for &g in order {
+                tb.connect_grouped(spouts[g], bolt, groupings[g]);
+            }
+            tb.connect(bolt, sink);
+        }
+        tb.build().unwrap()
+    }
+
+    #[test]
+    fn hoisted_flow_terms_are_bit_equal_to_the_per_call_ones() {
+        let mut fan_in = TopologyBuilder::new("fan-in");
+        let s = fan_in.spout("s", 1.0);
+        let t = fan_in.spout("t", 1.0);
+        let a = fan_in.bolt("a", 1.0);
+        fan_in
+            .connect_grouped(s, a, Grouping::Global)
+            .connect_grouped(t, a, Grouping::Fields { key_cardinality: 0 });
+        let topos = [
+            grouping_orders(),
+            fan_in.build().unwrap(),
+            chain(&[10.0, 20.0, 20.0]),
+        ];
+        for topo in &topos {
+            let flows = flow::analyze(topo);
+            assert_eq!(
+                flows.mean_tuple_bytes.to_bits(),
+                per_call::mean_tuple_bytes(topo, &flows).to_bits()
+            );
+            assert_eq!(
+                flows.edge_flow_total.to_bits(),
+                per_call::edge_flow_sum(&flows).to_bits()
+            );
+            for t in [0, 1, 2, 5, 6, 7, 1000, u32::MAX] {
+                let tasks = vec![t; topo.n_nodes()];
+                for (v, &cap) in flows.grouping_cap.iter().enumerate() {
+                    assert_eq!(
+                        eff_tasks(t, cap).to_bits(),
+                        per_call::eff_tasks_of(topo, &tasks, v).to_bits(),
+                        "{} node {v} tasks {t}",
+                        topo.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use mtm_obs::NullRecorder;
 use crate::cluster::ClusterSpec;
 use crate::config::{ConfigError, StormConfig};
 use crate::flow::{self, FlowAnalysis};
-use crate::flow_sim::{eff_tasks_of, node_cost_of, SolveCtx};
+use crate::flow_sim::{demand_coef, node_cost_of, SolveCtx};
 use crate::metrics::SimResult;
 use crate::topology::Topology;
 use crate::tuple_sim::{simulate_tuples_with, TupleSimOptions};
@@ -97,7 +97,6 @@ struct Scratch {
     tasks: Vec<u32>,
     remaining: Vec<u32>,
     node_cost: Vec<f64>,
-    eff_tasks: Vec<f64>,
     coef: Vec<f64>,
     machine_demand: Vec<f64>,
     tasks_per_worker: Vec<usize>,
@@ -214,7 +213,6 @@ impl FlowSimulator {
         // Qualified call: a bare `.validate(` edge would alias every
         // `validate` in the workspace in the checker's call graph.
         StormConfig::validate(config, topo)?;
-        let n = topo.n_nodes();
 
         config.normalized_tasks_into(topo, &mut s.tasks);
         let total_tasks: usize = s.tasks.iter().map(|&t| t as usize).sum();
@@ -232,19 +230,12 @@ impl FlowSimulator {
         // Per-node columns, in node order exactly like the legacy build.
         s.node_cost.clear();
         s.node_cost
-            .extend((0..n).map(|v| node_cost_of(topo, cluster, &s.tasks, v)));
-        s.eff_tasks.clear();
-        s.eff_tasks
-            .extend((0..n).map(|v| eff_tasks_of(topo, &s.tasks, v)));
+            .extend((s.tasks.iter().enumerate()).map(|(v, &t)| node_cost_of(topo, cluster, v, t)));
         s.coef.clear();
-        s.coef.extend((0..n).map(|v| {
-            let f = self.flows.node_flow[v];
-            if s.tasks[v] == 0 {
-                0.0
-            } else {
-                f * s.node_cost[v] / s.tasks[v] as f64
-            }
-        }));
+        s.coef.extend(
+            (self.flows.node_flow.iter().zip(&s.tasks).zip(&s.node_cost))
+                .map(|((&f, &t), &cost)| demand_coef(f, cost, t)),
+        );
         let ack_coef = self.flows.total_processing * cluster.acker_cost_units / ackers_n as f64;
 
         // Replay the even scheduler's interleaved round-robin deal
@@ -259,27 +250,35 @@ impl FlowSimulator {
         s.ackers_per_worker.resize(workers, 0);
         s.remaining.clear();
         s.remaining.extend_from_slice(&s.tasks);
+        // The worker cursor wraps by comparison: no division per task.
         let mut next_worker = 0usize;
         loop {
             let mut placed_any = false;
-            for node in 0..n {
-                if s.remaining[node] == 0 {
+            for (remaining, &coef) in s.remaining.iter_mut().zip(&s.coef) {
+                if *remaining == 0 {
                     continue;
                 }
-                s.remaining[node] -= 1;
-                s.machine_demand[next_worker] += s.coef[node];
+                *remaining -= 1;
+                s.machine_demand[next_worker] += coef;
                 s.tasks_per_worker[next_worker] += 1;
-                next_worker = (next_worker + 1) % workers;
+                next_worker += 1;
+                if next_worker == workers {
+                    next_worker = 0;
+                }
                 placed_any = true;
             }
             if !placed_any {
                 break;
             }
         }
-        for a in 0..ackers as usize {
-            let w = a % workers;
-            s.machine_demand[w] += ack_coef;
-            s.ackers_per_worker[w] += 1;
+        let mut next_worker = 0usize;
+        for _ in 0..ackers {
+            s.machine_demand[next_worker] += ack_coef;
+            s.ackers_per_worker[next_worker] += 1;
+            next_worker += 1;
+            if next_worker == workers {
+                next_worker = 0;
+            }
         }
 
         let ctx = SolveCtx {
@@ -289,7 +288,6 @@ impl FlowSimulator {
             flows: &self.flows,
             tasks: &s.tasks,
             node_cost: &s.node_cost,
-            eff_tasks: &s.eff_tasks,
             machine_demand: &s.machine_demand,
             tasks_per_worker: &s.tasks_per_worker,
             ackers_per_worker: &s.ackers_per_worker,

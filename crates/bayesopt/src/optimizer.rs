@@ -370,8 +370,7 @@ fn score_chunk<K: Kernel>(
 }
 
 /// Score a pool of candidate points under an already-fit surrogate in
-/// one pass — the acquisition-side mirror of the simulator's
-/// `evaluate_batch`. `out` is cleared and refilled with one score per
+/// one pass. `out` is cleared and refilled with one score per
 /// candidate through the same 64-candidate chunks the proposal loop
 /// uses, so the result is bitwise-identical to scoring every
 /// candidate on its own. The chunks run on the cores no other thread has
@@ -1399,8 +1398,7 @@ mod tests {
             .collect();
         let acq = Acquisition::default();
         // One pass over the pool must be bitwise-identical to scoring
-        // every candidate on its own — the acquisition-side mirror of
-        // `Simulator::evaluate_batch`.
+        // every candidate on its own.
         let mut batched = Vec::new();
         score_batch(&gp, &acq, &pool, 0.7, &mut batched);
         assert_eq!(batched.len(), pool.len());

@@ -1,7 +1,7 @@
 //! Wall-clock record for the observability layer's zero-cost claim.
 //!
 //! The `NullRecorder` path IS the production path: `BayesOpt::propose`
-//! and `simulate_flow_with` both monomorphize over `Recorder` with
+//! and `FlowSimulator::evaluate` both monomorphize over `Recorder` with
 //! `R::ENABLED = false`, so every event construction is dead code the
 //! compiler removes. That claim is structural (and the determinism
 //! probe asserts it bitwise); what this bench records is that it also
@@ -18,8 +18,9 @@
 //!   (events are constructed and buffered; still no I/O).
 //!
 //! Workloads: a single `BayesOpt::propose` at a 60-observation history
-//! (the surrogate hot path `bench_gp` tracks) and a full
-//! `simulate_flow_with` run on the Sundog topology. Writes the
+//! (the surrogate hot path `bench_gp` tracks) and a full flow-model run
+//! on the Sundog topology: a `FlowSimulator` built (the topology
+//! analysis) and one `evaluate_recorded` call. Writes the
 //! machine-readable `BENCH_obs.json` at the repo root, prints it to
 //! stdout, and exits non-zero when either gate of [`ObsRecord::gate`]
 //! fails.
@@ -34,7 +35,7 @@ use mtm_bench::perf::obs::{ObsCell, ObsRecord, MEM_OVERHEAD_TOLERANCE_PCT, NOISE
 use mtm_bench::perf::{self, primed_optimizer, PRIMED_DIM};
 use mtm_obs::MemRecorder;
 use mtm_obs::NullRecorder;
-use mtm_stormsim::{simulate_flow_with, ClusterSpec, StormConfig};
+use mtm_stormsim::{ClusterSpec, FlowSimulator, StormConfig};
 use mtm_topogen::sundog_topology;
 
 /// History size for the propose workload (the middle `bench_gp` cell).
@@ -92,31 +93,33 @@ fn bench_propose() -> Result<ObsCell, String> {
 /// `flow_sim_sundog`: the analytic flow simulator on the paper's Sundog
 /// topology. A single run is a few microseconds — below timer
 /// granularity — so each timed rep is a batch of [`FLOW_BATCH`] runs and
-/// the recorded medians are seconds per batch.
-fn bench_flow_sim() -> ObsCell {
+/// the recorded medians are seconds per batch. Each run builds its own
+/// [`FlowSimulator`], so it times the topology analysis plus one
+/// evaluation.
+fn bench_flow_sim() -> Result<ObsCell, String> {
     let topo = sundog_topology();
     let cluster = ClusterSpec::paper_cluster();
     let mut config = StormConfig::baseline(topo.n_nodes());
     config.parallelism_hints = (0..topo.n_nodes() as u32).map(|v| 1 + v % 7).collect();
-    // All three arms drive the same recording seam — the null arms
-    // with `NullRecorder`, the mem arm with the live arena — so the
-    // delta isolates recording cost, not code-path differences (the
-    // bound `FlowSimulator` fast path has its own bench, `bench_sim`).
+    // All three arms build a simulator per run and drive the same
+    // recording seam — the null arms with `NullRecorder`, the mem arm
+    // with the live arena — so the delta isolates recording cost, not
+    // code-path differences (reusing one bound simulator has its own
+    // bench, `bench_sim`).
+    let sim = || {
+        FlowSimulator::new(topo.clone(), cluster.clone(), 120.0)
+            .map_err(|e| format!("flow simulator: {e}"))
+    };
     // Both null arms (and the warm-up): wall seconds of one batch.
-    let null_batch = || {
+    let null_batch = || -> Result<f64, String> {
         let t0 = std::time::Instant::now();
         for _ in 0..FLOW_BATCH {
-            std::hint::black_box(simulate_flow_with(
-                &topo,
-                &config,
-                &cluster,
-                120.0,
-                &mut NullRecorder,
-            ));
+            let run = sim()?.evaluate_recorded(&config, &mut NullRecorder);
+            std::hint::black_box(run.map_err(|e| format!("flow config: {e}"))?);
         }
-        t0.elapsed().as_secs_f64()
+        Ok(t0.elapsed().as_secs_f64())
     };
-    null_batch();
+    null_batch()?;
     let (mut null_a, mut null_b, mut mem) = (Vec::new(), Vec::new(), Vec::new());
     let mut mem_events = 0usize;
     // One arena recorder reused across every recorded run: `clear`
@@ -126,21 +129,26 @@ fn bench_flow_sim() -> ObsCell {
     // sites (the runner reuses one recorder across a whole pass).
     let mut rec = MemRecorder::new();
     for _ in 0..REPS {
-        null_a.push(null_batch());
+        null_a.push(null_batch()?);
 
         let t0 = std::time::Instant::now();
         for _ in 0..FLOW_BATCH {
             rec.clear();
-            std::hint::black_box(simulate_flow_with(
-                &topo, &config, &cluster, 120.0, &mut rec,
-            ));
+            let run = sim()?.evaluate_recorded(&config, &mut rec);
+            std::hint::black_box(run.map_err(|e| format!("flow config: {e}"))?);
             mem_events = rec.len();
         }
         mem.push(t0.elapsed().as_secs_f64());
 
-        null_b.push(null_batch());
+        null_b.push(null_batch()?);
     }
-    ObsCell::new("flow_sim_sundog_x1000", &null_a, &null_b, &mem, mem_events)
+    Ok(ObsCell::new(
+        "flow_sim_sundog_x1000",
+        &null_a,
+        &null_b,
+        &mem,
+        mem_events,
+    ))
 }
 
 fn run() -> Result<(), String> {
@@ -151,7 +159,7 @@ fn run() -> Result<(), String> {
         propose.null_a_s, propose.null_b_s, propose.aa_delta_pct, propose.mem_s, propose.mem_events
     );
     eprintln!("[bench_obs] flow_sim on sundog (null A/A + mem arms)");
-    let flow = bench_flow_sim();
+    let flow = bench_flow_sim()?;
     eprintln!(
         "[bench_obs] flow_sim: null {:.6}s/{:.6}s (Δ {:.1}%), mem {:.6}s ({} events)",
         flow.null_a_s, flow.null_b_s, flow.aa_delta_pct, flow.mem_s, flow.mem_events

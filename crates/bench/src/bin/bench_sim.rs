@@ -1,16 +1,15 @@
-//! Wall-clock record for the batched simulation engine.
+//! Wall-clock record for binding the flow model once per topology.
 //!
-//! The batched path ([`FlowSimulator::evaluate_batch_into`]) exists to
-//! make candidate sweeps cheap on large topologies: one flow analysis
-//! and one set of scratch buffers shared across N configurations,
-//! against the status-quo per-config path that re-analyzes the
-//! topology and reallocates its working set on every call. This bench
-//! records both arms at V ∈ {100, 1k, 10k} with N = 16 configurations,
-//! asserts the batched results stay *bitwise* identical to the
-//! sequential ones, and gates on the headline claim: batched ≥ 3×
-//! faster than per-config sequential at V = 10k. Writes the
-//! machine-readable `BENCH_sim.json` at the repo root, prints it to
-//! stdout, and exits non-zero when [`SimRecord::gate`] fails.
+//! A [`FlowSimulator`] runs the topology-level analysis once, in `new`,
+//! and then scores any number of configurations with `evaluate`. This
+//! bench times that bound arm against a fresh simulator per
+//! configuration (analysis paid on every call) at V ∈ {100, 1k, 10k}
+//! with N = 16 configurations, asserts the two arms' results stay
+//! *bitwise* identical, and gates on the headline claim: the bound
+//! simulator is ≥ 3× faster than a fresh one per configuration at
+//! V = 10k. Writes the machine-readable `BENCH_sim.json` at the repo
+//! root, prints it to stdout, and exits non-zero when
+//! [`SimRecord::gate`] fails.
 //!
 //! ```text
 //! cargo run --release -p mtm-bench --bin bench_sim
@@ -21,11 +20,10 @@ use std::process::ExitCode;
 use mtm_bench::perf;
 use mtm_bench::perf::sim::{SimCell, SimRecord, MIN_SPEEDUP_AT_10K};
 use mtm_stats::quantile::median;
-use mtm_stormsim::{ClusterSpec, FlowSimulator, SimBatch, Simulator, StormConfig};
+use mtm_stormsim::{ClusterSpec, FlowSimulator, StormConfig};
 use mtm_topogen::{generate_layer_by_layer, GgenParams};
 
-/// Candidate configurations per sweep — the batch width the acquisition
-/// loop actually evaluates.
+/// Configurations per sweep.
 const N_CONFIGS: u32 = 16;
 /// Timed repetitions per arm; the medians go into the record.
 const REPS: usize = 9;
@@ -93,49 +91,50 @@ fn bench_cell(w: &Workload) -> Result<SimCell, String> {
     cluster.machines = w.machines;
     let configs = sweep(w.vertices);
 
-    // The status-quo arm: a fresh simulator per call, the shape of the
-    // old free-function API (topology analysis and scratch allocation
-    // paid on every evaluation).
-    let per_config = |config: &StormConfig| {
+    // The fresh arm: a new simulator per configuration, so the topology
+    // analysis is paid on every evaluation.
+    let fresh = |config: &StormConfig| {
         FlowSimulator::new(topo.clone(), cluster.clone(), 120.0)
             .expect("valid window")
             .evaluate(config)
             .expect("valid config")
     };
-
+    // The bound arm: one simulator, `evaluate` per configuration.
     let sim = FlowSimulator::new(topo.clone(), cluster.clone(), 120.0)
         .map_err(|e| format!("{}: {e}", w.label))?;
-    let mut batch = SimBatch::new();
+    let bound = |config: &StormConfig| {
+        sim.evaluate(config)
+            .map_err(|e| format!("{}: {e}", w.label))
+    };
 
-    // Warm-up both arms (page-in, scratch high-water mark).
-    let seq_results: Vec<_> = configs.iter().map(&per_config).collect();
-    sim.evaluate_batch_into(&configs, &mut batch)
-        .map_err(|e| format!("{}: {e}", w.label))?;
-    let bitwise_identical = batch.results() == &seq_results[..];
+    // Warm-up both arms (page-in, branch predictors).
+    let fresh_results: Vec<_> = configs.iter().map(&fresh).collect();
+    let bound_results = configs.iter().map(&bound).collect::<Result<Vec<_>, _>>()?;
+    let bitwise_identical = bound_results == fresh_results;
 
-    let (mut seq, mut bat) = (Vec::new(), Vec::new());
+    let (mut seq, mut bnd) = (Vec::new(), Vec::new());
     for _ in 0..REPS {
         let t0 = std::time::Instant::now();
         for config in &configs {
-            std::hint::black_box(per_config(config));
+            std::hint::black_box(fresh(config));
         }
         seq.push(t0.elapsed().as_secs_f64());
 
         let t0 = std::time::Instant::now();
-        sim.evaluate_batch_into(&configs, &mut batch)
-            .map_err(|e| format!("{}: {e}", w.label))?;
-        std::hint::black_box(batch.results().len());
-        bat.push(t0.elapsed().as_secs_f64());
+        for config in &configs {
+            std::hint::black_box(bound(config)?);
+        }
+        bnd.push(t0.elapsed().as_secs_f64());
     }
     let sequential_s = median(&seq).unwrap_or(f64::NAN);
-    let batched_s = median(&bat).unwrap_or(f64::NAN);
+    let bound_s = median(&bnd).unwrap_or(f64::NAN);
     Ok(SimCell {
         workload: w.label,
         vertices: w.vertices,
         n_configs: N_CONFIGS,
         sequential_s,
-        batched_s,
-        speedup: sequential_s / batched_s.max(1e-12),
+        bound_s,
+        speedup: sequential_s / bound_s.max(1e-12),
         bitwise_identical,
     })
 }
@@ -149,8 +148,8 @@ fn run() -> Result<(), String> {
         );
         let cell = bench_cell(w)?;
         eprintln!(
-            "[bench_sim] {}: sequential {:.6}s, batched {:.6}s ({:.1}x, bitwise={})",
-            cell.workload, cell.sequential_s, cell.batched_s, cell.speedup, cell.bitwise_identical
+            "[bench_sim] {}: sequential {:.6}s, bound {:.6}s ({:.1}x, bitwise={})",
+            cell.workload, cell.sequential_s, cell.bound_s, cell.speedup, cell.bitwise_identical
         );
         cells.push(cell);
     }

@@ -83,17 +83,38 @@ pub fn shape_report(grid: &Grid) -> String {
         "pla avg step time (large): {pla_time:.6}s -> barely visible: {}\n",
         if pla_time < 0.01 { "OK" } else { "DEVIATES" }
     ));
-    if let Some((_, b, r2)) = power_law_fit(&sizes, &bo_times) {
-        out.push_str(&format!(
-            "bo step-time growth: time ~ size^{b:.2} (r2 {r2:.2}) -> sublinear: {}\n",
-            if b < 1.0 { "OK" } else { "DEVIATES" }
-        ));
-    }
+    out.push_str(&trend_verdict(&sizes, &bo_times));
     out
+}
+
+/// The least r² a `time ~ size^b` fit must reach before its exponent
+/// counts as a trend. Below one half the fit explains less of the
+/// variance of log time than it leaves unexplained, and flat noisy times
+/// give an exponent below 1 as readily as sublinear growth does.
+pub const MIN_TREND_R2: f64 = 0.5;
+
+/// The verdict line on the paper's sublinear-growth claim for mean step
+/// `times` at topology `sizes`: `no fit` when no power law can be fitted
+/// (a time or size that is not positive, or one size only), `no trend`
+/// when the fit's r² is below [`MIN_TREND_R2`], and otherwise OK for an
+/// exponent below 1 and DEVIATES for one at or above it.
+pub fn trend_verdict(sizes: &[f64], times: &[f64]) -> String {
+    let head = "bo step-time growth:";
+    match power_law_fit(sizes, times) {
+        None => format!("{head} no fit (times {times:?})\n"),
+        Some((_, b, r2)) if r2 < MIN_TREND_R2 => {
+            format!("{head} time ~ size^{b:.2} -> no trend (r2 {r2:.2} < {MIN_TREND_R2})\n")
+        }
+        Some((_, b, r2)) => format!(
+            "{head} time ~ size^{b:.2} (r2 {r2:.2}) -> sublinear: {}\n",
+            if b < 1.0 { "OK" } else { "DEVIATES" }
+        ),
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::trend_verdict;
     use crate::Scale;
     use mtm_runner::{grid, RunnerOptions};
     use mtm_stats::pool;
@@ -113,5 +134,38 @@ mod tests {
         for row in t.rows.iter().filter(|r| r.label.ends_with("| pla")) {
             assert!(row.values[0] < 0.01, "{}: {}", row.label, row.values[0]);
         }
+    }
+
+    const SIZES: [f64; 3] = [10.0, 50.0, 100.0];
+
+    #[test]
+    fn flat_noisy_times_are_no_trend() {
+        let v = trend_verdict(&SIZES, &[0.0115, 0.0079, 0.0138]);
+        assert!(v.contains("no trend (r2 0.0"), "{v}");
+        assert!(!v.contains("OK") && !v.contains("DEVIATES"), "{v}");
+    }
+
+    #[test]
+    fn square_root_growth_is_sublinear() {
+        let times = SIZES.map(|s: f64| 0.01 * s.sqrt());
+        let v = trend_verdict(&SIZES, &times);
+        assert!(v.contains("size^0.50 (r2 1.00) -> sublinear: OK"), "{v}");
+    }
+
+    #[test]
+    fn superlinear_growth_deviates() {
+        let times = SIZES.map(|s: f64| 1e-4 * s.powf(1.5));
+        let v = trend_verdict(&SIZES, &times);
+        assert!(
+            v.contains("size^1.50 (r2 1.00) -> sublinear: DEVIATES"),
+            "{v}"
+        );
+    }
+
+    #[test]
+    fn a_zero_time_is_no_fit() {
+        let v = trend_verdict(&SIZES, &[0.0, 0.01, 0.02]);
+        assert!(v.contains("no fit"), "{v}");
+        assert!(!v.contains("OK") && !v.contains("DEVIATES"), "{v}");
     }
 }

@@ -1,12 +1,12 @@
-//! `BENCH_sim.json`: batched against per-config flow simulation, and its
-//! gate.
+//! `BENCH_sim.json`: a bound flow simulator against a fresh one per
+//! configuration, and its gate.
 
 use serde::Serialize;
 
-/// Batched must beat per-config sequential by at least this factor at
-/// the largest size. The shared analysis alone buys more than this at
-/// V = 10k; regressing below it means the batch path started redoing
-/// per-config work.
+/// The bound simulator must beat a fresh one per configuration by at
+/// least this factor at the largest size. The shared analysis alone buys
+/// more than this at V = 10k; regressing below it means `evaluate`
+/// started redoing topology-level work.
 pub const MIN_SPEEDUP_AT_10K: f64 = 3.0;
 
 /// One topology size.
@@ -18,16 +18,15 @@ pub struct SimCell {
     pub vertices: usize,
     /// Configurations per sweep.
     pub n_configs: u32,
-    /// Median wall seconds for N sequential per-config evaluations
-    /// (each call re-analyzes the topology — the status quo the batch
-    /// path replaces).
+    /// Median wall seconds for N evaluations, each on a fresh simulator
+    /// (each call re-analyzes the topology).
     pub sequential_s: f64,
-    /// Median wall seconds for one warm batched evaluation of the same
-    /// N configurations.
-    pub batched_s: f64,
-    /// `sequential_s / batched_s`.
+    /// Median wall seconds for the same N configurations evaluated on
+    /// one bound simulator.
+    pub bound_s: f64,
+    /// `sequential_s / bound_s`.
     pub speedup: f64,
-    /// Every batched result bitwise-equal to its sequential twin.
+    /// Every bound result bitwise-equal to its fresh twin.
     pub bitwise_identical: bool,
 }
 
@@ -50,7 +49,7 @@ impl SimRecord {
     pub fn gate(&self) -> Result<(), String> {
         if let Some(c) = self.cells.iter().find(|c| !c.bitwise_identical) {
             return Err(format!(
-                "{}: batched results diverged from sequential",
+                "{}: bound results diverged from fresh ones",
                 c.workload
             ));
         }
@@ -93,7 +92,7 @@ mod tests {
     fn bitwise_identity_gate() {
         assert_eq!(record(true, 7.0).gate(), Ok(()));
         let err = record(false, 7.0).gate().unwrap_err();
-        assert!(err.contains("v1k: batched results diverged"), "{err}");
+        assert!(err.contains("v1k: bound results diverged"), "{err}");
     }
 
     #[test]

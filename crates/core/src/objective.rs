@@ -2,7 +2,7 @@
 //! cluster, run it for two (virtual) minutes, read back noisy throughput.
 
 use mtm_stormsim::noise::MeasurementNoise;
-use mtm_stormsim::{ClusterSpec, FlowSimulator, SimResult, Simulator, StormConfig, Topology};
+use mtm_stormsim::{ClusterSpec, FlowSimulator, SimResult, StormConfig, Topology};
 use serde::{Deserialize, Serialize};
 
 /// Which scalar a measurement reads off the simulated run.
@@ -87,8 +87,15 @@ impl Objective {
     }
 
     /// Override the measurement window.
+    ///
+    /// # Panics
+    ///
+    /// If `window_s` is not a positive, finite number of seconds.
     pub fn with_window(mut self, window_s: f64) -> Self {
-        assert!(window_s > 0.0);
+        assert!(
+            window_s.is_finite() && window_s > 0.0,
+            "window must be positive and finite, got {window_s}"
+        );
         self.window_s = window_s;
         self.sim = FlowSimulator::new(self.topo.clone(), self.cluster.clone(), window_s)
             .expect("window checked by the assert above");

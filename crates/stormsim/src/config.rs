@@ -100,28 +100,16 @@ impl StormConfig {
     /// least 1, then scaled down proportionally if their sum exceeds
     /// `max_tasks` (each node keeps at least one task).
     pub fn normalized_tasks(&self, topo: &Topology) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.normalized_tasks_into(topo, &mut out);
-        out
-    }
-
-    /// [`normalized_tasks`](Self::normalized_tasks) into a caller-owned
-    /// buffer — the batch evaluator reuses one buffer across candidates
-    /// so the per-config hot loop stays allocation-free. Pure integer
-    /// arithmetic; the result is identical to the allocating form.
-    pub fn normalized_tasks_into(&self, topo: &Topology, out: &mut Vec<u32>) {
         assert_eq!(
             self.parallelism_hints.len(),
             topo.n_nodes(),
             "one parallelism hint per topology node"
         );
-        out.clear();
-        // mtm-allow: alloc -- fills a reused buffer that amortizes to its high-water mark
-        out.extend(self.parallelism_hints.iter().map(|&h| h.max(1)));
+        let mut out: Vec<u32> = self.parallelism_hints.iter().map(|&h| h.max(1)).collect();
         let total: u64 = out.iter().map(|&h| h as u64).sum();
         let cap = self.max_tasks.max(topo.n_nodes() as u32) as u64;
         if total <= cap {
-            return;
+            return out;
         }
         // Over budget: every node keeps one task, and the remaining
         // budget is distributed proportionally to the excess hints
@@ -136,6 +124,7 @@ impl StormConfig {
             let extra = (e * spare).checked_div(excess_total).unwrap_or(0);
             *h = (1 + extra) as u32;
         }
+        out
     }
 
     /// Total acker tasks given `workers` in use (Storm default: one per

@@ -1,6 +1,6 @@
 //! The fast flow-level performance model.
 //!
-//! `simulate_flow_with` evaluates a configured topology analytically: every
+//! [`FlowSimulator`] evaluates a configured topology analytically: every
 //! constraint of the cluster model is linear in the aggregate spout rate
 //! `R`, so the steady-state throughput is the minimum over constraint
 //! bounds, followed by the (nonlinear but closed-form) batch-pipeline,
@@ -9,7 +9,8 @@
 //! microseconds), which is what lets the benches replay the paper's
 //! thousands of optimization runs. What depends only on the topology
 //! (flows, their sums, the per-node grouping caps) is computed once in
-//! [`flow::analyze`]; an evaluation does only the per-configuration work.
+//! [`flow::analyze`] when the simulator is built; an evaluation does only
+//! the per-configuration work.
 //!
 //! The constraints, in the order they are applied:
 //!
@@ -30,84 +31,118 @@
 //!    configurations failed on the paper's cluster.
 
 use mtm_obs::event::finite_or_zero;
-use mtm_obs::{Event, Recorder};
+use mtm_obs::{Event, NullRecorder, Recorder};
 
 use crate::cluster::ClusterSpec;
 use crate::config::StormConfig;
 use crate::flow::{self, FlowAnalysis};
 use crate::metrics::{Bottleneck, SimResult};
-use crate::placement::{place_even, Placement};
+use crate::placement::{remote_fraction, WorkerLoad};
+use crate::simulator::SimError;
 use crate::topology::Topology;
 
-/// Evaluate `config` on `topo` over a measurement window of `window_s`
-/// virtual seconds — the reference implementation
-/// [`crate::simulator::FlowSimulator`] is pinned bitwise against.
-/// Deterministic; apply [`crate::noise::MeasurementNoise`] on top for
-/// realistic measurements. Callers should prefer the simulator, which
-/// amortizes the topology-level analysis across configurations and
-/// reports invalid inputs as [`crate::simulator::SimError`] (this
-/// function asserts on a non-positive window).
+/// The analytical flow model, bound to one topology, cluster and
+/// measurement window.
 ///
-/// Every constraint bound the model considers, per-operator steady-state
-/// counters, and start/end markers go to `rec`. With
-/// [`mtm_obs::NullRecorder`] the instrumentation compiles away; the
-/// returned result is bitwise identical either way — recording is a
-/// passive observer.
-pub fn simulate_flow_with<R: Recorder>(
-    topo: &Topology,
-    config: &StormConfig,
-    cluster: &ClusterSpec,
+/// Construction runs the topology-level analysis (steady-state flow
+/// propagation) once; every evaluation reuses it. Deterministic; apply
+/// [`crate::noise::MeasurementNoise`] on top for realistic measurements.
+#[derive(Debug, Clone)]
+pub struct FlowSimulator {
+    topo: Topology,
+    cluster: ClusterSpec,
     window_s: f64,
-    rec: &mut R,
-) -> SimResult {
-    assert!(window_s > 0.0, "window must be positive");
-    if R::ENABLED {
-        rec.record(Event::SimStart {
-            sim: "flow".into(),
-            topo: topo.name_label().into(),
-            nodes: topo.n_nodes(),
-            window_s,
-        });
-    }
-    let result = if config.validate(topo).is_err() {
-        SimResult::failed(window_s, 0, 0)
-    } else {
-        let tasks = config.normalized_tasks(topo);
-        let ackers = config.effective_ackers(
-            tasks
-                .iter()
-                .map(|&t| t as usize)
-                .sum::<usize>()
-                .min(cluster.machines),
-        );
-        let placement = place_even(topo, &tasks, ackers, cluster);
-        let flows = flow::analyze(topo);
+    flows: FlowAnalysis,
+}
 
-        let model = ConstraintModel::build(topo, config, cluster, &tasks, placement, flows);
-        let ctx = model.ctx();
-        let result = ctx.solve(window_s, rec);
-        if R::ENABLED && !matches!(result.bottleneck, Bottleneck::Failed) {
-            ctx.emit_operators(rec, &result, window_s);
+impl FlowSimulator {
+    /// Bind the model to `topo` on `cluster` with a measurement window of
+    /// `window_s` virtual seconds, which must be positive and finite.
+    pub fn new(topo: Topology, cluster: ClusterSpec, window_s: f64) -> Result<Self, SimError> {
+        if !window_s.is_finite() || window_s <= 0.0 {
+            return Err(SimError::Window(window_s));
         }
-        result
-    };
-    if R::ENABLED {
-        rec.record(Event::SimEnd {
-            throughput: finite_or_zero(result.throughput_tps),
-            bottleneck: result.bottleneck.label(),
-            committed: result.committed_batches,
-        });
+        let flows = flow::analyze(&topo);
+        Ok(FlowSimulator {
+            topo,
+            cluster,
+            window_s,
+            flows,
+        })
     }
-    #[cfg(feature = "strict-invariants")]
-    crate::invariants::assert_finite(
-        "flow-sim metrics (throughput, net, cpu)",
-        &[
-            result.throughput_tps,
-            result.avg_worker_net_mbps,
-            result.cpu_utilization,
-        ],
-    );
-    result
+
+    /// Score one configuration.
+    pub fn evaluate(&self, config: &StormConfig) -> Result<SimResult, SimError> {
+        self.evaluate_recorded(config, &mut NullRecorder)
+    }
+
+    /// Score one configuration, recording start/end markers, every
+    /// constraint bound that tightens the minimum and (for a run that
+    /// does not fail) per-operator steady-state counters to `rec`. With
+    /// [`NullRecorder`] the instrumentation compiles away; the result is
+    /// bitwise identical either way, since recording is a passive
+    /// observer. An invalid configuration records nothing.
+    pub fn evaluate_recorded<R: Recorder>(
+        &self,
+        config: &StormConfig,
+        rec: &mut R,
+    ) -> Result<SimResult, SimError> {
+        let (topo, cluster, window_s) = (&self.topo, &self.cluster, self.window_s);
+        // Qualified call: a bare `.validate(` edge would alias every
+        // `validate` in the workspace in the checker's call graph.
+        StormConfig::validate(config, topo)?;
+        if R::ENABLED {
+            rec.record(Event::SimStart {
+                sim: "flow".into(),
+                topo: topo.name_label().into(),
+                nodes: topo.n_nodes(),
+                window_s,
+            });
+        }
+        let tasks = config.normalized_tasks(topo);
+        let node_cost: Vec<f64> = (tasks.iter().enumerate())
+            .map(|(v, &t)| node_cost_of(topo, cluster, v, t))
+            .collect();
+        let coef: Vec<f64> = (self.flows.node_flow.iter().zip(&tasks).zip(&node_cost))
+            .map(|((&f, &t), &cost)| demand_coef(f, cost, t))
+            .collect();
+        let mut load = WorkerLoad::deal_tasks(&tasks, &coef, cluster.machines);
+        let ackers = config.effective_ackers(load.total_tasks.min(cluster.machines));
+        let ackers_n = (ackers as usize).max(1);
+        let ack_coef = self.flows.total_processing * cluster.acker_cost_units / ackers_n as f64;
+        load.deal_ackers(ackers, ack_coef);
+
+        let ctx = SolveCtx {
+            sim: self,
+            config,
+            tasks,
+            node_cost,
+            load,
+            ackers_n,
+            ack_coef,
+        };
+        let result = ctx.solve(rec);
+        if R::ENABLED {
+            if !matches!(result.bottleneck, Bottleneck::Failed) {
+                ctx.emit_operators(rec, &result);
+            }
+            rec.record(Event::SimEnd {
+                throughput: finite_or_zero(result.throughput_tps),
+                bottleneck: result.bottleneck.label(),
+                committed: result.committed_batches,
+            });
+        }
+        #[cfg(feature = "strict-invariants")]
+        crate::invariants::assert_finite(
+            "flow-sim metrics (throughput, net, cpu)",
+            &[
+                result.throughput_tps,
+                result.avg_worker_net_mbps,
+                result.cpu_utilization,
+            ],
+        );
+        Ok(result)
+    }
 }
 
 /// Running minimum over constraint bounds, with bottleneck attribution
@@ -144,118 +179,27 @@ impl Tracker {
     }
 }
 
-/// Borrowed view of everything [`SolveCtx::solve`] reads — one solver
-/// implementation over two build paths. The legacy per-call path
-/// ([`ConstraintModel::build`]) materializes a full [`Placement`] and
-/// owns its buffers; the batched path
-/// ([`crate::simulator::FlowSimulator`]) fills reusable scratch buffers
-/// by replaying the same round-robin placement order without
-/// materializing it. Both feed this struct, so the float-operation
-/// sequence — and therefore every result bit — is identical.
-pub(crate) struct SolveCtx<'a> {
-    pub(crate) topo: &'a Topology,
-    pub(crate) config: &'a StormConfig,
-    pub(crate) cluster: &'a ClusterSpec,
-    pub(crate) flows: &'a FlowAnalysis,
-    pub(crate) tasks: &'a [u32],
-    /// Per-tuple compute cost of node v including contention and overhead.
-    pub(crate) node_cost: &'a [f64],
-    /// Aggregate demand units per spout tuple placed on each machine
-    /// (per-task coefficients `f_v * cost_v / tasks_v` plus acker shares).
-    pub(crate) machine_demand: &'a [f64],
-    /// Topology task count per worker (ackers excluded).
-    pub(crate) tasks_per_worker: &'a [usize],
-    /// Acker count per worker.
-    pub(crate) ackers_per_worker: &'a [usize],
-    pub(crate) workers: usize,
-    pub(crate) total_tasks: usize,
-    /// Acker task count, floored at 1 (the divisor of `ack_coef`).
-    pub(crate) ackers_n: usize,
-    /// Fraction of edge traffic crossing machine boundaries.
-    pub(crate) remote: f64,
-    /// Acker demand units per spout tuple, per acker task.
-    pub(crate) ack_coef: f64,
-}
-
-/// Intermediate per-configuration constraint data (legacy build path:
-/// owns its buffers and a materialized placement).
-struct ConstraintModel<'a> {
-    topo: &'a Topology,
+/// One configuration's inputs to [`SolveCtx::solve`]: the bound
+/// simulator plus the per-node and per-worker columns its evaluation
+/// built.
+struct SolveCtx<'a> {
+    sim: &'a FlowSimulator,
     config: &'a StormConfig,
-    cluster: &'a ClusterSpec,
     tasks: Vec<u32>,
-    placement: Placement,
-    flows: FlowAnalysis,
+    /// Per-tuple compute cost of node v including contention and overhead.
     node_cost: Vec<f64>,
-    machine_demand: Vec<f64>,
+    /// The even scheduler's deal: per-worker task and acker counts, and
+    /// the demand units per spout tuple placed on each machine.
+    load: WorkerLoad,
+    /// Acker task count, floored at 1 (the divisor of `ack_coef`).
+    ackers_n: usize,
+    /// Acker demand units per spout tuple, per acker task.
     ack_coef: f64,
-}
-
-impl<'a> ConstraintModel<'a> {
-    fn build(
-        topo: &'a Topology,
-        config: &'a StormConfig,
-        cluster: &'a ClusterSpec,
-        tasks: &[u32],
-        placement: Placement,
-        flows: FlowAnalysis,
-    ) -> Self {
-        let node_cost: Vec<f64> = (tasks.iter().enumerate())
-            .map(|(v, &t)| node_cost_of(topo, cluster, v, t))
-            .collect();
-        // Everything `solve` needs per machine is a pure function of
-        // the configuration, so it is all precomputed here: `solve`
-        // itself (a hot root of the allocation ratchet) runs over these
-        // buffers without touching the heap.
-        let ackers_n = placement.acker_worker.len().max(1);
-        let coef: Vec<f64> = (flows.node_flow.iter().zip(tasks).zip(&node_cost))
-            .map(|((&f, &t), &cost)| demand_coef(f, cost, t))
-            .collect();
-        let ack_coef = flows.total_processing * cluster.acker_cost_units / ackers_n as f64;
-        let mut machine_demand = vec![0.0; placement.workers];
-        for (tid, task) in placement.tasks.iter().enumerate() {
-            machine_demand[placement.task_worker[tid]] += coef[task.node];
-        }
-        for &w in &placement.acker_worker {
-            machine_demand[w] += ack_coef;
-        }
-        ConstraintModel {
-            topo,
-            config,
-            cluster,
-            tasks: tasks.to_vec(),
-            placement,
-            flows,
-            node_cost,
-            machine_demand,
-            ack_coef,
-        }
-    }
-
-    /// The borrowed solver view over this model's owned buffers.
-    fn ctx(&self) -> SolveCtx<'_> {
-        SolveCtx {
-            topo: self.topo,
-            config: self.config,
-            cluster: self.cluster,
-            flows: &self.flows,
-            tasks: &self.tasks,
-            node_cost: &self.node_cost,
-            machine_demand: &self.machine_demand,
-            tasks_per_worker: &self.placement.tasks_per_worker,
-            ackers_per_worker: &self.placement.ackers_per_worker,
-            workers: self.placement.workers,
-            total_tasks: self.placement.total_tasks(),
-            ackers_n: self.placement.acker_worker.len().max(1),
-            remote: self.placement.remote_fraction(),
-            ack_coef: self.ack_coef,
-        }
-    }
 }
 
 /// Per-tuple compute cost of node `v` when it runs `tasks` tasks,
 /// including the contention multiplier and framework overhead.
-pub(crate) fn node_cost_of(topo: &Topology, cluster: &ClusterSpec, v: usize, tasks: u32) -> f64 {
+fn node_cost_of(topo: &Topology, cluster: &ClusterSpec, v: usize, tasks: u32) -> f64 {
     let contention = if topo.is_contentious(v) {
         (tasks as f64).powf(cluster.contention_exponent)
     } else {
@@ -266,7 +210,7 @@ pub(crate) fn node_cost_of(topo: &Topology, cluster: &ClusterSpec, v: usize, tas
 
 /// Demand units one task of a node adds to its machine per spout tuple:
 /// the node's flow `f` times its per-tuple `cost`, shared by its `tasks`.
-pub(crate) fn demand_coef(f: f64, cost: f64, tasks: u32) -> f64 {
+fn demand_coef(f: f64, cost: f64, tasks: u32) -> f64 {
     if tasks == 0 {
         0.0
     } else {
@@ -283,11 +227,11 @@ fn eff_tasks(tasks: u32, cap: u32) -> f64 {
 
 impl SolveCtx<'_> {
     // mtm-hot: flow-sim
-    pub(crate) fn solve<R: Recorder>(&self, window_s: f64, rec: &mut R) -> SimResult {
-        let cl = self.cluster;
-        let total_tasks = self.total_tasks;
-        let workers = self.workers;
-        let remote = self.remote;
+    fn solve<R: Recorder>(&self, rec: &mut R) -> SimResult {
+        let (cl, flows, load) = (&self.sim.cluster, &self.sim.flows, &self.load);
+        let window_s: f64 = self.sim.window_s;
+        let (total_tasks, workers) = (load.total_tasks, load.workers);
+        let remote = remote_fraction(workers);
         let ackers = self.ackers_n;
 
         let mut tr = Tracker {
@@ -297,8 +241,8 @@ impl SolveCtx<'_> {
 
         // 1. Node capacity: R * f_v * cost_v <= eff_tasks_v * unit_rate,
         // where the grouping caps how many of a node's tasks run at once.
-        let columns = (self.flows.node_flow.iter().zip(self.node_cost))
-            .zip(self.tasks.iter().zip(&self.flows.grouping_cap));
+        let columns = (flows.node_flow.iter().zip(&self.node_cost))
+            .zip(self.tasks.iter().zip(&flows.grouping_cap));
         for (v, ((&f, &cost), (&tasks, &cap))) in columns.enumerate() {
             if f <= 0.0 {
                 continue;
@@ -312,14 +256,14 @@ impl SolveCtx<'_> {
             );
         }
 
-        // 2. Machine CPU, over the demand buffers `build` precomputed
-        // (all three per-worker columns hold exactly `workers` entries).
+        // 2. Machine CPU, over the deal's per-worker columns (all three
+        // hold exactly `workers` entries).
         let ack_coef = self.ack_coef;
         let mut total_capacity = 0.0;
         let mut spin_total = 0.0;
         let mut failed = false;
         let per_worker =
-            (self.tasks_per_worker.iter().zip(self.ackers_per_worker)).zip(self.machine_demand);
+            (load.tasks_per_worker.iter().zip(&load.ackers_per_worker)).zip(&load.machine_demand);
         for (m, ((&worker_tasks, &worker_ackers), &demand)) in per_worker.enumerate() {
             let threads = (worker_tasks as u32).min(self.config.worker_threads)
                 + self.config.receiver_threads
@@ -362,7 +306,7 @@ impl SolveCtx<'_> {
 
         // 3. Ackers: every processed tuple produces one ack op; each acker
         // task is one thread (at most one core).
-        let ack_demand_per_r = self.flows.total_processing * cl.acker_cost_units;
+        let ack_demand_per_r = flows.total_processing * cl.acker_cost_units;
         if ack_demand_per_r > 0.0 {
             tr.consider(
                 rec,
@@ -374,7 +318,7 @@ impl SolveCtx<'_> {
         }
 
         // 4. Receivers: remote tuples arriving per worker per unit R.
-        let inbound_per_worker = self.flows.edge_flow_total * remote / workers as f64;
+        let inbound_per_worker = flows.edge_flow_total * remote / workers as f64;
         if inbound_per_worker > 0.0 {
             tr.consider(
                 rec,
@@ -386,7 +330,7 @@ impl SolveCtx<'_> {
         }
 
         // 5. Network bandwidth per worker.
-        let bytes_per_worker = self.flows.bytes_per_unit * remote / workers as f64;
+        let bytes_per_worker = flows.bytes_per_unit * remote / workers as f64;
         if bytes_per_worker > 0.0 {
             tr.consider(
                 rec,
@@ -434,8 +378,7 @@ impl SolveCtx<'_> {
         // 7. Memory: in-flight tuples across the pipeline occupy worker
         // buffers; amplification by downstream processing.
         let inflight_bytes =
-            b * s * self.flows.mean_tuple_bytes * (1.0 + self.flows.total_processing)
-                / workers as f64;
+            b * s * flows.mean_tuple_bytes * (1.0 + flows.total_processing) / workers as f64;
         if inflight_bytes > cl.worker_buffer_bytes {
             let factor = cl.worker_buffer_bytes / inflight_bytes;
             r *= factor * factor; // thrashing is superlinear
@@ -467,14 +410,14 @@ impl SolveCtx<'_> {
         // Metrics.
         let committed_batches = (measured * window_s / s).floor() as u64;
         let cpu_used = measured
-            * (self.flows.node_flow.iter().zip(self.node_cost))
+            * (flows.node_flow.iter().zip(&self.node_cost))
                 .map(|(&f, &cost)| f * cost)
                 .sum::<f64>()
             + measured * ack_demand_per_r
             + spin_total;
         let cpu_utilization = (cpu_used / total_capacity).clamp(0.0, 1.0);
         let avg_worker_net_mbps =
-            measured * self.flows.bytes_per_unit * remote / workers as f64 / (1024.0 * 1024.0);
+            measured * flows.bytes_per_unit * remote / workers as f64 / (1024.0 * 1024.0);
 
         SimResult {
             throughput_tps: measured,
@@ -490,23 +433,19 @@ impl SolveCtx<'_> {
     }
 
     /// Per-operator steady-state counters for a successful run, emitted
-    /// by the wrapper *after* [`solve`](Self::solve) returns so the
-    /// solver loop itself stays allocation-free. The flow model has no
-    /// real queues, so `queue_hwm` is 0 here (the tuple sim reports
-    /// actual high-water marks).
-    pub(crate) fn emit_operators<R: Recorder>(
-        &self,
-        rec: &mut R,
-        result: &SimResult,
-        window_s: f64,
-    ) {
+    /// *after* [`solve`](Self::solve) returns so the solver loop itself
+    /// stays allocation-free. The flow model has no real queues, so
+    /// `queue_hwm` is 0 here (the tuple sim reports actual high-water
+    /// marks).
+    fn emit_operators<R: Recorder>(&self, rec: &mut R, result: &SimResult) {
+        let (topo, flows, window_s) = (&self.sim.topo, &self.sim.flows, self.sim.window_s);
         let measured = result.throughput_tps;
-        for v in 0..self.topo.n_nodes() {
+        for (v, (&tasks, &f)) in self.tasks.iter().zip(&flows.node_flow).enumerate() {
             rec.record(Event::Operator {
                 node: Some(v),
-                label: self.topo.label(v).into(),
-                tasks: self.tasks[v] as usize,
-                processed: (measured * self.flows.node_flow[v] * window_s).max(0.0) as u64,
+                label: topo.label(v).into(),
+                tasks: tasks as usize,
+                processed: (measured * f * window_s).max(0.0) as u64,
                 queue_hwm: 0,
             });
         }
@@ -514,7 +453,7 @@ impl SolveCtx<'_> {
             node: None,
             label: "ackers".into(),
             tasks: self.ackers_n,
-            processed: (measured * self.flows.total_processing * window_s).max(0.0) as u64,
+            processed: (measured * flows.total_processing * window_s).max(0.0) as u64,
             queue_hwm: 0,
         });
     }
@@ -523,8 +462,8 @@ impl SolveCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ConfigError;
     use crate::topology::{Grouping, TopologyBuilder};
-    use mtm_obs::NullRecorder;
 
     fn chain(costs: &[f64]) -> Topology {
         let mut tb = TopologyBuilder::new("chain");
@@ -542,7 +481,10 @@ mod tests {
     }
 
     fn eval_on(topo: &Topology, config: &StormConfig, cluster: &ClusterSpec) -> SimResult {
-        simulate_flow_with(topo, config, cluster, 120.0, &mut NullRecorder)
+        FlowSimulator::new(topo.clone(), cluster.clone(), 120.0)
+            .unwrap()
+            .evaluate(config)
+            .unwrap()
     }
 
     #[test]
@@ -724,16 +666,16 @@ mod tests {
     fn recording_is_inert_and_explains_the_bottleneck() {
         let topo = chain(&[10.0, 20.0, 20.0]);
         let c = StormConfig::baseline(3);
-        let plain = eval(&topo, &c);
+        let sim = FlowSimulator::new(topo.clone(), ClusterSpec::paper_cluster(), 120.0).unwrap();
+        let plain = sim.evaluate(&c).unwrap();
         let mut rec = mtm_obs::MemRecorder::new();
-        let recorded =
-            simulate_flow_with(&topo, &c, &ClusterSpec::paper_cluster(), 120.0, &mut rec);
+        let recorded = sim.evaluate_recorded(&c, &mut rec).unwrap();
         assert_eq!(
             plain.throughput_tps.to_bits(),
             recorded.throughput_tps.to_bits(),
             "recording must not perturb the result"
         );
-        assert_eq!(plain.committed_batches, recorded.committed_batches);
+        assert_eq!(plain, recorded);
 
         // The trace starts and ends a sim run...
         assert!(matches!(rec.events().first(), Some(Event::SimStart { sim, .. }) if sim == "flow"));
@@ -891,9 +833,14 @@ mod tests {
     #[test]
     fn invalid_config_fails_cleanly() {
         let topo = chain(&[10.0, 20.0]);
+        let sim = FlowSimulator::new(topo, ClusterSpec::paper_cluster(), 120.0).unwrap();
         let mut c = StormConfig::baseline(2);
         c.batch_size = 0;
-        let r = eval(&topo, &c);
-        assert_eq!(r.throughput_tps, 0.0);
+        let mut rec = mtm_obs::MemRecorder::new();
+        assert_eq!(
+            sim.evaluate_recorded(&c, &mut rec),
+            Err(SimError::Config(ConfigError::ZeroField("batch_size")))
+        );
+        assert!(rec.events().is_empty(), "an invalid config records nothing");
     }
 }

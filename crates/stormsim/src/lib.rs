@@ -19,15 +19,21 @@
 //!   workers,
 //! * [`flow`] — steady-state tuple-flow computation shared by both
 //!   simulators,
-//! * [`tuple_sim`] — a per-tuple discrete-event simulation (events: tuple
-//!   service, emission, acking, batch commit) built on [`engine`],
-//! * [`flow_sim`] — a fast batch/flow-level performance model evaluating
-//!   the same configuration surface analytically; this is what the
-//!   thousands of optimization runs in the benches call,
+//! * [`tuple_sim`] — [`TupleSimulator`], a per-tuple discrete-event
+//!   simulation (events: tuple service, emission, acking, batch commit)
+//!   built on [`engine`],
+//! * [`flow_sim`] — [`FlowSimulator`], a fast flow-level performance
+//!   model evaluating the same configuration surface analytically; this
+//!   is what the thousands of optimization runs in the benches call,
+//! * [`simulator`] — [`SimError`], the error chain both simulators
+//!   return,
 //! * [`metrics`] — throughput, per-worker network MB/s (Fig. 3),
 //!   utilization and bottleneck attribution.
 //!
-//! A validation test (`tests/` crate) checks the two simulators agree on
+//! Each simulator has one evaluation path: `new` binds the topology,
+//! cluster and window, and `evaluate_recorded(config, rec)` scores one
+//! configuration (`evaluate` is its [`mtm_obs::NullRecorder`] form). A
+//! validation test (`tests/` crate) checks the two simulators agree on
 //! small topologies.
 
 pub mod cluster;
@@ -44,11 +50,11 @@ pub mod tuple_sim;
 
 pub use cluster::ClusterSpec;
 pub use config::{ConfigError, StormConfig};
-pub use flow_sim::simulate_flow_with;
+pub use flow_sim::FlowSimulator;
 pub use metrics::SimResult;
-pub use simulator::{FlowSimulator, SimBatch, SimError, Simulator, TupleSimulator};
+pub use simulator::SimError;
 pub use topology::{Grouping, NodeId, NodeKind, RoutePolicy, Topology, TopologyBuilder};
-pub use tuple_sim::{simulate_tuples_with, TupleSimOptions};
+pub use tuple_sim::{TupleSimOptions, TupleSimulator};
 
 // Runtime invariant guards, available to callers when the
 // `strict-invariants` feature is on.

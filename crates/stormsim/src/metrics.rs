@@ -50,9 +50,9 @@ impl Bottleneck {
 
 /// Outcome of simulating one configured run.
 ///
-/// `PartialEq` compares floats exactly — intentional: the equivalence
-/// suites assert the batched path is *bitwise* identical to the
-/// sequential one, not merely close.
+/// `PartialEq` compares floats exactly — intentional: the tests assert
+/// that recording and binding leave a result *bitwise* identical, not
+/// merely close.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimResult {
     /// Measured throughput in spout tuples per second (committed work

@@ -1,7 +1,7 @@
 //! The per-tuple discrete-event simulator.
 //!
 //! Where [`crate::flow_sim`] solves for steady-state rates analytically,
-//! this module actually plays the system out tuple by tuple on the
+//! [`TupleSimulator`] actually plays the system out tuple by tuple on the
 //! [`crate::engine::EventQueue`]: spout tasks emit mini-batches, bolts
 //! queue and service tuples on their worker's thread pool, emitted tuples
 //! are routed per grouping (with network delay for remote hops), every
@@ -15,13 +15,14 @@
 
 use std::collections::VecDeque;
 
-use mtm_obs::{Event, Recorder};
+use mtm_obs::{Event, NullRecorder, Recorder};
 
 use crate::cluster::ClusterSpec;
 use crate::config::StormConfig;
 use crate::engine::EventQueue;
 use crate::metrics::{Bottleneck, SimResult};
 use crate::placement::{place_even, Placement};
+use crate::simulator::SimError;
 use crate::topology::{Grouping, RoutePolicy, Topology};
 
 /// Options for a tuple-level simulation run.
@@ -87,69 +88,86 @@ struct BatchState {
     emitted_all: bool,
 }
 
-/// Run the tuple-level simulation of `config` on `topo` — the reference
-/// implementation [`crate::simulator::TupleSimulator`] is pinned bitwise
-/// against. Callers should prefer the simulator, which reports invalid
-/// inputs as [`crate::simulator::SimError`] instead of silently
-/// returning a failed result.
-///
-/// Per-operator processed counters and queue high-water marks,
-/// event-engine statistics, and start/end markers go to `rec`. With
-/// [`mtm_obs::NullRecorder`] the high-water-mark bookkeeping is skipped
-/// entirely; the returned result is bitwise identical either way —
-/// recording is a passive observer.
-pub fn simulate_tuples_with<R: Recorder>(
-    topo: &Topology,
-    config: &StormConfig,
-    cluster: &ClusterSpec,
-    opts: &TupleSimOptions,
-    rec: &mut R,
-) -> SimResult {
-    if R::ENABLED {
-        rec.record(Event::SimStart {
-            sim: "tuple".into(),
-            topo: topo.name_label().into(),
-            nodes: topo.n_nodes(),
-            window_s: opts.window_s,
-        });
+/// The per-tuple discrete-event simulator, bound to one topology,
+/// cluster and set of run options.
+#[derive(Debug, Clone)]
+pub struct TupleSimulator {
+    topo: Topology,
+    cluster: ClusterSpec,
+    opts: TupleSimOptions,
+}
+
+impl TupleSimulator {
+    /// Bind the simulator to `topo` on `cluster` with `opts` (the window
+    /// must be positive and finite).
+    pub fn new(
+        topo: Topology,
+        cluster: ClusterSpec,
+        opts: TupleSimOptions,
+    ) -> Result<Self, SimError> {
+        if !opts.window_s.is_finite() || opts.window_s <= 0.0 {
+            return Err(SimError::Window(opts.window_s));
+        }
+        Ok(TupleSimulator {
+            topo,
+            cluster,
+            opts,
+        })
     }
-    if config.validate(topo).is_err() {
-        let result = SimResult::failed(opts.window_s, 0, 0);
+
+    /// Play one configuration out tuple by tuple.
+    pub fn evaluate(&self, config: &StormConfig) -> Result<SimResult, SimError> {
+        self.evaluate_recorded(config, &mut NullRecorder)
+    }
+
+    /// Play one configuration out, recording start/end markers,
+    /// per-operator processed counters and queue high-water marks, and
+    /// event-engine statistics to `rec`. With [`NullRecorder`] the
+    /// high-water-mark bookkeeping is skipped entirely; the result is
+    /// bitwise identical either way, since recording is a passive
+    /// observer. An invalid configuration records nothing.
+    pub fn evaluate_recorded<R: Recorder>(
+        &self,
+        config: &StormConfig,
+        rec: &mut R,
+    ) -> Result<SimResult, SimError> {
+        let (topo, cluster, opts) = (&self.topo, &self.cluster, &self.opts);
+        StormConfig::validate(config, topo)?;
         if R::ENABLED {
+            rec.record(Event::SimStart {
+                sim: "tuple".into(),
+                topo: topo.name_label().into(),
+                nodes: topo.n_nodes(),
+                window_s: opts.window_s,
+            });
+        }
+        let tasks_per_node = config.normalized_tasks(topo);
+        let total_topo_tasks: usize = tasks_per_node.iter().map(|&t| t as usize).sum();
+        let ackers = config.effective_ackers(total_topo_tasks.min(cluster.machines));
+        let placement = place_even(&tasks_per_node, ackers, cluster);
+
+        let mut sim = Sim::new(topo, config, cluster, &placement, opts, R::ENABLED);
+        sim.run_des();
+        let result = sim.result();
+        if R::ENABLED {
+            sim.emit_stats(rec);
             rec.record(Event::SimEnd {
                 throughput: result.throughput_tps,
                 bottleneck: result.bottleneck.label(),
                 committed: result.committed_batches,
             });
         }
-        return result;
+        #[cfg(feature = "strict-invariants")]
+        crate::invariants::assert_finite(
+            "tuple-sim metrics (throughput, net, cpu)",
+            &[
+                result.throughput_tps,
+                result.avg_worker_net_mbps,
+                result.cpu_utilization,
+            ],
+        );
+        Ok(result)
     }
-    let tasks_per_node = config.normalized_tasks(topo);
-    let total_topo_tasks: usize = tasks_per_node.iter().map(|&t| t as usize).sum();
-    let ackers = config.effective_ackers(total_topo_tasks.min(cluster.machines));
-    let placement = place_even(topo, &tasks_per_node, ackers, cluster);
-
-    let mut sim = Sim::new(topo, config, cluster, &placement, opts, R::ENABLED);
-    sim.run_des();
-    let result = sim.result();
-    if R::ENABLED {
-        sim.emit_stats(rec);
-        rec.record(Event::SimEnd {
-            throughput: result.throughput_tps,
-            bottleneck: result.bottleneck.label(),
-            committed: result.committed_batches,
-        });
-    }
-    #[cfg(feature = "strict-invariants")]
-    crate::invariants::assert_finite(
-        "tuple-sim metrics (throughput, net, cpu)",
-        &[
-            result.throughput_tps,
-            result.avg_worker_net_mbps,
-            result.cpu_utilization,
-        ],
-    );
-    result
 }
 
 struct Sim<'a> {
@@ -586,7 +604,6 @@ impl<'a> Sim<'a> {
 mod tests {
     use super::*;
     use crate::topology::TopologyBuilder;
-    use mtm_obs::NullRecorder;
 
     fn simulate(
         topo: &Topology,
@@ -594,7 +611,10 @@ mod tests {
         cluster: &ClusterSpec,
         opts: &TupleSimOptions,
     ) -> SimResult {
-        simulate_tuples_with(topo, config, cluster, opts, &mut NullRecorder)
+        TupleSimulator::new(topo.clone(), cluster.clone(), *opts)
+            .unwrap()
+            .evaluate(config)
+            .unwrap()
     }
 
     fn small_chain() -> Topology {
@@ -635,21 +655,16 @@ mod tests {
     #[test]
     fn recording_is_inert_and_reports_operator_stats() {
         let topo = small_chain();
-        let plain = simulate(&topo, &small_config(), &ClusterSpec::tiny(), &fast_opts());
+        let sim = TupleSimulator::new(topo.clone(), ClusterSpec::tiny(), fast_opts()).unwrap();
+        let plain = sim.evaluate(&small_config()).unwrap();
         let mut rec = mtm_obs::MemRecorder::new();
-        let recorded = simulate_tuples_with(
-            &topo,
-            &small_config(),
-            &ClusterSpec::tiny(),
-            &fast_opts(),
-            &mut rec,
-        );
+        let recorded = sim.evaluate_recorded(&small_config(), &mut rec).unwrap();
         assert_eq!(
             plain.throughput_tps.to_bits(),
             recorded.throughput_tps.to_bits(),
             "recording must not perturb the result"
         );
-        assert_eq!(plain.committed_batches, recorded.committed_batches);
+        assert_eq!(plain, recorded);
 
         assert!(
             matches!(rec.events().first(), Some(Event::SimStart { sim, .. }) if sim == "tuple")

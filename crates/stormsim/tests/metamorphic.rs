@@ -21,12 +21,12 @@
 
 use mtm_stormsim::metrics::{Bottleneck, SimResult};
 use mtm_stormsim::topology::{Topology, TopologyBuilder};
-use mtm_stormsim::{ClusterSpec, FlowSimulator, Simulator, StormConfig};
+use mtm_stormsim::{ClusterSpec, FlowSimulator, StormConfig};
 use proptest::prelude::*;
 
-/// Trait-path stand-in with the old free-function shape: every
-/// metamorphic relation compares *pairs* of one-shot runs, so a fresh
-/// simulator binding per call keeps the call sites readable.
+/// One-shot evaluation: every metamorphic relation compares *pairs* of
+/// one-shot runs, so a fresh simulator binding per call keeps the call
+/// sites readable.
 fn eval_flow(
     topo: &Topology,
     config: &StormConfig,

@@ -3,10 +3,10 @@
 
 use mtm_stormsim::metrics::SimResult;
 use mtm_stormsim::topology::{Topology, TopologyBuilder};
-use mtm_stormsim::{ClusterSpec, FlowSimulator, Simulator, StormConfig};
+use mtm_stormsim::{ClusterSpec, FlowSimulator, StormConfig};
 
-/// Trait-path stand-in with the old free-function shape; these are
-/// one-shot directional probes, so a fresh binding per call is fine.
+/// One-shot evaluation: these are directional probes, so a fresh
+/// binding per call is fine.
 fn eval_flow(
     topo: &Topology,
     config: &StormConfig,

@@ -4,10 +4,10 @@ use proptest::prelude::*;
 
 use mtm_stormsim::metrics::SimResult;
 use mtm_stormsim::topology::{Grouping, Topology, TopologyBuilder};
-use mtm_stormsim::{ClusterSpec, Simulator, StormConfig, TupleSimOptions, TupleSimulator};
+use mtm_stormsim::{ClusterSpec, StormConfig, TupleSimOptions, TupleSimulator};
 
-/// Trait-path stand-in with the old free-function shape; each invariant
-/// drives a one-shot discrete-event run, so binding per call is fine.
+/// One-shot evaluation: each invariant drives a one-shot
+/// discrete-event run, so binding per call is fine.
 fn eval_tuples(
     topo: &Topology,
     config: &StormConfig,

@@ -8,9 +8,7 @@
 //! ```
 
 use mtm::stormsim::topology::TopologyBuilder;
-use mtm::stormsim::{
-    ClusterSpec, FlowSimulator, Simulator, StormConfig, TupleSimOptions, TupleSimulator,
-};
+use mtm::stormsim::{ClusterSpec, FlowSimulator, StormConfig, TupleSimOptions, TupleSimulator};
 
 fn main() {
     // A small three-stage pipeline on a 4-machine cluster.

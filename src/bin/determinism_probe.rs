@@ -16,10 +16,7 @@ use mtm_obs::{JsonlRecorder, MemRecorder, NullRecorder};
 use mtm_runner::engine::{canonical_result_json, run_experiment_journaled, run_experiment_traced};
 use mtm_runner::{FaultPlan, RunnerOptions};
 use mtm_stormsim::noise::MeasurementNoise;
-use mtm_stormsim::{
-    simulate_flow_with, simulate_tuples_with, ClusterSpec, FlowSimulator, SimBatch, Simulator,
-    StormConfig, TupleSimOptions, TupleSimulator,
-};
+use mtm_stormsim::{ClusterSpec, FlowSimulator, StormConfig, TupleSimOptions, TupleSimulator};
 use mtm_topogen::{make_condition, sundog_topology, Condition, SizeClass};
 
 fn main() {
@@ -53,26 +50,11 @@ fn main() {
     let flow_c = ok("contended config", contended_sim.evaluate(&config_c));
     println!("flow/contended {}", render(&flow_c));
 
-    // Batched evaluation: one SimBatch over a hint sweep must be
-    // bitwise-identical to N sequential evaluations, run to run.
-    let sweep: Vec<StormConfig> = (1..=8)
-        .map(|h| StormConfig::uniform_hints(contended.n_nodes(), h))
-        .collect();
-    let mut batch = SimBatch::new();
-    ok(
-        "hint sweep",
-        contended_sim.evaluate_batch_into(&sweep, &mut batch),
-    );
-    let sequential: Vec<_> = sweep
-        .iter()
-        .map(|c| ok("hint sweep config", contended_sim.evaluate(c)))
-        .collect();
-    println!(
-        "batch/equiv {}",
-        batch.results() == sequential.as_slice() && batch.len() == sweep.len()
-    );
-    for (i, r) in batch.results().iter().enumerate() {
-        println!("batch/sweep h={} {}", i + 1, float_bits(r.throughput_tps));
+    // A hint sweep through one bound simulator, run to run.
+    for h in 1..=8 {
+        let c = StormConfig::uniform_hints(contended.n_nodes(), h);
+        let r = ok("hint sweep config", contended_sim.evaluate(&c));
+        println!("batch/sweep h={h} {}", float_bits(r.throughput_tps));
     }
 
     // Per-tuple discrete-event simulator (bounded event count keeps the
@@ -223,7 +205,10 @@ fn recording_inert_section(objective: &Objective) {
     );
     let plain = ok("inert flow config", flow_sim.evaluate(&config_c));
     let mut mem = MemRecorder::new();
-    let recorded = simulate_flow_with(contended, &config_c, &cluster, 120.0, &mut mem);
+    let recorded = ok(
+        "inert flow config",
+        flow_sim.evaluate_recorded(&config_c, &mut mem),
+    );
     println!(
         "obs/flow inert={} events={}",
         render(&plain) == render(&recorded),
@@ -241,7 +226,10 @@ fn recording_inert_section(objective: &Objective) {
     );
     let plain = ok("inert tuple config", tuple_sim.evaluate(&config_c));
     let mut mem = MemRecorder::new();
-    let recorded = simulate_tuples_with(contended, &config_c, &cluster, &opts, &mut mem);
+    let recorded = ok(
+        "inert tuple config",
+        tuple_sim.evaluate_recorded(&config_c, &mut mem),
+    );
     println!(
         "obs/tuples inert={} events={}",
         render(&plain) == render(&recorded),

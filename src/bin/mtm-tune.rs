@@ -37,7 +37,8 @@ struct Args {
     reps: usize,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parse the command line after the program name.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         spec_path: String::new(),
         strategy: "bo".into(),
@@ -49,7 +50,7 @@ fn parse_args() -> Result<Args, String> {
         window: 120.0,
         reps: 1,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         let mut take = |name: &str| -> Result<String, String> {
             it.next().ok_or_else(|| format!("{name} needs a value"))
@@ -78,9 +79,15 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--seed: {e}"))?
             }
             "--window" => {
-                args.window = take("--window")?
+                let window: f64 = take("--window")?
                     .parse()
-                    .map_err(|e| format!("--window: {e}"))?
+                    .map_err(|e| format!("--window: {e}"))?;
+                if !(window.is_finite() && window > 0.0) {
+                    return Err(format!(
+                        "--window: must be a positive, finite number of seconds, got {window}"
+                    ));
+                }
+                args.window = window;
             }
             "--reps" => {
                 args.reps = take("--reps")?
@@ -109,7 +116,7 @@ fn usage() {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             if msg != "help" {
@@ -223,4 +230,30 @@ fn main() -> ExitCode {
     }
     println!("  net/worker   : {:.2} MB/s", detail.avg_worker_net_mbps);
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(window: &str) -> Result<Args, String> {
+        parse_args(["spec.json", "--window", window].map(String::from))
+    }
+
+    #[test]
+    fn window_must_be_positive_and_finite() {
+        for bad in ["0", "-1", "NaN", "inf"] {
+            let err = parse(bad)
+                .err()
+                .unwrap_or_else(|| panic!("--window {bad} accepted"));
+            assert!(err.starts_with("--window: "), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn window_accepts_a_positive_number_of_seconds() {
+        let args = parse("20").unwrap();
+        assert_eq!(args.window, 20.0);
+        assert_eq!(args.spec_path, "spec.json");
+    }
 }

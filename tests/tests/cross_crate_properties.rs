@@ -4,8 +4,9 @@
 use proptest::prelude::*;
 
 use mtm_core::paramsets::ParamSet;
+use mtm_obs::MemRecorder;
 use mtm_stormsim::flow;
-use mtm_stormsim::{ClusterSpec, FlowSimulator, Simulator, StormConfig};
+use mtm_stormsim::{ClusterSpec, FlowSimulator, StormConfig};
 use mtm_topogen::{generate_layer_by_layer, make_condition, Condition, GgenParams, SizeClass};
 
 fn arb_params() -> impl Strategy<Value = GgenParams> {
@@ -114,6 +115,30 @@ proptest! {
             // And the unit-cube round trip is stable.
             let u = space.encode(&values);
             prop_assert_eq!(space.decode(&u), values);
+        }
+    }
+}
+
+/// On every preset cell of the paper's grid, the recorded path scores
+/// each configuration bit for bit as `evaluate` does: recording is a
+/// passive observer.
+#[test]
+fn recorded_path_matches_evaluate_on_every_preset() {
+    let cluster = ClusterSpec::paper_cluster();
+    for size in SizeClass::all() {
+        for cond in Condition::grid() {
+            let topo = make_condition(size, &cond, 7);
+            let n = topo.n_nodes();
+            let sim = FlowSimulator::new(topo, cluster.clone(), 120.0).unwrap();
+            for hint in [1u32, 3, 9, 27] {
+                let config = StormConfig::uniform_hints(n, hint);
+                let recorded = sim.evaluate_recorded(&config, &mut MemRecorder::new());
+                assert_eq!(
+                    recorded.unwrap(),
+                    sim.evaluate(&config).unwrap(),
+                    "{size:?}/{cond:?} hint {hint}: the recorded path diverged"
+                );
+            }
         }
     }
 }

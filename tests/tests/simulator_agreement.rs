@@ -4,7 +4,7 @@
 
 use mtm_stormsim::topology::TopologyBuilder;
 use mtm_stormsim::{
-    ClusterSpec, FlowSimulator, Simulator, StormConfig, Topology, TupleSimOptions, TupleSimulator,
+    ClusterSpec, FlowSimulator, StormConfig, Topology, TupleSimOptions, TupleSimulator,
 };
 
 fn pipeline() -> Topology {

@@ -815,6 +815,49 @@ fn f() -> u32 { 1 }
         );
     }
 
+    /// Analyze `src` and render its report: one line per diagnostic.
+    fn rendered(src: &str) -> String {
+        analyze_source("crates/fixture/src/lib.rs", src)
+            .report
+            .render()
+    }
+
+    #[test]
+    fn allow_without_keys_is_malformed_once() {
+        assert_eq!(
+            rendered("\n// mtm-allow: -- why\nfn f() {}\n"),
+            "crates/fixture/src/lib.rs:2: [annotation/malformed] \
+             mtm-allow annotation lists no keys\n"
+        );
+    }
+
+    #[test]
+    fn empty_cold_annotation_is_malformed_once() {
+        assert_eq!(
+            rendered("\n// mtm-cold:\nfn f() {}\n"),
+            "crates/fixture/src/lib.rs:2: [annotation/malformed] \
+             mtm-cold annotation needs a `<reason>`\n"
+        );
+    }
+
+    #[test]
+    fn empty_lock_annotation_is_malformed_once() {
+        assert_eq!(
+            rendered("\n// mtm-lock:\nfn f() {}\n"),
+            "crates/fixture/src/lib.rs:2: [annotation/malformed] \
+             mtm-lock annotation needs a `<name>` for the lock\n"
+        );
+    }
+
+    #[test]
+    fn hot_and_cold_on_one_fn_conflict_once() {
+        assert_eq!(
+            rendered("\n// mtm-hot: inner-loop\n// mtm-cold: per-trial setup\nfn f() {}\n"),
+            "crates/fixture/src/lib.rs:4: [hotpath/conflict] \
+             `f` is annotated both mtm-hot and mtm-cold\n"
+        );
+    }
+
     #[test]
     fn float_allow_keys_suppress_and_count_as_used() {
         let a = analyze_source(

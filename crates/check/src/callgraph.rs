@@ -3,8 +3,9 @@
 //! Resolution is name-based and deliberately conservative: a call edge is
 //! drawn to *every* workspace function the callee name could refer to.
 //! Method calls (`recv.name(...)`) resolve by bare name across all impl
-//! blocks; path calls (`Type::name(...)`) try the qualified key first and
-//! fall back to the bare name. Over-approximating edges is the right
+//! and trait blocks, never to a free fn; path calls (`Type::name(...)`)
+//! try the qualified key first and fall back to the bare name; free
+//! calls resolve by bare name. Over-approximating edges is the right
 //! failure mode for a taint pass — a spurious edge can only create a
 //! finding that an `mtm-allow` review then adjudicates, never hide one.
 //!
@@ -150,7 +151,7 @@ pub struct ClosureSeam {
 /// Scan a token-tree body for call sites and record resolved targets.
 ///
 /// Patterns:
-/// - `. name (` — method call: resolve by bare name.
+/// - `. name (` — method call: resolve by bare name among impl/trait fns.
 /// - `Type :: name (` — path call: try `Type::name`, else bare name.
 /// - `name (` (no `.`/`::` before) — free call: resolve by bare name.
 fn collect_calls(trees: &[Tree], g: &CallGraph, out: &mut BTreeSet<FnId>) {
@@ -205,8 +206,18 @@ fn resolve_call(trees: &[Tree], i: usize, tok: &Tok, g: &CallGraph, out: &mut BT
                 out.extend(g.resolve_name(name).iter().copied());
             }
         }
+    } else if prev.is_some_and(|p| p.is_punct(".")) {
+        // Method call: only a fn inside an `impl`/`trait` block has a
+        // receiver, so free fns sharing the name (`push`, `load`) are
+        // never its target.
+        out.extend(
+            g.resolve_name(name)
+                .iter()
+                .copied()
+                .filter(|&id| g.fns.get(id).is_some_and(|f| f.impl_type.is_some())),
+        );
     } else {
-        // Method or free call: bare-name resolution.
+        // Free call: bare-name resolution.
         out.extend(g.resolve_name(name).iter().copied());
     }
 }
@@ -379,6 +390,34 @@ fn uses_method(s: &S) { s.method(); }
         assert!(g.callees[caller].contains(&leaf));
         assert!(g.callers[leaf].contains(&caller));
         assert!(g.callees[uses].contains(&method));
+    }
+
+    #[test]
+    fn method_calls_never_resolve_to_free_functions() {
+        let g = graph_of(
+            r#"
+fn push(_x: u32) {}
+struct Buf;
+impl Buf { fn push(&mut self, _x: u32) {} }
+fn by_method(v: &mut Vec<u32>) { v.push(1); }
+fn by_name() { push(1); }
+"#,
+        );
+        let free = g
+            .fns
+            .iter()
+            .position(|f| f.name == "push" && f.impl_type.is_none())
+            .unwrap();
+        let method = g
+            .fns
+            .iter()
+            .position(|f| f.name == "push" && f.impl_type.is_some())
+            .unwrap();
+        let by_method = g.fns.iter().position(|f| f.name == "by_method").unwrap();
+        let by_name = g.fns.iter().position(|f| f.name == "by_name").unwrap();
+        assert_eq!(g.callees[by_method], vec![method]);
+        // A free call keeps the conservative bare-name fan-out.
+        assert!(g.callees[by_name].contains(&free));
     }
 
     #[test]

@@ -19,7 +19,6 @@ const USAGE: &str = "usage:
   mtm-obs diff <a.jsonl> <b.jsonl>
   mtm-obs top <trace.jsonl> [--n N]";
 
-// mtm-allow: alloc -- CLI entry point; hot-reach is a bare-name collision
 fn load(path: &str) -> Result<TraceData, String> {
     match load_trace(Path::new(path)) {
         Ok(Some(t)) => Ok(t),

@@ -295,8 +295,6 @@ impl TraceData {
 /// Load a trace. `Ok(None)` when the file does not exist; torn or
 /// foreign trailing bytes are excluded from `valid_len` rather than
 /// reported as errors — the [`segment`] discipline.
-// mtm-allow: alloc -- replay/inspection path, runs between measured
-// trials, never inside one
 pub fn load_trace(path: &Path) -> Result<Option<TraceData>, ObsError> {
     let Some((lines, valid_len)) = segment::load_prefix::<Record>(path)? else {
         return Ok(None);

@@ -1,7 +1,9 @@
 //! The `mtm-check analyze` pass: AST-backed workspace analysis.
 //!
-//! Orchestrates the front end ([`crate::ast`]), the call graph
-//! ([`crate::callgraph`]) and three analyses:
+//! Orchestrates one front end that every pass shares — the parser and
+//! its call-site classifier ([`crate::ast`]), the call graph and its one
+//! walk ([`crate::callgraph`]), and the annotation table with its one
+//! allow adjudicator ([`crate::annotations`]) — and these analyses:
 //!
 //! 1. **Determinism taint** ([`crate::taint`]) — nondeterminism sources
 //!    reaching journaled/measured values; hard errors unless annotated
@@ -19,19 +21,23 @@
 //!    and IO sites reachable from `// mtm-hot: <key>` roots (cut at
 //!    `// mtm-cold: <reason>` seams, `mtm-allow: alloc` adjudicated),
 //!    ratcheted in the `[alloc_hot]` table.
+//! 5. **Lock regions** ([`crate::lockregion`]) — blocking work, lock-order
+//!    cycles and guard-across-wait while a guard is held.
 //!
 //! Statements gated on `#[cfg(feature = "strict-invariants")]` are the
-//! assertion layer and are skipped, exactly like `#[cfg(test)]` items.
+//! assertion layer: the panic-path, float, hot-path and lock scans skip
+//! them ([`crate::ast::skip_strict_gate`]), exactly like `#[cfg(test)]`
+//! items. Taint and the call graph do not.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-use crate::ast::{self, CrateAst, Delim, Tok, TokKind, Tree};
+use crate::annotations::{self, Annotations, At};
+use crate::ast::{self, call_at, CallKind, CrateAst, Delim, TokKind, Tree};
 use crate::callgraph::CallGraph;
 use crate::diag::{Diag, Report};
 use crate::ratchet::SiteCounts;
-use crate::taint::{self, Allow};
 
 /// Result of analyzing a workspace (or a fixture crate set).
 #[derive(Debug, Default)]
@@ -81,19 +87,13 @@ pub fn parse_workspace(root: &Path) -> Result<Vec<CrateAst>, String> {
     Ok(crates)
 }
 
-/// Analyze a parsed crate set: build the call graph, run every pass,
-/// adjudicate annotations.
+/// Analyze a parsed crate set: build the call graph, read the
+/// annotation table, run every pass, report stale allows.
 pub fn analyze_crates(crates: &[CrateAst]) -> Analysis {
     let mut analysis = Analysis::default();
     let graph = CallGraph::build(crates);
-
-    // Annotations, collected per file so staleness can be reported even
-    // for files no pass flags.
-    let mut allows: Vec<Allow> = Vec::new();
+    let mut annots = Annotations::resolve(crates, &graph, &mut analysis.report);
     for krate in crates {
-        for file in &krate.files {
-            allows.extend(taint::collect_allows(file, &mut analysis.report));
-        }
         for orphan in &krate.orphans {
             analysis.report.push(Diag::new(
                 "module/orphan",
@@ -108,11 +108,10 @@ pub fn analyze_crates(crates: &[CrateAst]) -> Analysis {
         }
     }
 
-    taint::run_taint(&graph, crates, &mut allows, &mut analysis.report);
+    crate::taint::run_taint(&graph, crates, &mut annots.allows, &mut analysis.report);
 
     let float_fields = float_fields(crates);
-    for (fn_id, f) in graph.fns.iter().enumerate() {
-        let unit = graph.units[fn_id].clone();
+    for (f, unit) in graph.fns.iter().zip(&graph.units) {
         let mut scan = BodyScan {
             float_fields: &float_fields,
             float_names: FloatNames::default(),
@@ -122,7 +121,7 @@ pub fn analyze_crates(crates: &[CrateAst]) -> Analysis {
         collect_float_params(&f.params, &mut scan.float_names);
         collect_float_locals(&f.body, &mut scan.float_names);
         walk_body(&f.body, &mut scan);
-        let entry = analysis.counts.entry(unit).or_default();
+        let entry = analysis.counts.entry(unit.clone()).or_default();
         entry.panic_sites += scan.counts.panic_sites;
         entry.index_sites += scan.counts.index_sites;
         entry.div_sites += scan.counts.div_sites;
@@ -132,11 +131,7 @@ pub fn analyze_crates(crates: &[CrateAst]) -> Analysis {
             } else {
                 "float-ord"
             };
-            if let Some(a) = allows
-                .iter_mut()
-                .find(|a| taint::allow_covers(a, key, &f.file, line, f.line, f.end_line))
-            {
-                a.used = true;
+            if annotations::covers(&mut annots.allows, key, &[At::in_fn(f, line)]) {
                 continue;
             }
             analysis.report.push(Diag::new(
@@ -151,37 +146,27 @@ pub fn analyze_crates(crates: &[CrateAst]) -> Analysis {
         }
     }
 
-    analysis.hot = crate::hotpath::run(
-        &graph,
-        crates,
-        &mut allows,
-        &mut analysis.report,
-        &mut analysis.counts,
-    );
-
+    analysis.hot = crate::hotpath::run(&graph, &mut annots, &mut analysis.counts);
     analysis.lock = crate::lockregion::run(
         &graph,
-        crates,
-        &mut allows,
+        &mut annots,
         &mut analysis.report,
         &mut analysis.counts,
     );
 
     analysis.counts.retain(|_, c| !c.is_zero());
 
-    for allow in &allows {
-        if !allow.used {
-            analysis.report.push(Diag::new(
-                "annotation/stale",
-                &allow.file,
-                allow.line,
-                format!(
-                    "mtm-allow annotation ({}) no longer suppresses any finding — \
-                     the target is gone or unreachable; remove the annotation",
-                    allow.keys.join(", ")
-                ),
-            ));
-        }
+    for allow in annots.allows.iter().filter(|a| !a.used) {
+        analysis.report.push(Diag::new(
+            "annotation/stale",
+            &allow.file,
+            allow.line,
+            format!(
+                "mtm-allow annotation ({}) no longer suppresses any finding — \
+                 the target is gone or unreachable; remove the annotation",
+                allow.keys.join(", ")
+            ),
+        ));
     }
     analysis
 }
@@ -354,40 +339,14 @@ struct BodyScan<'a> {
     floats: Vec<(String, usize, String)>,
 }
 
-/// Is the attribute group a `#[cfg(feature = "strict-invariants")]` gate?
-pub(crate) fn attr_is_strict_gate(g: &ast::Group) -> bool {
-    let text = ast::flatten(&g.trees);
-    text.starts_with("cfg") && text.contains("strict-invariants")
-}
-
 /// Walk a body level, counting panic/index/div sites and collecting
 /// float findings. Strict-invariants-gated statements are skipped whole.
 fn walk_body(trees: &[Tree], scan: &mut BodyScan<'_>) {
-    let tok_at = |i: usize| -> Option<&Tok> { trees.get(i).and_then(Tree::tok) };
     let mut i = 0usize;
     while i < trees.len() {
-        // `#[cfg(feature = "strict-invariants")] <statement>` — skip the
-        // attribute and the statement it gates (through `;` or a block).
-        if tok_at(i).is_some_and(|t| t.is_punct("#")) {
-            if let Some(Tree::Group(attr)) = trees.get(i + 1) {
-                if attr.delim == Delim::Bracket && attr_is_strict_gate(attr) {
-                    i += 2;
-                    while i < trees.len() {
-                        match &trees[i] {
-                            Tree::Tok(t) if t.is_punct(";") => {
-                                i += 1;
-                                break;
-                            }
-                            Tree::Group(g) if g.delim == Delim::Brace => {
-                                i += 1;
-                                break;
-                            }
-                            _ => i += 1,
-                        }
-                    }
-                    continue;
-                }
-            }
+        if let Some(next) = ast::skip_strict_gate(trees, i) {
+            i = next;
+            continue;
         }
         match &trees[i] {
             Tree::Group(g) => {
@@ -409,28 +368,27 @@ fn walk_body(trees: &[Tree], scan: &mut BodyScan<'_>) {
             }
             Tree::Tok(tok) => {
                 let line = tok.line;
+                let kind = call_at(trees, i).map(|c| c.kind);
                 match tok.text.as_str() {
-                    "unwrap" | "expect" => {
-                        let is_call = i > 0
-                            && tok_at(i - 1).is_some_and(|t| t.is_punct("."))
-                            && matches!(trees.get(i + 1), Some(Tree::Group(g)) if g.delim == Delim::Paren);
-                        if is_call {
-                            scan.counts.panic_sites += 1;
-                            // `partial_cmp(..).unwrap()` — NaN-unsound total
-                            // ordering; `total_cmp` is the fix.
-                            let on_partial_cmp = i >= 3
-                                && tok_at(i - 3).is_some_and(|t| t.is_ident("partial_cmp"))
-                                && matches!(trees.get(i - 2), Some(Tree::Group(g)) if g.delim == Delim::Paren);
-                            if on_partial_cmp {
-                                scan.floats.push((
-                                    "float/partial-cmp".to_string(),
-                                    line,
-                                    format!("`partial_cmp().{}()` panics/misorders on NaN — use `total_cmp`", tok.text),
-                                ));
-                            }
+                    "unwrap" | "expect" if kind == Some(CallKind::Method) => {
+                        scan.counts.panic_sites += 1;
+                        // `partial_cmp(..).unwrap()` — NaN-unsound total
+                        // ordering; `total_cmp` is the fix.
+                        let on_partial_cmp = i
+                            .checked_sub(3)
+                            .and_then(|j| call_at(trees, j))
+                            .is_some_and(|c| {
+                                c.kind != CallKind::Macro && c.name.is_ident("partial_cmp")
+                            });
+                        if on_partial_cmp {
+                            scan.floats.push((
+                                "float/partial-cmp".to_string(),
+                                line,
+                                format!("`partial_cmp().{}()` panics/misorders on NaN — use `total_cmp`", tok.text),
+                            ));
                         }
                     }
-                    "panic" if tok_at(i + 1).is_some_and(|t| t.is_punct("!")) => {
+                    "panic" if kind == Some(CallKind::Macro) => {
                         scan.counts.panic_sites += 1;
                     }
                     // Operator arms must check the token kind: a char

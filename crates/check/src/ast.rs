@@ -641,6 +641,92 @@ pub fn flatten(trees: &[Tree]) -> String {
     out
 }
 
+/// Skip `#[cfg(feature = "strict-invariants")] <statement>` at `i`: the
+/// assertion layer is compiled out of release builds. Returns the index
+/// just past the gated statement (through its `;` or its block), or
+/// `None` when `trees[i]` does not open such a gate.
+pub fn skip_strict_gate(trees: &[Tree], i: usize) -> Option<usize> {
+    if !trees.get(i)?.tok().is_some_and(|t| t.is_punct("#")) {
+        return None;
+    }
+    let attr = trees
+        .get(i + 1)?
+        .group()
+        .filter(|g| g.delim == Delim::Bracket)?;
+    let text = flatten(&attr.trees);
+    if !(text.starts_with("cfg") && text.contains("strict-invariants")) {
+        return None;
+    }
+    let end = trees.iter().skip(i + 2).position(|t| match t {
+        Tree::Tok(t) => t.is_punct(";"),
+        Tree::Group(g) => g.delim == Delim::Brace,
+    });
+    Some(end.map_or(trees.len(), |p| i + 3 + p))
+}
+
+/// How a call site names its callee.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CallKind {
+    /// `recv.name(args)`.
+    Method,
+    /// `seg::name(args)`.
+    Path,
+    /// `name(args)` with no `.` or `::` before the name.
+    Free,
+    /// `name!…`.
+    Macro,
+}
+
+/// One call site, as [`call_at`] classifies it.
+#[derive(Debug, Clone, Copy)]
+pub struct Call<'a> {
+    /// The callee's identifier.
+    pub name: &'a Tok,
+    /// How the callee is named.
+    pub kind: CallKind,
+    /// The identifier right before the `.` or `::` of a method or path
+    /// call: the receiver, or the type or module segment.
+    pub qual: Option<&'a Tok>,
+    /// The argument trees (empty for a macro).
+    pub args: &'a [Tree],
+}
+
+/// The call site whose callee identifier is `trees[i]`: an identifier
+/// followed by a parenthesised argument list, or by `!` for a macro.
+pub fn call_at(trees: &[Tree], i: usize) -> Option<Call<'_>> {
+    let name = trees.get(i)?.tok().filter(|t| t.kind == TokKind::Ident)?;
+    let before = |k: usize| i.checked_sub(k).and_then(|j| trees.get(j)?.tok());
+    let (kind, args) = match trees.get(i + 1)? {
+        Tree::Group(g) if g.delim == Delim::Paren => {
+            let kind = match before(1) {
+                Some(p) if p.is_punct(".") => CallKind::Method,
+                Some(p) if p.is_punct("::") => CallKind::Path,
+                _ => CallKind::Free,
+            };
+            (kind, g.trees.as_slice())
+        }
+        Tree::Tok(t) if t.is_punct("!") => (CallKind::Macro, &[][..]),
+        _ => return None,
+    };
+    let qual = match kind {
+        CallKind::Method | CallKind::Path => before(2).filter(|t| t.kind == TokKind::Ident),
+        CallKind::Free | CallKind::Macro => None,
+    };
+    Some(Call {
+        name,
+        kind,
+        qual,
+        args,
+    })
+}
+
+impl Call<'_> {
+    /// Is this a `.name(…)` method call to one of `names`?
+    pub fn is_method(&self, names: &[&str]) -> bool {
+        self.kind == CallKind::Method && names.contains(&self.name.text.as_str())
+    }
+}
+
 /// Does an attribute group's payload mark a `#[cfg(test)]` item?
 fn attr_is_cfg_test(attr: &Group) -> bool {
     let text = flatten(&attr.trees);

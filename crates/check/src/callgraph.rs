@@ -12,9 +12,10 @@
 //! Functions under `#[cfg(test)]` are excluded from the graph entirely:
 //! test code is allowed to be nondeterministic and panicky.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{CrateAst, Delim, FnItem, Tok, TokKind, Tree};
+use crate::ast::{call_at, Call, CallKind, CrateAst, FnItem, TokKind, Tree};
 
 /// Index of one function in [`CallGraph::fns`].
 pub type FnId = usize;
@@ -62,15 +63,20 @@ impl CallGraph {
                 }
             }
         }
+        g.callees = g
+            .fns
+            .iter()
+            .enumerate()
+            .map(|(caller, f)| {
+                let targets = g.calls_in(&f.body);
+                targets.into_iter().filter(|&c| c != caller).collect()
+            })
+            .collect();
         g.callers = vec![Vec::new(); g.fns.len()];
-        g.callees = vec![Vec::new(); g.fns.len()];
-        for caller in 0..g.fns.len() {
-            let mut targets: BTreeSet<FnId> = BTreeSet::new();
-            collect_calls(&g.fns[caller].body.clone(), &g, &mut targets);
-            for callee in targets {
-                if callee != caller {
-                    g.callees[caller].push(callee);
-                    g.callers[callee].push(caller);
+        for (caller, callees) in g.callees.iter().enumerate() {
+            for &callee in callees {
+                if let Some(callers) = g.callers.get_mut(callee) {
+                    callers.push(caller);
                 }
             }
         }
@@ -87,29 +93,39 @@ impl CallGraph {
         self.by_qual.get(qual).map_or(&[], |v| v.as_slice())
     }
 
-    /// Every function reachable *from* any of `seeds` by following callee
-    /// edges (i.e. the call-closure of the seeds), including the seeds.
-    pub fn reachable_from(&self, seeds: &[FnId]) -> BTreeSet<FnId> {
-        self.closure(seeds, &self.callees)
+    /// The nearest non-test function whose signature sits within three
+    /// lines below `line` of `file`: the fn a fn-level marker
+    /// (`mtm-hot`, `mtm-cold`, a lock fn's `mtm-lock`) binds to.
+    pub fn fn_below(&self, file: &str, line: usize) -> Option<FnId> {
+        self.fns
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.file == file && f.line > line && f.line - line <= 3)
+            .min_by_key(|(_, f)| f.line)
+            .map(|(id, _)| id)
+    }
+
+    /// The call-graph walk: extend `reached` with every function
+    /// reachable *from* `seeds` along callee edges, never entering a
+    /// function in `cut` (a seed is always entered). Each newly reached
+    /// function maps to the seed its walk started from; a seed already
+    /// in `reached` is not walked again.
+    pub fn walk(
+        &self,
+        seeds: impl IntoIterator<Item = FnId>,
+        cut: &BTreeSet<FnId>,
+        reached: &mut BTreeMap<FnId, FnId>,
+    ) {
+        walk_edges(&self.callees, seeds, cut, reached);
     }
 
     /// Every function that can *reach* any of `seeds` by following caller
     /// edges (i.e. transitive callers), including the seeds.
     pub fn reaching(&self, seeds: &[FnId]) -> BTreeSet<FnId> {
-        self.closure(seeds, &self.callers)
-    }
-
-    fn closure(&self, seeds: &[FnId], edges: &[Vec<FnId>]) -> BTreeSet<FnId> {
-        let mut seen: BTreeSet<FnId> = seeds.iter().copied().collect();
-        let mut queue: Vec<FnId> = seeds.to_vec();
-        while let Some(f) = queue.pop() {
-            for &next in &edges[f] {
-                if seen.insert(next) {
-                    queue.push(next);
-                }
-            }
-        }
-        seen
+        let mut reached = BTreeMap::new();
+        let seeds = seeds.iter().copied();
+        walk_edges(&self.callers, seeds, &BTreeSet::new(), &mut reached);
+        reached.into_keys().collect()
     }
 
     /// Every closure literal passed as a call argument, with the call's
@@ -130,9 +146,42 @@ impl CallGraph {
     /// Resolve every call in arbitrary token trees (a closure body) to
     /// candidate fn ids, with the same rules as graph construction.
     pub fn calls_in(&self, trees: &[Tree]) -> BTreeSet<FnId> {
+        self.calls_where(trees, &|_| true)
+    }
+
+    /// [`calls_in`](Self::calls_in), resolving only the call sites
+    /// `keep` accepts.
+    pub fn calls_where(&self, trees: &[Tree], keep: &dyn Fn(&Call) -> bool) -> BTreeSet<FnId> {
         let mut out = BTreeSet::new();
-        collect_calls(trees, self, &mut out);
+        collect_calls(trees, self, keep, &mut out);
         out
+    }
+}
+
+/// Depth-first walk along `edges` (see [`CallGraph::walk`]).
+fn walk_edges(
+    edges: &[Vec<FnId>],
+    seeds: impl IntoIterator<Item = FnId>,
+    cut: &BTreeSet<FnId>,
+    reached: &mut BTreeMap<FnId, FnId>,
+) {
+    let mut stack: Vec<(FnId, FnId)> = Vec::new();
+    for seed in seeds {
+        if let Entry::Vacant(e) = reached.entry(seed) {
+            e.insert(seed);
+            stack.push((seed, seed));
+        }
+    }
+    while let Some((f, origin)) = stack.pop() {
+        for &next in edges.get(f).into_iter().flatten() {
+            if cut.contains(&next) {
+                continue;
+            }
+            if let Entry::Vacant(e) = reached.entry(next) {
+                e.insert(origin);
+                stack.push((next, origin));
+            }
+        }
     }
 }
 
@@ -148,77 +197,63 @@ pub struct ClosureSeam {
     pub body: Vec<Tree>,
 }
 
-/// Scan a token-tree body for call sites and record resolved targets.
-///
-/// Patterns:
-/// - `. name (` — method call: resolve by bare name among impl/trait fns.
-/// - `Type :: name (` — path call: try `Type::name`, else bare name.
-/// - `name (` (no `.`/`::` before) — free call: resolve by bare name.
-fn collect_calls(trees: &[Tree], g: &CallGraph, out: &mut BTreeSet<FnId>) {
-    let mut i = 0usize;
-    while i < trees.len() {
-        match &trees[i] {
-            Tree::Group(grp) => collect_calls(&grp.trees, g, out),
-            Tree::Tok(tok) => {
-                let is_call = tok.kind == TokKind::Ident
-                    && matches!(trees.get(i + 1), Some(Tree::Group(p)) if p.delim == Delim::Paren);
-                if is_call {
-                    resolve_call(trees, i, tok, g, out);
-                }
+/// Scan a token-tree body for the call sites `keep` accepts (a macro is
+/// never one) and record their resolved targets.
+fn collect_calls(
+    trees: &[Tree],
+    g: &CallGraph,
+    keep: &dyn Fn(&Call) -> bool,
+    out: &mut BTreeSet<FnId>,
+) {
+    for (i, tree) in trees.iter().enumerate() {
+        if let Tree::Group(grp) = tree {
+            collect_calls(&grp.trees, g, keep, out);
+        } else if let Some(call) = call_at(trees, i) {
+            if call.kind != CallKind::Macro && keep(&call) {
+                resolve_call(&call, g, out);
             }
         }
-        i += 1;
     }
 }
 
-/// Resolve the single call site at index `i` (ident `tok` followed by a
-/// paren group) into candidate targets.
-fn resolve_call(trees: &[Tree], i: usize, tok: &Tok, g: &CallGraph, out: &mut BTreeSet<FnId>) {
-    let prev = i.checked_sub(1).and_then(|j| trees[j].tok());
-    let name = tok.text.as_str();
-    if prev.is_some_and(|p| p.is_punct("::")) {
-        // Qualified: look two back for the type segment.
-        let ty = i
-            .checked_sub(2)
-            .and_then(|j| trees[j].tok())
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.clone());
-        let qual_hits: &[FnId] = match &ty {
-            Some(ty) => g.resolve_qual(&format!("{ty}::{name}")),
-            None => &[],
-        };
-        if !qual_hits.is_empty() {
-            out.extend(qual_hits.iter().copied());
-        } else {
+/// Resolve one call site into candidate targets:
+/// - `recv.name(…)` — method call: by bare name among impl/trait fns.
+/// - `Type::name(…)` — path call: `Type::name`, else by bare name.
+/// - `name(…)` — free call: by bare name.
+fn resolve_call(call: &Call, g: &CallGraph, out: &mut BTreeSet<FnId>) {
+    let name = call.name.text.as_str();
+    let by_name = g.resolve_name(name).iter().copied();
+    match call.kind {
+        CallKind::Path => {
+            let ty = call.qual.map(|t| t.text.as_str());
+            let qual_hits = ty.map_or(&[][..], |ty| g.resolve_qual(&format!("{ty}::{name}")));
+            if !qual_hits.is_empty() {
+                out.extend(qual_hits.iter().copied());
+                return;
+            }
             // A capitalized segment the workspace has no impl for is an
             // external type (`Vec::new`, `Instant::now`): its methods
             // can never land in workspace code, so the bare-name
             // fallback would only fabricate edges to every same-named
             // constructor. Module paths (lowercase) and `Self`/generic
             // receivers keep the conservative fallback.
-            let external_type = ty.as_deref().is_some_and(|t| {
+            let external_type = ty.is_some_and(|t| {
                 t != "Self"
                     && t.chars().next().is_some_and(char::is_uppercase)
                     && t.len() > 2
                     && !g.impl_types.contains(t)
             });
             if !external_type {
-                out.extend(g.resolve_name(name).iter().copied());
+                out.extend(by_name);
             }
         }
-    } else if prev.is_some_and(|p| p.is_punct(".")) {
-        // Method call: only a fn inside an `impl`/`trait` block has a
-        // receiver, so free fns sharing the name (`push`, `load`) are
-        // never its target.
-        out.extend(
-            g.resolve_name(name)
-                .iter()
-                .copied()
-                .filter(|&id| g.fns.get(id).is_some_and(|f| f.impl_type.is_some())),
-        );
-    } else {
-        // Free call: bare-name resolution.
-        out.extend(g.resolve_name(name).iter().copied());
+        // Only a fn inside an `impl`/`trait` block has a receiver, so
+        // free fns sharing the name (`push`, `load`) are never a method
+        // call's target.
+        CallKind::Method => {
+            out.extend(by_name.filter(|&id| g.fns.get(id).is_some_and(|f| f.impl_type.is_some())))
+        }
+        CallKind::Free | CallKind::Macro => out.extend(by_name),
     }
 }
 
@@ -277,45 +312,34 @@ const STD_ADAPTORS: &[&str] = &[
 /// Scan a body for call sites that pass closure literals and record one
 /// seam per closure argument.
 fn collect_seams(trees: &[Tree], g: &CallGraph, owner: FnId, out: &mut Vec<ClosureSeam>) {
-    let mut i = 0usize;
-    while i < trees.len() {
-        match &trees[i] {
-            Tree::Group(grp) => collect_seams(&grp.trees, g, owner, out),
-            Tree::Tok(tok) => {
-                let args = match trees.get(i + 1) {
-                    Some(Tree::Group(p)) if p.delim == Delim::Paren => Some(p),
-                    _ => None,
-                };
-                let std_adaptor = i
-                    .checked_sub(1)
-                    .and_then(|j| trees[j].tok())
-                    .is_some_and(|p| p.is_punct("."))
-                    && STD_ADAPTORS.contains(&tok.text.as_str());
-                if std_adaptor {
-                    i += 1;
-                    continue;
-                }
-                if let (true, Some(args)) = (tok.kind == TokKind::Ident, args) {
-                    let spans = closure_spans(&args.trees);
-                    if !spans.is_empty() {
-                        let mut callees = BTreeSet::new();
-                        resolve_call(trees, i, tok, g, &mut callees);
-                        callees.remove(&owner);
-                        if !callees.is_empty() {
-                            let callees: Vec<FnId> = callees.into_iter().collect();
-                            for body in spans {
-                                out.push(ClosureSeam {
-                                    owner,
-                                    callees: callees.clone(),
-                                    body,
-                                });
-                            }
-                        }
-                    }
-                }
+    for (i, tree) in trees.iter().enumerate() {
+        if let Tree::Group(grp) = tree {
+            collect_seams(&grp.trees, g, owner, out);
+            continue;
+        }
+        let Some(call) = call_at(trees, i) else {
+            continue;
+        };
+        if call.kind == CallKind::Macro || call.is_method(STD_ADAPTORS) {
+            continue;
+        }
+        let spans = closure_spans(call.args);
+        if spans.is_empty() {
+            continue;
+        }
+        let mut callees = BTreeSet::new();
+        resolve_call(&call, g, &mut callees);
+        callees.remove(&owner);
+        if !callees.is_empty() {
+            let callees: Vec<FnId> = callees.into_iter().collect();
+            for body in spans {
+                out.push(ClosureSeam {
+                    owner,
+                    callees: callees.clone(),
+                    body,
+                });
             }
         }
-        i += 1;
     }
 }
 

@@ -12,11 +12,12 @@
 //!   does not descend into them. They mark once-per-trial seams (a whole
 //!   simulated evaluation run, a journal write) whose setup cost is the
 //!   sanctioned design.
-//! * The pass walks the call graph's callee edges from every root,
-//!   including **closure seams** ([`CallGraph::closure_seams`]): a
-//!   closure defined in a cold function but passed to a hot callee is
-//!   scanned (and its own calls walked) as if it were inlined at the
-//!   callee — code runs where it is *invoked*, not where it is written.
+//! * The pass walks the call graph's callee edges from every root
+//!   ([`CallGraph::walk`] with the cuts), including **closure seams**
+//!   ([`CallGraph::closure_seams`]): a closure defined in a cold
+//!   function but passed to a hot callee is scanned (and its own calls
+//!   walked) as if it were inlined at the callee — code runs where it is
+//!   *invoked*, not where it is written.
 //! * Every reached body is scanned for allocation sites (`Vec::new`,
 //!   `vec!`/`format!`, `.push(`/`.collect(`/`.clone(`/`.to_string(` …,
 //!   `Box::new`, `String::from`), blocking (`.lock(`) and IO
@@ -32,17 +33,17 @@
 //! while numeric crates called per-proposal (`gp`, `linalg`) carry an
 //! audited budget.
 //!
-//! Stale annotations are errors: an `mtm-hot`/`mtm-cold` comment that no
-//! longer sits above a function signature reports `hotpath/stale` — a
-//! detached annotation silently un-guards (or un-cuts) a loop.
+//! Roots and cuts come resolved from the annotation table
+//! ([`crate::annotations`]), which reports a marker that no longer sits
+//! above a function signature as `hotpath/stale` — a detached
+//! annotation silently un-guards (or un-cuts) a loop.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{CrateAst, Delim, Tok, TokKind, Tree};
-use crate::callgraph::{CallGraph, FnId};
-use crate::diag::{Diag, Report};
+use crate::annotations::{self, Annotations, At};
+use crate::ast::{call_at, skip_strict_gate, CallKind, Tree};
+use crate::callgraph::CallGraph;
 use crate::ratchet::SiteCounts;
-use crate::taint::{self, Allow};
 
 /// The allow key adjudicating this pass's findings.
 pub const ALLOC_KEY: &str = "alloc";
@@ -120,132 +121,26 @@ pub struct HotSite {
     pub in_fn: String,
 }
 
-/// Run the pass: resolve annotations, walk reachability, scan and
+/// Run the pass: walk reachability from the table's roots, scan and
 /// adjudicate sites, and charge the remainder to `counts[unit].alloc_hot`.
 pub fn run(
     graph: &CallGraph,
-    crates: &[CrateAst],
-    allows: &mut [Allow],
-    report: &mut Report,
+    annots: &mut Annotations,
     counts: &mut BTreeMap<String, SiteCounts>,
 ) -> HotSummary {
     let mut summary = HotSummary::default();
-
-    // 1. Annotation collection. Only the first line of a wrapped comment
-    //    carries the marker; continuation lines are plain text.
-    let mut hot_annots: Vec<(String, usize, String)> = Vec::new();
-    let mut cold_annots: Vec<(String, usize)> = Vec::new();
-    for krate in crates {
-        for file in &krate.files {
-            for c in &file.comments {
-                let text = c.text.trim();
-                if let Some(rest) = text.strip_prefix("mtm-hot:") {
-                    let key = rest.trim().to_string();
-                    if key.is_empty() {
-                        report.push(Diag::new(
-                            "annotation/malformed",
-                            &file.rel,
-                            c.line,
-                            "mtm-hot annotation needs a key naming the hot loop",
-                        ));
-                    } else {
-                        hot_annots.push((file.rel.clone(), c.line, key));
-                    }
-                } else if let Some(rest) = text.strip_prefix("mtm-cold:") {
-                    if rest.trim().is_empty() {
-                        report.push(Diag::new(
-                            "annotation/malformed",
-                            &file.rel,
-                            c.line,
-                            "mtm-cold annotation needs a `<reason>`",
-                        ));
-                    } else {
-                        cold_annots.push((file.rel.clone(), c.line));
-                    }
-                }
-            }
+    let cold = &annots.cold;
+    for (key, root) in &annots.hot {
+        if let Some(f) = graph.fns.get(*root) {
+            summary.roots.push((key.clone(), f.qual.clone()));
         }
     }
 
-    // 2. Match annotations to the function directly below (within the
-    //    same three-line window as fn-level allows). Unmatched = stale.
-    let find_fn = |file: &str, line: usize| -> Option<FnId> {
-        graph
-            .fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.file == file && f.line > line && f.line - line <= 3)
-            .min_by_key(|(_, f)| f.line)
-            .map(|(id, _)| id)
-    };
-    let mut roots: Vec<FnId> = Vec::new();
-    for (file, line, key) in &hot_annots {
-        match find_fn(file, *line) {
-            Some(id) => {
-                summary
-                    .roots
-                    .push((key.clone(), graph.fns[id].qual.clone()));
-                roots.push(id);
-            }
-            None => report.push(Diag::new(
-                "hotpath/stale",
-                file,
-                *line,
-                format!(
-                    "mtm-hot annotation (`{key}`) is not within 3 lines above a \
-                     non-test function signature — reattach or remove it"
-                ),
-            )),
-        }
-    }
-    let mut cold: BTreeSet<FnId> = BTreeSet::new();
-    for (file, line) in &cold_annots {
-        match find_fn(file, *line) {
-            Some(id) => {
-                cold.insert(id);
-            }
-            None => report.push(Diag::new(
-                "hotpath/stale",
-                file,
-                *line,
-                "mtm-cold annotation is not within 3 lines above a non-test \
-                 function signature — reattach or remove it"
-                    .to_string(),
-            )),
-        }
-    }
-    for &r in &roots {
-        if cold.contains(&r) {
-            let f = &graph.fns[r];
-            report.push(Diag::new(
-                "hotpath/conflict",
-                &f.file,
-                f.line,
-                format!("`{}` is annotated both mtm-hot and mtm-cold", f.qual),
-            ));
-        }
-    }
+    // 1. Callee walk from the roots, never descending into cold fns.
+    let mut reached = BTreeMap::new();
+    graph.walk(annots.hot.iter().map(|&(_, root)| root), cold, &mut reached);
 
-    // 3. Callee-closure from the roots, never descending into cold fns.
-    let mut reached: BTreeSet<FnId> = BTreeSet::new();
-    let mut queue: Vec<FnId> = Vec::new();
-    for &r in &roots {
-        if reached.insert(r) {
-            queue.push(r);
-        }
-    }
-    let bfs = |reached: &mut BTreeSet<FnId>, queue: &mut Vec<FnId>| {
-        while let Some(f) = queue.pop() {
-            for &c in &graph.callees[f] {
-                if !cold.contains(&c) && reached.insert(c) {
-                    queue.push(c);
-                }
-            }
-        }
-    };
-    bfs(&mut reached, &mut queue);
-
-    // 4. Closure seams, to a fixpoint: a closure whose receiving callee
+    // 2. Closure seams, to a fixpoint: a closure whose receiving callee
     //    is hot runs hot even when its textual owner does not — scan its
     //    body and keep walking the calls it makes.
     let seams = graph.closure_seams();
@@ -253,18 +148,14 @@ pub fn run(
     loop {
         let mut changed = false;
         for (si, seam) in seams.iter().enumerate() {
-            if fired.contains(&si) || reached.contains(&seam.owner) {
+            if fired.contains(&si) || reached.contains_key(&seam.owner) {
                 continue;
             }
-            if seam.callees.iter().any(|c| reached.contains(c)) {
+            if seam.callees.iter().any(|c| reached.contains_key(c)) {
                 fired.insert(si);
                 changed = true;
-                for t in graph.calls_in(&seam.body) {
-                    if !cold.contains(&t) && reached.insert(t) {
-                        queue.push(t);
-                    }
-                }
-                bfs(&mut reached, &mut queue);
+                let calls = graph.calls_in(&seam.body).into_iter();
+                graph.walk(calls.filter(|t| !cold.contains(t)), cold, &mut reached);
             }
         }
         if !changed {
@@ -273,153 +164,70 @@ pub fn run(
     }
     summary.reached = reached.len();
 
-    // 5. Scan and adjudicate. Reached fns first (FnId order is
+    // 3. Scan and adjudicate. Reached fns first (FnId order is
     //    crate/file order), then fired seams attributed to their owner.
-    for &id in &reached {
-        let f = &graph.fns[id];
-        let mut sites = Vec::new();
-        scan_sites(&f.body, &mut sites);
-        adjudicate(
-            &graph.units[id],
-            &f.file,
-            f.line,
-            f.end_line,
-            &f.qual,
-            sites,
-            allows,
-            counts,
-            &mut summary,
-        );
-    }
-    for (si, seam) in seams.iter().enumerate() {
-        if !fired.contains(&si) {
+    let bodies = reached.keys().map(|&id| (id, None));
+    let closures = fired.iter().filter_map(|&si| seams.get(si));
+    for (id, closure) in bodies.chain(closures.map(|s| (s.owner, Some(&s.body)))) {
+        let (Some(f), Some(unit)) = (graph.fns.get(id), graph.units.get(id)) else {
             continue;
-        }
-        let owner = &graph.fns[seam.owner];
+        };
+        let in_fn = match closure {
+            Some(_) => format!("{} (closure)", f.qual),
+            None => f.qual.clone(),
+        };
         let mut sites = Vec::new();
-        scan_sites(&seam.body, &mut sites);
-        adjudicate(
-            &graph.units[seam.owner],
-            &owner.file,
-            owner.line,
-            owner.end_line,
-            &format!("{} (closure)", owner.qual),
-            sites,
-            allows,
-            counts,
-            &mut summary,
-        );
+        scan_sites(closure.unwrap_or(&f.body), &mut sites);
+        for (line, what) in sites {
+            if annotations::covers(&mut annots.allows, ALLOC_KEY, &[At::in_fn(f, line)]) {
+                continue;
+            }
+            counts.entry(unit.clone()).or_default().alloc_hot += 1;
+            summary.sites.push(HotSite {
+                unit: unit.clone(),
+                file: f.file.clone(),
+                line,
+                what,
+                in_fn: in_fn.clone(),
+            });
+        }
     }
     summary
-}
-
-/// Suppress sites covered by an `alloc` allow; charge the rest.
-#[allow(clippy::too_many_arguments)]
-fn adjudicate(
-    unit: &str,
-    file: &str,
-    fn_line: usize,
-    fn_end: usize,
-    in_fn: &str,
-    sites: Vec<(usize, String)>,
-    allows: &mut [Allow],
-    counts: &mut BTreeMap<String, SiteCounts>,
-    summary: &mut HotSummary,
-) {
-    for (line, what) in sites {
-        if let Some(a) = allows
-            .iter_mut()
-            .find(|a| taint::allow_covers(a, ALLOC_KEY, file, line, fn_line, fn_end))
-        {
-            a.used = true;
-            continue;
-        }
-        counts.entry(unit.to_string()).or_default().alloc_hot += 1;
-        summary.sites.push(HotSite {
-            unit: unit.to_string(),
-            file: file.to_string(),
-            line,
-            what,
-            in_fn: in_fn.to_string(),
-        });
-    }
 }
 
 /// Scan token trees for allocation/lock/IO sites, skipping
 /// strict-invariants-gated statements like the panic-path scan does.
 fn scan_sites(trees: &[Tree], out: &mut Vec<(usize, String)>) {
-    let tok_at = |i: usize| -> Option<&Tok> { trees.get(i).and_then(Tree::tok) };
     let mut i = 0usize;
     while i < trees.len() {
-        // `#[cfg(feature = "strict-invariants")] <statement>` is the
-        // assertion layer: skip the attribute and its statement.
-        if tok_at(i).is_some_and(|t| t.is_punct("#")) {
-            if let Some(Tree::Group(attr)) = trees.get(i + 1) {
-                if attr.delim == Delim::Bracket && crate::analyze::attr_is_strict_gate(attr) {
-                    i += 2;
-                    while i < trees.len() {
-                        match &trees[i] {
-                            Tree::Tok(t) if t.is_punct(";") => {
-                                i += 1;
-                                break;
-                            }
-                            Tree::Group(g) if g.delim == Delim::Brace => {
-                                i += 1;
-                                break;
-                            }
-                            _ => i += 1,
-                        }
-                    }
-                    continue;
-                }
-            }
+        if let Some(next) = skip_strict_gate(trees, i) {
+            i = next;
+            continue;
         }
-        match &trees[i] {
-            Tree::Group(g) => scan_sites(&g.trees, out),
-            Tree::Tok(tok) if tok.kind == TokKind::Ident => {
-                let name = tok.text.as_str();
-                let next_paren =
-                    matches!(trees.get(i + 1), Some(Tree::Group(g)) if g.delim == Delim::Paren);
-                let next_bang = tok_at(i + 1).is_some_and(|t| t.is_punct("!"));
-                let prev = i.checked_sub(1).and_then(|j| trees[j].tok());
-                if next_bang && SITE_MACROS.contains(&name) {
-                    out.push((tok.line, describe_macro(name)));
-                } else if next_paren && prev.is_some_and(|p| p.is_punct(".")) {
-                    if SITE_METHODS.contains(&name) {
-                        out.push((tok.line, describe_method(name)));
+        if let Some(Tree::Group(g)) = trees.get(i) {
+            scan_sites(&g.trees, out);
+        } else if let Some(call) = call_at(trees, i) {
+            let name = call.name.text.as_str();
+            let what = match (call.kind, call.qual) {
+                (CallKind::Macro, _) if SITE_MACROS.contains(&name) => Some(match name {
+                    "vec" | "format" => format!("`{name}!` allocates"),
+                    _ => format!("`{name}!` does IO"),
+                }),
+                (CallKind::Method, _) if SITE_METHODS.contains(&name) => Some(match name {
+                    "lock" => "`.lock()` blocks".to_string(),
+                    "write_all" | "flush" | "read_to_string" | "read_to_end" => {
+                        format!("`.{name}()` does IO")
                     }
-                } else if next_paren && prev.is_some_and(|p| p.is_punct("::")) {
-                    let ty = i
-                        .checked_sub(2)
-                        .and_then(|j| trees[j].tok())
-                        .filter(|t| t.kind == TokKind::Ident);
-                    if let Some(ty) = ty {
-                        if SITE_QUALS.contains(&(ty.text.as_str(), name)) {
-                            out.push((tok.line, format!("`{}::{name}` allocates", ty.text)));
-                        }
-                    }
+                    _ => format!("`.{name}(…)` may allocate"),
+                }),
+                (CallKind::Path, Some(ty)) if SITE_QUALS.contains(&(ty.text.as_str(), name)) => {
+                    Some(format!("`{}::{name}` allocates", ty.text))
                 }
-            }
-            Tree::Tok(_) => {}
+                _ => None,
+            };
+            out.extend(what.map(|what| (call.name.line, what)));
         }
         i += 1;
-    }
-}
-
-fn describe_macro(name: &str) -> String {
-    match name {
-        "vec" | "format" => format!("`{name}!` allocates"),
-        _ => format!("`{name}!` does IO"),
-    }
-}
-
-fn describe_method(name: &str) -> String {
-    match name {
-        "lock" => "`.lock()` blocks".to_string(),
-        "write_all" | "flush" | "read_to_string" | "read_to_end" => {
-            format!("`.{name}()` does IO")
-        }
-        _ => format!("`.{name}(…)` may allocate"),
     }
 }
 

@@ -5,9 +5,12 @@
 //!
 //! * [`analyze`] — the AST-backed static analyzer: a self-contained
 //!   parser ([`ast`]) feeds a workspace call graph ([`callgraph`]) and
-//!   five analyses — determinism taint ([`taint`]: nondeterminism
-//!   sources reaching journaled/measured values, adjudicated by
-//!   `// mtm-allow: <key> -- <reason>` annotations), panic-path counting
+//!   one annotation table ([`annotations`]: every `mtm-allow`/`mtm-hot`/
+//!   `mtm-cold`/`mtm-lock` comment, read once, and the one allow
+//!   adjudicator) shared by five analyses — determinism taint
+//!   ([`taint`]: nondeterminism sources reaching journaled/measured
+//!   values, adjudicated by `// mtm-allow: <key> -- <reason>`
+//!   annotations), panic-path counting
 //!   (`.unwrap()`/indexing/integer-div budgets in `check/ratchet.toml`,
 //!   counts only go down), float sanity (`==`/`!=` on floats,
 //!   `partial_cmp().unwrap()`, order-sensitive parallel reductions), the
@@ -27,6 +30,7 @@
 //! crates can depend on it without cycles or bloat.
 
 pub mod analyze;
+pub mod annotations;
 pub mod ast;
 pub mod callgraph;
 pub mod coverage;

@@ -54,11 +54,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{CrateAst, Delim, Tok, TokKind, Tree};
+use crate::annotations::{self, Annotations, At};
+use crate::ast::{call_at, skip_strict_gate, Call, CallKind, Delim, FnItem, TokKind, Tree};
 use crate::callgraph::{CallGraph, FnId};
 use crate::diag::{Diag, Report};
 use crate::ratchet::SiteCounts;
-use crate::taint::{self, Allow};
 
 /// The allow key adjudicating this pass's findings.
 pub const LOCK_KEY: &str = "lock";
@@ -173,27 +173,23 @@ enum FindKind {
     Wait,
 }
 
-/// A pre-adjudication finding. `anchor_*` is the acquisition site (and
-/// its function span) for allow coverage; `site_*` is the blocking
-/// operation itself, so a line-level allow at either location covers.
+/// A pre-adjudication finding. `anchor` is the acquisition site (in its
+/// function) for allow coverage; `site` is the blocking operation
+/// itself, so a line-level allow at either location covers.
 #[derive(Debug)]
-struct Finding {
+struct Finding<'a> {
     kind: FindKind,
-    unit: String,
+    unit: &'a str,
     lock: String,
     what: String,
-    in_fn: String,
-    anchor_file: String,
-    anchor_line: usize,
-    anchor_span: (usize, usize),
-    site_file: String,
-    site_line: usize,
-    site_span: (usize, usize),
+    in_fn: &'a str,
+    anchor: At<'a>,
+    site: At<'a>,
 }
 
 /// Per-function facts, computed once and consulted for every region
 /// that reaches the function.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct RawFacts {
     /// `(line, description)` blocking sites.
     blocking: Vec<(usize, String)>,
@@ -212,10 +208,7 @@ struct EdgeInfo {
 struct Ctx<'a> {
     id: FnId,
     unit: &'a str,
-    file: &'a str,
-    fn_line: usize,
-    fn_end: usize,
-    qual: &'a str,
+    f: &'a FnItem,
 }
 
 struct Pass<'a> {
@@ -230,20 +223,19 @@ struct Pass<'a> {
     hot_roots: BTreeSet<FnId>,
     /// Per-function facts, indexed by FnId.
     facts: Vec<RawFacts>,
-    findings: Vec<Finding>,
+    findings: Vec<Finding<'a>>,
     edges: BTreeMap<(String, String), EdgeInfo>,
     regions: usize,
     locks: BTreeSet<String>,
 }
 
-/// Run the pass: resolve `mtm-lock` annotations, find guard regions,
-/// scan them (and everything they reach) for the three lints, and
-/// charge unsanctioned findings to `[blocking_under_lock]` /
+/// Run the pass: bind the table's `mtm-lock` annotations, find guard
+/// regions, scan them (and everything they reach) for the three lints,
+/// and charge unsanctioned findings to `[blocking_under_lock]` /
 /// `[lock_order]`.
 pub fn run(
     graph: &CallGraph,
-    crates: &[CrateAst],
-    allows: &mut [Allow],
+    annots: &mut Annotations,
     report: &mut Report,
     counts: &mut BTreeMap<String, SiteCounts>,
 ) -> LockSummary {
@@ -252,7 +244,7 @@ pub fn run(
         line_names: BTreeMap::new(),
         lockfn_names: BTreeMap::new(),
         lockfn_by_id: BTreeMap::new(),
-        hot_roots: BTreeSet::new(),
+        hot_roots: annots.hot.iter().map(|&(_, root)| root).collect(),
         facts: Vec::new(),
         findings: Vec::new(),
         edges: BTreeMap::new(),
@@ -262,75 +254,38 @@ pub fn run(
 
     // 1. Syntactic acquisition lines per file, so line-level `mtm-lock`
     //    annotations can bind to the site directly below (or beside).
-    let mut acq_lines: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
+    let mut acq_lines: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
     for f in &graph.fns {
-        let lines = acq_lines.entry(f.file.clone()).or_default();
-        collect_guard_lines(&f.body, lines);
+        guard_lines(&f.body, acq_lines.entry(&f.file).or_default());
     }
 
-    // 2. Annotation collection and resolution. Line-level binding (an
+    // 2. Bind each `mtm-lock` annotation. Line-level binding (an
     //    acquisition on the next or same line) wins over fn-level; a
     //    comment matching neither is stale — a detached name silently
     //    un-names a lock.
-    let find_fn = |file: &str, line: usize| -> Option<FnId> {
-        graph
-            .fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.file == file && f.line > line && f.line - line <= 3)
-            .min_by_key(|(_, f)| f.line)
-            .map(|(id, _)| id)
-    };
-    for krate in crates {
-        for file in &krate.files {
-            for c in &file.comments {
-                let text = c.text.trim();
-                if let Some(rest) = text.strip_prefix("mtm-hot:") {
-                    if !rest.trim().is_empty() {
-                        if let Some(id) = find_fn(&file.rel, c.line) {
-                            pass.hot_roots.insert(id);
-                        }
-                    }
-                    continue;
-                }
-                let Some(rest) = text.strip_prefix("mtm-lock:") else {
-                    continue;
-                };
-                let name = rest.trim().to_string();
-                if name.is_empty() {
-                    report.push(Diag::new(
-                        "annotation/malformed",
-                        &file.rel,
-                        c.line,
-                        "mtm-lock annotation needs a `<name>` for the lock",
-                    ));
-                    continue;
-                }
-                let sites = acq_lines.get(&file.rel);
-                let site = sites.and_then(|s| {
-                    [c.line + 1, c.line]
-                        .into_iter()
-                        .find(|line| s.contains(line))
-                });
-                if let Some(line) = site {
-                    pass.line_names
-                        .insert((file.rel.clone(), line), name.clone());
-                } else if let Some(id) = find_fn(&file.rel, c.line) {
-                    pass.lockfn_names
-                        .insert(graph.fns[id].name.clone(), name.clone());
-                    pass.lockfn_by_id.insert(id, name);
-                } else {
-                    report.push(Diag::new(
-                        "lockregion/stale",
-                        &file.rel,
-                        c.line,
-                        format!(
-                            "mtm-lock annotation (`{name}`) matches no lock acquisition \
-                             below it and no function signature — reattach or remove it"
-                        ),
-                    ));
-                }
-            }
+    for (file, line, name) in &annots.locks {
+        let site = acq_lines
+            .get(file.as_str())
+            .and_then(|s| [line + 1, *line].into_iter().find(|l| s.contains(l)));
+        let lock_fn = || {
+            let id = graph.fn_below(file, *line)?;
+            Some((id, graph.fns.get(id)?))
+        };
+        if let Some(site) = site {
+            pass.line_names.insert((file.clone(), site), name.clone());
+        } else if let Some((id, f)) = lock_fn() {
+            pass.lockfn_names.insert(f.name.clone(), name.clone());
+            pass.lockfn_by_id.insert(id, name.clone());
+        } else {
+            report.push(Diag::new(
+                "lockregion/stale",
+                file,
+                *line,
+                format!(
+                    "mtm-lock annotation (`{name}`) matches no lock acquisition \
+                     below it and no function signature — reattach or remove it"
+                ),
+            ));
         }
     }
 
@@ -341,16 +296,8 @@ pub fn run(
         pass.collect_facts(&f.body, &f.file, &mut raw);
         pass.facts.push(raw);
     }
-    for (id, f) in graph.fns.iter().enumerate() {
-        let ctx = Ctx {
-            id,
-            unit: &graph.units[id],
-            file: &f.file,
-            fn_line: f.line,
-            fn_end: f.end_line,
-            qual: &f.qual,
-        };
-        pass.scan_scope(&f.body, &ctx);
+    for (id, (f, unit)) in graph.fns.iter().zip(&graph.units).enumerate() {
+        pass.scan_scope(&f.body, &Ctx { id, unit, f });
     }
 
     // 4. Adjudicate findings: an allow at the acquisition anchor or at
@@ -362,46 +309,28 @@ pub fn run(
         ..LockSummary::default()
     };
     for f in &pass.findings {
-        let covered = allows.iter_mut().find(|a| {
-            taint::allow_covers(
-                a,
-                LOCK_KEY,
-                &f.anchor_file,
-                f.anchor_line,
-                f.anchor_span.0,
-                f.anchor_span.1,
-            ) || taint::allow_covers(
-                a,
-                LOCK_KEY,
-                &f.site_file,
-                f.site_line,
-                f.site_span.0,
-                f.site_span.1,
-            )
-        });
-        if let Some(a) = covered {
-            a.used = true;
+        if annotations::covers(&mut annots.allows, LOCK_KEY, &[f.anchor, f.site]) {
             continue;
         }
         match f.kind {
             FindKind::Blocking => {
                 counts
-                    .entry(f.unit.clone())
+                    .entry(f.unit.to_string())
                     .or_default()
                     .blocking_under_lock += 1;
                 summary.sites.push(LockSite {
-                    unit: f.unit.clone(),
-                    file: f.anchor_file.clone(),
-                    line: f.anchor_line,
+                    unit: f.unit.to_string(),
+                    file: f.anchor.file.to_string(),
+                    line: f.anchor.line,
                     lock: f.lock.clone(),
                     what: f.what.clone(),
-                    in_fn: f.in_fn.clone(),
+                    in_fn: f.in_fn.to_string(),
                 });
             }
             FindKind::Wait => report.push(Diag::new(
                 "lock/guard-across-wait",
-                &f.anchor_file,
-                f.anchor_line,
+                f.anchor.file,
+                f.anchor.line,
                 format!(
                     "guard of `{}` is {} — a wait releases only its own mutex; \
                      drop the guard first",
@@ -489,12 +418,12 @@ pub fn run(
     summary
 }
 
-impl Pass<'_> {
+impl<'a> Pass<'a> {
     /// Walk one lexical scope, tracking statement starts, and open a
     /// region for every acquisition found at this level. Every nested
     /// group is itself scanned as a scope (closure bodies, match arms,
     /// call arguments), so nested acquisitions get their own regions.
-    fn scan_scope(&mut self, trees: &[Tree], ctx: &Ctx) {
+    fn scan_scope(&mut self, trees: &[Tree], ctx: &Ctx<'a>) {
         let mut i = 0usize;
         let mut stmt_start = 0usize;
         while i < trees.len() {
@@ -503,11 +432,11 @@ impl Pass<'_> {
                 stmt_start = next;
                 continue;
             }
-            match &trees[i] {
-                Tree::Tok(t) if t.is_punct(";") => {
+            match trees.get(i) {
+                Some(Tree::Tok(t)) if t.is_punct(";") => {
                     stmt_start = i + 1;
                 }
-                Tree::Group(g) => {
+                Some(Tree::Group(g)) => {
                     self.scan_scope(&g.trees, ctx);
                     // A brace group ends a statement at this level too:
                     // `if`/`for`/`while`/`match` statements carry no `;`.
@@ -518,49 +447,40 @@ impl Pass<'_> {
                         stmt_start = i + 1;
                     }
                 }
-                Tree::Tok(t) if t.kind == TokKind::Ident => {
-                    if let Some((line, lock)) = self.acq_at(trees, i, ctx.file) {
-                        self.region(trees, i, stmt_start, line, &lock, ctx);
+                _ => {
+                    if let Some(call) = call_at(trees, i) {
+                        if let Some(lock) = self.acquires(&call, &ctx.f.file) {
+                            self.region(trees, i, stmt_start, call.name.line, &lock, ctx);
+                        }
                     }
                 }
-                Tree::Tok(_) => {}
             }
             i += 1;
         }
     }
 
-    /// Is `trees[i]` a guard acquisition (or lock-function call)? On a
-    /// hit, resolve the lock's name: explicit line annotation, then
-    /// receiver identifier, then anonymous `file:line`.
-    fn acq_at(&self, trees: &[Tree], i: usize, file: &str) -> Option<(usize, String)> {
-        let tok = trees.get(i).and_then(Tree::tok)?;
-        if tok.kind != TokKind::Ident {
-            return None;
-        }
-        let paren = match trees.get(i + 1) {
-            Some(Tree::Group(g)) if g.delim == Delim::Paren => g,
-            _ => return None,
-        };
-        let prev = i.checked_sub(1).and_then(|j| trees[j].tok());
-        let after_dot = prev.is_some_and(|p| p.is_punct("."));
-        if after_dot && paren.trees.is_empty() && GUARD_METHODS.contains(&tok.text.as_str()) {
+    /// The lock `call` acquires: a guard method or a call to a lock
+    /// function. A guard's lock is named by an explicit line annotation,
+    /// then by its receiver identifier, then anonymously by `file:line`.
+    fn acquires(&self, call: &Call, file: &str) -> Option<String> {
+        if is_guard(call) {
+            let line = call.name.line;
             let name = self
                 .line_names
-                .get(&(file.to_string(), tok.line))
+                .get(&(file.to_string(), line))
                 .cloned()
                 .or_else(|| {
-                    i.checked_sub(2)
-                        .and_then(|j| trees[j].tok())
-                        .filter(|t| t.kind == TokKind::Ident && t.text != "self")
+                    call.qual
+                        .filter(|t| t.text != "self")
                         .map(|t| t.text.clone())
                 })
-                .unwrap_or_else(|| format!("{file}:{}", tok.line));
-            return Some((tok.line, name));
+                .unwrap_or_else(|| format!("{file}:{line}"));
+            return Some(name);
         }
-        if let Some(name) = self.lockfn_names.get(&tok.text) {
-            return Some((tok.line, name.clone()));
+        if call.kind == CallKind::Macro {
+            return None;
         }
-        None
+        self.lockfn_names.get(&call.name.text).cloned()
     }
 
     /// Delimit the guard's live region and process it. `i` indexes the
@@ -572,265 +492,207 @@ impl Pass<'_> {
         stmt_start: usize,
         acq_line: usize,
         lock: &str,
-        ctx: &Ctx,
+        ctx: &Ctx<'a>,
     ) {
         // The binding, when the statement is a `let` at this level.
-        let let_pos = (stmt_start..i).find(|&j| trees[j].tok().is_some_and(|t| t.is_ident("let")));
-        let binding = let_pos.and_then(|lp| {
-            let eq = (lp..i).find(|&j| trees[j].tok().is_some_and(|t| t.is_punct("=")))?;
-            first_binding_ident(&trees[lp + 1..eq])
+        let head = trees.get(stmt_start..i).unwrap_or_default();
+        let let_at = head
+            .iter()
+            .position(|t| t.tok().is_some_and(|t| t.is_ident("let")));
+        let binding = let_at.and_then(|lp| {
+            let pattern = head.get(lp + 1..)?;
+            let eq = pattern
+                .iter()
+                .position(|t| t.tok().is_some_and(|t| t.is_punct("=")))?;
+            first_binding_ident(pattern.get(..eq)?)
         });
         let after = i + 2;
-        let end = match (let_pos, &binding) {
+        let end = match (let_at, &binding) {
             // Statement-initial `let`: the guard outlives the
             // statement — until a same-level `drop(binding)` or the
             // end of the scope. (A drop nested in a conditional arm
             // does not count; see the module docs.)
-            (Some(lp), Some(b)) if lp == stmt_start => {
-                find_drop(trees, after, b).unwrap_or(trees.len())
-            }
+            (Some(0), Some(b)) => find_drop(trees, after, b).unwrap_or(trees.len()),
             // Mid-statement `let` (if-let / while-let) or a guard
             // temporary (match head, call argument): live to the end
             // of the statement — the next `;` or the first brace
             // group (the arms / body) at this level.
             _ => stmt_extent(trees, after),
         };
-        let slice = &trees[after.min(trees.len())..end.max(after).min(trees.len())];
+        let slice = trees.get(after..end).unwrap_or_default();
 
         self.regions += 1;
         self.locks.insert(lock.to_string());
 
+        let own = ctx.f;
         let mut raw = RawFacts::default();
-        self.collect_facts(slice, ctx.file, &mut raw);
+        self.collect_facts(slice, &own.file, &mut raw);
+        let finding = |kind: FindKind, what: String, site: At<'a>| Finding {
+            kind,
+            unit: ctx.unit,
+            lock: lock.to_string(),
+            what,
+            in_fn: &own.qual,
+            anchor: At::in_fn(own, acq_line),
+            site,
+        };
 
-        let anchor =
-            |kind: FindKind, what: String, in_fn: &str, site: (&str, usize, (usize, usize))| {
-                Finding {
-                    kind,
-                    unit: ctx.unit.to_string(),
-                    lock: lock.to_string(),
-                    what,
-                    in_fn: in_fn.to_string(),
-                    anchor_file: ctx.file.to_string(),
-                    anchor_line: acq_line,
-                    anchor_span: (ctx.fn_line, ctx.fn_end),
-                    site_file: site.0.to_string(),
-                    site_line: site.1,
-                    site_span: site.2,
-                }
-            };
-
-        let own_span = (ctx.fn_line, ctx.fn_end);
         for (line, what) in &raw.blocking {
-            self.findings.push(anchor(
-                FindKind::Blocking,
-                format!("{what} while `{lock}` is held"),
-                ctx.qual,
-                (ctx.file, *line, own_span),
-            ));
+            let what = format!("{what} while `{lock}` is held");
+            self.findings
+                .push(finding(FindKind::Blocking, what, At::in_fn(own, *line)));
         }
         for (line, name) in &raw.acqs {
-            self.add_edge(lock, name, ctx.file, *line, ctx.unit);
+            add_edge(&mut self.edges, lock, name, &own.file, *line, ctx.unit);
         }
         for (line, arg) in &raw.waits {
             let own_guard = binding.is_some() && arg.as_deref() == binding.as_deref();
             if !own_guard {
-                self.findings.push(anchor(
-                    FindKind::Wait,
-                    format!("held across `Condvar::wait` at line {line}"),
-                    ctx.qual,
-                    (ctx.file, *line, own_span),
-                ));
+                let what = format!("held across `Condvar::wait` at line {line}");
+                self.findings
+                    .push(finding(FindKind::Wait, what, At::in_fn(own, *line)));
             }
         }
 
         // Interprocedural: everything reachable from calls made while
-        // the guard is held. Waits are masked first so the bare name
-        // `wait` cannot fan out to unrelated workspace functions.
-        let mut masked = slice.to_vec();
-        mask_waits(&mut masked);
-        let calls: Vec<FnId> = self.graph.calls_in(&masked).into_iter().collect();
-        let mut reached = self.graph.reachable_from(&calls);
+        // the guard is held. Waits and directly-flagged blocking methods
+        // are not resolved, so the bare names `wait` or `flush` cannot
+        // fan out to unrelated workspace functions — the blocking
+        // methods are already charged as direct sites.
+        let graph = self.graph;
+        let direct = |c: &Call| is_wait(c) || (c.kind == CallKind::Method && blocking(c).is_some());
+        let calls = graph.calls_where(slice, &|c| !direct(c));
+        let mut reached = BTreeMap::new();
+        graph.walk(calls, &BTreeSet::new(), &mut reached);
         reached.remove(&ctx.id);
-        let mut found: Vec<Finding> = Vec::new();
-        for id in reached {
-            let g = &self.graph.fns[id];
-            let span = (g.line, g.end_line);
+        for (&id, g, facts) in reached
+            .keys()
+            .filter_map(|id| Some((id, graph.fns.get(*id)?, self.facts.get(*id)?)))
+        {
             if let Some(name) = self.lockfn_by_id.get(&id) {
-                self.add_edge(lock, &name.clone(), ctx.file, acq_line, ctx.unit);
+                add_edge(&mut self.edges, lock, name, &own.file, acq_line, ctx.unit);
             }
             if self.hot_roots.contains(&id) {
-                found.push(anchor(
-                    FindKind::Blocking,
-                    format!(
-                        "hot-path root `{}` (mtm-hot) is reachable while `{lock}` is held",
-                        g.qual
-                    ),
-                    ctx.qual,
-                    (&g.file, g.line, span),
-                ));
+                let what = format!(
+                    "hot-path root `{}` (mtm-hot) is reachable while `{lock}` is held",
+                    g.qual
+                );
+                self.findings
+                    .push(finding(FindKind::Blocking, what, At::in_fn(g, g.line)));
             }
-            let facts = self.facts[id].clone();
             for (line, what) in &facts.blocking {
-                found.push(anchor(
-                    FindKind::Blocking,
-                    format!(
-                        "{what} in `{}` ({}:{line}) while `{lock}` is held",
-                        g.qual, g.file
-                    ),
-                    ctx.qual,
-                    (&g.file, *line, span),
-                ));
+                let what = format!(
+                    "{what} in `{}` ({}:{line}) while `{lock}` is held",
+                    g.qual, g.file
+                );
+                self.findings
+                    .push(finding(FindKind::Blocking, what, At::in_fn(g, *line)));
             }
             for (line, name) in &facts.acqs {
-                self.add_edge(lock, name, &g.file.clone(), *line, ctx.unit);
+                add_edge(&mut self.edges, lock, name, &g.file, *line, ctx.unit);
             }
             for (line, _) in &facts.waits {
-                found.push(anchor(
-                    FindKind::Wait,
-                    format!(
-                        "held across `Condvar::wait` in `{}` ({}:{line})",
-                        g.qual, g.file
-                    ),
-                    ctx.qual,
-                    (&g.file, *line, span),
-                ));
+                let what = format!(
+                    "held across `Condvar::wait` in `{}` ({}:{line})",
+                    g.qual, g.file
+                );
+                self.findings
+                    .push(finding(FindKind::Wait, what, At::in_fn(g, *line)));
             }
         }
-        self.findings.extend(found);
-    }
-
-    fn add_edge(&mut self, holder: &str, acquired: &str, file: &str, line: usize, unit: &str) {
-        self.edges
-            .entry((holder.to_string(), acquired.to_string()))
-            .or_insert(EdgeInfo {
-                file: file.to_string(),
-                line,
-                unit: unit.to_string(),
-            });
     }
 
     /// Deep token walk collecting acquisitions, waits, and blocking
     /// sites, skipping strict-invariants-gated statements.
     fn collect_facts(&self, trees: &[Tree], file: &str, out: &mut RawFacts) {
-        let tok_at = |i: usize| -> Option<&Tok> { trees.get(i).and_then(Tree::tok) };
         let mut i = 0usize;
         while i < trees.len() {
             if let Some(next) = skip_strict_gate(trees, i) {
                 i = next;
                 continue;
             }
-            match &trees[i] {
-                Tree::Group(g) => self.collect_facts(&g.trees, file, out),
-                Tree::Tok(tok) if tok.kind == TokKind::Ident => {
-                    let name = tok.text.as_str();
-                    if let Some((line, lock)) = self.acq_at(trees, i, file) {
-                        out.acqs.push((line, lock));
-                        i += 1;
-                        continue;
-                    }
-                    let paren = match trees.get(i + 1) {
-                        Some(Tree::Group(g)) if g.delim == Delim::Paren => Some(g),
-                        _ => None,
-                    };
-                    let next_bang = tok_at(i + 1).is_some_and(|t| t.is_punct("!"));
-                    let prev = i.checked_sub(1).and_then(|j| trees[j].tok());
-                    let after_dot = prev.is_some_and(|p| p.is_punct("."));
-                    let after_colons = prev.is_some_and(|p| p.is_punct("::"));
-                    if next_bang && BLOCKING_MACROS.contains(&name) {
-                        out.blocking.push((tok.line, format!("`{name}!` does IO")));
-                    } else if let (true, Some(g)) = (after_dot, paren) {
-                        if WAIT_METHODS.contains(&name) && !g.trees.is_empty() {
-                            out.waits.push((tok.line, first_ident(&g.trees)));
-                            // Recurse into the argument list ourselves
-                            // (closures passed to wait_while etc.), then
-                            // skip past it so it is not double-scanned.
-                            self.collect_facts(&g.trees, file, out);
-                            i += 2;
-                            continue;
-                        }
-                        if BLOCKING_METHODS.contains(&name) {
-                            out.blocking
-                                .push((tok.line, format!("`.{name}(…)` does blocking IO")));
-                        } else if name == "join" && g.trees.is_empty() {
-                            out.blocking
-                                .push((tok.line, "`.join()` blocks on a thread".to_string()));
-                        }
-                    } else if after_colons && paren.is_some() {
-                        let ty = i
-                            .checked_sub(2)
-                            .and_then(|j| trees[j].tok())
-                            .filter(|t| t.kind == TokKind::Ident);
-                        if let Some(ty) = ty {
-                            if BLOCKING_QUALS.contains(&(ty.text.as_str(), name)) {
-                                let what = if ty.text == "thread" {
-                                    "`thread::sleep` blocks".to_string()
-                                } else {
-                                    format!("`{}::{name}` does blocking IO", ty.text)
-                                };
-                                out.blocking.push((tok.line, what));
-                            }
-                        }
-                    }
+            if let Some(Tree::Group(g)) = trees.get(i) {
+                self.collect_facts(&g.trees, file, out);
+            } else if let Some(call) = call_at(trees, i) {
+                let line = call.name.line;
+                if let Some(lock) = self.acquires(&call, file) {
+                    out.acqs.push((line, lock));
+                } else if is_wait(&call) {
+                    out.waits.push((line, first_ident(call.args)));
+                } else if let Some(what) = blocking(&call) {
+                    out.blocking.push((line, what));
                 }
-                Tree::Tok(_) => {}
             }
             i += 1;
         }
     }
 }
 
-/// Deep walk recording the lines of syntactic guard acquisitions
-/// (`.lock()` / `.read()` / `.write()` with empty argument lists), so
-/// line-level `mtm-lock` annotations can bind before names resolve.
-fn collect_guard_lines(trees: &[Tree], out: &mut BTreeSet<usize>) {
-    for (i, t) in trees.iter().enumerate() {
-        match t {
-            Tree::Group(g) => collect_guard_lines(&g.trees, out),
-            Tree::Tok(tok)
-                if tok.kind == TokKind::Ident
-                    && GUARD_METHODS.contains(&tok.text.as_str())
-                    && i.checked_sub(1)
-                        .and_then(|j| trees[j].tok())
-                        .is_some_and(|p| p.is_punct("."))
-                    && matches!(
-                        trees.get(i + 1),
-                        Some(Tree::Group(g)) if g.delim == Delim::Paren && g.trees.is_empty()
-                    ) =>
-            {
-                out.insert(tok.line);
-            }
-            _ => {}
+/// Record the acquired-while-holding edge `holder -> acquired` at its
+/// first sighting.
+fn add_edge(
+    edges: &mut BTreeMap<(String, String), EdgeInfo>,
+    holder: &str,
+    acquired: &str,
+    file: &str,
+    line: usize,
+    unit: &str,
+) {
+    edges
+        .entry((holder.to_string(), acquired.to_string()))
+        .or_insert(EdgeInfo {
+            file: file.to_string(),
+            line,
+            unit: unit.to_string(),
+        });
+}
+
+/// `.lock()` / `.read()` / `.write()` with an empty argument list: a
+/// syntactic guard acquisition.
+fn is_guard(call: &Call) -> bool {
+    call.is_method(GUARD_METHODS) && call.args.is_empty()
+}
+
+/// `cv.wait*(guard, …)`: a condvar wait handing a guard over.
+fn is_wait(call: &Call) -> bool {
+    call.is_method(WAIT_METHODS) && !call.args.is_empty()
+}
+
+/// What blocks at `call`, if anything: an IO macro, a blocking method,
+/// an empty-argument `.join()`, or a blocking path call.
+fn blocking(call: &Call) -> Option<String> {
+    let name = call.name.text.as_str();
+    match (call.kind, call.qual) {
+        (CallKind::Macro, _) if BLOCKING_MACROS.contains(&name) => {
+            Some(format!("`{name}!` does IO"))
         }
+        (CallKind::Method, _) if BLOCKING_METHODS.contains(&name) => {
+            Some(format!("`.{name}(…)` does blocking IO"))
+        }
+        (CallKind::Method, _) if name == "join" && call.args.is_empty() => {
+            Some("`.join()` blocks on a thread".to_string())
+        }
+        (CallKind::Path, Some(ty)) if BLOCKING_QUALS.contains(&(ty.text.as_str(), name)) => {
+            Some(if ty.text == "thread" {
+                "`thread::sleep` blocks".to_string()
+            } else {
+                format!("`{}::{name}` does blocking IO", ty.text)
+            })
+        }
+        _ => None,
     }
 }
 
-/// Skip `#[cfg(feature = "strict-invariants")] <statement>` — the
-/// assertion layer is compiled out of release builds. Returns the index
-/// just past the gated statement, or `None` when `i` is not a gate.
-fn skip_strict_gate(trees: &[Tree], i: usize) -> Option<usize> {
-    if !trees
-        .get(i)
-        .and_then(Tree::tok)
-        .is_some_and(|t| t.is_punct("#"))
-    {
-        return None;
-    }
-    let Some(Tree::Group(attr)) = trees.get(i + 1) else {
-        return None;
-    };
-    if attr.delim != Delim::Bracket || !crate::analyze::attr_is_strict_gate(attr) {
-        return None;
-    }
-    let mut j = i + 2;
-    while j < trees.len() {
-        match &trees[j] {
-            Tree::Tok(t) if t.is_punct(";") => return Some(j + 1),
-            Tree::Group(g) if g.delim == Delim::Brace => return Some(j + 1),
-            _ => j += 1,
+/// Deep walk recording the lines of syntactic guard acquisitions, so
+/// line-level `mtm-lock` annotations can bind before names resolve.
+fn guard_lines(trees: &[Tree], out: &mut BTreeSet<usize>) {
+    for (i, tree) in trees.iter().enumerate() {
+        if let Tree::Group(g) = tree {
+            guard_lines(&g.trees, out);
+        } else if let Some(call) = call_at(trees, i).filter(is_guard) {
+            out.insert(call.name.line);
         }
     }
-    Some(j)
 }
 
 /// End of the statement containing an acquisition with no outliving
@@ -851,13 +713,11 @@ fn stmt_extent(trees: &[Tree], from: usize) -> usize {
 /// Returns the index of the `drop` identifier.
 fn find_drop(trees: &[Tree], from: usize, binding: &str) -> Option<usize> {
     (from..trees.len()).find(|&j| {
-        trees[j].tok().is_some_and(|t| t.is_ident("drop"))
-            && matches!(
-                trees.get(j + 1),
-                Some(Tree::Group(g)) if g.delim == Delim::Paren
-                    && g.trees.len() == 1
-                    && g.trees[0].tok().is_some_and(|t| t.is_ident(binding))
-            )
+        call_at(trees, j).is_some_and(|c| {
+            c.kind != CallKind::Macro
+                && c.name.is_ident("drop")
+                && matches!(c.args, [arg] if arg.tok().is_some_and(|t| t.is_ident(binding)))
+        })
     })
 }
 
@@ -896,48 +756,6 @@ fn first_ident(trees: &[Tree]) -> Option<String> {
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text.clone())
     })
-}
-
-/// Rename `.wait*(…)` and directly-flagged blocking method identifiers
-/// in a cloned region, so the call-graph's conservative bare-name
-/// resolution cannot fan out from `cv.wait(guard)` or `file.flush()`
-/// into every workspace function sharing the name. Blocking methods are
-/// already charged as direct sites — descending into a same-named
-/// workspace function would double-report them.
-fn mask_waits(trees: &mut [Tree]) {
-    let mut i = 0usize;
-    while i < trees.len() {
-        let masked = trees
-            .get(i)
-            .and_then(Tree::tok)
-            .filter(|t| t.kind == TokKind::Ident)
-            .is_some_and(|t| {
-                let name = t.text.as_str();
-                let after_dot = i
-                    .checked_sub(1)
-                    .and_then(|j| trees[j].tok())
-                    .is_some_and(|p| p.is_punct("."));
-                let paren = match trees.get(i + 1) {
-                    Some(Tree::Group(g)) if g.delim == Delim::Paren => Some(&g.trees),
-                    _ => None,
-                };
-                after_dot
-                    && match paren {
-                        Some(args) => {
-                            (WAIT_METHODS.contains(&name) && !args.is_empty())
-                                || BLOCKING_METHODS.contains(&name)
-                                || (name == "join" && args.is_empty())
-                        }
-                        None => false,
-                    }
-            });
-        match &mut trees[i] {
-            Tree::Tok(t) if masked => t.text = "__mtm_masked_call".to_string(),
-            Tree::Group(g) => mask_waits(&mut g.trees),
-            _ => {}
-        }
-        i += 1;
-    }
 }
 
 #[cfg(test)]

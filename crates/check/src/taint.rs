@@ -35,31 +35,18 @@
 //! ```
 //!
 //! An annotation above a `fn` signature covers the whole function; one
-//! inside a body covers its own line and the next. Every annotation must
-//! carry a `-- reason` and must suppress at least one reportable source
+//! inside a body covers its own line and the next (the one adjudicator,
+//! [`crate::annotations::covers`]). Every annotation must carry a
+//! `-- reason` and must suppress at least one reportable source
 //! (otherwise it is reported as `annotation/stale` — dead allows rot the
 //! audit trail).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{CrateAst, FileAst, Tok, TokKind, Tree};
+use crate::annotations::{self, Allow, At};
+use crate::ast::{call_at, CallKind, CrateAst, Delim, Tok, TokKind, Tree};
 use crate::callgraph::{CallGraph, FnId};
 use crate::diag::{Diag, Report};
-
-/// Allow keys adjudicated by the taint pass.
-pub const TAINT_KEYS: &[&str] = &["wall-clock", "rng", "hash-iter", "thread-id", "addr"];
-
-/// Allow keys adjudicated by the float-sanity pass (see
-/// [`crate::analyze`]).
-pub const FLOAT_KEYS: &[&str] = &["float-eq", "float-ord"];
-
-/// Allow keys adjudicated by the hot-path allocation pass (see
-/// [`crate::hotpath`]).
-pub const ALLOC_KEYS: &[&str] = &["alloc"];
-
-/// Allow keys adjudicated by the lock-region pass (see
-/// [`crate::lockregion`]).
-pub const LOCK_KEYS: &[&str] = &["lock"];
 
 /// Struct types whose construction marks a function as a sink.
 pub const SINK_TYPES: &[&str] = &[
@@ -93,121 +80,15 @@ const ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// One parsed `mtm-allow` annotation.
+/// One nondeterminism-source occurrence in a function body.
 #[derive(Debug, Clone)]
-pub struct Allow {
-    /// File the annotation lives in.
-    pub file: String,
-    /// Line of the comment.
-    pub line: usize,
-    /// The allow keys it grants.
-    pub keys: Vec<String>,
-    /// Set when the annotation suppressed at least one finding.
-    pub used: bool,
-}
-
-/// Parse every `mtm-allow` annotation in a file, reporting grammar
-/// violations (missing reason, unknown key) as diagnostics. Malformed
-/// annotations are still returned so they don't double-report as stale.
-pub fn collect_allows(file: &FileAst, report: &mut Report) -> Vec<Allow> {
-    let mut out = Vec::new();
-    let valid: Vec<&str> = TAINT_KEYS
-        .iter()
-        .chain(FLOAT_KEYS)
-        .chain(ALLOC_KEYS)
-        .chain(LOCK_KEYS)
-        .copied()
-        .collect();
-    for c in &file.comments {
-        let text = c.text.trim();
-        let Some(rest) = text.strip_prefix("mtm-allow:") else {
-            continue;
-        };
-        let (keys_part, reason) = match rest.split_once("--") {
-            Some((k, r)) => (k, r.trim()),
-            None => (rest, ""),
-        };
-        let keys: Vec<String> = keys_part
-            .split(',')
-            .map(|k| k.trim().to_string())
-            .filter(|k| !k.is_empty())
-            .collect();
-        if keys.is_empty() {
-            report.push(Diag::new(
-                "annotation/malformed",
-                &file.rel,
-                c.line,
-                "mtm-allow annotation lists no keys",
-            ));
-            continue;
-        }
-        for key in &keys {
-            if !valid.contains(&key.as_str()) {
-                report.push(Diag::new(
-                    "annotation/unknown-key",
-                    &file.rel,
-                    c.line,
-                    format!(
-                        "unknown mtm-allow key `{key}` (valid: {})",
-                        valid.join(", ")
-                    ),
-                ));
-            }
-        }
-        if reason.is_empty() {
-            report.push(Diag::new(
-                "annotation/missing-reason",
-                &file.rel,
-                c.line,
-                "mtm-allow annotation needs `-- <reason>`",
-            ));
-            continue;
-        }
-        out.push(Allow {
-            file: file.rel.clone(),
-            line: c.line,
-            keys,
-            used: false,
-        });
-    }
-    out
-}
-
-/// Does `allow` cover a finding with `key` at `file:line` inside a fn
-/// spanning `fn_line..=fn_end`? Fn-level annotations sit within three
-/// lines above the signature (attributes/doc lines in between are fine);
-/// line-level annotations cover their own line and the next.
-pub fn allow_covers(
-    allow: &Allow,
-    key: &str,
-    file: &str,
-    line: usize,
-    fn_line: usize,
-    fn_end: usize,
-) -> bool {
-    if allow.file != file || !allow.keys.iter().any(|k| k == key) {
-        return false;
-    }
-    let fn_level = allow.line < fn_line && fn_line.saturating_sub(allow.line) <= 3;
-    let line_level = allow.line >= fn_line
-        && allow.line <= fn_end
-        && (line == allow.line || line == allow.line + 1);
-    fn_level || line_level
-}
-
-/// One nondeterminism-source occurrence.
-#[derive(Debug, Clone)]
-pub struct SourceInst {
+pub struct Source {
     /// Allow key classifying the source.
     pub key: &'static str,
     /// What was seen, for the message (e.g. `Instant::now`).
     pub what: String,
-    /// File of the occurrence.
-    pub file: String,
     /// Line of the occurrence.
     pub line: usize,
-    /// Function containing it.
-    pub fn_id: FnId,
 }
 
 /// Field names whose declared type is hash-ordered, workspace-wide.
@@ -239,47 +120,22 @@ pub fn sink_fns(g: &CallGraph) -> Vec<FnId> {
 }
 
 fn body_constructs_sink(trees: &[Tree]) -> bool {
-    let mut found = false;
-    scan_sinks(trees, &mut found);
-    found
-}
-
-fn scan_sinks(trees: &[Tree], found: &mut bool) {
-    for (i, tree) in trees.iter().enumerate() {
-        if *found {
-            return;
+    trees.iter().enumerate().any(|(i, tree)| match tree {
+        Tree::Group(g) => body_constructs_sink(&g.trees),
+        Tree::Tok(tok) => {
+            // `SinkType { .. }` struct literal.
+            let literal = tok.kind == TokKind::Ident
+                && SINK_TYPES.contains(&tok.text.as_str())
+                && matches!(trees.get(i + 1), Some(Tree::Group(g)) if g.delim == Delim::Brace);
+            // `SinkEnum::Variant( .. )` construction.
+            let variant = call_at(trees, i).is_some_and(|c| {
+                c.kind == CallKind::Path
+                    && c.qual
+                        .is_some_and(|q| SINK_ENUMS.contains(&q.text.as_str()))
+            });
+            literal || variant
         }
-        match tree {
-            Tree::Group(g) => scan_sinks(&g.trees, found),
-            Tree::Tok(tok) if tok.kind == TokKind::Ident => {
-                // `SinkType { .. }` struct literal.
-                if SINK_TYPES.contains(&tok.text.as_str()) {
-                    if let Some(Tree::Group(g)) = trees.get(i + 1) {
-                        if g.delim == crate::ast::Delim::Brace {
-                            *found = true;
-                            return;
-                        }
-                    }
-                }
-                // `SinkEnum::Variant( .. )` construction.
-                if SINK_ENUMS.contains(&tok.text.as_str())
-                    && trees
-                        .get(i + 1)
-                        .and_then(Tree::tok)
-                        .is_some_and(|t| t.is_punct("::"))
-                    && trees
-                        .get(i + 2)
-                        .and_then(Tree::tok)
-                        .is_some_and(|t| t.kind == TokKind::Ident)
-                    && matches!(trees.get(i + 3), Some(Tree::Group(g)) if g.delim == crate::ast::Delim::Paren)
-                {
-                    *found = true;
-                    return;
-                }
-            }
-            Tree::Tok(_) => {}
-        }
-    }
+    })
 }
 
 /// Locals bound to hash-ordered collections within a body: `let name` …
@@ -330,166 +186,98 @@ fn hash_locals(trees: &[Tree], out: &mut BTreeSet<String>) {
 }
 
 /// Scan one function body for nondeterminism sources.
-pub fn find_sources(
-    body: &[Tree],
-    file: &str,
-    fn_id: FnId,
-    hash_fields: &BTreeSet<String>,
-    out: &mut Vec<SourceInst>,
-) {
+pub fn find_sources(body: &[Tree], hash_fields: &BTreeSet<String>) -> Vec<Source> {
     let mut locals = BTreeSet::new();
     hash_locals(body, &mut locals);
-    scan_sources(body, file, fn_id, hash_fields, &locals, out);
+    let hashed = |name: &str| hash_fields.contains(name) || locals.contains(name);
+    let mut out = Vec::new();
+    scan_sources(body, &hashed, &mut out);
+    out
 }
 
-fn push(
-    out: &mut Vec<SourceInst>,
-    key: &'static str,
-    what: &str,
-    file: &str,
-    line: usize,
-    fn_id: FnId,
-) {
-    out.push(SourceInst {
-        key,
-        what: what.to_string(),
-        file: file.to_string(),
-        line,
-        fn_id,
-    });
-}
-
-fn scan_sources(
-    trees: &[Tree],
-    file: &str,
-    fn_id: FnId,
-    hash_fields: &BTreeSet<String>,
-    locals: &BTreeSet<String>,
-    out: &mut Vec<SourceInst>,
-) {
+/// `hashed` says whether a field or local name is hash-ordered.
+fn scan_sources(trees: &[Tree], hashed: &dyn Fn(&str) -> bool, out: &mut Vec<Source>) {
     let tok_at = |i: usize| trees.get(i).and_then(Tree::tok);
+    // `trees[i]` opens the path `<seg> :: <name>`.
+    let path_to = |i: usize, name: &str| {
+        tok_at(i + 1).is_some_and(|t| t.is_punct("::"))
+            && tok_at(i + 2).is_some_and(|t| t.is_ident(name))
+    };
     for (i, tree) in trees.iter().enumerate() {
-        match tree {
-            Tree::Group(g) => scan_sources(&g.trees, file, fn_id, hash_fields, locals, out),
-            Tree::Tok(tok) => {
-                let line = tok.line;
-                match tok.text.as_str() {
-                    // -- wall-clock --------------------------------------
-                    "Instant" | "SystemTime" => {
-                        if tok_at(i + 1).is_some_and(|t| t.is_punct("::"))
-                            && tok_at(i + 2).is_some_and(|t| t.is_ident("now"))
-                        {
-                            push(
-                                out,
-                                "wall-clock",
-                                &format!("{}::now", tok.text),
-                                file,
-                                line,
-                                fn_id,
-                            );
-                        }
-                    }
-                    "elapsed" => {
-                        if i > 0
-                            && tok_at(i - 1).is_some_and(|t| t.is_punct("."))
-                            && matches!(trees.get(i + 1), Some(Tree::Group(g)) if g.delim == crate::ast::Delim::Paren)
-                        {
-                            push(out, "wall-clock", ".elapsed()", file, line, fn_id);
-                        }
-                    }
-                    // -- rng ---------------------------------------------
-                    "thread_rng" | "from_entropy" | "OsRng" => {
-                        push(out, "rng", &tok.text, file, line, fn_id);
-                    }
-                    "random" => {
-                        if i > 0
-                            && tok_at(i - 1).is_some_and(|t| t.is_punct("::"))
-                            && i > 1
-                            && tok_at(i - 2).is_some_and(|t| t.is_ident("rand"))
-                        {
-                            push(out, "rng", "rand::random", file, line, fn_id);
-                        }
-                    }
-                    // -- thread-id ---------------------------------------
-                    "thread" => {
-                        if tok_at(i + 1).is_some_and(|t| t.is_punct("::"))
-                            && tok_at(i + 2).is_some_and(|t| t.is_ident("current"))
-                        {
-                            push(out, "thread-id", "thread::current()", file, line, fn_id);
-                        }
-                    }
-                    "ThreadId" => {
-                        push(out, "thread-id", "ThreadId", file, line, fn_id);
-                    }
-                    // -- addr --------------------------------------------
-                    "addr_of" | "addr_of_mut" => {
-                        push(out, "addr", &tok.text, file, line, fn_id);
-                    }
-                    "as" => {
-                        if tok_at(i + 1).is_some_and(|t| t.is_punct("*"))
-                            && tok_at(i + 2)
-                                .is_some_and(|t| t.is_ident("const") || t.is_ident("mut"))
-                        {
-                            push(out, "addr", "as-pointer cast", file, line, fn_id);
-                        }
-                    }
-                    // -- hash-iter: explicit iteration methods -----------
-                    m if ITER_METHODS.contains(&m) => {
-                        let is_method_call = i > 0
-                            && tok_at(i - 1).is_some_and(|t| t.is_punct("."))
-                            && matches!(trees.get(i + 1), Some(Tree::Group(g)) if g.delim == crate::ast::Delim::Paren);
-                        if is_method_call {
-                            let recv = i.checked_sub(2).and_then(tok_at);
-                            if recv.is_some_and(|r| {
-                                r.kind == TokKind::Ident
-                                    && (hash_fields.contains(&r.text) || locals.contains(&r.text))
-                            }) {
-                                let recv = recv.map(|r| r.text.clone()).unwrap_or_default();
-                                push(
-                                    out,
-                                    "hash-iter",
-                                    &format!("{recv}.{m}()"),
-                                    file,
-                                    line,
-                                    fn_id,
-                                );
-                            }
-                        }
-                    }
-                    // -- hash-iter: `for pat in <expr> { .. }` ------------
-                    "for" => {
-                        if let Some(inst) = for_loop_hash_iter(trees, i, hash_fields, locals) {
-                            push(out, "hash-iter", &inst.0, file, inst.1, fn_id);
-                        }
-                    }
-                    _ => {
-                        // `{:p}` pointer formatting inside string literals.
-                        if tok.kind == TokKind::Str && tok.text.contains("{:p}") {
-                            push(out, "addr", "{:p} formatting", file, line, fn_id);
-                        }
-                    }
-                }
+        let tok = match tree {
+            Tree::Group(g) => {
+                scan_sources(&g.trees, hashed, out);
+                continue;
             }
-        }
+            Tree::Tok(tok) => tok,
+        };
+        let call = call_at(trees, i).filter(|c| c.kind == CallKind::Method);
+        let (key, what, line): (&'static str, String, usize) = match tok.text.as_str() {
+            // -- wall-clock ------------------------------------------
+            "Instant" | "SystemTime" if path_to(i, "now") => {
+                ("wall-clock", format!("{}::now", tok.text), tok.line)
+            }
+            "elapsed" if call.is_some() => ("wall-clock", ".elapsed()".into(), tok.line),
+            // -- rng -------------------------------------------------
+            "thread_rng" | "from_entropy" | "OsRng" => ("rng", tok.text.clone(), tok.line),
+            "random"
+                if i >= 2
+                    && path_to(i - 2, "random")
+                    && tok_at(i - 2).is_some_and(|t| t.is_ident("rand")) =>
+            {
+                ("rng", "rand::random".into(), tok.line)
+            }
+            // -- thread-id -------------------------------------------
+            "thread" if path_to(i, "current") => {
+                ("thread-id", "thread::current()".into(), tok.line)
+            }
+            "ThreadId" => ("thread-id", "ThreadId".into(), tok.line),
+            // -- addr ------------------------------------------------
+            "addr_of" | "addr_of_mut" => ("addr", tok.text.clone(), tok.line),
+            "as" if tok_at(i + 1).is_some_and(|t| t.is_punct("*"))
+                && tok_at(i + 2).is_some_and(|t| t.is_ident("const") || t.is_ident("mut")) =>
+            {
+                ("addr", "as-pointer cast".into(), tok.line)
+            }
+            // -- hash-iter: explicit iteration methods ---------------
+            m if ITER_METHODS.contains(&m) => {
+                let Some(recv) = call.and_then(|c| c.qual).filter(|r| hashed(&r.text)) else {
+                    continue;
+                };
+                ("hash-iter", format!("{}.{m}()", recv.text), tok.line)
+            }
+            // -- hash-iter: `for pat in <expr> { .. }` ----------------
+            "for" => {
+                let Some(t) = for_loop_hash_iter(trees, i, hashed) else {
+                    continue;
+                };
+                ("hash-iter", format!("for … in {}", t.text), t.line)
+            }
+            // `{:p}` pointer formatting inside string literals.
+            _ if tok.kind == TokKind::Str && tok.text.contains("{:p}") => {
+                ("addr", "{:p} formatting".into(), tok.line)
+            }
+            _ => continue,
+        };
+        out.push(Source { key, what, line });
     }
 }
 
 /// For a `for` keyword at `trees[i]`, detect iteration over a
 /// hash-ordered field/local: the last identifier of the iterated
 /// expression (before the loop body brace) names one.
-fn for_loop_hash_iter(
-    trees: &[Tree],
+fn for_loop_hash_iter<'a>(
+    trees: &'a [Tree],
     i: usize,
-    hash_fields: &BTreeSet<String>,
-    locals: &BTreeSet<String>,
-) -> Option<(String, usize)> {
+    hashed: &dyn Fn(&str) -> bool,
+) -> Option<&'a Tok> {
     // Find `in` after the pattern, then the body brace.
     let mut j = i + 1;
     while j < trees.len() {
         if trees[j].tok().is_some_and(|t| t.is_ident("in")) {
             break;
         }
-        if matches!(&trees[j], Tree::Group(g) if g.delim == crate::ast::Delim::Brace) {
+        if matches!(&trees[j], Tree::Group(g) if g.delim == Delim::Brace) {
             return None; // no `in` before a brace: not a for loop we parse
         }
         j += 1;
@@ -502,16 +290,14 @@ fn for_loop_hash_iter(
     j = in_at + 1;
     while j < trees.len() {
         match &trees[j] {
-            Tree::Group(g) if g.delim == crate::ast::Delim::Brace => break,
+            Tree::Group(g) if g.delim == Delim::Brace => break,
             Tree::Group(_) => {}
             Tree::Tok(t) if t.kind == TokKind::Ident => last_ident = Some(t),
             Tree::Tok(_) => {}
         }
         j += 1;
     }
-    let t = last_ident?;
-    (hash_fields.contains(&t.text) || locals.contains(&t.text))
-        .then(|| (format!("for … in {}", t.text), t.line))
+    last_ident.filter(|t| hashed(&t.text))
 }
 
 /// Run the taint pass.
@@ -520,57 +306,36 @@ fn for_loop_hash_iter(
 /// `annotation/stale` afterwards.
 pub fn run_taint(g: &CallGraph, crates: &[CrateAst], allows: &mut [Allow], report: &mut Report) {
     let fields = hash_fields(crates);
-    let sinks = sink_fns(g);
-    // BFS over callees from every sink, remembering which sink first
-    // reached each function (for the diagnostic message).
+    // Walk callees from every sink, remembering which sink first reached
+    // each function (for the diagnostic message).
     let mut via: BTreeMap<FnId, FnId> = BTreeMap::new();
-    let mut queue: Vec<FnId> = Vec::new();
-    for &s in &sinks {
-        via.entry(s).or_insert(s);
-        queue.push(s);
-    }
-    while let Some(f) = queue.pop() {
-        let origin = via[&f];
-        for &callee in &g.callees[f] {
-            if let std::collections::btree_map::Entry::Vacant(e) = via.entry(callee) {
-                e.insert(origin);
-                queue.push(callee);
-            }
-        }
-    }
-
-    let mut instances: Vec<SourceInst> = Vec::new();
-    for &fn_id in via.keys() {
-        let f = &g.fns[fn_id];
-        find_sources(&f.body, &f.file, fn_id, &fields, &mut instances);
-    }
-
-    for inst in &instances {
-        let f = &g.fns[inst.fn_id];
-        let covered = allows
-            .iter_mut()
-            .find(|a| allow_covers(a, inst.key, &inst.file, inst.line, f.line, f.end_line));
-        if let Some(a) = covered {
-            a.used = true;
+    g.walk(sink_fns(g), &BTreeSet::new(), &mut via);
+    for (&fn_id, &sink) in &via {
+        let (Some(f), Some(sink)) = (g.fns.get(fn_id), g.fns.get(sink)) else {
             continue;
+        };
+        for src in find_sources(&f.body, &fields) {
+            if annotations::covers(allows, src.key, &[At::in_fn(f, src.line)]) {
+                continue;
+            }
+            report.push(Diag::new(
+                &format!("taint/{}", src.key),
+                &f.file,
+                src.line,
+                format!(
+                    "nondeterminism source `{}` in `{}` can reach journaled output \
+                     (sink `{}`); fix it or annotate `// mtm-allow: {} -- <why>`",
+                    src.what, f.qual, sink.qual, src.key
+                ),
+            ));
         }
-        let sink = &g.fns[via[&inst.fn_id]];
-        report.push(Diag::new(
-            &format!("taint/{}", inst.key),
-            &inst.file,
-            inst.line,
-            format!(
-                "nondeterminism source `{}` in `{}` can reach journaled output \
-                 (sink `{}`); fix it or annotate `// mtm-allow: {} -- <why>`",
-                inst.what, f.qual, sink.qual, inst.key
-            ),
-        ));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::annotations::Annotations;
     use crate::ast::parse_file;
 
     fn crate_of(src: &str) -> CrateAst {
@@ -585,7 +350,7 @@ mod tests {
         let krate = crate_of(src);
         let g = CallGraph::build(std::slice::from_ref(&krate));
         let mut report = Report::default();
-        let mut allows = collect_allows(&krate.files[0], &mut report);
+        let mut allows = Annotations::resolve(std::slice::from_ref(&krate), &g, &mut report).allows;
         run_taint(&g, std::slice::from_ref(&krate), &mut allows, &mut report);
         (report, allows)
     }
@@ -684,7 +449,7 @@ fn b() {}
 ";
         let file = parse_file("x.rs", src);
         let mut report = Report::default();
-        let allows = collect_allows(&file, &mut report);
+        let allows = annotations::read(&file, &mut report);
         let rendered = report.render();
         assert!(rendered.contains("annotation/missing-reason"), "{rendered}");
         assert!(rendered.contains("annotation/unknown-key"), "{rendered}");

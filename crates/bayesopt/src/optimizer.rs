@@ -142,8 +142,8 @@ pub struct Marginalize {
 /// (validating) or take [`BoConfig::default`] and mutate the public
 /// fields. The `Default` values are stable so journaled configurations
 /// replay identically across versions. [`BoConfig::validate`] holds the
-/// checks; the builder, [`crate::history::Snapshot::resume`] and
-/// `BayesOpt`'s deserializer all run them.
+/// checks; the builder and [`crate::history::Snapshot::resume`] both
+/// run them.
 #[non_exhaustive]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BoConfig {
@@ -476,9 +476,9 @@ pub struct BayesOpt {
     /// Hyperparameters carried over between refits.
     cached_hypers: Option<Vec<f64>>,
     fits_done: usize,
-    // --- runtime-only state, never serialized -------------------------
+    // --- runtime-only state, never in a snapshot ----------------------
     /// The persistent surrogate; `None` until the first surrogate-backed
-    /// proposal (or after deserialization / invalidation).
+    /// proposal (or after a resume / invalidation).
     surrogate: Option<GpRegression<BoKernel>>,
     /// How many leading observations the surrogate has absorbed.
     n_absorbed: usize,
@@ -486,49 +486,6 @@ pub struct BayesOpt {
     /// invalidated; the optimizer then pins itself to the fresh-refit
     /// path ([`rebuild_fresh`](Self::rebuild_fresh)) for this run.
     replay_poisoned: bool,
-}
-
-// Hand-written (de)serialization: the wire format is exactly the
-// pre-incremental field set, so existing journals and snapshots replay
-// unchanged, and the runtime surrogate state is rebuilt by replay on
-// first use instead of being persisted.
-impl Serialize for BayesOpt {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("space".to_string(), self.space.to_value()),
-            ("config".to_string(), self.config.to_value()),
-            ("observations".to_string(), self.observations.to_value()),
-            ("init_design".to_string(), self.init_design.to_value()),
-            ("cached_hypers".to_string(), self.cached_hypers.to_value()),
-            ("fits_done".to_string(), self.fits_done.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for BayesOpt {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let pairs = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("BayesOpt: expected object"))?;
-        let field = |name: &str| {
-            serde::__get(pairs, name).ok_or_else(|| serde::DeError::missing_field(name, "BayesOpt"))
-        };
-        let config: BoConfig = Deserialize::from_value(field("config")?)?;
-        config
-            .validate()
-            .map_err(|e| serde::DeError::custom(format!("BayesOpt: {e}")))?;
-        Ok(BayesOpt {
-            space: Deserialize::from_value(field("space")?)?,
-            config,
-            observations: Deserialize::from_value(field("observations")?)?,
-            init_design: Deserialize::from_value(field("init_design")?)?,
-            cached_hypers: Deserialize::from_value(field("cached_hypers")?)?,
-            fits_done: Deserialize::from_value(field("fits_done")?)?,
-            surrogate: None,
-            n_absorbed: 0,
-            replay_poisoned: false,
-        })
-    }
 }
 
 /// Scratch the proposal path fills for the [`Event::Propose`] trace
@@ -1331,45 +1288,6 @@ mod tests {
             .build()
             .expect("valid config");
         assert_eq!(ok.seed, 42);
-    }
-
-    #[test]
-    fn serialization_omits_runtime_state_and_round_trips() {
-        let mut bo = BayesOpt::new(
-            quadratic_space(),
-            BoConfig {
-                seed: 11,
-                fit: FitOptions::fast(),
-                ..Default::default()
-            },
-        );
-        for _ in 0..7 {
-            let c = bo.propose().expect("propose");
-            let y = -(c.values[0].as_float().powi(2));
-            bo.observe(c, y).expect("observe");
-        }
-        let val = bo.to_value();
-        let keys: Vec<&str> = val
-            .as_object()
-            .unwrap()
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .collect();
-        assert!(
-            !keys.contains(&"surrogate"),
-            "runtime state leaked: {keys:?}"
-        );
-        let back = BayesOpt::from_value(&val).expect("round trip");
-        assert_eq!(back.n_observations(), bo.n_observations());
-        assert_eq!(back.fits_done(), bo.fits_done());
-        // And the revived optimizer proposes exactly what the live one
-        // proposes next (replay reconstruction).
-        let mut live = bo.clone();
-        let mut revived = back;
-        assert_eq!(
-            live.propose().expect("live"),
-            revived.propose().expect("revived")
-        );
     }
 
     #[test]

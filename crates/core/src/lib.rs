@@ -58,7 +58,7 @@ pub use experiment::{
     confirm_run_id, pass_seed, run_pass_traced, select_best_pass, step_run_id, DirectMeasure,
     ExperimentResult, Measure, PassResult, RunOptions, StepRecord, TrialCtx, TrialKind,
 };
-pub use objective::{Objective, ObjectiveKind};
+pub use objective::Objective;
 pub use paramsets::ParamSet;
 pub use strategy::Strategy;
 pub use weights::base_parallelism_weights;

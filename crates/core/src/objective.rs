@@ -3,25 +3,6 @@
 
 use mtm_stormsim::noise::MeasurementNoise;
 use mtm_stormsim::{ClusterSpec, FlowSimulator, SimResult, StormConfig, Topology};
-use serde::{Deserialize, Serialize};
-
-/// Which scalar a measurement reads off the simulated run.
-///
-/// The paper tunes throughput only; `Latency` exposes the simulator's
-/// recorded `SimResult::batch_latency_s` as a maximization objective
-/// (inverse latency, batches/s) so the same strategies, noise model and
-/// journals apply unchanged. Single-objective by design — groundwork
-/// for multi-objective (EHVI) work later.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ObjectiveKind {
-    /// Noisy end-to-end throughput in tuples/s (the paper's objective).
-    #[default]
-    Throughput,
-    /// Inverse mini-batch commit latency in 1/s. Maximizing it minimizes
-    /// `SimResult::batch_latency_s`; runs with no recorded latency (or a
-    /// non-positive one) score 0, like failed throughput runs.
-    Latency,
-}
 
 /// The fixed batch configuration the synthetic parallelism experiments
 /// run under (§V-A only tunes parallelism; batching stays put).
@@ -41,23 +22,15 @@ pub fn synthetic_base(topo: &Topology) -> StormConfig {
 }
 
 /// An evaluable tuning objective for one topology on one cluster.
-///
-/// Serialize-only, like [`Topology`]: objectives are constructed from
-/// generators and presets, never parsed back from a journal.
 #[derive(Debug, Clone)]
 pub struct Objective {
-    topo: Topology,
-    cluster: ClusterSpec,
-    base: StormConfig,
-    window_s: f64,
-    noise: MeasurementNoise,
-    kind: ObjectiveKind,
-    /// The bound flow model: topology-level analysis done once at
-    /// construction, shared by every measurement of this objective —
+    /// The bound flow model: it owns the topology, the cluster and the
+    /// window, and its topology-level analysis is done once at
+    /// construction and shared by every measurement of this objective —
     /// which is what makes trial fan-out cheap on 10k-vertex graphs.
-    /// Rebuilt by the builder methods; never serialized (it is derived
-    /// state — see the manual [`Serialize`] impl below).
     sim: FlowSimulator,
+    base: StormConfig,
+    noise: MeasurementNoise,
 }
 
 impl Objective {
@@ -65,28 +38,25 @@ impl Objective {
     /// measurement noise, starting from the baseline configuration.
     pub fn new(topo: Topology, cluster: ClusterSpec) -> Self {
         let base = StormConfig::baseline(topo.n_nodes());
-        let sim = FlowSimulator::new(topo.clone(), cluster.clone(), 120.0)
+        let sim = FlowSimulator::new(topo, cluster, 120.0)
             .expect("the default window is positive and finite");
         Objective {
-            topo,
-            cluster,
-            base,
-            window_s: 120.0,
-            noise: MeasurementNoise::default(),
-            kind: ObjectiveKind::default(),
             sim,
+            base,
+            noise: MeasurementNoise::default(),
         }
     }
 
     /// Override the base configuration (everything a strategy doesn't
     /// control comes from here).
     pub fn with_base(mut self, base: StormConfig) -> Self {
-        assert_eq!(base.parallelism_hints.len(), self.topo.n_nodes());
+        assert_eq!(base.parallelism_hints.len(), self.topology().n_nodes());
         self.base = base;
         self
     }
 
-    /// Override the measurement window.
+    /// Override the measurement window. The topology-level analysis does
+    /// not depend on the window and is kept.
     ///
     /// # Panics
     ///
@@ -96,8 +66,9 @@ impl Objective {
             window_s.is_finite() && window_s > 0.0,
             "window must be positive and finite, got {window_s}"
         );
-        self.window_s = window_s;
-        self.sim = FlowSimulator::new(self.topo.clone(), self.cluster.clone(), window_s)
+        self.sim = self
+            .sim
+            .with_window(window_s)
             .expect("window checked by the assert above");
         self
     }
@@ -108,25 +79,14 @@ impl Objective {
         self
     }
 
-    /// Override the measured scalar (throughput by default).
-    pub fn with_kind(mut self, kind: ObjectiveKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
-    /// The measured scalar.
-    pub fn kind(&self) -> ObjectiveKind {
-        self.kind
-    }
-
     /// The topology under tuning.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        self.sim.topology()
     }
 
     /// The cluster model.
     pub fn cluster(&self) -> &ClusterSpec {
-        &self.cluster
+        self.sim.cluster()
     }
 
     /// The base configuration.
@@ -136,18 +96,18 @@ impl Objective {
 
     /// Measurement window in seconds.
     pub fn window(&self) -> f64 {
-        self.window_s
+        self.sim.window_s()
     }
 
-    /// The noise-free scalar of one simulated run of `config` (0 for a
-    /// failed run). Deterministic: every measurement of `config` is this
-    /// value with its own [`apply_noise`](Self::apply_noise) draw, so
-    /// callers that measure one configuration several times simulate it
-    /// once.
+    /// The noise-free throughput of one simulated run of `config` (0 for
+    /// a failed run). Deterministic: every measurement of `config` is
+    /// this value with its own [`apply_noise`](Self::apply_noise) draw,
+    /// so callers that measure one configuration several times simulate
+    /// it once.
     // mtm-cold: a whole simulated evaluation run — its per-run setup
     // allocates by design; the constraint solver has its own hot root.
     pub fn simulate(&self, config: &StormConfig) -> f64 {
-        self.sim.evaluate(config).map_or(0.0, |r| self.score(&r))
+        self.sim.evaluate(config).map_or(0.0, |r| r.throughput_tps)
     }
 
     /// The measurement noise of run `run_id` applied to a simulated
@@ -180,41 +140,12 @@ impl Objective {
         out.extend(run_ids.into_iter().map(|id| self.apply_noise(raw, id)));
     }
 
-    /// The (noise-free) scalar this objective reads off a run.
-    fn score(&self, r: &SimResult) -> f64 {
-        match self.kind {
-            ObjectiveKind::Throughput => r.throughput_tps,
-            ObjectiveKind::Latency => r
-                .batch_latency_s
-                .filter(|&l| l > 0.0)
-                .map(|l| 1.0 / l)
-                .unwrap_or(0.0),
-        }
-    }
-
     /// The full (noise-free) simulation result for a configuration —
     /// used by the reporting paths that need more than throughput.
     pub fn inspect(&self, config: &StormConfig) -> SimResult {
         self.sim
             .evaluate(config)
-            .unwrap_or_else(|_| SimResult::failed(self.window_s, 0, 0))
-    }
-}
-
-/// Hand-written (the derive would demand `Serialize` of the bound
-/// simulator, which is derived state): serializes exactly the six
-/// defining fields, matching the pre-simulator wire shape plus `kind`.
-impl Serialize for Objective {
-    fn to_value(&self) -> serde::Value {
-        let obj: Vec<(String, serde::Value)> = vec![
-            ("topo".to_string(), self.topo.to_value()),
-            ("cluster".to_string(), self.cluster.to_value()),
-            ("base".to_string(), self.base.to_value()),
-            ("window_s".to_string(), self.window_s.to_value()),
-            ("noise".to_string(), self.noise.to_value()),
-            ("kind".to_string(), self.kind.to_value()),
-        ];
-        serde::Value::Object(obj)
+            .unwrap_or_else(|_| SimResult::failed(self.window(), 0, 0))
     }
 }
 
@@ -281,41 +212,13 @@ mod tests {
     }
 
     #[test]
-    fn objective_kind_round_trips_through_serde() {
-        for kind in [ObjectiveKind::Throughput, ObjectiveKind::Latency] {
-            let json = serde_json::to_string(&kind).unwrap();
-            let back: ObjectiveKind = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, kind, "{json}");
-        }
-        assert_eq!(ObjectiveKind::default(), ObjectiveKind::Throughput);
-    }
-
-    #[test]
-    fn objective_serializes_its_kind() {
-        let obj = objective().with_kind(ObjectiveKind::Latency);
-        assert_eq!(obj.kind(), ObjectiveKind::Latency);
-        let json = serde_json::to_string(&obj).unwrap();
-        assert!(json.contains("\"kind\""), "{json}");
-        assert!(json.contains("Latency"), "{json}");
-    }
-
-    #[test]
-    fn latency_objective_reads_inverse_batch_latency() {
-        let obj = objective()
-            .with_kind(ObjectiveKind::Latency)
-            .with_noise(MeasurementNoise::none());
+    fn with_window_is_bit_equal_to_a_simulator_bound_at_that_window() {
+        let obj = objective().with_window(30.0);
+        let sim = FlowSimulator::new(obj.topology().clone(), obj.cluster().clone(), 30.0).unwrap();
         let c = obj.base_config().clone();
-        let r = obj.inspect(&c);
-        let latency = r.batch_latency_s.expect("healthy run records latency");
-        assert!(latency > 0.0);
-        let y = obj.measure(&c, 1);
-        assert_eq!(y.to_bits(), (1.0 / latency).to_bits());
-        // The throughput objective on the same run reads a different scalar.
-        let tput = objective()
-            .with_noise(MeasurementNoise::none())
-            .measure(&c, 1);
-        assert_eq!(tput.to_bits(), r.throughput_tps.to_bits());
-        assert_ne!(y.to_bits(), tput.to_bits());
+        let want = sim.evaluate(&c).unwrap();
+        assert_eq!(obj.simulate(&c).to_bits(), want.throughput_tps.to_bits());
+        assert_eq!(obj.inspect(&c).committed_batches, want.committed_batches);
     }
 
     #[test]

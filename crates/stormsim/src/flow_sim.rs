@@ -59,9 +59,7 @@ impl FlowSimulator {
     /// Bind the model to `topo` on `cluster` with a measurement window of
     /// `window_s` virtual seconds, which must be positive and finite.
     pub fn new(topo: Topology, cluster: ClusterSpec, window_s: f64) -> Result<Self, SimError> {
-        if !window_s.is_finite() || window_s <= 0.0 {
-            return Err(SimError::Window(window_s));
-        }
+        let window_s = SimError::check_window(window_s)?;
         let flows = flow::analyze(&topo);
         Ok(FlowSimulator {
             topo,
@@ -69,6 +67,31 @@ impl FlowSimulator {
             window_s,
             flows,
         })
+    }
+
+    /// The same model with a measurement window of `window_s`, which
+    /// must be positive and finite. The topology-level analysis does not
+    /// depend on the window, so it is kept, not rerun.
+    pub fn with_window(self, window_s: f64) -> Result<Self, SimError> {
+        Ok(FlowSimulator {
+            window_s: SimError::check_window(window_s)?,
+            ..self
+        })
+    }
+
+    /// The bound topology.
+    pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    /// The bound cluster model.
+    pub fn cluster(&self) -> &ClusterSpec {
+        &self.cluster
+    }
+
+    /// The measurement window in virtual seconds.
+    pub fn window_s(&self) -> f64 {
+        self.window_s
     }
 
     /// Score one configuration.

@@ -24,6 +24,18 @@ pub enum SimError {
     Config(ConfigError),
 }
 
+impl SimError {
+    /// `window_s` itself when it is a positive, finite number of
+    /// seconds; [`SimError::Window`] otherwise.
+    pub(crate) fn check_window(window_s: f64) -> Result<f64, SimError> {
+        if window_s.is_finite() && window_s > 0.0 {
+            Ok(window_s)
+        } else {
+            Err(SimError::Window(window_s))
+        }
+    }
+}
+
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -136,6 +148,8 @@ mod tests {
                 TupleSimulator::new(topo.clone(), ClusterSpec::tiny(), opts),
                 Err(SimError::Window(_))
             ));
+            let sim = FlowSimulator::new(topo.clone(), ClusterSpec::tiny(), 60.0).unwrap();
+            assert!(matches!(sim.with_window(w), Err(SimError::Window(_))));
         }
     }
 }

@@ -105,9 +105,7 @@ impl TupleSimulator {
         cluster: ClusterSpec,
         opts: TupleSimOptions,
     ) -> Result<Self, SimError> {
-        if !opts.window_s.is_finite() || opts.window_s <= 0.0 {
-            return Err(SimError::Window(opts.window_s));
-        }
+        SimError::check_window(opts.window_s)?;
         Ok(TupleSimulator {
             topo,
             cluster,

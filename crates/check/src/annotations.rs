@@ -36,7 +36,7 @@ pub const KEYS: &[&str] = &[
 ];
 
 /// What an annotation says.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum Kind {
     /// `// mtm-allow: <key>[, <key>…] -- <reason>`.
     Allow {

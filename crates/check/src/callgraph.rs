@@ -27,8 +27,6 @@ pub struct CallGraph {
     pub fns: Vec<FnItem>,
     /// Ratchet unit owning each function (parallel to `fns`).
     pub units: Vec<String>,
-    /// `callers[f]` = functions with a call edge into `f`.
-    pub callers: Vec<Vec<FnId>>,
     /// `callees[f]` = functions `f` has a call edge to.
     pub callees: Vec<Vec<FnId>>,
     /// bare name → candidate fn ids.
@@ -72,14 +70,6 @@ impl CallGraph {
                 targets.into_iter().filter(|&c| c != caller).collect()
             })
             .collect();
-        g.callers = vec![Vec::new(); g.fns.len()];
-        for (caller, callees) in g.callees.iter().enumerate() {
-            for &callee in callees {
-                if let Some(callers) = g.callers.get_mut(callee) {
-                    callers.push(caller);
-                }
-            }
-        }
         g
     }
 
@@ -116,16 +106,24 @@ impl CallGraph {
         cut: &BTreeSet<FnId>,
         reached: &mut BTreeMap<FnId, FnId>,
     ) {
-        walk_edges(&self.callees, seeds, cut, reached);
-    }
-
-    /// Every function that can *reach* any of `seeds` by following caller
-    /// edges (i.e. transitive callers), including the seeds.
-    pub fn reaching(&self, seeds: &[FnId]) -> BTreeSet<FnId> {
-        let mut reached = BTreeMap::new();
-        let seeds = seeds.iter().copied();
-        walk_edges(&self.callers, seeds, &BTreeSet::new(), &mut reached);
-        reached.into_keys().collect()
+        let mut stack: Vec<(FnId, FnId)> = Vec::new();
+        for seed in seeds {
+            if let Entry::Vacant(e) = reached.entry(seed) {
+                e.insert(seed);
+                stack.push((seed, seed));
+            }
+        }
+        while let Some((f, origin)) = stack.pop() {
+            for &next in self.callees.get(f).into_iter().flatten() {
+                if cut.contains(&next) {
+                    continue;
+                }
+                if let Entry::Vacant(e) = reached.entry(next) {
+                    e.insert(origin);
+                    stack.push((next, origin));
+                }
+            }
+        }
     }
 
     /// Every closure literal passed as a call argument, with the call's
@@ -155,33 +153,6 @@ impl CallGraph {
         let mut out = BTreeSet::new();
         collect_calls(trees, self, keep, &mut out);
         out
-    }
-}
-
-/// Depth-first walk along `edges` (see [`CallGraph::walk`]).
-fn walk_edges(
-    edges: &[Vec<FnId>],
-    seeds: impl IntoIterator<Item = FnId>,
-    cut: &BTreeSet<FnId>,
-    reached: &mut BTreeMap<FnId, FnId>,
-) {
-    let mut stack: Vec<(FnId, FnId)> = Vec::new();
-    for seed in seeds {
-        if let Entry::Vacant(e) = reached.entry(seed) {
-            e.insert(seed);
-            stack.push((seed, seed));
-        }
-    }
-    while let Some((f, origin)) = stack.pop() {
-        for &next in edges.get(f).into_iter().flatten() {
-            if cut.contains(&next) {
-                continue;
-            }
-            if let Entry::Vacant(e) = reached.entry(next) {
-                e.insert(origin);
-                stack.push((next, origin));
-            }
-        }
     }
 }
 
@@ -412,7 +383,6 @@ fn uses_method(s: &S) { s.method(); }
         let method = g.fns.iter().position(|f| f.name == "method").unwrap();
         let uses = g.fns.iter().position(|f| f.name == "uses_method").unwrap();
         assert!(g.callees[caller].contains(&leaf));
-        assert!(g.callers[leaf].contains(&caller));
         assert!(g.callees[uses].contains(&method));
     }
 
@@ -542,24 +512,5 @@ fn noop_named(_a: u32, _b: u32) {}
         assert!(g.calls_in(&seam.body).contains(&combine));
         // A named-function argument is not a closure literal.
         assert!(!seams.iter().any(|s| s.owner == plain));
-    }
-
-    #[test]
-    fn reaching_closure_walks_callers_transitively() {
-        let g = graph_of(
-            r#"
-fn sink() {}
-fn mid() { sink(); }
-fn top() { mid(); }
-fn unrelated() {}
-"#,
-        );
-        let sink = g.fns.iter().position(|f| f.name == "sink").unwrap();
-        let reach = g.reaching(&[sink]);
-        let names: Vec<&str> = reach.iter().map(|&i| g.fns[i].name.as_str()).collect();
-        assert!(names.contains(&"sink"));
-        assert!(names.contains(&"mid"));
-        assert!(names.contains(&"top"));
-        assert!(!names.contains(&"unrelated"));
     }
 }

@@ -3,11 +3,13 @@
 //! Everything the runner keys on — journal fingerprints, configuration
 //! identity, fault-injection draws — must be stable across processes,
 //! platforms and thread schedules. `std`'s `DefaultHasher` is explicitly
-//! not guaranteed stable, so the runner uses FNV-1a over canonical JSON
-//! for identity and splitmix64 for derived pseudo-random draws. The
-//! configuration hash streams the canonical JSON bytes straight into
-//! FNV-1a instead of building the JSON string first: at 10k hints the
-//! string build cost more than the simulation it keys.
+//! not guaranteed stable, so the runner uses its own: FNV-1a over
+//! canonical JSON for the experiment fingerprint (and serve's store
+//! shards), splitmix64 for derived pseudo-random draws, and a word-wise
+//! key over a configuration's integer values for trial identity. The
+//! trial key is computed on every measured step, where at 10k hints
+//! hashing the JSON digits byte by byte cost half the simulation it
+//! keyed.
 
 use mtm_stormsim::StormConfig;
 
@@ -18,11 +20,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64-bit hash of `bytes` — stable across platforms and runs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a_feed(FNV_OFFSET, bytes)
-}
-
-/// Continue an FNV-1a hash in state `h` over `bytes`.
-fn fnv1a_feed(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -30,29 +28,29 @@ fn fnv1a_feed(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Continue an FNV-1a hash in state `h` over the decimal digits of `n`,
-/// exactly as JSON writes an unsigned integer.
-fn fnv1a_feed_u32(h: u64, mut n: u32) -> u64 {
-    // u32::MAX has 10 digits; they are written from the back.
-    let mut buf = [0u8; 10];
-    let mut start = buf.len();
-    for slot in buf.iter_mut().rev() {
-        *slot = b'0' + (n % 10) as u8;
-        start -= 1;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    fnv1a_feed(h, buf.get(start..).unwrap_or_default())
+/// Two u32 values as one word, `lo` in the low half. Defined on the
+/// values, not on their bytes, so the key does not depend on endianness.
+fn pack(lo: u32, hi: u32) -> u64 {
+    lo as u64 | (hi as u64) << 32
 }
 
-/// Stable identity of a configuration: FNV-1a over its canonical compact
-/// JSON serialization (`serde_json::to_string`: fields in declaration
-/// order, integers in decimal), so equal configs hash equal and any field
-/// change changes the hash. The bytes are fed to the hash as they would
-/// be written, without building the string; the struct is destructured
-/// so a new field does not compile until it is hashed here too.
+/// One lane step: xor the word in, multiply by an odd constant, rotate.
+/// For a fixed state it is a bijection of the word and for a fixed word
+/// a bijection of the state, so a lane whose words differ in one place
+/// ends different.
+fn lane_step(lane: u64, word: u64) -> u64 {
+    (lane ^ word)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(29)
+}
+
+/// Stable identity of a configuration, the key of every journaled trial.
+/// The six scalar fields (packed in pairs) and the hint count, each
+/// spread by splitmix64, start four multiply-rotate lanes; the hints,
+/// packed two per word, feed the lanes in turn, so the four multiplies
+/// overlap; splitmix64 folds the lanes together. A change to one scalar
+/// or one hint always changes the key. The struct is destructured so a
+/// new field does not compile until it is keyed here.
 // mtm-hot: config-hash
 pub fn config_hash(config: &StormConfig) -> u64 {
     let StormConfig {
@@ -64,27 +62,27 @@ pub fn config_hash(config: &StormConfig) -> u64 {
         parallelism_hints,
         max_tasks,
     } = config;
-    let mut h = fnv1a_feed(FNV_OFFSET, b"{\"worker_threads\":");
-    h = fnv1a_feed_u32(h, *worker_threads);
-    h = fnv1a_feed(h, b",\"receiver_threads\":");
-    h = fnv1a_feed_u32(h, *receiver_threads);
-    h = fnv1a_feed(h, b",\"ackers\":");
-    h = fnv1a_feed_u32(h, *ackers);
-    h = fnv1a_feed(h, b",\"batch_parallelism\":");
-    h = fnv1a_feed_u32(h, *batch_parallelism);
-    h = fnv1a_feed(h, b",\"batch_size\":");
-    h = fnv1a_feed_u32(h, *batch_size);
-    h = fnv1a_feed(h, b",\"parallelism_hints\":[");
-    let mut hints = parallelism_hints.iter();
-    if let Some(&first) = hints.next() {
-        h = fnv1a_feed_u32(h, first);
-        for &hint in hints {
-            h = fnv1a_feed_u32(fnv1a_feed(h, b","), hint);
+    let mut lanes = [
+        pack(*worker_threads, *receiver_threads),
+        pack(*ackers, *batch_parallelism),
+        pack(*batch_size, *max_tasks),
+        parallelism_hints.len() as u64,
+    ]
+    .map(splitmix64);
+    let (octets, rest) = parallelism_hints.as_chunks::<8>();
+    for &[a, b, c, d, e, f, g, h] in octets {
+        let words = [pack(a, b), pack(c, d), pack(e, f), pack(g, h)];
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = lane_step(*lane, word);
         }
     }
-    h = fnv1a_feed(h, b"],\"max_tasks\":");
-    h = fnv1a_feed_u32(h, *max_tasks);
-    fnv1a_feed(h, b"}")
+    // The last 0–7 hints, packed as above; a missing high half reads 0,
+    // which the hint count tells apart from a real 0.
+    for (lane, pair) in lanes.iter_mut().zip(rest.chunks(2)) {
+        let word = pair.iter().rev().fold(0, |w, &x| w << 32 | x as u64);
+        *lane = lane_step(*lane, word);
+    }
+    lanes.into_iter().fold(0, |h, lane| splitmix64(h ^ lane))
 }
 
 /// splitmix64 — the finalizer used for deterministic derived draws
@@ -106,6 +104,7 @@ pub fn unit_f64(x: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn fnv_is_stable_and_input_sensitive() {
@@ -132,63 +131,79 @@ mod tests {
         assert_ne!(h0, config_hash(&c));
     }
 
+    /// The 10k-hint configuration the pins and the sensitivity test use.
+    fn wide() -> StormConfig {
+        let mut wide = StormConfig::baseline(10_000);
+        wide.parallelism_hints = (0..10_000u32).map(|v| 1 + v % 60).collect();
+        wide.max_tasks = 20_000;
+        wide
+    }
+
     #[test]
     fn config_hash_is_pinned() {
-        // Journals key trials by these values: a serializer change that
-        // moves them silently re-keys every journal on disk.
+        // Journals (schema 3) key trials by these values: a key change
+        // that moves them re-keys every journal on disk, and must bump
+        // `journal::SCHEMA_VERSION` with them.
         assert_eq!(
             config_hash(&StormConfig::baseline(4)),
-            0x75ec_00f2_74ce_dd17
+            0x4835_a9c4_2dcb_f292
         );
-        let mut wide = StormConfig::baseline(10_000);
-        wide.parallelism_hints = (0..10_000u32).map(|v| 1 + v % 60).collect();
-        wide.max_tasks = 20_000;
-        assert_eq!(config_hash(&wide), 0x2977_dfa6_6693_6f3d);
-    }
-
-    /// The hash as it was computed before it streamed: FNV-1a over the
-    /// serialized JSON string.
-    fn config_hash_via_json(c: &StormConfig) -> u64 {
-        fnv1a64(serde_json::to_string(c).unwrap().as_bytes())
+        assert_eq!(config_hash(&wide()), 0x4157_a70d_225b_a4cc);
     }
 
     #[test]
-    fn streamed_config_hash_is_bit_equal_to_the_json_hash() {
-        let mut configs = vec![StormConfig::baseline(4), StormConfig::baseline(0)];
-        for v in [0, u32::MAX] {
-            configs.push(StormConfig {
-                worker_threads: v,
-                receiver_threads: v,
-                ackers: v,
-                batch_parallelism: v,
-                batch_size: v,
-                parallelism_hints: vec![v; 3],
-                max_tasks: v,
-            });
+    fn config_hash_separates_near_configs() {
+        let base = wide();
+        let h0 = config_hash(&base);
+        // Every single-hint +1 gives its own key, none the base's.
+        let mut c = base.clone();
+        let mut keys = BTreeSet::from([h0]);
+        for i in 0..c.parallelism_hints.len() {
+            c.parallelism_hints[i] += 1;
+            assert!(keys.insert(config_hash(&c)), "hint {i} +1 collides");
+            c.parallelism_hints[i] -= 1;
         }
-        // One hint of every decimal length, 1 through 10 digits, each
-        // at the edges of its length.
-        let mut digits = StormConfig::baseline(0);
-        let mut p = 1u64;
-        for _ in 0..10 {
-            digits.parallelism_hints.push(p as u32);
-            digits
-                .parallelism_hints
-                .push((p * 10 - 1).min(u32::MAX as u64) as u32);
-            p *= 10;
+        // Swapping two unequal neighbours, inside a packed word and
+        // across words, lanes and 8-hint blocks.
+        for i in [0, 1, 6, 7, 4997, 9998] {
+            let mut c = base.clone();
+            assert_ne!(c.parallelism_hints[i], c.parallelism_hints[i + 1]);
+            c.parallelism_hints.swap(i, i + 1);
+            assert_ne!(config_hash(&c), h0, "swap {i}, {}", i + 1);
         }
-        configs.push(digits);
-        let mut wide = StormConfig::baseline(10_000);
-        wide.parallelism_hints = (0..10_000u32).map(|v| 1 + v % 60).collect();
-        wide.max_tasks = 20_000;
-        configs.push(wide);
-        for c in &configs {
-            assert_eq!(
-                config_hash(c),
-                config_hash_via_json(c),
-                "{}",
-                serde_json::to_string(c).unwrap()
-            );
+        // Moving a value from one scalar field to another.
+        let mut c = base.clone();
+        c.worker_threads = base.receiver_threads;
+        c.receiver_threads = base.worker_threads;
+        assert_ne!(c.worker_threads, base.worker_threads);
+        assert_ne!(config_hash(&c), h0);
+        let mut c = base.clone();
+        (c.batch_size, c.max_tasks) = (c.max_tasks, c.batch_size);
+        assert_ne!(config_hash(&c), h0);
+        // A trailing zero hint is a different configuration.
+        let short = StormConfig {
+            parallelism_hints: vec![1, 2],
+            ..StormConfig::baseline(0)
+        };
+        let long = StormConfig {
+            parallelism_hints: vec![1, 2, 0],
+            ..short.clone()
+        };
+        assert_ne!(config_hash(&short), config_hash(&long));
+        // Hint counts 0 to 17 end in every lane remainder (0–7 hints past
+        // an 8-hint block); each count, and each +1 on its last hint,
+        // gives its own key.
+        let mut keys = BTreeSet::new();
+        for n in 0..=17u32 {
+            let mut c = StormConfig {
+                parallelism_hints: (1..=n).collect(),
+                ..StormConfig::baseline(0)
+            };
+            assert!(keys.insert(config_hash(&c)), "{n} hints");
+            if let Some(last) = c.parallelism_hints.last_mut() {
+                *last += 1;
+                assert!(keys.insert(config_hash(&c)), "{n} hints, last +1");
+            }
         }
     }
 

@@ -24,10 +24,11 @@ use mtm_obs::segment::{self, SegmentWriter};
 
 use crate::error::RunnerError;
 
-/// Journal schema version. Bump on any record-shape change; old segments
-/// are then re-run rather than misread. Version 2 dropped the trial
-/// rows' `cached` flag.
-pub const SCHEMA_VERSION: u32 = 2;
+/// Journal schema version. Bump on any record-shape or key change; old
+/// segments are then re-run rather than misread. Version 2 dropped the
+/// trial rows' `cached` flag; version 3 keys trials by the word-wise
+/// [`config_hash`](crate::hash::config_hash).
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// First line of every segment: what experiment this is and under which
 /// exact protocol it ran.

@@ -336,6 +336,62 @@ fn version_1_segment_is_stale_and_re_run() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `segment` with its header's schema version set to `version`; the
+/// trial rows and the fingerprint stay as written.
+fn with_version(segment: &str, version: u32) -> String {
+    let (first, rest) = segment.split_once('\n').expect("a header line");
+    let Ok(Record::Header(header)) = serde_json::from_str(first) else {
+        panic!("segment does not start with a header: {segment}");
+    };
+    serde_json::to_string(&Record::Header(Header { version, ..header })).unwrap() + "\n" + rest
+}
+
+#[test]
+fn version_2_segment_is_stale_and_re_run() {
+    // A finished grid cell's segment under a version-2 header: its rows
+    // are keyed as version 3 writes them and its fingerprint is current,
+    // so only the version can mark it stale. Version 2 keyed trials by
+    // FNV-1a over the configuration's JSON, so a real version-2 segment
+    // would not match one key.
+    let dir = scratch("schema-v2");
+    let ropts = RunnerOptions::serial();
+    let coord = grid::cells()[0];
+    let id = grid::cell_id(Scale::Smoke, &coord);
+    let segment = grid::segment_path(&dir, Scale::Smoke, &coord);
+    let obj = grid::cell_objective(coord.size, &coord.condition, grid::GRID_SEED);
+    let make = grid::cell_strategy(coord.strategy, &obj);
+    let opts = Scale::Smoke.run_options_for(coord.strategy, grid::GRID_SEED);
+    let state = || {
+        let rows = grid::status(Scale::Smoke, &ropts, &dir).unwrap();
+        rows.into_iter().find(|r| r.id == id).map(|r| r.state)
+    };
+    let fresh =
+        run_experiment_journaled(&id, &make, &obj, &opts, &ropts, Some(&segment), false).unwrap();
+    assert!(fresh.stats.measured > 0, "{:?}", fresh.stats);
+    assert_eq!(state(), Some(grid::CellState::Complete));
+
+    let v2 = with_version(&fs::read_to_string(&segment).unwrap(), 2);
+    assert!(
+        v2.contains("{\"Trial\"") && v2.contains("{\"Done\""),
+        "{v2}"
+    );
+    fs::write(&segment, &v2).unwrap();
+    assert_eq!(state(), Some(grid::CellState::Stale));
+
+    let resumed =
+        run_experiment_journaled(&id, &make, &obj, &opts, &ropts, Some(&segment), true).unwrap();
+    assert!(!resumed.resumed, "a version-2 segment must not be trusted");
+    assert_eq!(resumed.stats.replayed, 0, "{:?}", resumed.stats);
+    assert_eq!(resumed.stats.measured, fresh.stats.measured);
+    assert_eq!(
+        canonical_result_json(&fresh.result),
+        canonical_result_json(&resumed.result),
+        "the re-run matches a fresh run"
+    );
+    assert_eq!(state(), Some(grid::CellState::Complete));
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn interrupted_smoke_grid_resumes_bitwise_identical_to_serial() {
     let dir = scratch("grid");

@@ -141,7 +141,10 @@ impl WorkerLoad {
     /// interleaved round-robin order, adding `coef[v]` to the demand of
     /// the worker each task of node `v` lands on.
     pub(crate) fn deal_tasks(tasks_per_node: &[u32], coef: &[f64], machines: usize) -> Self {
-        let total_tasks: usize = tasks_per_node.iter().map(|&t| t as usize).sum();
+        let (total_tasks, mut live) = (tasks_per_node.iter())
+            .fold((0usize, 0usize), |(total, live), &t| {
+                (total + t as usize, live + usize::from(t > 0))
+            });
         let workers = even_workers(total_tasks, machines);
         let mut load = WorkerLoad {
             workers,
@@ -151,27 +154,62 @@ impl WorkerLoad {
             machine_demand: vec![0.0; workers],
         };
         let mut remaining = tasks_per_node.to_vec();
-        // The worker cursor wraps by comparison: no division per task.
         let mut next_worker = 0usize;
-        loop {
-            let mut placed_any = false;
-            for (remaining, &coef) in remaining.iter_mut().zip(coef) {
-                if *remaining == 0 {
-                    continue;
-                }
-                *remaining -= 1;
-                load.machine_demand[next_worker] += coef;
-                load.tasks_per_worker[next_worker] += 1;
-                next_worker += 1;
-                if next_worker == workers {
-                    next_worker = 0;
-                }
-                placed_any = true;
-            }
-            if !placed_any {
-                return load;
+        // Rounds walk every node while at least half of them still deal,
+        // then only a list of the nodes with tasks left, in node order,
+        // whose spent entries go whenever fewer than half are live. A
+        // deal so costs O(total tasks + V) and stops after its last task,
+        // however skewed the task counts.
+        while live > 0 && live * 2 >= remaining.len() {
+            live -= load.deal_round(&mut next_worker, remaining.iter_mut().zip(coef));
+        }
+        if live == 0 {
+            return load;
+        }
+        let mut left: Vec<(u32, f64)> = (remaining.into_iter().zip(coef.iter().copied()))
+            .filter(|&(tasks, _)| tasks > 0)
+            .collect();
+        while live > 0 {
+            live -= load.deal_round(&mut next_worker, left.iter_mut().map(|(t, c)| (t, &*c)));
+            if live * 2 < left.len() {
+                left.retain(|&(tasks, _)| tasks > 0);
             }
         }
+        load
+    }
+
+    /// One round of the deal: one task of each `(tasks left,
+    /// coefficient)` entry that has one, in order, from worker
+    /// `*next_worker` on. The cursor wraps by comparison: no division per
+    /// task. Returns how many entries dealt their last task.
+    fn deal_round<'a>(
+        &mut self,
+        next_worker: &mut usize,
+        entries: impl Iterator<Item = (&'a mut u32, &'a f64)>,
+    ) -> usize {
+        // Locals, not fields: the loop then keeps them in registers.
+        let (demand, count, workers) = (
+            self.machine_demand.as_mut_slice(),
+            self.tasks_per_worker.as_mut_slice(),
+            self.workers,
+        );
+        let mut w = *next_worker;
+        let mut spent = 0;
+        for (tasks, &coef) in entries {
+            if *tasks == 0 {
+                continue;
+            }
+            *tasks -= 1;
+            spent += usize::from(*tasks == 0);
+            demand[w] += coef;
+            count[w] += 1;
+            w += 1;
+            if w == workers {
+                w = 0;
+            }
+        }
+        *next_worker = w;
+        spent
     }
 
     /// Deal `ackers` acker tasks round-robin from worker 0, as
@@ -276,6 +314,39 @@ mod tests {
             })
     }
 
+    /// `WorkerLoad`'s deal against the demand summed over `place_even`'s
+    /// materialized placement, to the bit.
+    fn deal_matches_place_even(
+        tasks: &[u32],
+        coef: &[f64],
+        machines: usize,
+        ackers: u32,
+        ack_coef: f64,
+    ) {
+        let cluster = ClusterSpec {
+            machines,
+            ..ClusterSpec::tiny()
+        };
+        let mut load = WorkerLoad::deal_tasks(tasks, coef, machines);
+        load.deal_ackers(ackers, ack_coef);
+
+        let p = place_even(tasks, ackers, &cluster);
+        let mut demand = vec![0.0f64; p.workers];
+        for (task, &w) in p.tasks.iter().zip(&p.task_worker) {
+            demand[w] += coef[task.node];
+        }
+        for &w in &p.acker_worker {
+            demand[w] += ack_coef;
+        }
+
+        assert_eq!(load.workers, p.workers);
+        assert_eq!(load.total_tasks, p.total_tasks());
+        assert_eq!(&load.tasks_per_worker, &p.tasks_per_worker);
+        assert_eq!(&load.ackers_per_worker, &p.ackers_per_worker);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&load.machine_demand), bits(&demand));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -284,28 +355,19 @@ mod tests {
             (tasks, coef, machines, ackers) in arb_deal(),
             ack_coef in 0.0f64..1e3,
         ) {
-            let cluster = ClusterSpec {
-                machines,
-                ..ClusterSpec::tiny()
-            };
-            let mut load = WorkerLoad::deal_tasks(&tasks, &coef, machines);
-            load.deal_ackers(ackers, ack_coef);
+            deal_matches_place_even(&tasks, &coef, machines, ackers, ack_coef);
+        }
+    }
 
-            let p = place_even(&tasks, ackers, &cluster);
-            let mut demand = vec![0.0f64; p.workers];
-            for (task, &w) in p.tasks.iter().zip(&p.task_worker) {
-                demand[w] += coef[task.node];
-            }
-            for &w in &p.acker_worker {
-                demand[w] += ack_coef;
-            }
-
-            prop_assert_eq!(load.workers, p.workers);
-            prop_assert_eq!(load.total_tasks, p.total_tasks());
-            prop_assert_eq!(&load.tasks_per_worker, &p.tasks_per_worker);
-            prop_assert_eq!(&load.ackers_per_worker, &p.ackers_per_worker);
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&load.machine_demand), bits(&demand));
+    #[test]
+    fn worker_load_deal_is_bit_equal_to_place_even_when_skewed() {
+        // V = 10k with one node at 4000 tasks: the deal runs 3999 rounds
+        // after the first on that node alone.
+        let mut tasks = vec![1u32; 10_000];
+        tasks[4_321] = 4_000;
+        let coef: Vec<f64> = (0..10_000).map(|v| 0.5 + (v % 7) as f64 / 3.0).collect();
+        for machines in [80, 400] {
+            deal_matches_place_even(&tasks, &coef, machines, 96, 0.75);
         }
     }
 }

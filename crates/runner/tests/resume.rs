@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 
 use mtm_core::objective::synthetic_base;
 use mtm_core::{Objective, ParamSet, RunOptions, Strategy};
-use mtm_runner::engine::{canonical_result_json, fingerprint, run_experiment_journaled};
+use mtm_runner::engine::{canonical_result_json, run_experiment_journaled};
 use mtm_runner::grid;
 use mtm_runner::journal::{load_segment, Header, Record, SCHEMA_VERSION};
 use mtm_runner::progress::Progress;
@@ -277,119 +277,78 @@ fn stale_segment_is_discarded_not_served() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A version-1 segment: schema version 1's header over `segment`'s
-/// experiment, and trial rows with the `cached` flag version 2 dropped.
-/// The header keeps the current fingerprint, so only its version can
-/// mark the segment stale.
-fn as_version_1(segment: &str, exp_id: &str, opts: &RunOptions) -> String {
-    let header = Record::Header(Header {
-        version: 1,
-        exp_id: exp_id.to_string(),
-        seed: opts.seed,
-        fingerprint: fingerprint(exp_id, opts, &RunnerOptions::serial()),
-    });
-    let mut out = serde_json::to_string(&header).unwrap();
-    for line in segment.lines().skip(1) {
+/// `segment` under an older schema `version`'s header; version 1's trial
+/// rows also carry the `cached` flag version 2 dropped. The header keeps
+/// its fingerprint, so only the version can mark the segment stale.
+fn as_version(segment: &str, version: u32) -> String {
+    let (first, rest) = segment.split_once('\n').expect("a header line");
+    let Ok(Record::Header(header)) = serde_json::from_str(first) else {
+        panic!("segment does not start with a header: {segment}");
+    };
+    let mut out = serde_json::to_string(&Record::Header(Header { version, ..header })).unwrap();
+    for line in rest.lines() {
         out.push('\n');
-        out.push_str(&line.replace(",\"attempts\":", ",\"cached\":false,\"attempts\":"));
+        if version == 1 {
+            out.push_str(&line.replace(",\"attempts\":", ",\"cached\":false,\"attempts\":"));
+        } else {
+            out.push_str(line);
+        }
     }
     out + "\n"
 }
 
 #[test]
 fn version_1_segment_is_stale_and_re_run() {
-    let dir = scratch("schema-v1");
-    let segment = dir.join("v1.jsonl");
-    let obj = objective();
-    let make = bo_factory();
-    let ropts = RunnerOptions::serial();
-    let exp_id = "resume/schema";
-    let fresh =
-        run_experiment_journaled(exp_id, &make, &obj, &opts(), &ropts, Some(&segment), false)
-            .unwrap();
-    // The first 60% of the lines: a trusted segment would replay them.
-    let full = fs::read_to_string(&segment).unwrap();
-    let keep = full.lines().count() * 6 / 10;
-    let cut: String = full.lines().take(keep).map(|l| format!("{l}\n")).collect();
-    let v1 = as_version_1(&cut, exp_id, &opts());
-    assert!(
-        v1.contains("{\"Trial\"") && v1.contains(",\"cached\":false,"),
-        "{v1}"
-    );
-    fs::write(&segment, &v1).unwrap();
-
-    let resumed =
-        run_experiment_journaled(exp_id, &make, &obj, &opts(), &ropts, Some(&segment), true)
-            .unwrap();
-    assert!(!resumed.resumed, "a version-1 segment must not be trusted");
-    assert_eq!(resumed.stats.replayed, 0, "{:?}", resumed.stats);
-    assert_eq!(resumed.stats.measured, fresh.stats.measured);
-    assert_eq!(
-        canonical_result_json(&fresh.result),
-        canonical_result_json(&resumed.result),
-        "the re-run matches a fresh run"
-    );
-    // The re-run rewrote the segment under the current schema.
-    let data = load_segment(&segment).unwrap().unwrap();
-    assert_eq!(data.header.map(|h| h.version), Some(SCHEMA_VERSION));
-    assert!(data.done.is_some());
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// `segment` with its header's schema version set to `version`; the
-/// trial rows and the fingerprint stay as written.
-fn with_version(segment: &str, version: u32) -> String {
-    let (first, rest) = segment.split_once('\n').expect("a header line");
-    let Ok(Record::Header(header)) = serde_json::from_str(first) else {
-        panic!("segment does not start with a header: {segment}");
-    };
-    serde_json::to_string(&Record::Header(Header { version, ..header })).unwrap() + "\n" + rest
-}
-
-#[test]
-fn version_2_segment_is_stale_and_re_run() {
-    // A finished grid cell's segment under a version-2 header: its rows
-    // are keyed as version 3 writes them and its fingerprint is current,
-    // so only the version can mark it stale. Version 2 keyed trials by
-    // FNV-1a over the configuration's JSON, so a real version-2 segment
-    // would not match one key.
-    let dir = scratch("schema-v2");
-    let ropts = RunnerOptions::serial();
+    // Versions 1 and 2: version 2 keyed trials by FNV-1a over the
+    // configuration's JSON, so its rows would not match one key of the
+    // current schema even where the rows parse.
     let coord = grid::cells()[0];
     let id = grid::cell_id(Scale::Smoke, &coord);
-    let segment = grid::segment_path(&dir, Scale::Smoke, &coord);
     let obj = grid::cell_objective(coord.size, &coord.condition, grid::GRID_SEED);
     let make = grid::cell_strategy(coord.strategy, &obj);
     let opts = Scale::Smoke.run_options_for(coord.strategy, grid::GRID_SEED);
-    let state = || {
-        let rows = grid::status(Scale::Smoke, &ropts, &dir).unwrap();
-        rows.into_iter().find(|r| r.id == id).map(|r| r.state)
-    };
-    let fresh =
-        run_experiment_journaled(&id, &make, &obj, &opts, &ropts, Some(&segment), false).unwrap();
-    assert!(fresh.stats.measured > 0, "{:?}", fresh.stats);
-    assert_eq!(state(), Some(grid::CellState::Complete));
+    let ropts = RunnerOptions::serial();
+    for version in [1, 2] {
+        let dir = scratch(&format!("schema-v{version}"));
+        let segment = grid::segment_path(&dir, Scale::Smoke, &coord);
+        let state = || {
+            let rows = grid::status(Scale::Smoke, &ropts, &dir).unwrap();
+            rows.into_iter().find(|r| r.id == id).map(|r| r.state)
+        };
+        let fresh =
+            run_experiment_journaled(&id, &make, &obj, &opts, &ropts, Some(&segment), false)
+                .unwrap();
+        assert!(fresh.stats.measured > 0, "{:?}", fresh.stats);
+        // The first 60% of the lines: a trusted segment would replay them.
+        let full = fs::read_to_string(&segment).unwrap();
+        let keep = full.lines().count() * 6 / 10;
+        let cut: String = full.lines().take(keep).map(|l| format!("{l}\n")).collect();
+        let old = as_version(&cut, version);
+        assert!(old.contains("{\"Trial\""), "{old}");
+        assert_eq!(old.contains(",\"cached\":false,"), version == 1, "{old}");
+        fs::write(&segment, &old).unwrap();
+        assert_eq!(state(), Some(grid::CellState::Stale), "version {version}");
 
-    let v2 = with_version(&fs::read_to_string(&segment).unwrap(), 2);
-    assert!(
-        v2.contains("{\"Trial\"") && v2.contains("{\"Done\""),
-        "{v2}"
-    );
-    fs::write(&segment, &v2).unwrap();
-    assert_eq!(state(), Some(grid::CellState::Stale));
-
-    let resumed =
-        run_experiment_journaled(&id, &make, &obj, &opts, &ropts, Some(&segment), true).unwrap();
-    assert!(!resumed.resumed, "a version-2 segment must not be trusted");
-    assert_eq!(resumed.stats.replayed, 0, "{:?}", resumed.stats);
-    assert_eq!(resumed.stats.measured, fresh.stats.measured);
-    assert_eq!(
-        canonical_result_json(&fresh.result),
-        canonical_result_json(&resumed.result),
-        "the re-run matches a fresh run"
-    );
-    assert_eq!(state(), Some(grid::CellState::Complete));
-    let _ = fs::remove_dir_all(&dir);
+        let resumed =
+            run_experiment_journaled(&id, &make, &obj, &opts, &ropts, Some(&segment), true)
+                .unwrap();
+        assert!(
+            !resumed.resumed,
+            "a version-{version} segment must not be trusted"
+        );
+        assert_eq!(resumed.stats.replayed, 0, "{:?}", resumed.stats);
+        assert_eq!(resumed.stats.measured, fresh.stats.measured);
+        assert_eq!(
+            canonical_result_json(&fresh.result),
+            canonical_result_json(&resumed.result),
+            "the re-run matches a fresh run"
+        );
+        // The re-run rewrote the segment under the current schema.
+        let data = load_segment(&segment).unwrap().unwrap();
+        assert_eq!(data.header.map(|h| h.version), Some(SCHEMA_VERSION));
+        assert_eq!(state(), Some(grid::CellState::Complete));
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -141,10 +141,7 @@ impl WorkerLoad {
     /// interleaved round-robin order, adding `coef[v]` to the demand of
     /// the worker each task of node `v` lands on.
     pub(crate) fn deal_tasks(tasks_per_node: &[u32], coef: &[f64], machines: usize) -> Self {
-        let (total_tasks, mut live) = (tasks_per_node.iter())
-            .fold((0usize, 0usize), |(total, live), &t| {
-                (total + t as usize, live + usize::from(t > 0))
-            });
+        let total_tasks: usize = tasks_per_node.iter().map(|&t| t as usize).sum();
         let workers = even_workers(total_tasks, machines);
         let mut load = WorkerLoad {
             workers,
@@ -154,62 +151,30 @@ impl WorkerLoad {
             machine_demand: vec![0.0; workers],
         };
         let mut remaining = tasks_per_node.to_vec();
+        // One round per task of the largest node the rounds visit (those
+        // with a coefficient): the deal stops after its last task rather
+        // than after a round that places nothing.
+        let rounds = (remaining.iter().zip(coef))
+            .map(|(&tasks, _)| tasks)
+            .max()
+            .unwrap_or(0);
+        // The worker cursor wraps by comparison: no division per task.
         let mut next_worker = 0usize;
-        // Rounds walk every node while at least half of them still deal,
-        // then only a list of the nodes with tasks left, in node order,
-        // whose spent entries go whenever fewer than half are live. A
-        // deal so costs O(total tasks + V) and stops after its last task,
-        // however skewed the task counts.
-        while live > 0 && live * 2 >= remaining.len() {
-            live -= load.deal_round(&mut next_worker, remaining.iter_mut().zip(coef));
-        }
-        if live == 0 {
-            return load;
-        }
-        let mut left: Vec<(u32, f64)> = (remaining.into_iter().zip(coef.iter().copied()))
-            .filter(|&(tasks, _)| tasks > 0)
-            .collect();
-        while live > 0 {
-            live -= load.deal_round(&mut next_worker, left.iter_mut().map(|(t, c)| (t, &*c)));
-            if live * 2 < left.len() {
-                left.retain(|&(tasks, _)| tasks > 0);
+        for _ in 0..rounds {
+            for (remaining, &coef) in remaining.iter_mut().zip(coef) {
+                if *remaining == 0 {
+                    continue;
+                }
+                *remaining -= 1;
+                load.machine_demand[next_worker] += coef;
+                load.tasks_per_worker[next_worker] += 1;
+                next_worker += 1;
+                if next_worker == workers {
+                    next_worker = 0;
+                }
             }
         }
         load
-    }
-
-    /// One round of the deal: one task of each `(tasks left,
-    /// coefficient)` entry that has one, in order, from worker
-    /// `*next_worker` on. The cursor wraps by comparison: no division per
-    /// task. Returns how many entries dealt their last task.
-    fn deal_round<'a>(
-        &mut self,
-        next_worker: &mut usize,
-        entries: impl Iterator<Item = (&'a mut u32, &'a f64)>,
-    ) -> usize {
-        // Locals, not fields: the loop then keeps them in registers.
-        let (demand, count, workers) = (
-            self.machine_demand.as_mut_slice(),
-            self.tasks_per_worker.as_mut_slice(),
-            self.workers,
-        );
-        let mut w = *next_worker;
-        let mut spent = 0;
-        for (tasks, &coef) in entries {
-            if *tasks == 0 {
-                continue;
-            }
-            *tasks -= 1;
-            spent += usize::from(*tasks == 0);
-            demand[w] += coef;
-            count[w] += 1;
-            w += 1;
-            if w == workers {
-                w = 0;
-            }
-        }
-        *next_worker = w;
-        spent
     }
 
     /// Deal `ackers` acker tasks round-robin from worker 0, as

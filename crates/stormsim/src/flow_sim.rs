@@ -853,6 +853,552 @@ mod tests {
         }
     }
 
+    /// The flow evaluation as it was written before the single sweep:
+    /// separate passes for the task normalization, the per-node cost,
+    /// the demand coefficients, the full placement deal and the solve.
+    mod per_pass {
+        use super::*;
+
+        fn normalized_tasks(config: &StormConfig, topo: &Topology) -> Vec<u32> {
+            let mut out: Vec<u32> = config.parallelism_hints.iter().map(|&h| h.max(1)).collect();
+            let total: u64 = out.iter().map(|&h| h as u64).sum();
+            let cap = config.max_tasks.max(topo.n_nodes() as u32) as u64;
+            if total <= cap {
+                return out;
+            }
+            let n = out.len() as u64;
+            let spare = cap - n;
+            let excess_total: u64 = total - n;
+            for h in out.iter_mut() {
+                let e = (*h - 1) as u64;
+                let extra = (e * spare).checked_div(excess_total).unwrap_or(0);
+                *h = (1 + extra) as u32;
+            }
+            out
+        }
+
+        fn node_cost_of(topo: &Topology, cluster: &ClusterSpec, v: usize, tasks: u32) -> f64 {
+            let contention = if topo.is_contentious(v) {
+                (tasks as f64).powf(cluster.contention_exponent)
+            } else {
+                1.0
+            };
+            topo.time_complexity(v) * contention + cluster.per_tuple_overhead_units
+        }
+
+        fn demand_coef(f: f64, cost: f64, tasks: u32) -> f64 {
+            if tasks == 0 {
+                0.0
+            } else {
+                f * cost / tasks as f64
+            }
+        }
+
+        struct Load {
+            workers: usize,
+            total_tasks: usize,
+            tasks_per_worker: Vec<usize>,
+            ackers_per_worker: Vec<usize>,
+            machine_demand: Vec<f64>,
+        }
+
+        fn deal_tasks(tasks_per_node: &[u32], coef: &[f64], machines: usize) -> Load {
+            let total_tasks: usize = tasks_per_node.iter().map(|&t| t as usize).sum();
+            let workers = total_tasks.min(machines).max(1);
+            let mut load = Load {
+                workers,
+                total_tasks,
+                tasks_per_worker: vec![0; workers],
+                ackers_per_worker: vec![0; workers],
+                machine_demand: vec![0.0; workers],
+            };
+            let mut remaining = tasks_per_node.to_vec();
+            let rounds = (remaining.iter().zip(coef))
+                .map(|(&tasks, _)| tasks)
+                .max()
+                .unwrap_or(0);
+            let mut next_worker = 0usize;
+            for _ in 0..rounds {
+                for (remaining, &coef) in remaining.iter_mut().zip(coef) {
+                    if *remaining == 0 {
+                        continue;
+                    }
+                    *remaining -= 1;
+                    load.machine_demand[next_worker] += coef;
+                    load.tasks_per_worker[next_worker] += 1;
+                    next_worker += 1;
+                    if next_worker == workers {
+                        next_worker = 0;
+                    }
+                }
+            }
+            load
+        }
+
+        fn deal_ackers(load: &mut Load, ackers: u32, ack_coef: f64) {
+            let mut next_worker = 0usize;
+            for _ in 0..ackers {
+                load.machine_demand[next_worker] += ack_coef;
+                load.ackers_per_worker[next_worker] += 1;
+                next_worker += 1;
+                if next_worker == load.workers {
+                    next_worker = 0;
+                }
+            }
+        }
+
+        struct Tracker {
+            best: f64,
+            bottleneck: Bottleneck,
+        }
+
+        impl Tracker {
+            fn consider<R: Recorder>(
+                &mut self,
+                rec: &mut R,
+                kind: &'static str,
+                node: Option<usize>,
+                bound: f64,
+                what: Bottleneck,
+            ) {
+                if bound < self.best {
+                    if R::ENABLED {
+                        rec.record(Event::Constraint {
+                            kind: kind.into(),
+                            node,
+                            bound: finite_or_zero(bound),
+                        });
+                    }
+                    self.best = bound;
+                    self.bottleneck = what;
+                }
+            }
+        }
+
+        /// `evaluate_recorded` for a valid configuration, pass by pass.
+        pub fn evaluate<R: Recorder>(
+            sim: &FlowSimulator,
+            config: &StormConfig,
+            rec: &mut R,
+        ) -> SimResult {
+            let (topo, cl, flows, window_s) = (&sim.topo, &sim.cluster, &sim.flows, sim.window_s);
+            if R::ENABLED {
+                rec.record(Event::SimStart {
+                    sim: "flow".into(),
+                    topo: topo.name_label().into(),
+                    nodes: topo.n_nodes(),
+                    window_s,
+                });
+            }
+            let tasks = normalized_tasks(config, topo);
+            let node_cost: Vec<f64> = (tasks.iter().enumerate())
+                .map(|(v, &t)| node_cost_of(topo, cl, v, t))
+                .collect();
+            let coef: Vec<f64> = (flows.node_flow.iter().zip(&tasks).zip(&node_cost))
+                .map(|((&f, &t), &cost)| demand_coef(f, cost, t))
+                .collect();
+            let mut load = deal_tasks(&tasks, &coef, cl.machines);
+            let ackers = config.effective_ackers(load.total_tasks.min(cl.machines));
+            let ackers_n = (ackers as usize).max(1);
+            let ack_coef = flows.total_processing * cl.acker_cost_units / ackers_n as f64;
+            deal_ackers(&mut load, ackers, ack_coef);
+
+            let result = solve(
+                sim, config, &tasks, &node_cost, &load, ackers_n, ack_coef, rec,
+            );
+            if R::ENABLED {
+                if !matches!(result.bottleneck, Bottleneck::Failed) {
+                    let measured = result.throughput_tps;
+                    for (v, (&tasks, &f)) in tasks.iter().zip(&flows.node_flow).enumerate() {
+                        rec.record(Event::Operator {
+                            node: Some(v),
+                            label: topo.label(v).into(),
+                            tasks: tasks as usize,
+                            processed: (measured * f * window_s).max(0.0) as u64,
+                            queue_hwm: 0,
+                        });
+                    }
+                    rec.record(Event::Operator {
+                        node: None,
+                        label: "ackers".into(),
+                        tasks: ackers_n,
+                        processed: (measured * flows.total_processing * window_s).max(0.0) as u64,
+                        queue_hwm: 0,
+                    });
+                }
+                rec.record(Event::SimEnd {
+                    throughput: finite_or_zero(result.throughput_tps),
+                    bottleneck: result.bottleneck.label(),
+                    committed: result.committed_batches,
+                });
+            }
+            result
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn solve<R: Recorder>(
+            sim: &FlowSimulator,
+            config: &StormConfig,
+            tasks: &[u32],
+            node_cost: &[f64],
+            load: &Load,
+            ackers_n: usize,
+            ack_coef: f64,
+            rec: &mut R,
+        ) -> SimResult {
+            let (cl, flows) = (&sim.cluster, &sim.flows);
+            let window_s: f64 = sim.window_s;
+            let (total_tasks, workers) = (load.total_tasks, load.workers);
+            let remote = remote_fraction(workers);
+            let ackers = ackers_n;
+
+            let mut tr = Tracker {
+                best: f64::INFINITY,
+                bottleneck: Bottleneck::ClusterCpu,
+            };
+
+            let columns =
+                (flows.node_flow.iter().zip(node_cost)).zip(tasks.iter().zip(&flows.grouping_cap));
+            for (v, ((&f, &cost), (&tasks, &cap))) in columns.enumerate() {
+                if f <= 0.0 {
+                    continue;
+                }
+                tr.consider(
+                    rec,
+                    "node",
+                    Some(v),
+                    eff_tasks(tasks, cap) * cl.unit_rate / (f * cost),
+                    Bottleneck::NodeCapacity(v),
+                );
+            }
+
+            let mut total_capacity = 0.0;
+            let mut spin_total = 0.0;
+            let mut failed = false;
+            let per_worker = (load.tasks_per_worker.iter().zip(&load.ackers_per_worker))
+                .zip(&load.machine_demand);
+            for (m, ((&worker_tasks, &worker_ackers), &demand)) in per_worker.enumerate() {
+                let threads = (worker_tasks as u32).min(config.worker_threads)
+                    + config.receiver_threads
+                    + worker_ackers as u32;
+                let cap = cl.machine_capacity(threads);
+                let spin = cl.task_spin_units * (worker_tasks + worker_ackers) as f64;
+                total_capacity += cap;
+                spin_total += spin;
+                if spin >= cap {
+                    failed = true;
+                    continue;
+                }
+                if demand > 0.0 {
+                    tr.consider(
+                        rec,
+                        "cpu",
+                        Some(m),
+                        (cap - spin) / demand,
+                        Bottleneck::ClusterCpu,
+                    );
+                }
+                let exec_demand: f64 = demand - worker_ackers as f64 * ack_coef;
+                if exec_demand > 0.0 {
+                    let exec_threads = (worker_tasks as u32).min(config.worker_threads) as f64;
+                    tr.consider(
+                        rec,
+                        "exec",
+                        Some(m),
+                        exec_threads * cl.unit_rate / exec_demand,
+                        Bottleneck::ClusterCpu,
+                    );
+                }
+            }
+            if failed {
+                return SimResult::failed(window_s, workers, total_tasks);
+            }
+
+            let ack_demand_per_r = flows.total_processing * cl.acker_cost_units;
+            if ack_demand_per_r > 0.0 {
+                tr.consider(
+                    rec,
+                    "ackers",
+                    None,
+                    ackers as f64 * cl.unit_rate / ack_demand_per_r,
+                    Bottleneck::Ackers,
+                );
+            }
+            let inbound_per_worker = flows.edge_flow_total * remote / workers as f64;
+            if inbound_per_worker > 0.0 {
+                tr.consider(
+                    rec,
+                    "receivers",
+                    None,
+                    config.receiver_threads as f64 * cl.receiver_tuple_rate / inbound_per_worker,
+                    Bottleneck::Receivers,
+                );
+            }
+            let bytes_per_worker = flows.bytes_per_unit * remote / workers as f64;
+            if bytes_per_worker > 0.0 {
+                tr.consider(
+                    rec,
+                    "network",
+                    None,
+                    cl.net_bandwidth_bps / bytes_per_worker,
+                    Bottleneck::Network,
+                );
+            }
+
+            let (best, mut bottleneck) = (tr.best, tr.bottleneck);
+            if !best.is_finite() || best <= 0.0 {
+                return SimResult::failed(window_s, workers, total_tasks);
+            }
+            let r_proc = best;
+            let s = config.batch_size as f64;
+            let b = config.batch_parallelism as f64;
+            let t_commit =
+                cl.batch_overhead_s + cl.batch_coord_per_task_s * (total_tasks + ackers) as f64;
+            let r_commit = s / t_commit;
+            if R::ENABLED && r_commit < r_proc {
+                rec.record(Event::Constraint {
+                    kind: "commit".into(),
+                    node: None,
+                    bound: finite_or_zero(r_commit),
+                });
+            }
+            let mut r = r_proc.min(r_commit);
+            if r_commit < r_proc {
+                bottleneck = Bottleneck::BatchPipeline;
+            }
+            let smoothed = r * (b * s) / (b * s + r * t_commit);
+            if smoothed < r * 0.85 && !matches!(bottleneck, Bottleneck::BatchPipeline) {
+                bottleneck = Bottleneck::BatchPipeline;
+            }
+            r = smoothed;
+            let inflight_bytes =
+                b * s * flows.mean_tuple_bytes * (1.0 + flows.total_processing) / workers as f64;
+            if inflight_bytes > cl.worker_buffer_bytes {
+                let factor = cl.worker_buffer_bytes / inflight_bytes;
+                r *= factor * factor;
+                bottleneck = Bottleneck::Memory;
+            }
+            let batch_latency = b * s / r + t_commit;
+            if batch_latency > cl.batch_timeout_s {
+                let over = batch_latency / cl.batch_timeout_s;
+                if over >= 2.0 {
+                    return SimResult::failed(window_s, workers, total_tasks);
+                }
+                r *= 2.0 - over;
+            }
+            let truncation = ((window_s - batch_latency) / window_s).clamp(0.0, 1.0);
+            let measured = r * truncation;
+            if measured <= 0.0 {
+                return SimResult::failed(window_s, workers, total_tasks);
+            }
+            let committed_batches = (measured * window_s / s).floor() as u64;
+            let cpu_used = measured
+                * (flows.node_flow.iter().zip(node_cost))
+                    .map(|(&f, &cost)| f * cost)
+                    .sum::<f64>()
+                + measured * ack_demand_per_r
+                + spin_total;
+            let cpu_utilization = (cpu_used / total_capacity).clamp(0.0, 1.0);
+            let avg_worker_net_mbps =
+                measured * flows.bytes_per_unit * remote / workers as f64 / (1024.0 * 1024.0);
+            SimResult {
+                throughput_tps: measured,
+                committed_batches,
+                duration_s: window_s,
+                avg_worker_net_mbps,
+                batch_latency_s: Some(batch_latency),
+                cpu_utilization,
+                workers_used: workers,
+                total_tasks,
+                bottleneck,
+            }
+        }
+    }
+
+    /// A seeded random DAG of `n` nodes: `spouts` spouts (at most half
+    /// the nodes), every other node fed by one to three earlier nodes
+    /// over random groupings
+    /// (`Fields` caps from 0 to 7, `Global`), costs from 0 to 5 units,
+    /// some selectivity-0 nodes (their descendants may carry no flow),
+    /// a few replicating routes, and each node contentious with
+    /// probability `contended / 10`.
+    fn random_topology(n: usize, spouts: usize, contended: u64, seed: u64) -> Topology {
+        let mut state = seed;
+        let mut draw = |bound: usize| -> usize {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let spouts = spouts.clamp(1, n / 2);
+        let mut tb = TopologyBuilder::with_capacity("sweep", n, 3 * n);
+        for v in 0..n {
+            let cost = if draw(8) == 0 {
+                0.0
+            } else {
+                draw(500) as f64 / 100.0
+            };
+            let id = if v < spouts {
+                tb.spout(&format!("s{v}"), cost)
+            } else {
+                tb.bolt(&format!("b{v}"), cost)
+            };
+            tb.contentious(id, (draw(10) as u64) < contended)
+                .selectivity(
+                    id,
+                    if draw(6) == 0 {
+                        0.0
+                    } else {
+                        0.2 + draw(100) as f64 / 100.0
+                    },
+                )
+                .tuple_bytes(id, 32 + draw(1000) as u32);
+            if draw(8) == 0 {
+                tb.route(id, crate::topology::RoutePolicy::Replicate);
+            }
+        }
+        for v in spouts..n {
+            // The first `spouts` bolts each take one spout, so every
+            // spout has an out-edge.
+            let mut parents = vec![if v < 2 * spouts { v - spouts } else { draw(v) }];
+            for _ in 0..draw(3) {
+                let p = draw(v);
+                if !parents.contains(&p) {
+                    parents.push(p);
+                }
+            }
+            for p in parents {
+                let grouping = match draw(6) {
+                    0 => Grouping::Global,
+                    1 => Grouping::Fields {
+                        key_cardinality: draw(8) as u32,
+                    },
+                    _ => Grouping::Shuffle,
+                };
+                tb.connect_grouped(p, v, grouping);
+            }
+        }
+        tb.build().unwrap()
+    }
+
+    /// Evaluate `config` on `sim` with and without a recorder and
+    /// against [`per_pass::evaluate`]: the results must agree to the bit
+    /// and the recorded event streams byte for byte.
+    fn assert_sweep_matches_per_pass(sim: &FlowSimulator, config: &StormConfig) {
+        let bits = |r: &SimResult| {
+            (
+                r.throughput_tps.to_bits(),
+                r.committed_batches,
+                r.duration_s.to_bits(),
+                r.avg_worker_net_mbps.to_bits(),
+                r.batch_latency_s.map(f64::to_bits),
+                r.cpu_utilization.to_bits(),
+                (r.workers_used, r.total_tasks, r.bottleneck),
+            )
+        };
+        let mut want_rec = mtm_obs::MemRecorder::new();
+        let want = per_pass::evaluate(sim, config, &mut want_rec);
+        let mut got_rec = mtm_obs::MemRecorder::new();
+        let got = sim.evaluate_recorded(config, &mut got_rec).unwrap();
+        let plain = sim.evaluate(config).unwrap();
+        assert_eq!(bits(&got), bits(&want), "{config:?}");
+        assert_eq!(bits(&plain), bits(&want), "{config:?}");
+        // `Debug` writes every f64 in its shortest round-trip form, so
+        // equal strings mean bit-equal bounds.
+        assert_eq!(
+            format!("{:?}", got_rec.events()),
+            format!("{:?}", want_rec.events())
+        );
+    }
+
+    /// Parallelism hints of four shapes: dense (one hint for every
+    /// node, under the cap), skewed (one node far above the rest),
+    /// water-filled (random hints over a cap between the node count and
+    /// their sum) and `spare == 0` (random hints, cap at or below the
+    /// node count, so every node keeps one task).
+    fn hints_of(shape: usize, n: usize, seed: u64) -> (Vec<u32>, u32) {
+        let mut state = seed | 1;
+        let mut draw = |bound: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as u32
+        };
+        match shape {
+            0 => (vec![1 + draw(8); n], 1_000_000),
+            1 => {
+                let mut hints = vec![1 + draw(2); n];
+                hints[draw(n as u32) as usize] = 20 + draw(400);
+                (hints, 1_000_000)
+            }
+            2 => {
+                let hints: Vec<u32> = (0..n).map(|_| draw(65)).collect();
+                let total: u32 = hints.iter().map(|&h| h.max(1)).sum();
+                (hints, n as u32 + draw(total - n as u32 + 1))
+            }
+            _ => ((0..n).map(|_| draw(65)).collect(), 1 + draw(n as u32)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn flow_sweep_is_bit_equal_to_the_per_pass_model(
+            (n, spouts) in (2usize..=200, 1usize..=3),
+            (contended, topo_seed) in (0u64..=9, proptest::prelude::any::<u64>()),
+            (shape, hint_seed) in (0usize..4, proptest::prelude::any::<u64>()),
+            (machines, ackers) in (1usize..=400, 0u32..=420),
+            (worker_threads, receiver_threads) in (1u32..=16, 1u32..=4),
+            (batch_size, batch_parallelism) in (1u32..=3_000, 1u32..=4),
+        ) {
+            let topo = random_topology(n, spouts, contended, topo_seed);
+            let (parallelism_hints, max_tasks) = hints_of(shape, n, hint_seed);
+            let config = StormConfig {
+                worker_threads,
+                receiver_threads,
+                ackers: ackers.min(max_tasks),
+                batch_parallelism,
+                batch_size,
+                parallelism_hints,
+                max_tasks,
+            };
+            let cluster = ClusterSpec { machines, ..ClusterSpec::paper_cluster() };
+            let sim = FlowSimulator::new(topo, cluster, 120.0).unwrap();
+            assert_sweep_matches_per_pass(&sim, &config);
+        }
+    }
+
+    #[test]
+    fn flow_sweep_is_bit_equal_to_the_per_pass_model_at_10k() {
+        // tune-sim's shape at V = 10k: 400 machines, a wide first layer
+        // of spouts, the task cap at the vertex count (dense hints), 32
+        // ackers, one large batch in flight; then the other hint shapes
+        // with their own caps.
+        let v = 10_000;
+        let cluster = ClusterSpec {
+            machines: 400,
+            ..ClusterSpec::paper_cluster()
+        };
+        for contended in [0, 1] {
+            let topo = random_topology(v, v / 12, contended, 0x5EED);
+            let sim = FlowSimulator::new(topo, cluster.clone(), 120.0).unwrap();
+            for (shape, seed) in [(0, 3), (0, 4), (1, 5), (2, 7), (3, 11)] {
+                let (parallelism_hints, max_tasks) = hints_of(shape, v, seed);
+                let config = StormConfig {
+                    ackers: 32,
+                    batch_size: 30_000,
+                    batch_parallelism: 1,
+                    parallelism_hints,
+                    max_tasks: if shape == 0 { v as u32 } else { max_tasks },
+                    ..StormConfig::baseline(v)
+                };
+                assert_sweep_matches_per_pass(&sim, &config);
+            }
+        }
+    }
+
     #[test]
     fn invalid_config_fails_cleanly() {
         let topo = chain(&[10.0, 20.0]);

@@ -206,13 +206,15 @@ fn resolve_call(call: &Call, g: &CallGraph, out: &mut BTreeSet<FnId>) {
             // external type (`Vec::new`, `Instant::now`): its methods
             // can never land in workspace code, so the bare-name
             // fallback would only fabricate edges to every same-named
-            // constructor. Module paths (lowercase) and `Self`/generic
+            // constructor. A primitive type (`u64::from`) is external
+            // the same way. Module paths (lowercase) and `Self`/generic
             // receivers keep the conservative fallback.
             let external_type = ty.is_some_and(|t| {
-                t != "Self"
-                    && t.chars().next().is_some_and(char::is_uppercase)
-                    && t.len() > 2
-                    && !g.impl_types.contains(t)
+                !g.impl_types.contains(t)
+                    && (PRIMITIVE_TYPES.contains(&t)
+                        || (t != "Self"
+                            && t.chars().next().is_some_and(char::is_uppercase)
+                            && t.len() > 2))
             });
             if !external_type {
                 out.extend(by_name);
@@ -227,6 +229,13 @@ fn resolve_call(call: &Call, g: &CallGraph, out: &mut BTreeSet<FnId>) {
         CallKind::Free | CallKind::Macro => out.extend(by_name),
     }
 }
+
+/// The primitive types a path call can be qualified with (`u64::from`,
+/// `f64::max`, `str::len`).
+const PRIMITIVE_TYPES: &[&str] = &[
+    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
+    "f64", "bool", "char", "str",
+];
 
 /// Std iterator/`Option`/`Result` adaptors: method calls with these
 /// names overwhelmingly dispatch to the standard library, not to a
@@ -453,7 +462,9 @@ fn build() { let _ = A::make(); }
             r#"
 struct Sim;
 impl Sim { fn new() -> Sim { Sim } }
+impl From<u8> for Sim { fn from(_: u8) -> Sim { Sim } }
 fn hot() { let _v: Vec<u32> = Vec::new(); }
+fn widen(x: u32) -> u64 { u64::from(x) }
 fn generic<T: Default>() { let _ = T::default(); }
 fn default() {}
 "#,
@@ -466,6 +477,10 @@ fn default() {}
             .unwrap();
         // `Vec::new` is an external constructor: no edge to `Sim::new`.
         assert!(!g.callees[hot].contains(&sim_new));
+        // `u64::from` is the primitive's conversion: no edge to `Sim::from`.
+        let widen = g.fns.iter().position(|f| f.name == "widen").unwrap();
+        let sim_from = g.fns.iter().position(|f| f.name == "from").unwrap();
+        assert!(!g.callees[widen].contains(&sim_from));
         // Short generic receivers keep the conservative bare fallback.
         let generic = g.fns.iter().position(|f| f.name == "generic").unwrap();
         let default = g.fns.iter().position(|f| f.name == "default").unwrap();

@@ -1,7 +1,8 @@
 //! End-to-end test of the `mtm-check` binary over fixture workspaces
-//! (`fixtures/clean_ws`, `fixtures/tainted_ws`): exit code 0 on the
-//! clean one, 1 with exact `file:line` diagnostics on the planted one,
-//! and 2 on bad usage or a missing workspace root.
+//! (`fixtures/clean_ws`, `fixtures/tainted_ws`,
+//! `fixtures/primitive_from_ws`): exit code 0 on the clean ones, 1 with
+//! exact `file:line` diagnostics on the planted one, and 2 on bad usage
+//! or a missing workspace root.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -76,6 +77,18 @@ fn hot_closure_chain_is_caught_and_ratcheted() {
     ] {
         assert!(stdout.contains(needle), "missing `{needle}` in:\n{stdout}");
     }
+}
+
+#[test]
+fn primitive_conversion_does_not_reach_workspace_from_impls() {
+    // The hot root calls `u64::from` beside an allocating workspace
+    // `impl From<…>`: the primitive's conversion must not resolve to it.
+    let out = run_in("primitive_from_ws", &["analyze", "--hot"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
+    assert!(stdout.contains("hot root [widen] widen"), "{stdout}");
+    assert!(!stdout.contains("hot site"), "{stdout}");
+    assert!(stdout.contains("0 hot-alloc"), "{stdout}");
 }
 
 #[test]

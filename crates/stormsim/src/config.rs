@@ -118,6 +118,12 @@ impl StormConfig {
         // u32::MAX, so the product is below 2^64.
         let n = out.len() as u64;
         let spare = cap - n;
+        if spare == 0 {
+            // The cap is the node count: the one task each node keeps
+            // takes the whole budget, so there is nothing to divide.
+            out.fill(1);
+            return out;
+        }
         let excess_total: u64 = total - n;
         for h in out.iter_mut() {
             let e = (*h - 1) as u64;

@@ -5,12 +5,13 @@
 //! `R`, so the steady-state throughput is the minimum over constraint
 //! bounds, followed by the (nonlinear but closed-form) batch-pipeline,
 //! memory and latency corrections. One evaluation of a 10k-vertex graph
-//! takes ~0.2 ms on a 2-core x86-64 machine (the paper's presets take
-//! microseconds), which is what lets the benches replay the paper's
-//! thousands of optimization runs. What depends only on the topology
-//! (flows, their sums, the per-node grouping caps) is computed once in
-//! [`flow::analyze`] when the simulator is built; an evaluation does only
-//! the per-configuration work.
+//! takes ~40–50 µs on a 2-core x86-64 machine (the paper's presets take
+//! a few microseconds), which is what lets the benches replay the
+//! paper's thousands of optimization runs. What depends only on the
+//! topology and cluster (flows, their sums, the per-node grouping caps
+//! and flow costs) is computed once when the simulator is built; an
+//! evaluation does only the per-configuration work, in one sweep over
+//! the nodes.
 //!
 //! The constraints, in the order they are applied:
 //!
@@ -45,7 +46,8 @@ use crate::topology::Topology;
 /// measurement window.
 ///
 /// Construction runs the topology-level analysis (steady-state flow
-/// propagation) once; every evaluation reuses it. Deterministic; apply
+/// propagation) once and binds the per-node flow cost column; every
+/// evaluation reuses both. Deterministic; apply
 /// [`crate::noise::MeasurementNoise`] on top for realistic measurements.
 #[derive(Debug, Clone)]
 pub struct FlowSimulator {
@@ -53,6 +55,14 @@ pub struct FlowSimulator {
     cluster: ClusterSpec,
     window_s: f64,
     flows: FlowAnalysis,
+    /// Per node, `node_flow * (time_complexity + per_tuple_overhead)`:
+    /// the demand units one spout tuple puts on the node when it pays no
+    /// contention multiplier, bit-equal to the per-configuration product
+    /// for every node that is not contentious.
+    flow_cost: Vec<f64>,
+    /// The contentious nodes, ascending: the only ones whose flow cost
+    /// depends on the configuration (their task count).
+    contentious: Vec<usize>,
 }
 
 impl FlowSimulator {
@@ -61,11 +71,19 @@ impl FlowSimulator {
     pub fn new(topo: Topology, cluster: ClusterSpec, window_s: f64) -> Result<Self, SimError> {
         let window_s = SimError::check_window(window_s)?;
         let flows = flow::analyze(&topo);
+        let flow_cost = (flows.node_flow.iter().enumerate())
+            .map(|(v, &f)| f * (topo.time_complexity(v) + cluster.per_tuple_overhead_units))
+            .collect();
+        let contentious = (0..topo.n_nodes())
+            .filter(|&v| topo.is_contentious(v))
+            .collect();
         Ok(FlowSimulator {
             topo,
             cluster,
             window_s,
             flows,
+            flow_cost,
+            contentious,
         })
     }
 
@@ -123,13 +141,19 @@ impl FlowSimulator {
             });
         }
         let tasks = config.normalized_tasks(topo);
-        let node_cost: Vec<f64> = (tasks.iter().enumerate())
-            .map(|(v, &t)| node_cost_of(topo, cluster, v, t))
-            .collect();
-        let coef: Vec<f64> = (self.flows.node_flow.iter().zip(&tasks).zip(&node_cost))
-            .map(|((&f, &t), &cost)| demand_coef(f, cost, t))
-            .collect();
-        let mut load = WorkerLoad::deal_tasks(&tasks, &coef, cluster.machines);
+        let mut load = WorkerLoad::new(&tasks, cluster.machines);
+        let mut tr = Tracker {
+            best: f64::INFINITY,
+            bottleneck: Bottleneck::ClusterCpu,
+        };
+        let flow_cost_total = self.sweep(&tasks, &mut load, &mut tr, rec);
+        let columns = (self.flow_cost.iter().zip(&self.flows.node_flow)).zip(&tasks);
+        let later_coef = (columns.enumerate()).map(|(v, ((&fc, &f), &t))| match t {
+            0 | 1 => 0.0, // dealt out in round 0
+            t if self.topo.is_contentious(v) => demand_coef(self.contended_flow_cost(v, f, t), t),
+            t => demand_coef(fc, t),
+        });
+        load.deal_later_rounds(&tasks, later_coef);
         let ackers = config.effective_ackers(load.total_tasks.min(cluster.machines));
         let ackers_n = (ackers as usize).max(1);
         let ack_coef = self.flows.total_processing * cluster.acker_cost_units / ackers_n as f64;
@@ -139,12 +163,12 @@ impl FlowSimulator {
             sim: self,
             config,
             tasks,
-            node_cost,
+            flow_cost_total,
             load,
             ackers_n,
             ack_coef,
         };
-        let result = ctx.solve(rec);
+        let result = ctx.solve(tr, rec);
         if R::ENABLED {
             if !matches!(result.bottleneck, Bottleneck::Failed) {
                 ctx.emit_operators(rec, &result);
@@ -165,6 +189,62 @@ impl FlowSimulator {
             ],
         );
         Ok(result)
+    }
+
+    /// The one walk over the nodes, in node order. Per node it takes the
+    /// flow cost `fc` (the bound column, or for a contentious node the
+    /// product with its contention multiplier), deals the node's first
+    /// task with demand `fc / tasks`, considers the node-capacity bound
+    /// (constraint 1: `R * fc <= eff_tasks * unit_rate`, where the
+    /// grouping caps how many of the node's tasks run at once), and adds
+    /// `fc` to the returned Σ flow·cost. The contentious nodes split the
+    /// walk into runs of plain nodes, so the per-node loop neither
+    /// branches on contention nor calls `powf`.
+    // mtm-hot: flow-sim
+    fn sweep<R: Recorder>(
+        &self,
+        tasks: &[u32],
+        load: &mut WorkerLoad,
+        tr: &mut Tracker,
+        rec: &mut R,
+    ) -> f64 {
+        let mut flow_cost_total = 0.0;
+        let mut visit = |v: usize, fc: f64, f: f64, tasks: u32, cap: u32| {
+            load.deal_first_round(tasks, demand_coef(fc, tasks));
+            flow_cost_total += fc;
+            if f <= 0.0 {
+                return;
+            }
+            let bound = eff_tasks(tasks, cap) * self.cluster.unit_rate / fc;
+            tr.consider(rec, "node", Some(v), bound, Bottleneck::NodeCapacity(v));
+        };
+        let columns = (self.flow_cost.iter().zip(&self.flows.node_flow))
+            .zip(tasks.iter().zip(&self.flows.grouping_cap));
+        let mut nodes = columns.enumerate();
+        let mut run_start = 0;
+        for &c in &self.contentious {
+            for (v, ((&fc, &f), (&t, &cap))) in nodes.by_ref().take(c - run_start) {
+                visit(v, fc, f, t, cap);
+            }
+            if let Some((v, ((_, &f), (&t, &cap)))) = nodes.next() {
+                visit(v, self.contended_flow_cost(v, f, t), f, t, cap);
+            }
+            run_start = c + 1;
+        }
+        for (v, ((&fc, &f), (&t, &cap))) in nodes {
+            visit(v, fc, f, t, cap);
+        }
+        flow_cost_total
+    }
+
+    /// Flow times per-tuple cost of contentious node `v`, whose flow is
+    /// `f`, when it runs `tasks` tasks: its compute cost pays the
+    /// contention multiplier `tasks^contention_exponent`, then the
+    /// framework overhead.
+    fn contended_flow_cost(&self, v: usize, f: f64, tasks: u32) -> f64 {
+        let cl = &self.cluster;
+        let contention = (tasks as f64).powf(cl.contention_exponent);
+        f * (self.topo.time_complexity(v) * contention + cl.per_tuple_overhead_units)
     }
 }
 
@@ -203,14 +283,14 @@ impl Tracker {
 }
 
 /// One configuration's inputs to [`SolveCtx::solve`]: the bound
-/// simulator plus the per-node and per-worker columns its evaluation
-/// built.
+/// simulator plus what the sweep and the deal left of its evaluation.
 struct SolveCtx<'a> {
     sim: &'a FlowSimulator,
     config: &'a StormConfig,
     tasks: Vec<u32>,
-    /// Per-tuple compute cost of node v including contention and overhead.
-    node_cost: Vec<f64>,
+    /// Σ over nodes of flow times per-tuple cost: the demand units one
+    /// spout tuple puts on the topology's tasks.
+    flow_cost_total: f64,
     /// The even scheduler's deal: per-worker task and acker counts, and
     /// the demand units per spout tuple placed on each machine.
     load: WorkerLoad,
@@ -220,24 +300,14 @@ struct SolveCtx<'a> {
     ack_coef: f64,
 }
 
-/// Per-tuple compute cost of node `v` when it runs `tasks` tasks,
-/// including the contention multiplier and framework overhead.
-fn node_cost_of(topo: &Topology, cluster: &ClusterSpec, v: usize, tasks: u32) -> f64 {
-    let contention = if topo.is_contentious(v) {
-        (tasks as f64).powf(cluster.contention_exponent)
-    } else {
-        1.0
-    };
-    topo.time_complexity(v) * contention + cluster.per_tuple_overhead_units
-}
-
 /// Demand units one task of a node adds to its machine per spout tuple:
-/// the node's flow `f` times its per-tuple `cost`, shared by its `tasks`.
-fn demand_coef(f: f64, cost: f64, tasks: u32) -> f64 {
+/// the node's flow cost `fc` (flow times per-tuple cost), shared by its
+/// `tasks`.
+fn demand_coef(fc: f64, tasks: u32) -> f64 {
     if tasks == 0 {
         0.0
     } else {
-        f * cost / tasks as f64
+        fc / tasks as f64
     }
 }
 
@@ -249,35 +319,15 @@ fn eff_tasks(tasks: u32, cap: u32) -> f64 {
 }
 
 impl SolveCtx<'_> {
+    /// Constraints 2–8 and the metrics, continuing the running minimum
+    /// `tr` that the sweep started with the node-capacity bounds.
     // mtm-hot: flow-sim
-    fn solve<R: Recorder>(&self, rec: &mut R) -> SimResult {
+    fn solve<R: Recorder>(&self, mut tr: Tracker, rec: &mut R) -> SimResult {
         let (cl, flows, load) = (&self.sim.cluster, &self.sim.flows, &self.load);
         let window_s: f64 = self.sim.window_s;
         let (total_tasks, workers) = (load.total_tasks, load.workers);
         let remote = remote_fraction(workers);
         let ackers = self.ackers_n;
-
-        let mut tr = Tracker {
-            best: f64::INFINITY,
-            bottleneck: Bottleneck::ClusterCpu,
-        };
-
-        // 1. Node capacity: R * f_v * cost_v <= eff_tasks_v * unit_rate,
-        // where the grouping caps how many of a node's tasks run at once.
-        let columns = (flows.node_flow.iter().zip(&self.node_cost))
-            .zip(self.tasks.iter().zip(&flows.grouping_cap));
-        for (v, ((&f, &cost), (&tasks, &cap))) in columns.enumerate() {
-            if f <= 0.0 {
-                continue;
-            }
-            tr.consider(
-                rec,
-                "node",
-                Some(v),
-                eff_tasks(tasks, cap) * cl.unit_rate / (f * cost),
-                Bottleneck::NodeCapacity(v),
-            );
-        }
 
         // 2. Machine CPU, over the deal's per-worker columns (all three
         // hold exactly `workers` entries).
@@ -432,12 +482,7 @@ impl SolveCtx<'_> {
 
         // Metrics.
         let committed_batches = (measured * window_s / s).floor() as u64;
-        let cpu_used = measured
-            * (flows.node_flow.iter().zip(&self.node_cost))
-                .map(|(&f, &cost)| f * cost)
-                .sum::<f64>()
-            + measured * ack_demand_per_r
-            + spin_total;
+        let cpu_used = measured * self.flow_cost_total + measured * ack_demand_per_r + spin_total;
         let cpu_utilization = (cpu_used / total_capacity).clamp(0.0, 1.0);
         let avg_worker_net_mbps =
             measured * flows.bytes_per_unit * remote / workers as f64 / (1024.0 * 1024.0);

@@ -134,47 +134,80 @@ pub(crate) struct WorkerLoad {
     /// Per worker, the coefficient of each task dealt to it, summed in
     /// deal order, then the acker coefficient once per acker.
     pub(crate) machine_demand: Vec<f64>,
+    /// Tasks of the largest node: the rounds the deal takes.
+    rounds: u32,
+    /// The worker the next topology task goes to.
+    next_worker: usize,
 }
 
 impl WorkerLoad {
-    /// Deal `tasks_per_node[v]` tasks of each node in [`place_even`]'s
-    /// interleaved round-robin order, adding `coef[v]` to the demand of
-    /// the worker each task of node `v` lands on.
-    pub(crate) fn deal_tasks(tasks_per_node: &[u32], coef: &[f64], machines: usize) -> Self {
-        let total_tasks: usize = tasks_per_node.iter().map(|&t| t as usize).sum();
+    /// An empty deal of `tasks_per_node` over the workers [`place_even`]
+    /// would use on `machines` machines.
+    ///
+    /// [`place_even`] deals in rounds: round `k` gives the next worker
+    /// one task of every node with more than `k` tasks, in node order.
+    /// The flow model deals round 0 from its one walk over the nodes
+    /// ([`deal_first_round`](Self::deal_first_round) per node, in node
+    /// order), then the rest with
+    /// [`deal_later_rounds`](Self::deal_later_rounds).
+    pub(crate) fn new(tasks_per_node: &[u32], machines: usize) -> Self {
+        let (total_tasks, rounds) = (tasks_per_node.iter())
+            .fold((0usize, 0u32), |(sum, max), &t| {
+                (sum + t as usize, max.max(t))
+            });
         let workers = even_workers(total_tasks, machines);
-        let mut load = WorkerLoad {
+        WorkerLoad {
             workers,
             total_tasks,
             tasks_per_worker: vec![0; workers],
             ackers_per_worker: vec![0; workers],
             machine_demand: vec![0.0; workers],
-        };
-        let mut remaining = tasks_per_node.to_vec();
-        // One round per task of the largest node the rounds visit (those
-        // with a coefficient): the deal stops after its last task rather
-        // than after a round that places nothing.
-        let rounds = (remaining.iter().zip(coef))
-            .map(|(&tasks, _)| tasks)
-            .max()
-            .unwrap_or(0);
-        // The worker cursor wraps by comparison: no division per task.
-        let mut next_worker = 0usize;
-        for _ in 0..rounds {
-            for (remaining, &coef) in remaining.iter_mut().zip(coef) {
-                if *remaining == 0 {
-                    continue;
-                }
-                *remaining -= 1;
-                load.machine_demand[next_worker] += coef;
-                load.tasks_per_worker[next_worker] += 1;
-                next_worker += 1;
-                if next_worker == workers {
-                    next_worker = 0;
+            rounds,
+            next_worker: 0,
+        }
+    }
+
+    /// Round 0 for one node with `tasks` tasks, each adding `coef` to
+    /// the demand of its worker: its first task, if it has one.
+    #[inline]
+    pub(crate) fn deal_first_round(&mut self, tasks: u32, coef: f64) {
+        if tasks > 0 {
+            self.deal(coef);
+        }
+    }
+
+    /// Rounds 1 and on, after round 0: round `k` walks every node and
+    /// deals one more task of each node with more than `k` tasks. `coef`
+    /// yields each node's coefficient in node order; it is read once,
+    /// and only when some node has more than one task.
+    pub(crate) fn deal_later_rounds(
+        &mut self,
+        tasks_per_node: &[u32],
+        coef: impl Iterator<Item = f64>,
+    ) {
+        if self.rounds < 2 {
+            return;
+        }
+        let coef: Vec<f64> = coef.collect();
+        for round in 1..self.rounds {
+            for (&tasks, &coef) in tasks_per_node.iter().zip(&coef) {
+                if tasks > round {
+                    self.deal(coef);
                 }
             }
         }
-        load
+    }
+
+    /// Deal one task with demand `coef` to the next worker in turn. The
+    /// worker cursor wraps by comparison: no division per task.
+    #[inline]
+    fn deal(&mut self, coef: f64) {
+        self.machine_demand[self.next_worker] += coef;
+        self.tasks_per_worker[self.next_worker] += 1;
+        self.next_worker += 1;
+        if self.next_worker == self.workers {
+            self.next_worker = 0;
+        }
     }
 
     /// Deal `ackers` acker tasks round-robin from worker 0, as
@@ -292,7 +325,12 @@ mod tests {
             machines,
             ..ClusterSpec::tiny()
         };
-        let mut load = WorkerLoad::deal_tasks(tasks, coef, machines);
+        // The flow model's deal: round 0 node by node, then the rest.
+        let mut load = WorkerLoad::new(tasks, machines);
+        for (&t, &c) in tasks.iter().zip(coef) {
+            load.deal_first_round(t, c);
+        }
+        load.deal_later_rounds(tasks, coef.iter().copied());
         load.deal_ackers(ackers, ack_coef);
 
         let p = place_even(tasks, ackers, &cluster);

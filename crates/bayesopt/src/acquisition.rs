@@ -5,11 +5,10 @@
 //! are provided for the ablation benches.
 
 use mtm_stats::dist::{norm_cdf, norm_pdf};
-use serde::{Deserialize, Serialize};
 
 /// An acquisition function scoring candidate points from the surrogate's
 /// posterior `(mean, std)` given the incumbent `best`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Acquisition {
     /// Expected Improvement with exploration margin `xi`:
     /// `E[max(0, f(x) - best - xi)]`.

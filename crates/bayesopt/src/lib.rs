@@ -18,14 +18,19 @@
 //! * [`error`] — the [`BoError`] end of the `LinalgError → GpError →
 //!   BoError` chain; proposal and observation failures are values, not
 //!   panics,
-//! * [`history`] — serde snapshots giving pause/resume, the Spearmint
-//!   feature the authors singled out as important for their cluster setup,
 //! * [`tpe`], [`hyperband`], [`random_search`] — the strategy zoo:
 //!   Tree-structured Parzen Estimator, successive-halving/Hyperband over
 //!   measurement budget, and the random-search calibration floor, all
 //!   sharing the same deterministic propose/observe contract,
 //! * [`proposer`] — [`Proposer`], the one enum callers drive all four
 //!   optimizers through.
+//!
+//! Pause/resume, the Spearmint feature the authors singled out as
+//! important for their cluster setup, is not this crate's job: the
+//! `mtm-runner` journal resumes every strategy by re-proposing the
+//! journaled history through `propose`/`observe`, so each optimizer only
+//! keeps the contract that its proposals depend on nothing but its seed
+//! and that history.
 //!
 //! ```
 //! use mtm_bayesopt::{BayesOpt, BoConfig, space::{ParamSpace, Param}};
@@ -47,7 +52,6 @@
 pub mod acquisition;
 pub mod design;
 pub mod error;
-pub mod history;
 pub mod hyperband;
 pub mod optimizer;
 pub mod proposer;
@@ -57,7 +61,6 @@ pub mod tpe;
 
 pub use acquisition::Acquisition;
 pub use error::BoError;
-pub use history::Snapshot;
 pub use hyperband::{Hyperband, HyperbandConfig};
 pub use optimizer::{
     score_batch, BayesOpt, BoConfig, BoConfigBuilder, Candidate, KernelChoice, Observation,

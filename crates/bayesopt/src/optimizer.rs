@@ -22,15 +22,14 @@
 //! original per-call fit paid.
 //!
 //! Determinism contract: every `propose` derives its randomness from
-//! `(seed, step)`, and the surrogate state is *reconstructible by
-//! replay* — when the in-memory surrogate is missing (fresh process,
-//! resumed [`crate::history::Snapshot`]), it is rebuilt by replaying the
-//! exact live schedule of absorb/retarget/refit steps over the recorded
-//! observations. A resumed optimizer therefore proposes bitwise what the
-//! uninterrupted run would have proposed, for the standard alternating
-//! propose/observe protocol. (Bulk imports via `observe_values` between
-//! proposals collapse several live steps into one; proposals stay valid
-//! but are not guaranteed bitwise-identical to a resumed replay.)
+//! `(seed, step)`, and the persistent surrogate is a pure function of
+//! the observation history: one absorb/retarget/maybe-refit step per
+//! proposal, from a base fit on the warm-up block (`"replay"`, the first
+//! surrogate-backed proposal) onward. Marginalized acquisition samples
+//! hyperparameters on a scratch copy, so it never perturbs that state.
+//! A run resumed from the runner journal re-proposes its history through
+//! `propose`/`observe` and so proposes bitwise what the uninterrupted
+//! run would have.
 
 use std::time::Instant;
 
@@ -42,7 +41,6 @@ use mtm_obs::event::finite_or_zero;
 use mtm_obs::{Event, NullRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::acquisition::Acquisition;
 use crate::design::latin_hypercube;
@@ -59,7 +57,7 @@ const BASE_NOISE: f64 = 1e-2;
 const SCORE_CHUNK: usize = 64;
 
 /// Which kernel family the surrogate uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelChoice {
     /// Matérn 5/2 with ARD — the Spearmint default.
     Matern52,
@@ -128,7 +126,7 @@ impl Kernel for BoKernel {
 }
 
 /// Marginalized-acquisition settings (Spearmint's integrated EI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Marginalize {
     /// Hyperparameter posterior samples to average over.
     pub n_samples: usize,
@@ -142,10 +140,9 @@ pub struct Marginalize {
 /// (validating) or take [`BoConfig::default`] and mutate the public
 /// fields. The `Default` values are stable so journaled configurations
 /// replay identically across versions. [`BoConfig::validate`] holds the
-/// checks; the builder and [`crate::history::Snapshot::resume`] both
-/// run them.
+/// checks the builder runs.
 #[non_exhaustive]
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BoConfig {
     /// Latin-hypercube warm-up evaluations before the surrogate runs.
     pub n_init: usize,
@@ -304,7 +301,7 @@ impl BoConfigBuilder {
 }
 
 /// A proposed configuration, carrying both encodings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Unit-cube point (canonicalized).
     pub unit: Vec<f64>,
@@ -313,7 +310,7 @@ pub struct Candidate {
 }
 
 /// A completed evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     /// Unit-cube point that was evaluated.
     pub unit: Vec<f64>,
@@ -476,9 +473,8 @@ pub struct BayesOpt {
     /// Hyperparameters carried over between refits.
     cached_hypers: Option<Vec<f64>>,
     fits_done: usize,
-    // --- runtime-only state, never in a snapshot ----------------------
     /// The persistent surrogate; `None` until the first surrogate-backed
-    /// proposal (or after a resume / invalidation).
+    /// proposal (or after an invalidation).
     surrogate: Option<GpRegression<BoKernel>>,
     /// How many leading observations the surrogate has absorbed.
     n_absorbed: usize,
@@ -636,13 +632,6 @@ impl BayesOpt {
             y,
         });
         Ok(())
-    }
-
-    /// Convenience: record an externally-chosen configuration (used when
-    /// mixing strategies or importing past measurements).
-    pub fn observe_values(&mut self, values: Vec<Value>, y: f64) -> Result<(), BoError> {
-        let unit = self.space.encode(&values);
-        self.observe(Candidate { unit, values }, y)
     }
 
     /// Drop all incremental surrogate state *and* the cached
@@ -830,10 +819,13 @@ impl BayesOpt {
         let zs = self.standardized_prefix(n);
         let z_best = zs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
 
-        // Hyperparameter marginalization (Spearmint's integrated EI).
-        // Empty = score under the current (cached) point estimate.
-        let hyper_samples: Vec<Vec<f64>> = match (self.config.marginalize, self.surrogate.as_mut())
-        {
+        // Hyperparameter marginalization (Spearmint's integrated EI) runs
+        // on a scratch copy: the slice sampler refactors the surrogate at
+        // every hyperparameter move, and the persistent one must stay what
+        // the live schedule built. Empty samples = score under the current
+        // (cached) point estimate.
+        let mut scratch = self.config.marginalize.and_then(|_| self.surrogate.clone());
+        let hyper_samples: Vec<Vec<f64>> = match (self.config.marginalize, scratch.as_mut()) {
             (Some(m), Some(sur)) => {
                 let priors = IndependentPriors::weakly_informative(sur.hyperparameters().len());
                 sample_hyperposterior(sur, &priors, m.n_samples, m.burn_in, rng)
@@ -846,43 +838,27 @@ impl BayesOpt {
         let candidates = self.candidate_pool(rng);
         let mut scores = vec![0.0; candidates.len()];
         let acq = self.config.acquisition;
-        let scored = {
-            let Some(sur) = self.surrogate.as_mut() else {
-                return Err(BoError::InvalidConfig(
-                    "surrogate vanished mid-proposal".into(),
-                ));
-            };
-            if hyper_samples.is_empty() {
-                let workers = mtm_stats::pool::spare();
-                accumulate_scores(&*sur, &acq, &candidates, z_best, &mut scores, workers);
-                Ok(())
-            } else {
-                let mut res = Ok(());
+        let sur = match scratch.as_mut() {
+            Some(sur) => {
                 for h in &hyper_samples {
-                    if let Err(e) = sur.set_hyperparameters(h) {
-                        res = Err(BoError::from(e));
-                        break;
-                    }
+                    sur.set_hyperparameters(h)?;
                     let workers = mtm_stats::pool::spare();
                     accumulate_scores(&*sur, &acq, &candidates, z_best, &mut scores, workers);
                 }
                 // Polish below runs under the first sample.
-                if res.is_ok() {
-                    if let Some(h0) = hyper_samples.first() {
-                        if let Err(e) = sur.set_hyperparameters(h0) {
-                            res = Err(BoError::from(e));
-                        }
-                    }
+                if let Some(h0) = hyper_samples.first() {
+                    sur.set_hyperparameters(h0)?;
                 }
-                res
+                &*sur
             }
+            None => self
+                .surrogate
+                .as_ref()
+                .ok_or_else(|| BoError::InvalidConfig("surrogate vanished mid-proposal".into()))?,
         };
-        if let Err(e) = scored {
-            // A failed mid-marginalization refit leaves the surrogate
-            // inconsistent: drop it so the next call rebuilds by replay.
-            self.surrogate = None;
-            self.n_absorbed = 0;
-            return Err(e);
+        if hyper_samples.is_empty() {
+            let workers = mtm_stats::pool::spare();
+            accumulate_scores(sur, &acq, &candidates, z_best, &mut scores, workers);
         }
 
         // Index-ordered argmax (first maximum wins).
@@ -917,32 +893,13 @@ impl BayesOpt {
 
         // Coordinate-descent polish under the (first) hyperparameter
         // sample; cheap and effective on the mostly-discrete spaces here.
-        let (best_point, moves) = {
-            let Some(sur) = self.surrogate.as_ref() else {
-                return Err(BoError::InvalidConfig(
-                    "surrogate vanished mid-proposal".into(),
-                ));
-            };
-            let eval = |u: &[f64]| {
-                let p = sur.predict(u);
-                acq.score(p.mean, p.std(), z_best)
-            };
-            polish(&self.space, self.config.local_passes, best_point, eval)
+        let eval = |u: &[f64]| {
+            let p = sur.predict(u);
+            acq.score(p.mean, p.std(), z_best)
         };
+        let (best_point, moves) = polish(&self.space, self.config.local_passes, best_point, eval);
         if R::ENABLED {
             stats.polish_moves = moves;
-        }
-
-        // Marginalization mutated the surrogate (the slice sampler
-        // refactors at every hyperparameter move), so its factor is no
-        // longer the pure function of the observation history that the
-        // replay-determinism contract demands. Drop it; the next
-        // proposal rebuilds by replay. Marginalized mode already pays
-        // O(n³ · samples) per proposal, so the rebuild is not the
-        // bottleneck.
-        if !hyper_samples.is_empty() {
-            self.surrogate = None;
-            self.n_absorbed = 0;
         }
 
         let unit = self.space.canonicalize(&best_point);
@@ -992,22 +949,6 @@ impl BayesOpt {
         let var = ys.iter().map(|y| (y - mean) * (y - mean)).sum::<f64>() / ys.len() as f64;
         let std = var.sqrt().max(1e-9);
         ys.iter().map(|y| (y - mean) / std).collect()
-    }
-
-    /// Internal accessor used by [`crate::history`].
-    pub(crate) fn into_parts(self) -> (ParamSpace, BoConfig, Vec<Observation>) {
-        (self.space, self.config, self.observations)
-    }
-
-    /// Internal constructor used by [`crate::history`].
-    pub(crate) fn from_parts(
-        space: ParamSpace,
-        config: BoConfig,
-        observations: Vec<Observation>,
-    ) -> Self {
-        let mut bo = BayesOpt::new(space, config);
-        bo.observations = observations;
-        bo
     }
 
     /// How many hyperparameter fits have been performed (diagnostics).
@@ -1199,8 +1140,9 @@ mod tests {
         let space = ParamSpace::new(vec![Param::float("x", 0.0, 1.0)]);
         let mut bo = BayesOpt::new(space.clone(), BoConfig::default());
         for y in [1.0, 5.0, 3.0, 5.0] {
-            let vals = vec![Value::Float(0.5)];
-            bo.observe_values(vals, y).expect("observe");
+            let values = vec![Value::Float(0.5)];
+            let unit = space.encode(&values);
+            bo.observe(Candidate { unit, values }, y).expect("observe");
         }
         assert_eq!(bo.best_step(), Some(1));
         assert_eq!(bo.best().unwrap().y, 5.0);
@@ -1548,6 +1490,68 @@ mod tests {
         for kernel in [KernelChoice::Matern52, KernelChoice::SquaredExp] {
             for seed in [1, 17, 99, 1234] {
                 incremental_matches_fresh(kernel, seed, 40);
+            }
+        }
+    }
+
+    /// Run a marginalized optimizer and a reference that drops its
+    /// surrogate after every proposal (a test-local copy of how
+    /// marginalization used to leave the optimizer, rebuilt by replay on
+    /// the next call) side by side for `steps` proposals, asserting the
+    /// same unit bits at every step. Returns both `fits_done` counts.
+    fn marginalized_matches_drop_and_replay(
+        kernel: KernelChoice,
+        seed: u64,
+        steps: usize,
+    ) -> (usize, usize) {
+        let objective = |vals: &[Value]| -> f64 {
+            let (x, y) = (vals[0].as_float(), vals[1].as_float());
+            -((x - 1.0) * (x - 1.0) + (y + 2.0) * (y + 2.0)) + (2.0 * x).sin()
+        };
+        let config = BoConfig::builder()
+            .seed(seed)
+            .kernel(kernel)
+            .n_init(4)
+            .fit(FitOptions::fast())
+            .refit_every(3)
+            .n_candidates(64)
+            .marginalize(Some(Marginalize {
+                n_samples: 3,
+                burn_in: 1,
+            }))
+            .build()
+            .expect("valid config");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut live = BayesOpt::new(quadratic_space(), config.clone());
+        let mut reference = BayesOpt::new(quadratic_space(), config);
+        for step in 0..steps {
+            let cl = live.propose().expect("live propose");
+            let cr = reference.propose().expect("reference propose");
+            reference.surrogate = None;
+            reference.n_absorbed = 0;
+            assert_eq!(
+                bits(&cl.unit),
+                bits(&cr.unit),
+                "{kernel:?}, seed {seed}: proposals diverged at step {step}"
+            );
+            live.observe(cl.clone(), objective(&cl.values))
+                .expect("observe");
+            reference
+                .observe(cr.clone(), objective(&cr.values))
+                .expect("observe");
+        }
+        (live.fits_done(), reference.fits_done())
+    }
+
+    #[test]
+    fn marginalized_scratch_copy_proposes_like_drop_and_replay() {
+        for kernel in [KernelChoice::Matern52, KernelChoice::SquaredExp] {
+            for seed in [9, 17, 99] {
+                let (live, replayed) = marginalized_matches_drop_and_replay(kernel, seed, 24);
+                assert!(
+                    live < replayed,
+                    "{kernel:?}, seed {seed}: {live} fits live, {replayed} replayed"
+                );
             }
         }
     }

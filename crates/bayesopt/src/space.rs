@@ -19,14 +19,13 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One tunable parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Param {
     /// Integer range, inclusive on both ends.
     Int {
-        /// Parameter name (used in reports and snapshots).
+        /// Parameter name (used in reports).
         name: String,
         /// Inclusive lower bound.
         lo: i64,
@@ -281,7 +280,7 @@ fn log_int_value(u: f64, lo: i64, hi: i64, llo: f64, lhi: f64) -> i64 {
 }
 
 /// A typed configuration value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Integer value.
     Int(i64),
@@ -314,7 +313,7 @@ impl Value {
 }
 
 /// An ordered collection of parameters — the optimization domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamSpace {
     params: Vec<Param>,
 }

@@ -278,57 +278,26 @@ fn collect_float_params(params: &[Tree], out: &mut FloatNames) {
 /// top-level float literal or `f64`/`f32` token in the initializer makes
 /// the binding a scalar (`let y = x * 2.0;`).
 fn collect_float_locals(trees: &[Tree], out: &mut FloatNames) {
-    let mut i = 0usize;
-    while i < trees.len() {
-        match &trees[i] {
-            Tree::Group(g) => collect_float_locals(&g.trees, out),
-            Tree::Tok(tok) if tok.is_ident("let") => {
-                let mut j = i + 1;
-                let mut name: Option<String> = None;
-                while j < trees.len() {
-                    match &trees[j] {
-                        Tree::Tok(t) if t.is_ident("mut") => {}
-                        Tree::Tok(t) if t.kind == TokKind::Ident => {
-                            name = Some(t.text.clone());
-                            break;
-                        }
-                        _ => break,
-                    }
-                    j += 1;
-                }
-                // Optional `: Type` annotation up to `=`/`;`.
-                let ann_start = trees[j..]
-                    .iter()
-                    .position(|t| matches!(t, Tree::Tok(tok) if tok.is_punct(":")))
-                    .map(|p| j + p + 1);
-                let stmt_end = trees[j..]
-                    .iter()
-                    .position(|t| matches!(t, Tree::Tok(tok) if tok.is_punct(";")))
-                    .map_or(trees.len(), |p| j + p);
-                let eq_pos = trees[j..stmt_end]
-                    .iter()
-                    .position(|t| matches!(t, Tree::Tok(tok) if tok.is_punct("=")))
-                    .map_or(stmt_end, |p| j + p);
-                let tier = match ann_start {
-                    Some(a) if a <= eq_pos => classify_float_ty(&ast::flatten(&trees[a..eq_pos])),
-                    _ => {
-                        let scalar = trees[eq_pos.min(stmt_end)..stmt_end].iter().any(|t| {
-                            matches!(t, Tree::Tok(tok) if tok.kind == TokKind::Float
-                                || tok.is_ident("f64")
-                                || tok.is_ident("f32"))
-                        });
-                        scalar.then_some(FloatTy::Scalar)
-                    }
-                };
-                if let (Some(name), Some(tier)) = (name, tier) {
-                    out.insert(name, tier);
-                }
-                i = stmt_end;
+    ast::visit_lets(trees, &mut |stmt| {
+        let rest = stmt.rest;
+        let punct = |p: &'static str| move |t: &Tree| t.tok().is_some_and(|t| t.is_punct(p));
+        // Optional `: Type` annotation up to `=`.
+        let eq = rest.iter().position(punct("=")).unwrap_or(rest.len());
+        let tier = match rest[..eq].iter().position(punct(":")) {
+            Some(colon) => classify_float_ty(&ast::flatten(&rest[colon + 1..eq])),
+            None => {
+                let scalar = rest[eq..].iter().any(|t| {
+                    matches!(t, Tree::Tok(tok) if tok.kind == TokKind::Float
+                        || tok.is_ident("f64")
+                        || tok.is_ident("f32"))
+                });
+                scalar.then_some(FloatTy::Scalar)
             }
-            Tree::Tok(_) => {}
+        };
+        if let (Some(name), Some(tier)) = (stmt.name, tier) {
+            out.insert(name.to_string(), tier);
         }
-        i += 1;
-    }
+    });
 }
 
 struct BodyScan<'a> {

@@ -727,6 +727,57 @@ impl Call<'_> {
     }
 }
 
+/// One `let` statement, as [`visit_lets`] reads it.
+#[derive(Debug, Clone, Copy)]
+pub struct LetStmt<'a> {
+    /// The bound name: the first identifier after `let`, skipping `mut`.
+    /// `None` when the pattern opens with a group or punctuation
+    /// (`let (a, b) = …`).
+    pub name: Option<&'a str>,
+    /// The statement from the name (or the tree that ended the name
+    /// scan) up to, not including, its `;`.
+    pub rest: &'a [Tree],
+}
+
+/// Visit every `let` statement in `trees` in order, descending into the
+/// groups outside them. A statement runs to the next `;` at its level
+/// (or the end of the level), and the groups inside it are not searched
+/// for further `let`s.
+pub fn visit_lets<'a>(trees: &'a [Tree], visit: &mut impl FnMut(LetStmt<'a>)) {
+    let mut i = 0usize;
+    while i < trees.len() {
+        match &trees[i] {
+            Tree::Group(g) => visit_lets(&g.trees, visit),
+            Tree::Tok(tok) if tok.is_ident("let") => {
+                let mut j = i + 1;
+                let mut name = None;
+                while let Some(Tree::Tok(t)) = trees.get(j) {
+                    if t.kind != TokKind::Ident {
+                        break;
+                    }
+                    if !t.is_ident("mut") {
+                        name = Some(t.text.as_str());
+                        break;
+                    }
+                    j += 1;
+                }
+                let end = trees
+                    .iter()
+                    .skip(j)
+                    .position(|t| t.tok().is_some_and(|t| t.is_punct(";")))
+                    .map_or(trees.len(), |p| j + p);
+                visit(LetStmt {
+                    name,
+                    rest: trees.get(j..end).unwrap_or_default(),
+                });
+                i = end;
+            }
+            Tree::Tok(_) => {}
+        }
+        i += 1;
+    }
+}
+
 /// Does an attribute group's payload mark a `#[cfg(test)]` item?
 fn attr_is_cfg_test(attr: &Group) -> bool {
     let text = flatten(&attr.trees);
@@ -1351,6 +1402,28 @@ mod tests {
                 .in_test
         );
         assert!(!ast.fns.iter().find(|f| f.name == "real").unwrap().in_test);
+    }
+
+    #[test]
+    fn visit_lets_reads_names_and_statement_spans() {
+        let src = "fn f() { let mut a: f64 = 1.0; let (b, c) = g(); \
+                   if x { let d = { let e = 2; e }; } let f }";
+        let trees = to_trees(lex(src).tokens);
+        let mut seen = Vec::new();
+        visit_lets(&trees, &mut |stmt| {
+            seen.push((stmt.name, flatten(stmt.rest)));
+        });
+        assert_eq!(
+            seen,
+            [
+                (Some("a"), "a : f64 = 1.0".to_string()),
+                (None, "( b , c ) = g ()".to_string()),
+                // `e` sits in a group inside `d`'s statement: not visited.
+                (Some("d"), "d = { let e = 2 ; e }".to_string()),
+                // No `;` before the level ends.
+                (Some("f"), "f".to_string()),
+            ]
+        );
     }
 
     #[test]

@@ -44,7 +44,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::annotations::{self, Allow, At};
-use crate::ast::{call_at, CallKind, CrateAst, Delim, Tok, TokKind, Tree};
+use crate::ast::{self, call_at, CallKind, CrateAst, Delim, Tok, TokKind, Tree};
 use crate::callgraph::{CallGraph, FnId};
 use crate::diag::{Diag, Report};
 
@@ -141,48 +141,15 @@ fn body_constructs_sink(trees: &[Tree]) -> bool {
 /// Locals bound to hash-ordered collections within a body: `let name` …
 /// mentioning `HashMap`/`HashSet` before the statement ends.
 fn hash_locals(trees: &[Tree], out: &mut BTreeSet<String>) {
-    let mut i = 0usize;
-    while i < trees.len() {
-        match &trees[i] {
-            Tree::Group(g) => hash_locals(&g.trees, out),
-            Tree::Tok(tok) if tok.is_ident("let") => {
-                // Name: the next plain ident (skip `mut`).
-                let mut j = i + 1;
-                let mut name: Option<String> = None;
-                while j < trees.len() {
-                    match &trees[j] {
-                        Tree::Tok(t) if t.is_ident("mut") => {}
-                        Tree::Tok(t) if t.kind == TokKind::Ident => {
-                            name = Some(t.text.clone());
-                            break;
-                        }
-                        _ => break,
-                    }
-                    j += 1;
-                }
-                // Scan to the end of the statement for hash types.
-                let mut is_hash = false;
-                while j < trees.len() {
-                    match &trees[j] {
-                        Tree::Tok(t) if t.is_punct(";") => break,
-                        Tree::Tok(t) if t.is_ident("HashMap") || t.is_ident("HashSet") => {
-                            is_hash = true;
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                if is_hash {
-                    if let Some(name) = name {
-                        out.insert(name);
-                    }
-                }
-                i = j;
-            }
-            Tree::Tok(_) => {}
+    ast::visit_lets(trees, &mut |stmt| {
+        let is_hash = stmt.rest.iter().any(|t| {
+            t.tok()
+                .is_some_and(|t| t.is_ident("HashMap") || t.is_ident("HashSet"))
+        });
+        if let (true, Some(name)) = (is_hash, stmt.name) {
+            out.insert(name.to_string());
         }
-        i += 1;
-    }
+    });
 }
 
 /// Scan one function body for nondeterminism sources.

@@ -7,13 +7,12 @@
 //! `O(n²)` bordered update from `mtm-linalg` instead of refactoring.
 
 use mtm_linalg::{Cholesky, LinalgError, Mat};
-use serde::{Deserialize, Serialize};
 
 use crate::hyper::{self, FitOptions};
 use crate::kernel::Kernel;
 
 /// Posterior prediction at a single input.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
     /// Posterior mean.
     pub mean: f64,

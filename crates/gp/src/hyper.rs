@@ -15,14 +15,13 @@
 use mtm_stats::pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::gp::GpRegression;
 use crate::kernel::Kernel;
 use crate::priors::IndependentPriors;
 
 /// Options controlling the hyperparameter fit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FitOptions {
     /// Number of random restarts in addition to the current parameters.
     pub restarts: usize,

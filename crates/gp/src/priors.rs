@@ -1,9 +1,7 @@
 //! Priors over log-hyperparameters, for MAP fitting and slice sampling.
 
-use serde::{Deserialize, Serialize};
-
 /// A univariate prior over one log-hyperparameter.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum Prior {
     /// Improper flat prior (contributes nothing).
     Flat,
@@ -62,7 +60,7 @@ impl Prior {
 }
 
 /// Independent priors, one per hyperparameter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IndependentPriors {
     priors: Vec<Prior>,
 }

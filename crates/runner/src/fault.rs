@@ -41,7 +41,8 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// A plan that injects failures at `rate` (for tests and the CLI's
-    /// `--fail-rate`).
+    /// `--fail-rate`, which refuses anything outside [0, 1]). `rate` is
+    /// clamped to [0, 1]; a NaN rate injects nothing.
     pub fn with_rate(rate: f64) -> FaultPlan {
         FaultPlan {
             fail_rate: rate.clamp(0.0, 1.0),

@@ -92,6 +92,14 @@ impl Flags {
                     let rate = value
                         .parse::<f64>()
                         .map_err(|e| format!("bad fail rate '{value}': {e}"))?;
+                    // `with_rate` would clamp 5 to 1 (every trial exhausts)
+                    // and keep NaN (no injection, yet `frate=NaN` in the
+                    // fingerprint): refuse both here.
+                    if !(0.0..=1.0).contains(&rate) {
+                        return Err(format!(
+                            "bad fail rate '{value}': must be a number in [0, 1]"
+                        ));
+                    }
                     ropts.faults = FaultPlan::with_rate(rate);
                 }
                 other => return Err(format!("unknown flag '{other}'")),
@@ -172,4 +180,47 @@ fn cmd_status(flags: &Flags) -> Result<(), String> {
         root.display()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fail_rate_must_be_a_number_in_the_unit_interval() {
+        for bad in ["NaN", "inf", "-inf", "-0.1", "1.5", "5", "x"] {
+            let err = Flags::parse(&["--fail-rate", bad])
+                .err()
+                .unwrap_or_else(|| panic!("--fail-rate {bad} accepted"));
+            assert!(
+                err.starts_with(&format!("bad fail rate '{bad}'")),
+                "{bad}: {err}"
+            );
+        }
+        for (good, rate) in [("0", 0.0), ("0.3", 0.3), ("1", 1.0)] {
+            let flags = Flags::parse(&["--fail-rate", good]).expect(good);
+            assert_eq!(
+                flags.ropts.faults.fail_rate.to_bits(),
+                f64::to_bits(rate),
+                "{good}"
+            );
+        }
+    }
+
+    #[test]
+    fn flags_parse_threads_scale_and_reject_unknowns() {
+        let flags = Flags::parse(&["--threads", "3", "--scale", "smoke"]).expect("valid flags");
+        assert_eq!(flags.ropts.threads, 3);
+        assert_eq!(flags.scale.label(), "smoke");
+        assert_eq!(flags.ropts.faults.fail_rate.to_bits(), 0f64.to_bits());
+        for bad in [
+            &["--threads"][..],
+            &["--threads", "-1"],
+            &["--scale", "huge"],
+            &["--fail-rate"],
+            &["--verbose"],
+        ] {
+            assert!(Flags::parse(bad).is_err(), "{bad:?} accepted");
+        }
+    }
 }

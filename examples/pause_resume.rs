@@ -3,56 +3,110 @@
 //! optimization process, a feature that turned out to be important in our
 //! evaluation setup": their cluster was student workstations).
 //!
+//! Every strategy pauses and resumes the same way: the runner journals
+//! each trial to a segment, and a resumed run re-proposes its history
+//! through `propose`/`observe`, serving the journaled measurements
+//! instead of re-running them. This example runs one BO experiment in
+//! memory, runs it again journaled, cuts the journal after one of the
+//! first pass's trials (what a kill leaves behind), resumes it, and
+//! checks that the resumed result is the uninterrupted one. It exits
+//! non-zero if the two differ or the resume served no trial from the
+//! journal.
+//!
 //! ```text
 //! cargo run --release --example pause_resume
 //! ```
 
-use mtm::bayesopt::space::{Param, ParamSpace};
-use mtm::bayesopt::{BayesOpt, BoConfig, Snapshot};
+use std::path::Path;
+use std::process::ExitCode;
 
-fn objective(x: f64, y: f64) -> f64 {
-    // A bumpy 2-D surface with its peak near (3, -1).
-    -((x - 3.0).powi(2) + (y + 1.0).powi(2)) + (2.0 * x).sin() * (3.0 * y).cos()
+use mtm::prelude::*;
+use mtm::topogen::{make_condition, Condition, SizeClass};
+use mtm_runner::engine::canonical_result_json;
+use mtm_runner::journal::Record;
+use mtm_runner::{run_experiment_journaled, RunnerError, RunnerOptions};
+
+const EXP_ID: &str = "example/pause-resume";
+
+/// Cut `segment` just after the middle of pass 0's `Trial` records, so
+/// the journal ends on a whole record the way a killed run's does.
+/// Returns how many records survive the cut.
+fn cut_after_a_pass0_trial(segment: &Path) -> std::io::Result<usize> {
+    let text = std::fs::read_to_string(segment)?;
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
+    let pass0_trials: Vec<usize> = lines
+        .iter()
+        .enumerate()
+        .filter(|(_, line)| {
+            matches!(
+                serde_json::from_str::<Record>(line),
+                Ok(Record::Trial(t)) if t.pass == 0
+            )
+        })
+        .map(|(i, _)| i)
+        .collect();
+    let keep = pass0_trials
+        .get(pass0_trials.len() / 2)
+        .map(|&i| i + 1)
+        .ok_or_else(|| std::io::Error::other("the journal holds no pass-0 trial"))?;
+    std::fs::write(segment, lines[..keep].concat())?;
+    Ok(keep)
 }
 
-fn main() {
-    let space = ParamSpace::new(vec![
-        Param::float("x", -5.0, 5.0),
-        Param::float("y", -5.0, 5.0),
-    ]);
-    let config = BoConfig::builder().seed(99).build().expect("valid config");
-    let mut bo = BayesOpt::new(space, config);
-
-    // Run ten steps...
-    for _ in 0..10 {
-        let c = bo.propose().expect("propose");
-        let v = objective(c.values[0].as_float(), c.values[1].as_float());
-        bo.observe(c, v).expect("finite objective");
-    }
-    println!("after 10 steps: best = {:.3}", bo.best().unwrap().y);
-
-    // ...the cluster goes away: snapshot to JSON (in a real deployment,
-    // to disk).
-    let json = Snapshot::capture(bo).to_json().expect("serialize");
-    println!("snapshot captured: {} bytes of JSON", json.len());
-
-    // ...the next morning: resume and continue. Because per-step
-    // randomness derives from (seed, step), the resumed run proposes
-    // exactly what the uninterrupted one would have.
-    let mut bo = Snapshot::from_json(&json)
-        .expect("parse")
-        .resume()
-        .expect("resume");
-    for _ in 0..15 {
-        let c = bo.propose().expect("propose");
-        let v = objective(c.values[0].as_float(), c.values[1].as_float());
-        bo.observe(c, v).expect("finite objective");
-    }
-    let best = bo.best().unwrap();
-    println!(
-        "after resume + 15 steps: best = {:.3} at x={:.2}, y={:.2} (true peak ~ (3, -1))",
-        best.y,
-        best.values[0].as_float(),
-        best.values[1].as_float()
+fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
+    let topo = make_condition(
+        SizeClass::Medium,
+        &Condition {
+            time_imbalance: 1.0,
+            contention: 0.25,
+        },
+        7,
     );
+    let objective = Objective::new(topo, ClusterSpec::paper_cluster());
+    let make = |seed| Strategy::bo(objective.topology(), ParamSet::Hints, seed);
+    let opts = RunOptions {
+        max_steps: 20,
+        confirm_reps: 5,
+        passes: 2,
+        seed: 99,
+        ..Default::default()
+    };
+    let ropts = RunnerOptions::serial();
+    let run = |segment: Option<&Path>, resume: bool| -> Result<_, RunnerError> {
+        run_experiment_journaled(EXP_ID, &make, &objective, &opts, &ropts, segment, resume)
+    };
+
+    // The uninterrupted run, in memory.
+    let uninterrupted = run(None, false)?.result;
+    println!("uninterrupted: best {:.0} tuples/s", uninterrupted.mean());
+
+    // The same run journaled to a segment, then "killed" mid-pass.
+    let dir = std::env::temp_dir()
+        .join("mtm-pause-resume")
+        .join(std::process::id().to_string());
+    std::fs::create_dir_all(&dir)?;
+    let segment = dir.join("session.jsonl");
+    run(Some(&segment), false)?;
+    let kept = cut_after_a_pass0_trial(&segment)?;
+    println!("paused: journal cut to its first {kept} records");
+
+    // ...the next morning: resume from the journal and finish.
+    let resumed = run(Some(&segment), true)?;
+    let _ = std::fs::remove_dir_all(&dir);
+    println!(
+        "resumed: {} trials served from the journal, {} measured, best {:.0} tuples/s",
+        resumed.stats.replayed,
+        resumed.stats.measured,
+        resumed.result.mean()
+    );
+
+    let same = canonical_result_json(&uninterrupted) == canonical_result_json(&resumed.result);
+    println!("resumed result identical to the uninterrupted one: {same}");
+    // A resume that served nothing from the journal would match
+    // vacuously.
+    Ok(if same && resumed.stats.replayed > 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }

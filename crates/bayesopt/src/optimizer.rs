@@ -56,6 +56,9 @@ const BASE_NOISE: f64 = 1e-2;
 /// output buffer. The argmax is a separate, index-ordered scan.
 const SCORE_CHUNK: usize = 64;
 
+/// Perturbation candidates spawned around each of the top incumbents.
+const N_PERTURB: usize = 16;
+
 /// Which kernel family the surrogate uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelChoice {
@@ -158,8 +161,6 @@ pub struct BoConfig {
     pub refit_every: usize,
     /// Uniform random candidates per proposal.
     pub n_candidates: usize,
-    /// Perturbation candidates spawned around each of the top incumbents.
-    pub n_perturb: usize,
     /// Coordinate-descent polish passes on the best candidate.
     pub local_passes: usize,
     /// Marginalize the acquisition over hyperparameter samples.
@@ -177,7 +178,6 @@ impl Default for BoConfig {
             fit: FitOptions::default(),
             refit_every: 1,
             n_candidates: 512,
-            n_perturb: 16,
             local_passes: 2,
             marginalize: None,
             seed: 0xB0,
@@ -194,8 +194,8 @@ impl BoConfig {
     }
 
     /// Reject settings the optimizer cannot run: `n_init < 2`,
-    /// `refit_every == 0`, `n_candidates == 0`, `n_perturb > 4096`, or
-    /// marginalization with zero samples.
+    /// `refit_every == 0`, `n_candidates == 0`, or marginalization with
+    /// zero samples.
     pub fn validate(&self) -> Result<(), BoError> {
         if self.n_init < 2 {
             return Err(BoError::InvalidConfig(format!(
@@ -208,12 +208,6 @@ impl BoConfig {
         }
         if self.n_candidates == 0 {
             return Err(BoError::InvalidConfig("n_candidates must be > 0".into()));
-        }
-        if self.n_perturb > 4096 {
-            return Err(BoError::InvalidConfig(format!(
-                "n_perturb must be <= 4096 (got {})",
-                self.n_perturb
-            )));
         }
         if let Some(m) = self.marginalize {
             if m.n_samples == 0 {
@@ -266,12 +260,6 @@ impl BoConfigBuilder {
     /// Uniform random candidates per proposal (validated: nonzero).
     pub fn n_candidates(mut self, v: usize) -> Self {
         self.cfg.n_candidates = v;
-        self
-    }
-
-    /// Perturbation candidates per incumbent (validated: at most 4096).
-    pub fn n_perturb(mut self, v: usize) -> Self {
-        self.cfg.n_perturb = v;
         self
     }
 
@@ -910,7 +898,7 @@ impl BayesOpt {
     /// Uniform candidates plus Gaussian perturbations of the incumbents.
     fn candidate_pool(&self, rng: &mut StdRng) -> Vec<Vec<f64>> {
         let d = self.space.dim();
-        let mut pool = Vec::with_capacity(self.config.n_candidates + 3 * self.config.n_perturb);
+        let mut pool = Vec::with_capacity(self.config.n_candidates + 3 * N_PERTURB);
         for _ in 0..self.config.n_candidates {
             let mut u: Vec<f64> = (0..d).map(|_| rng.random::<f64>()).collect();
             self.space.canonicalize_in_place(&mut u);
@@ -920,7 +908,7 @@ impl BayesOpt {
         let mut by_y: Vec<&Observation> = self.observations.iter().collect();
         by_y.sort_by(|a, b| b.y.total_cmp(&a.y));
         for inc in by_y.iter().take(3) {
-            for _ in 0..self.config.n_perturb {
+            for _ in 0..N_PERTURB {
                 let mut u: Vec<f64> = inc
                     .unit
                     .iter()
@@ -1208,14 +1196,12 @@ mod tests {
         assert_eq!(built.n_init, dflt.n_init);
         assert_eq!(built.refit_every, dflt.refit_every);
         assert_eq!(built.n_candidates, dflt.n_candidates);
-        assert_eq!(built.n_perturb, dflt.n_perturb);
         assert_eq!(built.local_passes, dflt.local_passes);
         assert_eq!(built.seed, dflt.seed);
 
         assert!(BoConfig::builder().n_init(1).build().is_err());
         assert!(BoConfig::builder().refit_every(0).build().is_err());
         assert!(BoConfig::builder().n_candidates(0).build().is_err());
-        assert!(BoConfig::builder().n_perturb(5000).build().is_err());
         assert!(BoConfig::builder()
             .marginalize(Some(Marginalize {
                 n_samples: 0,

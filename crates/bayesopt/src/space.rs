@@ -397,23 +397,6 @@ impl ParamSpace {
         // mtm-allow: alloc -- one dim-sized draw per proposal, amortized
         self.params.iter().map(|p| p.sample(rng)).collect()
     }
-
-    /// Human-readable rendering of a configuration.
-    pub fn format_values(&self, values: &[Value]) -> String {
-        self.params
-            .iter()
-            .zip(values)
-            .map(|(p, v)| match (p, v) {
-                (Param::Categorical { choices, .. }, Value::Cat(i)) => {
-                    format!("{}={}", p.name(), choices[*i])
-                }
-                (_, Value::Int(x)) => format!("{}={x}", p.name()),
-                (_, Value::Float(x)) => format!("{}={x:.4}", p.name()),
-                (_, Value::Cat(x)) => format!("{}={x}", p.name()),
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
 }
 
 #[cfg(test)]
@@ -675,15 +658,5 @@ mod tests {
         let moved = moved_by_second_snap(&Param::log_float("multiplier", 0.25, 60.0));
         // (1,273 of these 100,000 on x86-64 Linux.)
         assert!(moved > 0, "a second snap moved no LogFloat point");
-    }
-
-    #[test]
-    fn format_is_readable() {
-        let space = ParamSpace::new(vec![
-            Param::int("hints", 1, 30),
-            Param::categorical("mode", &["fast", "safe"]),
-        ]);
-        let s = space.format_values(&[Value::Int(11), Value::Cat(0)]);
-        assert_eq!(s, "hints=11, mode=fast");
     }
 }

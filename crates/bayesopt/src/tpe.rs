@@ -34,9 +34,13 @@ use crate::error::BoError;
 use crate::optimizer::{Candidate, Observation};
 use crate::space::ParamSpace;
 
-/// Tuning knobs of the TPE sampler. Out-of-range values are clamped at
-/// construction ([`Tpe::new`]) rather than rejected — every field has a
-/// safe nearest neighbor.
+/// Fraction of the history treated as "good" (the split quantile).
+const GAMMA: f64 = 0.25;
+/// Candidates sampled from the good density per proposal.
+const N_CANDIDATES: usize = 24;
+
+/// Tuning knobs of the TPE sampler. An out-of-range `n_startup` is
+/// clamped at construction ([`Tpe::new`]) rather than rejected.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TpeConfig {
     /// Seed all per-step randomness derives from.
@@ -44,10 +48,6 @@ pub struct TpeConfig {
     /// Random startup proposals before the density model switches on
     /// (Optuna's `n_startup_trials`).
     pub n_startup: usize,
-    /// Fraction of the history treated as "good" (the split quantile).
-    pub gamma: f64,
-    /// Candidates sampled from the good density per proposal.
-    pub n_candidates: usize,
 }
 
 impl Default for TpeConfig {
@@ -55,8 +55,6 @@ impl Default for TpeConfig {
         TpeConfig {
             seed: 0,
             n_startup: 6,
-            gamma: 0.25,
-            n_candidates: 24,
         }
     }
 }
@@ -80,14 +78,10 @@ pub struct Tpe {
 }
 
 impl Tpe {
-    /// A sampler over `space`. Config fields are clamped into their valid
-    /// ranges (`n_startup >= 1`, `gamma` in `[0.01, 0.5]`,
-    /// `n_candidates >= 1`).
+    /// A sampler over `space`, with `n_startup` clamped to at least 1.
     pub fn new(space: ParamSpace, config: TpeConfig) -> Self {
         let config = TpeConfig {
             n_startup: config.n_startup.max(1),
-            gamma: config.gamma.clamp(0.01, 0.5),
-            n_candidates: config.n_candidates.max(1),
             ..config
         };
         Tpe {
@@ -178,7 +172,7 @@ impl Tpe {
         // bucket midpoints so the ratio is evaluated at the configuration
         // that would actually run. Scoring draws no randomness, so all
         // candidates are drawn first, in the same order as one at a time.
-        let candidates: Vec<Vec<f64>> = (0..self.config.n_candidates)
+        let candidates: Vec<Vec<f64>> = (0..N_CANDIDATES)
             .map(|_| {
                 let mut u: Vec<f64> = good_density.iter().map(|p| p.sample(&mut rng)).collect();
                 self.space.canonicalize_in_place(&mut u);
@@ -212,7 +206,7 @@ impl Tpe {
                 step,
                 path: "tpe".into(),
                 refit: false,
-                pool: self.config.n_candidates,
+                pool: N_CANDIDATES,
                 margin: finite_or_zero(best_score - runner_up),
                 polish_moves: 0,
                 wall_ns: t0.map(|t| t.elapsed().as_nanos() as u64),
@@ -242,7 +236,7 @@ impl Tpe {
 
     /// The good/bad split the next proposal would model: observations
     /// ordered by `(y desc, unit lex asc)` — a pure function of the
-    /// observation multiset — with the top `ceil(gamma·n)` (at least 1)
+    /// observation multiset — with the top `ceil(GAMMA·n)` (at least 1)
     /// forming the good side. Public so the metamorphic suite can pin
     /// the permutation invariance directly.
     pub fn partition(&self) -> (Vec<&Observation>, Vec<&Observation>) {
@@ -259,8 +253,8 @@ impl Tpe {
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
         });
-        let n_good = ((self.config.gamma * ordered.len() as f64).ceil() as usize)
-            .clamp(1, ordered.len().max(1));
+        let n_good =
+            ((GAMMA * ordered.len() as f64).ceil() as usize).clamp(1, ordered.len().max(1));
         let bad = ordered.split_off(n_good.min(ordered.len()));
         (ordered, bad)
     }

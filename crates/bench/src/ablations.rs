@@ -18,7 +18,7 @@ use mtm_bayesopt::optimizer::Marginalize;
 use mtm_bayesopt::{Acquisition, BoConfig, KernelChoice};
 use mtm_core::objective::synthetic_base;
 use mtm_core::report::Table;
-use mtm_core::{Objective, ParamSet, RunOptions, Strategy};
+use mtm_core::{ExperimentResult, Objective, ParamSet, RunOptions, Strategy};
 use mtm_gp::FitOptions;
 use mtm_runner::RunnerError;
 use mtm_stormsim::ClusterSpec;
@@ -41,11 +41,14 @@ fn cell_objective(cluster: ClusterSpec) -> Objective {
     Objective::new(topo, cluster).with_base(base)
 }
 
+/// Latin-hypercube design points per pass before the surrogate runs.
+const N_INIT: usize = 10;
+
 fn bo_builder(seed: u64) -> mtm_bayesopt::BoConfigBuilder {
     BoConfig::builder()
         .seed(seed)
         .fit(FitOptions::fast())
-        .n_init(10)
+        .n_init(N_INIT)
         .n_candidates(512)
         .local_passes(2)
         .refit_every(2)
@@ -64,16 +67,27 @@ fn bo_config(seed: u64) -> BoConfig {
     built(bo_builder(seed))
 }
 
-/// Run one BO experiment with a configured optimizer; its mean
-/// confirmed throughput.
+/// Run one BO experiment with a configured optimizer.
 fn run_bo(
     objective: &Objective,
     opts: &RunOptions,
     make: impl Fn(u64) -> BoConfig + Sync,
-) -> Result<f64, RunnerError> {
+) -> Result<ExperimentResult, RunnerError> {
     let topo = objective.topology();
     let strategy = |seed| Strategy::bo_with(topo, ParamSet::Hints, make(seed));
-    Ok(run_in_memory("ablation/bo", &strategy, objective, opts)?.mean())
+    run_in_memory("ablation/bo", &strategy, objective, opts)
+}
+
+/// The best throughput measured at a surrogate-driven step (step
+/// `>= N_INIT`) of any pass; NaN when no pass got past its design.
+fn best_surrogate_step(result: &ExperimentResult) -> f64 {
+    result
+        .passes
+        .iter()
+        .flat_map(|p| &p.steps)
+        .filter(|s| s.step >= N_INIT)
+        .map(|s| s.throughput)
+        .fold(f64::NAN, f64::max)
 }
 
 /// Ablation 1: measurement averaging (§VI's proposed improvement).
@@ -91,7 +105,7 @@ pub fn measurement_averaging(steps: usize) -> Result<Table, RunnerError> {
             measure_reps: reps,
             ..Default::default()
         };
-        let mean = run_bo(&objective, &opts, bo_config)?;
+        let mean = run_bo(&objective, &opts, bo_config)?.mean();
         t.push(&format!("bo, {reps} run(s)/step"), vec![mean]);
     }
     Ok(t)
@@ -114,7 +128,8 @@ pub fn acquisitions(steps: usize) -> Result<Table, RunnerError> {
     ] {
         let mean = run_bo(&objective, &opts, |seed| {
             built(bo_builder(seed).acquisition(acq))
-        })?;
+        })?
+        .mean();
         t.push(label, vec![mean]);
     }
     Ok(t)
@@ -136,13 +151,19 @@ pub fn kernels(steps: usize) -> Result<Table, RunnerError> {
     ] {
         let mean = run_bo(&objective, &opts, |seed| {
             built(bo_builder(seed).kernel(kernel))
-        })?;
+        })?
+        .mean();
         t.push(label, vec![mean]);
     }
     Ok(t)
 }
 
 /// Ablation 4: hyperparameter marginalization (integrated EI).
+///
+/// Both arms share each pass's design points, and the confirmed winner
+/// can be one of them, so `mean_tps` alone may not tell the arms apart;
+/// `surrogate_best_tps` is each arm's best measurement over the steps
+/// its surrogate chose.
 pub fn marginalization(steps: usize) -> Result<Table, RunnerError> {
     let objective = cell_objective(ClusterSpec::paper_cluster());
     let opts = RunOptions {
@@ -153,7 +174,7 @@ pub fn marginalization(steps: usize) -> Result<Table, RunnerError> {
     };
     let mut t = Table::new(
         "Ablation: hyperparameter treatment in the acquisition",
-        &["mean_tps"],
+        &["mean_tps", "surrogate_best_tps"],
     );
     for (label, marg) in [
         ("point estimate", None),
@@ -165,10 +186,10 @@ pub fn marginalization(steps: usize) -> Result<Table, RunnerError> {
             }),
         ),
     ] {
-        let mean = run_bo(&objective, &opts, |seed| {
+        let result = run_bo(&objective, &opts, |seed| {
             built(bo_builder(seed).marginalize(marg))
         })?;
-        t.push(label, vec![mean]);
+        t.push(label, vec![result.mean(), best_surrogate_step(&result)]);
     }
     Ok(t)
 }
@@ -196,7 +217,7 @@ pub fn contention_exponent(steps: usize) -> Result<Table, RunnerError> {
             ..Default::default()
         };
         let pla = run_in_memory("ablation/pla", &|_s| Strategy::pla(), &objective, &opts)?.mean();
-        let bo = run_bo(&objective, &opts, bo_config)?;
+        let bo = run_bo(&objective, &opts, bo_config)?.mean();
         t.push(label, vec![pla, bo, bo / pla.max(1e-9)]);
     }
     Ok(t)
@@ -213,7 +234,6 @@ mod tests {
             measurement_averaging(6),
             acquisitions(6),
             kernels(6),
-            marginalization(5),
             contention_exponent(6),
         ] {
             let table = table.unwrap();
@@ -224,5 +244,18 @@ mod tests {
                 table.title
             );
         }
+    }
+
+    #[test]
+    fn marginalization_reports_surrogate_steps() {
+        // Two surrogate-driven steps per pass past the design.
+        let table = marginalization(N_INIT + 2).unwrap();
+        assert_eq!(table.rows.len(), 2);
+        for row in &table.rows {
+            assert!(row.values[0] > 0.0 && row.values[1] > 0.0, "{row:?}");
+        }
+        // With no step past the design there is no surrogate best.
+        let table = marginalization(N_INIT).unwrap();
+        assert!(table.rows.iter().all(|r| r.values[1].is_nan()));
     }
 }

@@ -1,10 +1,11 @@
 //! Run the design-choice ablation studies.
-use mtm_bench::{ablations, Scale};
+use mtm_bench::{ablations, figures, Scale};
 use mtm_runner::results_dir;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = Scale::from_env();
     let steps = scale.steps().min(40);
+    let out_dir = results_dir();
     for (name, table) in [
         (
             "ablation_averaging",
@@ -21,11 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ablations::contention_exponent(steps)?,
         ),
     ] {
-        print!("{}", table.render());
+        figures::publish(&table, name, &out_dir)?;
         println!();
-        let path = results_dir().join(format!("{name}.csv"));
-        table.write_csv(&path)?;
-        eprintln!("wrote {}", path.display());
     }
     Ok(())
 }

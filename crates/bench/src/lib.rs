@@ -3,24 +3,27 @@
 //! The experiment harness that regenerates **every table and figure** of
 //! the paper's evaluation section on the simulated cluster:
 //!
-//! | target | paper artifact |
+//! | `run_all` name | paper artifact |
 //! |---|---|
 //! | `table1` | Table I — the configuration parameter surface |
 //! | `table2` | Table II — generated topology statistics |
 //! | `table3` | Table III — operator counts in the literature |
-//! | `fig3_network`  | Fig. 3 — per-worker network load |
-//! | `fig4_throughput` | Fig. 4 — strategy throughput grid |
-//! | `fig5_convergence` | Fig. 5 — steps to best configuration |
-//! | `fig6_trajectories` | Fig. 6 — LOESS-smoothed BO trajectories |
-//! | `fig7_scalability` | Fig. 7 — optimizer step wall-time |
-//! | `fig8_sundog` | Fig. 8 — Sundog throughput & convergence |
-//! | `run_all` | everything above in sequence |
-//! | `ablations` | design-choice ablations (averaging, acquisition, kernel, marginalization, contention exponent) |
+//! | `fig3` | Fig. 3 — per-worker network load |
+//! | `fig4` | Fig. 4 — strategy throughput grid |
+//! | `fig5` | Fig. 5 — steps to best configuration |
+//! | `fig6` | Fig. 6 — LOESS-smoothed BO trajectories |
+//! | `fig7` | Fig. 7 — optimizer step wall-time |
+//! | `fig8` | Fig. 8 — Sundog throughput & convergence |
+//!
+//! `run_all [NAME…]` emits the named artifacts through
+//! [`figures::emit`], all nine in order when no name is given. The
+//! `ablations` binary runs the design-choice ablations (averaging,
+//! acquisition, kernel, marginalization, contention exponent).
 //!
 //! The `bench_*` binaries write the gated `BENCH_*.json` perf records;
 //! their shared plumbing and their gates live in [`perf`].
 //!
-//! Every binary accepts the `MTM_SCALE` environment variable:
+//! `run_all` and `ablations` read the `MTM_SCALE` environment variable:
 //! `paper` (default — the paper's budgets: 60/180 steps, 2 passes, 30
 //! confirmation runs), `fast` (reduced budgets for a laptop-minute run)
 //! or `smoke` (seconds; used by the integration tests). Results print as

@@ -190,16 +190,6 @@ pub struct PassResult {
     pub best_step: usize,
 }
 
-impl PassResult {
-    /// Mean optimizer wall time per step.
-    pub fn avg_optimizer_time(&self) -> f64 {
-        if self.steps.is_empty() {
-            return 0.0;
-        }
-        self.steps.iter().map(|s| s.optimizer_time_s).sum::<f64>() / self.steps.len() as f64
-    }
-}
-
 /// A full experiment: the better of `passes` passes plus confirmation
 /// runs of its best configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -431,7 +421,8 @@ mod tests {
         assert!(pass.best_throughput >= pass.steps[0].throughput);
         assert_eq!(pass.strategy, "pla");
         // pla's optimizer cost is negligible (Fig. 7: "barely visible").
-        assert!(pass.avg_optimizer_time() < 0.01);
+        let optimizer_s: f64 = pass.steps.iter().map(|s| s.optimizer_time_s).sum();
+        assert!(optimizer_s / (pass.steps.len() as f64) < 0.01);
     }
 
     #[test]

@@ -20,6 +20,13 @@ use crate::gp::GpRegression;
 use crate::kernel::Kernel;
 use crate::priors::IndependentPriors;
 
+/// Adam learning rate (log space).
+const LEARNING_RATE: f64 = 0.08;
+/// Clamp for each log-hyperparameter, symmetric around 0.
+const LOG_BOUND: f64 = 9.0;
+/// RNG seed for restart initialization.
+const SEED: u64 = 0x5EED;
+
 /// Options controlling the hyperparameter fit.
 #[derive(Debug, Clone)]
 pub struct FitOptions {
@@ -27,12 +34,6 @@ pub struct FitOptions {
     pub restarts: usize,
     /// Adam iterations per restart.
     pub max_iters: usize,
-    /// Adam learning rate (log space).
-    pub learning_rate: f64,
-    /// Clamp for each log-hyperparameter, symmetric around 0.
-    pub log_bound: f64,
-    /// RNG seed for restart initialization.
-    pub seed: u64,
     /// Optional log-priors turning ML into MAP estimation.
     pub priors: Option<IndependentPriors>,
 }
@@ -42,9 +43,6 @@ impl Default for FitOptions {
         FitOptions {
             restarts: 2,
             max_iters: 80,
-            learning_rate: 0.08,
-            log_bound: 9.0,
-            seed: 0x5EED,
             priors: None,
         }
     }
@@ -122,7 +120,7 @@ fn optimize_on<K: Kernel>(gp: &mut GpRegression<K>, opts: &FitOptions, workers: 
 /// The start point of every restart, in restart order, all drawn from
 /// the one seeded RNG before any ascent runs.
 fn restart_points(start: &[f64], opts: &FitOptions) -> Vec<Vec<f64>> {
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
     (0..=opts.restarts)
         .map(|restart| {
             if restart == 0 {
@@ -196,10 +194,10 @@ fn adam_ascent<K: Kernel>(gp: &mut GpRegression<K>, opts: &FitOptions) -> Vec<f6
         for i in 0..dim {
             m[i] = BETA1 * m[i] + (1.0 - BETA1) * grad[i];
             v[i] = BETA2 * v[i] + (1.0 - BETA2) * grad[i] * grad[i];
-            let m_hat = m[i] / (1.0 - BETA1.powi(t as i32));
-            let v_hat = v[i] / (1.0 - BETA2.powi(t as i32));
-            let step = opts.learning_rate * m_hat / (v_hat.sqrt() + EPS);
-            params[i] = (params[i] + step).clamp(-opts.log_bound, opts.log_bound);
+            let m_hat: f64 = m[i] / (1.0 - BETA1.powi(t as i32));
+            let v_hat: f64 = v[i] / (1.0 - BETA2.powi(t as i32));
+            let step = LEARNING_RATE * m_hat / (v_hat.sqrt() + EPS);
+            params[i] = (params[i] + step).clamp(-LOG_BOUND, LOG_BOUND);
             max_step = max_step.max(step.abs());
         }
         if gp.set_hyperparameters(&params).is_err() {

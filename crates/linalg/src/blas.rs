@@ -83,22 +83,6 @@ pub fn gemv_into(a: &Mat, v: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Transposed matrix-vector product `out = A^T * v` into a buffer.
-pub fn gemv_t_into(a: &Mat, v: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(a.rows(), v.len());
-    debug_assert_eq!(a.cols(), out.len());
-    out.fill(0.0);
-    for (i, &v_i) in v.iter().enumerate() {
-        // mtm-allow: float-eq -- exact sparse-skip of zero entries
-        if v_i == 0.0 {
-            continue;
-        }
-        for (out_j, &a_ij) in out.iter_mut().zip(a.row(i)) {
-            *out_j += v_i * a_ij;
-        }
-    }
-}
-
 /// Dot product of two equal-length slices.
 ///
 /// Unrolled by four lanes; the independent accumulators break the
@@ -191,10 +175,6 @@ mod tests {
         let mut out = vec![0.0; 3];
         gemv_into(&a, &[1.0, -1.0], &mut out);
         assert_eq!(out, vec![-1.0, -1.0, -1.0]);
-
-        let mut out_t = vec![0.0; 2];
-        gemv_t_into(&a, &[1.0, 1.0, 1.0], &mut out_t);
-        assert_eq!(out_t, vec![9.0, 12.0]);
     }
 
     /// The indexed four-lane loop `dot` replaced, kept as its bit-exact

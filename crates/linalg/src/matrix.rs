@@ -198,11 +198,6 @@ impl Mat {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry (infinity norm of the flattened data).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |acc, &x| acc.max(x.abs()))
@@ -467,7 +462,6 @@ mod tests {
         let mut m = Mat::zeros(3, 3);
         m.add_diag(2.0);
         assert_eq!(m.trace(), 6.0);
-        assert!((m.frobenius_norm() - (12.0_f64).sqrt()).abs() < 1e-12);
         assert_eq!(m.max_abs(), 2.0);
     }
 

@@ -2,25 +2,6 @@
 
 pub use crate::blas::dot;
 
-/// `y <- y + alpha * x`.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Euclidean norm.
-pub fn norm2(x: &[f64]) -> f64 {
-    dot(x, x).sqrt()
-}
-
-/// Squared Euclidean distance between two points.
-pub fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
 /// Scale a vector in place.
 pub fn scale(x: &mut [f64], s: f64) {
     for v in x {
@@ -55,34 +36,14 @@ pub fn argmax(x: &[f64]) -> Option<(usize, f64)> {
     best
 }
 
-/// Index and value of the minimum entry; `None` for empty or all-NaN input.
-pub fn argmin(x: &[f64]) -> Option<(usize, f64)> {
-    argmax(&x.iter().map(|v| -v).collect::<Vec<_>>()).map(|(i, v)| (i, -v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn axpy_accumulates() {
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [10.0, 10.0, 10.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 14.0, 16.0]);
-    }
-
-    #[test]
-    fn norms_and_distances() {
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(dist_sq(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-    }
-
-    #[test]
     fn argmax_skips_nan() {
         let x = [1.0, f64::NAN, 3.0, 2.0];
         assert_eq!(argmax(&x), Some((2, 3.0)));
-        assert_eq!(argmin(&x), Some((0, 1.0)));
         assert_eq!(argmax(&[]), None);
         assert_eq!(argmax(&[f64::NAN]), None);
     }

@@ -32,11 +32,6 @@ pub fn median(xs: &[f64]) -> Option<f64> {
     quantile(xs, 0.5)
 }
 
-/// Interquartile range.
-pub fn iqr(xs: &[f64]) -> Option<f64> {
-    Some(quantile(xs, 0.75)? - quantile(xs, 0.25)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,12 +50,6 @@ mod tests {
         assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0], 0.25), Some(1.75));
         assert_eq!(quantile(&[1.0, 2.0, 3.0], 0.0), Some(1.0));
         assert_eq!(quantile(&[1.0, 2.0, 3.0], 1.0), Some(3.0));
-    }
-
-    #[test]
-    fn iqr_simple() {
-        let xs: Vec<f64> = (1..=9).map(|i| i as f64).collect();
-        assert_eq!(iqr(&xs), Some(4.0));
     }
 
     #[test]

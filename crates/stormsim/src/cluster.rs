@@ -94,11 +94,6 @@ impl ClusterSpec {
         }
     }
 
-    /// Total cores in the cluster.
-    pub fn total_cores(&self) -> u32 {
-        self.machines as u32 * self.cores_per_machine
-    }
-
     /// Effective compute capacity of one machine, in units/second, when a
     /// worker runs `active_threads` concurrently runnable threads on it.
     ///
@@ -125,7 +120,7 @@ mod tests {
     fn paper_cluster_dimensions() {
         let c = ClusterSpec::paper_cluster();
         assert_eq!(c.machines, 80);
-        assert_eq!(c.total_cores(), 320);
+        assert_eq!(c.cores_per_machine, 4);
         // 1 Gbps in MB/s as quoted in the paper.
         assert!((c.net_bandwidth_bps / (1024.0 * 1024.0) - 128.0).abs() < 1e-9);
     }

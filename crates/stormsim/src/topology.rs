@@ -485,11 +485,6 @@ impl Topology {
 
     // --- per-field node accessors (hot path; no materialization) ---
 
-    /// Node name by id (no interning, no clone).
-    pub fn node_name(&self, v: NodeId) -> &str {
-        &self.names[v]
-    }
-
     /// Spout or bolt.
     pub fn kind(&self, v: NodeId) -> NodeKind {
         self.kind[v]
@@ -612,21 +607,6 @@ impl Topology {
         self.time_complexity.iter().sum()
     }
 
-    /// Critical path: the maximum total compute units along any
-    /// source-to-sink path — the serial latency floor of one tuple
-    /// through the topology (per-tuple cost model, contention excluded).
-    pub fn critical_path_units(&self) -> f64 {
-        let mut best = vec![0.0_f64; self.n_nodes()];
-        for &u in &self.topo_order {
-            best[u] += self.time_complexity[u];
-            for &ei in self.out_edges(u) {
-                let v = self.edge_to[ei as usize] as NodeId;
-                best[v] = best[v].max(best[u]);
-            }
-        }
-        best.into_iter().fold(0.0, f64::max)
-    }
-
     /// Sum of compute units on contentious nodes.
     pub fn contentious_compute_units(&self) -> f64 {
         (0..self.n_nodes())
@@ -682,7 +662,6 @@ mod tests {
         let t = diamond();
         for v in 0..t.n_nodes() {
             let spec = t.node(v);
-            assert_eq!(spec.name, t.node_name(v));
             assert_eq!(spec.kind, t.kind(v));
             assert_eq!(spec.time_complexity, t.time_complexity(v));
             assert_eq!(spec.contentious, t.is_contentious(v));
@@ -786,13 +765,6 @@ mod tests {
         let t = tb.build().unwrap();
         assert_eq!(t.contentious_compute_units(), 30.0);
         assert_eq!(t.total_compute_units(), 60.0);
-    }
-
-    #[test]
-    fn critical_path_takes_the_heavier_branch() {
-        let t = diamond();
-        // s(10) -> b(30) -> c(5) is the heavier branch: 45 units.
-        assert_eq!(t.critical_path_units(), 45.0);
     }
 
     #[test]

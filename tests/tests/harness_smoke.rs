@@ -70,3 +70,37 @@ fn fig8_smoke() {
     let report = figures::fig8::significance_report(&r);
     assert!(report.contains("pinned hint"));
 }
+
+#[test]
+fn emit_writes_every_promised_csv() {
+    let dir = std::env::temp_dir().join(format!("mtm-emit-tests-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // An unknown name is refused before any artifact runs.
+    assert!(figures::emit(&["table2", "nope"], Scale::Smoke, &dir).is_err());
+    assert!(!dir.exists());
+
+    // Table II needs no grid, so no journal appears.
+    figures::emit(&["table2"], Scale::Smoke, &dir).unwrap();
+    assert!(dir.join("table2.csv").is_file());
+    assert!(!dir.join("journal").exists());
+
+    figures::emit(&figures::NAMES, Scale::Smoke, &dir).unwrap();
+    for stem in [
+        "table2",
+        "fig3",
+        "fig4",
+        "fig5",
+        "fig6_cond0",
+        "fig6_cond1",
+        "fig6_cond2",
+        "fig6_cond3",
+        "fig7",
+        "fig8a",
+        "fig8b",
+    ] {
+        assert!(dir.join(format!("{stem}.csv")).is_file(), "{stem}.csv");
+    }
+    assert!(dir.join("journal").is_dir());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -307,9 +307,7 @@ impl Hyperband {
             .wrapping_mul(1_000_003)
             .wrapping_add(slot as u64);
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ key.wrapping_mul(0x9E37_79B9));
-        let values = self.space.sample(&mut rng);
-        let unit = self.space.encode(&values);
-        Candidate { unit, values }
+        self.space.sample_candidate(&mut rng)
     }
 }
 

@@ -1365,7 +1365,7 @@ mod tests {
     fn polish_is_bit_equal_to_the_full_canonicalize_loop() {
         // The Medium Hints space: 50 hints and max-tasks (d = 51).
         let mut params: Vec<Param> = (0..50)
-            .map(|v| Param::int(&format!("h{v}"), 1, 60))
+            .map(|v| Param::int(format!("h{v}"), 1, 60))
             .collect();
         params.push(Param::log_int("max_tasks", 50, 4_000));
         let (moves, skipped) = polish_matches_reference_on(&ParamSpace::new(params), 2.0, false, 5);

@@ -56,8 +56,7 @@ impl RandomSearch {
     pub fn propose_recorded<R: Recorder>(&mut self, rec: &mut R) -> Candidate {
         let mut rng =
             StdRng::seed_from_u64(self.seed ^ (self.step as u64).wrapping_mul(0x9E37_79B9));
-        let values = self.space.sample(&mut rng);
-        let unit = self.space.encode(&values);
+        let candidate = self.space.sample_candidate(&mut rng);
         if R::ENABLED {
             rec.record(Event::Propose {
                 step: self.step,
@@ -69,7 +68,7 @@ impl RandomSearch {
                 wall_ns: None,
             });
         }
-        Candidate { unit, values }
+        candidate
     }
 
     /// Record that the last proposal was measured. The objective value

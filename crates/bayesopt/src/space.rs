@@ -9,6 +9,11 @@
 //! [`Value`]; `decode`, `encode` and `snap` share one helper per
 //! variant, so the three agree to the bit.
 //!
+//! A uniform draw is one pass too: [`ParamSpace::sample_candidate`]
+//! takes one `u` per coordinate and returns `decode(u)` beside
+//! `snap(u)`, the same `values` and the same `unit` bits as
+//! [`ParamSpace::sample`] followed by [`ParamSpace::encode`].
+//!
 //! Snapping is idempotent for `Int`, `LogInt` and `Categorical`: a
 //! bucket midpoint decodes back into its own bucket. It need **not** be
 //! idempotent for the continuous variants, whose round trip goes
@@ -17,8 +22,12 @@
 //! snap every coordinate of `p`, even one that is already the snap of
 //! something.
 
+use std::collections::HashSet;
+
 use rand::rngs::StdRng;
 use rand::Rng;
+
+use crate::optimizer::Candidate;
 
 /// One tunable parameter.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,7 +80,7 @@ pub enum Param {
 
 impl Param {
     /// Integer parameter constructor.
-    pub fn int(name: &str, lo: i64, hi: i64) -> Param {
+    pub fn int(name: impl Into<String>, lo: i64, hi: i64) -> Param {
         assert!(hi >= lo, "int param needs hi >= lo");
         Param::Int {
             name: name.into(),
@@ -81,7 +90,7 @@ impl Param {
     }
 
     /// Float parameter constructor.
-    pub fn float(name: &str, lo: f64, hi: f64) -> Param {
+    pub fn float(name: impl Into<String>, lo: f64, hi: f64) -> Param {
         assert!(hi > lo, "float param needs hi > lo");
         Param::Float {
             name: name.into(),
@@ -91,7 +100,7 @@ impl Param {
     }
 
     /// Log-scaled float parameter constructor.
-    pub fn log_float(name: &str, lo: f64, hi: f64) -> Param {
+    pub fn log_float(name: impl Into<String>, lo: f64, hi: f64) -> Param {
         assert!(lo > 0.0 && hi > lo, "log float needs 0 < lo < hi");
         Param::LogFloat {
             name: name.into(),
@@ -101,7 +110,7 @@ impl Param {
     }
 
     /// Log-scaled integer parameter constructor.
-    pub fn log_int(name: &str, lo: i64, hi: i64) -> Param {
+    pub fn log_int(name: impl Into<String>, lo: i64, hi: i64) -> Param {
         assert!(lo >= 1 && hi > lo, "log int needs 1 <= lo < hi");
         Param::LogInt {
             name: name.into(),
@@ -131,21 +140,9 @@ impl Param {
     }
 
     /// Decode a unit-interval coordinate into a typed value.
+    #[inline]
     pub fn decode(&self, u: f64) -> Value {
-        let u = u.clamp(0.0, 1.0);
-        match self {
-            Param::Int { lo, hi, .. } => Value::Int(lo + int_bucket(u, *lo, *hi)),
-            Param::Float { lo, hi, .. } => Value::Float(lin_value(u, *lo, *hi)),
-            Param::LogFloat { lo, hi, .. } => {
-                let (llo, lhi) = log_bounds(*lo, *hi);
-                Value::Float(log_value(u, llo, lhi))
-            }
-            Param::LogInt { lo, hi, .. } => {
-                let (llo, lhi) = log_bounds(*lo as f64, *hi as f64);
-                Value::Int(log_int_value(u, *lo, *hi, llo, lhi))
-            }
-            Param::Categorical { choices, .. } => Value::Cat(cat_bucket(u, choices.len())),
-        }
+        self.decode_snap(u).0
     }
 
     /// Encode a typed value back onto the unit interval (bucket midpoint
@@ -187,39 +184,60 @@ impl Param {
     /// `encode(&decode(u))` to the bit, without the [`Value`] in between
     /// and with each bound's `ln` taken once. Not idempotent for
     /// `LogFloat` (see the module doc).
+    #[inline]
     pub fn snap(&self, u: f64) -> f64 {
+        self.decode_snap(u).1
+    }
+
+    /// `(decode(u), snap(u))` from one match: the bucket, or the value
+    /// and the log bounds, computed once for both. [`decode`](Self::decode)
+    /// and [`snap`](Self::snap) are its projections. Always inlined, so
+    /// each keeps only the arithmetic its half needs: out of line,
+    /// `decode` paid for `snap`'s `ln` and division.
+    #[inline(always)]
+    fn decode_snap(&self, u: f64) -> (Value, f64) {
         let u = u.clamp(0.0, 1.0);
         match self {
             Param::Int { lo, hi, .. } => {
-                bucket_mid(int_bucket(u, *lo, *hi) as f64, int_span(*lo, *hi))
+                let b = int_bucket(u, *lo, *hi);
+                (Value::Int(lo + b), bucket_mid(b as f64, int_span(*lo, *hi)))
             }
-            Param::Float { lo, hi, .. } => lin_unit(lin_value(u, *lo, *hi), *lo, *hi),
+            Param::Float { lo, hi, .. } => {
+                let x = lin_value(u, *lo, *hi);
+                (Value::Float(x), lin_unit(x, *lo, *hi))
+            }
             Param::LogFloat { lo, hi, .. } => {
                 let (llo, lhi) = log_bounds(*lo, *hi);
-                log_float_unit(log_value(u, llo, lhi), *lo, llo, lhi)
+                let x = log_value(u, llo, lhi);
+                (Value::Float(x), log_float_unit(x, *lo, llo, lhi))
             }
             Param::LogInt { lo, hi, .. } => {
                 let (llo, lhi) = log_bounds(*lo as f64, *hi as f64);
-                log_unit(log_int_value(u, *lo, *hi, llo, lhi) as f64, llo, lhi)
+                let x = log_int_value(u, *lo, *hi, llo, lhi);
+                (Value::Int(x), log_unit(x as f64, llo, lhi))
             }
             Param::Categorical { choices, .. } => {
                 let k = choices.len();
-                bucket_mid(cat_bucket(u, k) as f64, k as f64)
+                let b = cat_bucket(u, k);
+                (Value::Cat(b), bucket_mid(b as f64, k as f64))
             }
         }
     }
 
     /// Sample a typed value uniformly.
+    #[inline]
     pub fn sample(&self, rng: &mut StdRng) -> Value {
         self.decode(rng.random::<f64>())
     }
 }
 
-// Per-variant arithmetic shared by `decode`, `encode` and `snap`, so the
-// three run the same operations on the same operands. `u` arrives
-// clamped to `[0, 1]`.
+// Per-variant arithmetic shared by `decode_snap` and `encode`, so
+// `decode`, `encode`, `snap` and `sample_candidate` run the same
+// operations on the same operands. `u` arrives clamped to `[0, 1]`.
+// Inlined: a 3 001-coordinate draw calls them once per coordinate.
 
 /// Bucket count of the integer range `[lo, hi]`.
+#[inline]
 fn int_span(lo: i64, hi: i64) -> f64 {
     (hi - lo) as f64 + 1.0
 }
@@ -227,54 +245,64 @@ fn int_span(lo: i64, hi: i64) -> f64 {
 /// Offset from `lo` of the integer bucket `u` falls in. The product is
 /// non-negative (or NaN, which casts to 0), so the truncating cast is
 /// `floor` then cast.
+#[inline]
 fn int_bucket(u: f64, lo: i64, hi: i64) -> i64 {
     ((u * int_span(lo, hi)) as i64).min(hi - lo)
 }
 
 /// Index of the categorical bucket `u` falls in among `k`; the cast
 /// truncates as in [`int_bucket`].
+#[inline]
 fn cat_bucket(u: f64, k: usize) -> usize {
     ((u * k as f64) as usize).min(k - 1)
 }
 
 /// Unit midpoint of bucket `i` of `n` equal buckets.
+#[inline]
 fn bucket_mid(i: f64, n: f64) -> f64 {
     (i + 0.5) / n
 }
 
 /// Linear map from the unit interval onto `[lo, hi]`.
+#[inline]
 fn lin_value(u: f64, lo: f64, hi: f64) -> f64 {
     lo + u * (hi - lo)
 }
 
 /// Inverse of [`lin_value`], clamped to the unit interval.
+#[inline]
 fn lin_unit(x: f64, lo: f64, hi: f64) -> f64 {
     ((x - lo) / (hi - lo)).clamp(0.0, 1.0)
 }
 
 /// Logarithms of a log-scaled range's bounds.
+#[inline]
 fn log_bounds(lo: f64, hi: f64) -> (f64, f64) {
     (lo.ln(), hi.ln())
 }
 
 /// Log-scale map from the unit interval onto `[e^llo, e^lhi]`.
+#[inline]
 fn log_value(u: f64, llo: f64, lhi: f64) -> f64 {
     (llo + u * (lhi - llo)).exp()
 }
 
 /// Inverse of [`log_value`] (unclamped).
+#[inline]
 fn log_unit(x: f64, llo: f64, lhi: f64) -> f64 {
     (x.ln() - llo) / (lhi - llo)
 }
 
 /// A `LogFloat` value's unit coordinate: floored at `lo`, clamped to
 /// the unit interval.
+#[inline]
 fn log_float_unit(x: f64, lo: f64, llo: f64, lhi: f64) -> f64 {
     log_unit(x.max(lo), llo, lhi).clamp(0.0, 1.0)
 }
 
 /// The `LogInt` value `u` decodes to: the rounded log-scale value,
 /// clamped to `[lo, hi]`.
+#[inline]
 fn log_int_value(u: f64, lo: i64, hi: i64, llo: f64, lhi: f64) -> i64 {
     (log_value(u, llo, lhi).round() as i64).clamp(lo, hi)
 }
@@ -325,15 +353,15 @@ impl ParamSpace {
     /// Panics on duplicate parameter names or an empty list.
     pub fn new(params: Vec<Param>) -> Self {
         assert!(!params.is_empty(), "parameter space cannot be empty");
-        // Sorted neighbours, not a pairwise scan: a Hints space holds one
-        // parameter per vertex, thousands on large graphs.
-        let mut names: Vec<&str> = params.iter().map(Param::name).collect();
-        names.sort_unstable();
-        let dup = names.iter().zip(names.iter().skip(1)).find(|(a, b)| a == b);
+        // One hashed insert per name, not a sort or a pairwise scan: a
+        // Hints space holds one parameter per vertex, thousands on large
+        // graphs, and is built once per pass.
+        let mut seen = HashSet::with_capacity(params.len());
+        let dup = params.iter().map(Param::name).find(|n| !seen.insert(*n));
         assert!(
             dup.is_none(),
             "duplicate parameter name '{}'",
-            dup.map_or("", |(a, _)| *a)
+            dup.unwrap_or("")
         );
         ParamSpace { params }
     }
@@ -360,7 +388,6 @@ impl ParamSpace {
             .iter()
             .zip(u)
             .map(|(p, &ui)| p.decode(ui))
-            // mtm-allow: alloc -- one dim-sized vector per proposal, amortized
             .collect()
     }
 
@@ -371,7 +398,6 @@ impl ParamSpace {
             .iter()
             .zip(values)
             .map(|(p, v)| p.encode(v))
-            // mtm-allow: alloc -- one dim-sized unit point per proposal, amortized
             .collect()
     }
 
@@ -394,8 +420,24 @@ impl ParamSpace {
 
     /// Sample a uniform random typed configuration.
     pub fn sample(&self, rng: &mut StdRng) -> Vec<Value> {
-        // mtm-allow: alloc -- one dim-sized draw per proposal, amortized
         self.params.iter().map(|p| p.sample(rng)).collect()
+    }
+
+    /// A uniform draw with both encodings, in one pass: one `u` per
+    /// coordinate, taken from `rng` in the order [`sample`](Self::sample)
+    /// takes them, gives `values[i] = decode(u)` and `unit[i] = snap(u)`.
+    /// The result is [`sample`](Self::sample) then
+    /// [`encode`](Self::encode) on the same `rng`, to the bit.
+    // mtm-allow: alloc -- the candidate's two dim-sized vectors, once per proposal
+    pub fn sample_candidate(&self, rng: &mut StdRng) -> Candidate {
+        let mut values = Vec::with_capacity(self.dim());
+        let mut unit = Vec::with_capacity(self.dim());
+        for p in &self.params {
+            let (v, x) = p.decode_snap(rng.random::<f64>());
+            values.push(v);
+            unit.push(x);
+        }
+        Candidate { unit, values }
     }
 }
 
@@ -490,7 +532,7 @@ mod tests {
     #[test]
     fn large_spaces_build() {
         let params: Vec<Param> = (0..3_001)
-            .map(|i| Param::log_int(&format!("hint_{i}"), 1, 64))
+            .map(|i| Param::log_int(format!("hint_{i}"), 1, 64))
             .collect();
         let space = ParamSpace::new(params);
         assert_eq!(space.dim(), 3_001);

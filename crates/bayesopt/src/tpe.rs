@@ -139,8 +139,7 @@ impl Tpe {
         let step = self.observations.len();
         let mut rng = step_rng(self.config.seed, step);
         if step < self.config.n_startup {
-            let values = self.space.sample(&mut rng);
-            let unit = self.space.encode(&values);
+            let candidate = self.space.sample_candidate(&mut rng);
             if R::ENABLED {
                 rec.record(Event::Propose {
                     step,
@@ -152,7 +151,7 @@ impl Tpe {
                     wall_ns: t0.map(|t| t.elapsed().as_nanos() as u64),
                 });
             }
-            return Candidate { unit, values };
+            return candidate;
         }
 
         let (good, bad) = self.partition();
@@ -566,7 +565,7 @@ mod tests {
         // A d = 51 history like the Medium Hints space's, split as a
         // proposal splits it, scored over several pool widths.
         let mut params: Vec<Param> = (0..50)
-            .map(|v| Param::int(&format!("h{v}"), 1, 60))
+            .map(|v| Param::int(format!("h{v}"), 1, 60))
             .collect();
         params.push(Param::log_int("max_tasks", 50, 4_000));
         let mut tpe = Tpe::new(ParamSpace::new(params), TpeConfig::with_seed(4));

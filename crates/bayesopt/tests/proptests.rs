@@ -25,8 +25,58 @@ fn arb_param() -> impl Strategy<Value = Param> {
     ]
 }
 
+/// [`arb_param`] plus the edge shapes: a one-value `Int`, a wide `Int`
+/// and `LogInt`, the informed-multiplier `LogFloat` and a one-choice
+/// `Categorical`.
+fn arb_edge_param() -> impl Strategy<Value = Param> {
+    prop_oneof![
+        arb_param(),
+        (-50i64..50).prop_map(|lo| Param::int("p", lo, lo)),
+        Just(Param::int("p", i64::MIN / 4, i64::MAX / 4)),
+        (1i64..1_000, 1_000i64..1_000_000_000).prop_map(|(lo, f)| Param::log_int("p", lo, lo * f)),
+        Just(Param::log_float("p", 0.25, 60.0)),
+        Just(Param::categorical("p", &["only"])),
+    ]
+}
+
+/// `params` named `p0, p1, …`, so a space can hold any mix of them.
+fn renamed(mut params: Vec<Param>) -> Vec<Param> {
+    for (i, p) in params.iter_mut().enumerate() {
+        match p {
+            Param::Int { name, .. }
+            | Param::Float { name, .. }
+            | Param::LogFloat { name, .. }
+            | Param::LogInt { name, .. }
+            | Param::Categorical { name, .. } => *name = format!("p{i}"),
+        }
+    }
+    params
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The one-pass draw of `RandomSearch`, Hyperband's rung 0 and TPE's
+    /// startup against the two passes it replaced: the same `rng`
+    /// sequence gives the same values and the same unit bits, draw after
+    /// draw.
+    #[test]
+    fn sample_candidate_is_bit_equal_to_sample_then_encode(
+        params in prop::collection::vec(arb_edge_param(), 1..40),
+        seed in any::<u64>(),
+    ) {
+        let space = ParamSpace::new(renamed(params));
+        let mut fused = StdRng::seed_from_u64(seed);
+        let mut two_pass = StdRng::seed_from_u64(seed);
+        for _ in 0..8 {
+            let got = space.sample_candidate(&mut fused);
+            let values = space.sample(&mut two_pass);
+            let unit = space.encode(&values);
+            prop_assert_eq!(&got.values, &values);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got.unit), bits(&unit));
+        }
+    }
 
     #[test]
     fn decode_always_lands_in_range(param in arb_param(), u in 0.0f64..=1.0) {
@@ -72,22 +122,7 @@ proptest! {
         params in prop::collection::vec(arb_param(), 1..6),
         seed in any::<u64>(),
     ) {
-        // Rename to avoid duplicate-name panics.
-        let params: Vec<Param> = params
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| match p {
-                Param::Int { lo, hi, .. } => Param::int(&format!("p{i}"), lo, hi),
-                Param::Float { lo, hi, .. } => Param::float(&format!("p{i}"), lo, hi),
-                Param::LogFloat { lo, hi, .. } => Param::log_float(&format!("p{i}"), lo, hi),
-                Param::LogInt { lo, hi, .. } => Param::log_int(&format!("p{i}"), lo, hi),
-                Param::Categorical { choices, .. } => {
-                    let refs: Vec<&str> = choices.iter().map(|s| s.as_str()).collect();
-                    Param::categorical(&format!("p{i}"), &refs)
-                }
-            })
-            .collect();
-        let space = ParamSpace::new(params);
+        let space = ParamSpace::new(renamed(params));
         let mut rng = StdRng::seed_from_u64(seed);
         let values = space.sample(&mut rng);
         let u = space.encode(&values);

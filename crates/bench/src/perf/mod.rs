@@ -58,7 +58,7 @@ pub fn run_main(name: &str, run: impl FnOnce() -> Result<(), String>) -> ExitCod
 /// `history` observations of a deterministic objective.
 pub fn primed_optimizer(history: usize) -> Result<BayesOpt, String> {
     let params: Vec<Param> = (0..PRIMED_DIM)
-        .map(|i| Param::int(&format!("h{i}"), 1, 60))
+        .map(|i| Param::int(format!("h{i}"), 1, 60))
         .collect();
     let config = BoConfig::builder()
         .seed(2)

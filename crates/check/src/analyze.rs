@@ -29,7 +29,7 @@
 //! them ([`crate::ast::skip_strict_gate`]), exactly like `#[cfg(test)]`
 //! items. Taint and the call graph do not.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
@@ -111,10 +111,11 @@ pub fn analyze_crates(crates: &[CrateAst]) -> Analysis {
     crate::taint::run_taint(&graph, crates, &mut annots.allows, &mut analysis.report);
 
     let float_fields = float_fields(crates);
+    let float_consts = float_consts(crates);
     for (f, unit) in graph.fns.iter().zip(&graph.units) {
         let mut scan = BodyScan {
             float_fields: &float_fields,
-            float_names: FloatNames::default(),
+            float_names: float_consts.get(unit).cloned().unwrap_or_default(),
             counts: SiteCounts::default(),
             floats: Vec::new(),
         };
@@ -217,7 +218,7 @@ fn classify_float_ty(ty: &str) -> Option<FloatTy> {
 }
 
 /// Per-tier sets of names that carry float evidence.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct FloatNames {
     scalars: BTreeSet<String>,
     containers: BTreeSet<String>,
@@ -241,6 +242,23 @@ fn float_fields(crates: &[CrateAst]) -> FloatNames {
                 if let Some(tier) = classify_float_ty(&field.ty) {
                     out.insert(field.field.clone(), tier);
                 }
+            }
+        }
+    }
+    out
+}
+
+/// Float-typed `const`/`static` items per ratchet unit: evidence in
+/// every function body of the crate that declares them, as a parameter
+/// or local of that type would be (`LEARNING_RATE * m / (…)` is a
+/// float division).
+fn float_consts(crates: &[CrateAst]) -> BTreeMap<String, FloatNames> {
+    let mut out = BTreeMap::new();
+    for krate in crates {
+        let names: &mut FloatNames = out.entry(krate.unit.clone()).or_default();
+        for item in krate.files.iter().flat_map(|file| &file.consts) {
+            if let Some(tier) = classify_float_ty(&item.ty) {
+                names.insert(item.name.clone(), tier);
             }
         }
     }

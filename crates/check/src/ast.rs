@@ -573,6 +573,16 @@ pub struct FieldItem {
     pub ty: String,
 }
 
+/// One typed `const` or `static` item (module level, or in an `impl`
+/// or `trait` body).
+#[derive(Debug, Clone)]
+pub struct ConstItem {
+    /// Item name.
+    pub name: String,
+    /// Flattened type text, e.g. `[ f64 ; 3 ]`.
+    pub ty: String,
+}
+
 /// An out-of-line `mod name;` declaration.
 #[derive(Debug, Clone)]
 pub struct SubMod {
@@ -593,6 +603,8 @@ pub struct FileAst {
     pub fns: Vec<FnItem>,
     /// All named struct fields.
     pub fields: Vec<FieldItem>,
+    /// All typed `const`/`static` items outside function bodies.
+    pub consts: Vec<ConstItem>,
     /// Out-of-line module declarations.
     pub submods: Vec<SubMod>,
     /// Comment stream (annotations, SAFETY notes).
@@ -1089,7 +1101,11 @@ fn walk_items(trees: &[Tree], ctx: &mut ItemCtx<'_>, out: &mut FileAst) {
             }
             _ => {
                 // `use`, `const`, `static`, `type`, `extern`, expression
-                // statements, … — no item state to track.
+                // statements, … — no item state to track; a typed
+                // `const`/`static` is recorded for type-informed passes.
+                if let Some(item) = const_item(trees, i) {
+                    out.consts.push(item);
+                }
                 if !matches!(tok.text.as_str(), "unsafe" | "async" | "const" | "extern") {
                     pending_pub = false;
                     pending_test = pending_test
@@ -1099,6 +1115,33 @@ fn walk_items(trees: &[Tree], ctx: &mut ItemCtx<'_>, out: &mut FileAst) {
             }
         }
     }
+}
+
+/// The `const NAME: Type` or `static [mut] NAME: Type` item whose
+/// keyword is `trees[i]`, typed up to its `=` or `;`; `None` for any
+/// other use of the keyword (`const fn`, `*const T`).
+fn const_item(trees: &[Tree], i: usize) -> Option<ConstItem> {
+    let (kw, rest) = trees.get(i..)?.split_first()?;
+    if !kw.tok()?.is_ident("const") && !kw.tok()?.is_ident("static") {
+        return None;
+    }
+    let rest = match rest.split_first() {
+        Some((m, after)) if m.tok().is_some_and(|t| t.is_ident("mut")) => after,
+        _ => rest,
+    };
+    let (name, rest) = rest.split_first()?;
+    let (colon, rest) = rest.split_first()?;
+    let name = name.tok().filter(|t| t.kind == TokKind::Ident)?;
+    if !colon.tok()?.is_punct(":") {
+        return None;
+    }
+    let ty = rest
+        .split(|t| t.tok().is_some_and(|t| t.is_punct("=") || t.is_punct(";")))
+        .next()?;
+    Some(ConstItem {
+        name: name.text.clone(),
+        ty: flatten(ty),
+    })
 }
 
 /// Extract named fields from a struct body: `vis name : Type ,`.

@@ -1,8 +1,8 @@
 //! End-to-end test of the `mtm-check` binary over fixture workspaces
 //! (`fixtures/clean_ws`, `fixtures/tainted_ws`,
-//! `fixtures/primitive_from_ws`): exit code 0 on the clean ones, 1 with
-//! exact `file:line` diagnostics on the planted one, and 2 on bad usage
-//! or a missing workspace root.
+//! `fixtures/primitive_from_ws`, `fixtures/const_float_div_ws`): exit
+//! code 0 on the clean ones, 1 with exact `file:line` diagnostics on the
+//! planted one, and 2 on bad usage or a missing workspace root.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -89,6 +89,17 @@ fn primitive_conversion_does_not_reach_workspace_from_impls() {
     assert!(stdout.contains("hot root [widen] widen"), "{stdout}");
     assert!(!stdout.contains("hot site"), "{stdout}");
     assert!(stdout.contains("0 hot-alloc"), "{stdout}");
+}
+
+#[test]
+fn float_const_divisions_are_not_div_sites() {
+    // The only float evidence of each division is a module-level
+    // `const … : f64` or `static … : f32`; the fixture's `[div_sites]`
+    // budget is empty, so one miscounted division fails the ratchet.
+    let out = run_in("const_float_div_ws", &["analyze"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
+    assert!(stdout.contains(" 0 div,"), "{stdout}");
 }
 
 #[test]

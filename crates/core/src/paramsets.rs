@@ -73,13 +73,13 @@ impl ParamSet {
         match self {
             ParamSet::Hints => {
                 for v in 0..n {
-                    params.push(Param::int(&format!("h{v}"), 1, HINT_MAX));
+                    params.push(Param::int(format!("h{v}"), 1, HINT_MAX));
                 }
                 params.push(max_tasks_param(n));
             }
             ParamSet::HintsBatch => {
                 for v in 0..n {
-                    params.push(Param::int(&format!("h{v}"), 1, HINT_MAX));
+                    params.push(Param::int(format!("h{v}"), 1, HINT_MAX));
                 }
                 params.push(max_tasks_param(n));
                 params.push(Param::log_int("batch_size", 1_000, 1_000_000));

@@ -48,12 +48,21 @@ pub fn normalized_weights(topo: &Topology) -> Vec<f64> {
 }
 
 /// Turn weights and a multiplier into parallelism hints:
-/// `hint_v = max(1, round(w_v * multiplier))`.
+/// `hint_v = max(1, round(w_v * multiplier))`, clamped to `u32`.
+///
+/// The rounding is branchless and gives the hint `f64::round` (half away
+/// from zero) gives, for every product: the saturating cast truncates
+/// toward zero, and a fraction of one half or more adds one. Products
+/// below one half, NaN and `-inf` get the floor hint 1 either way. A
+/// product at or past 2^53 is an integer, so its fraction is 0 (or
+/// `+inf` past `i64::MAX`, where the add saturates).
 pub fn hints_from_weights(weights: &[f64], multiplier: f64) -> Vec<u32> {
     weights
         .iter()
         .map(|&w| {
-            ((w * multiplier).round() as i64)
+            let x = w * multiplier;
+            let t = x as i64;
+            t.saturating_add(i64::from(x - t as f64 >= 0.5))
                 .max(1)
                 .min(u32::MAX as i64) as u32
         })
@@ -64,6 +73,7 @@ pub fn hints_from_weights(weights: &[f64], multiplier: f64) -> Vec<u32> {
 mod tests {
     use super::*;
     use mtm_stormsim::topology::TopologyBuilder;
+    use proptest::prelude::*;
 
     #[test]
     fn diamond_weights() {
@@ -97,6 +107,65 @@ mod tests {
         assert_eq!(hints_from_weights(&w, 1.0), vec![1, 2, 1]);
         assert_eq!(hints_from_weights(&w, 2.5), vec![3, 5, 1]);
         assert_eq!(hints_from_weights(&w, 10.0), vec![10, 20, 2]);
+    }
+
+    /// `hints_from_weights`' per-node body before the branchless
+    /// rounding: libm `round`, then the same clamp.
+    fn libm_hint(x: f64) -> u32 {
+        (x.round() as i64).max(1).min(u32::MAX as i64) as u32
+    }
+
+    #[test]
+    fn hints_from_weights_is_bit_equal_to_libm_round() {
+        let two = |e: i32| 2f64.powi(e);
+        let edges = [
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            two(52) + 0.5,
+            two(52) + 1.5,
+            two(53),
+            two(53) + 2.0,
+            two(31) - 0.5,
+            two(32) - 0.5,
+            two(32) + 0.5,
+            two(63),
+            two(64),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            -2.5,
+            -0.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            -two(63),
+            f64::MIN,
+        ];
+        let want: Vec<u32> = edges.iter().map(|&x| libm_hint(x)).collect();
+        assert_eq!(hints_from_weights(&edges, 1.0), want);
+    }
+
+    proptest! {
+        /// Random weights times informed multipliers, with half-integer
+        /// weights and a multiplier of 1 mixed in so exact ties occur.
+        #[test]
+        fn hints_from_weights_is_bit_equal_to_libm_round_on_random_weights(
+            weights in prop::collection::vec(
+                prop_oneof![0.0f64..400.0, (0u32..800).prop_map(|k| f64::from(k) / 2.0)],
+                1..200,
+            ),
+            multiplier in prop_oneof![0.25f64..60.0, Just(1.0)],
+        ) {
+            let want: Vec<u32> = weights.iter().map(|&w| libm_hint(w * multiplier)).collect();
+            prop_assert_eq!(hints_from_weights(&weights, multiplier), want);
+        }
     }
 
     #[test]

@@ -149,16 +149,18 @@ impl SegmentWriter {
         let Sink::File(file) = &self.sink else {
             return Ok(());
         };
-        let json = serde_json::to_string(record)
+        // The newline goes into the line's own buffer: one `write` per
+        // record, so a line is never split across two writes.
+        let mut line = serde_json::to_string(record)
             .map_err(|e| ObsError(format!("serialize record: {e}")))?;
+        line.push('\n');
         // mtm-allow: lock -- the file mutex exists to serialize this write+flush; it is held for nothing else and never while another lock is held
         let mut guard = match file.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
         guard
-            .write_all(json.as_bytes())
-            .and_then(|()| guard.write_all(b"\n"))
+            .write_all(line.as_bytes())
             .and_then(|()| guard.flush())
             .map_err(|e| ObsError(format!("append: {e}")))
     }
